@@ -3,8 +3,10 @@ PASS/FAIL line (run with -s or -v to see them). The heavy fixtures execute
 whole benchmark subsets and are shared module-wide."""
 
 import math
+import platform
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from test_planners import random_observation, sampling_oracle_select
 from test_simulation import fit_circle
 
 SEED = 2024
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def note(criterion: int, ok: bool, message: str):
@@ -84,6 +87,22 @@ def mobil_lc_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def sampler_nudge_run(tmp_path_factory):
     return _run_subset(tmp_path_factory, "sam_nudge", "sampler", ["nudge"])
+
+
+def check_golden(planner, hashes):
+    """Compare a seed-2024 run's trace_hashes.txt with the committed golden
+    hashes of that planner; every scenario of the run must match."""
+    lines = (GOLDEN_DIR / f"{planner}.txt").read_text().splitlines()
+    recorded = next(line[2:] for line in lines if line.startswith("# python"))
+    golden = dict(line.split() for line in lines
+                  if line and not line.startswith("#"))
+    mismatched = [name for name, digest in (line.split()
+                                            for line in hashes.splitlines())
+                  if golden.get(name) != digest]
+    assert not mismatched, (
+        f"{planner} traces differ from tests/golden/{planner}.txt on "
+        f"{', '.join(mismatched)}; goldens recorded with {recorded}, this run "
+        f"on python {platform.python_version()} numpy {np.__version__}")
 
 
 def _csv_rows(csv_text):
@@ -137,6 +156,8 @@ class TestCriterion03LaneChangeGates:
         note(3, ok, f"IDM Goal={idm_report.goal_sub * 100:.0f} "
                     f"No-Col={idm_report.no_collision_sub * 100:.0f}; "
                     f"IDM+MOBIL Goal={mobil_report.goal_sub * 100:.0f}")
+        check_golden("idm", idm_lc_run[2])
+        check_golden("mobil", mobil_lc_run[2])
 
 
 class TestCriterion04NudgeCompetence:
@@ -208,6 +229,8 @@ class TestCriterion06HybridBeatsBase:
                     f"{score.min_progress:.0f}); Constr. "
                     f"{h_per['construction']:.2f} > {b_per['construction']:.2f}, "
                     f"Acc. {h_per['accident']:.2f} > {b_per['accident']:.2f}")
+        check_golden("hybrid-scripted", hybrid[2])
+        check_golden("sampler", base[2])
 
 
 class TestCriterion07MetricInvariants:
@@ -377,6 +400,8 @@ class TestCriterion10Determinism:
         note(10, ok, f"serial vs 8-way-parallel IDM suites byte-identical: "
                      f"{identical}; full sampling-planner suite in "
                      f"{sampler[3]:.0f} s (< 300 s)")
+        check_golden("idm", serial[2])
+        check_golden("sampler", sampler[2])
 
 
 class TestCriterion11LlmFree:
