@@ -189,14 +189,6 @@ class Polyline:
         return isinstance(other, Polyline) and np.array_equal(self.points, other.points)
 
 
-def project_to_centerline(point: Sequence[float], centerline: Polyline) -> FrenetPoint:
-    return centerline.project(point)
-
-
-def frenet_to_cartesian(f: FrenetPoint, centerline: Polyline) -> Pose2D:
-    return centerline.interpolate(f)
-
-
 def _interval_overlap(lo1: float, hi1: float, lo2: float, hi2: float) -> bool:
     # touching intervals count as overlapping (conservative collision semantics)
     return lo1 <= hi2 and lo2 <= hi1

@@ -309,7 +309,7 @@ def _target_lane_slot(obs: Observation, target_lane: str) -> float:
     return hi - lo
 
 
-def scripted_oracle(scenario_type, obs: Observation, options: Sequence) -> SelectorResponse:
+def scripted_oracle(obs: Observation, options: Sequence) -> SelectorResponse:
     """Deterministic behavior selection standing in for an LLM: overtake a
     blocked lane when the oncoming lane is clear, stop and wait otherwise;
     merge toward the goal when the target-lane slot is wide enough."""
@@ -383,11 +383,8 @@ def llm_call(prompt: PromptBundle, cfg: ClientConfig) -> str:
 class ScriptedSelector:
     """Network-free behavior selector driven by the scripted oracle."""
 
-    def __init__(self, scenario_type=None):
-        self.scenario_type = scenario_type
-
     def select(self, obs: Observation, options: Sequence) -> SelectorResponse:
-        return scripted_oracle(self.scenario_type, obs, options)
+        return scripted_oracle(obs, options)
 
 
 class LlmBehaviorSelector:

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..agents import SWEPT_BAND_HALF_WIDTH, VEHICLE_LENGTH
+from ..agents import SWEPT_BAND_HALF_WIDTH
 from ..geometry import FrenetPoint, LaneGraph, OrientedBox, Route, wrap_angle
 from ..scenarios import ObstacleSpec
 
@@ -159,6 +159,23 @@ def plan_with_fallback(planner: Planner, obs: Observation) -> Trajectory:
         return fallback_brake_trajectory(obs)
 
 
+def path_headings(x: np.ndarray, y: np.ndarray,
+                  tangent: np.ndarray) -> np.ndarray:
+    """Finite-difference headings per path row; stalls carry the last
+    moving heading, fully stalled rows keep the tangent."""
+    n = x.shape[1]
+    dx = np.diff(x, axis=1)
+    dy = np.diff(y, axis=1)
+    moving = np.hypot(dx, dy) > 1e-6
+    h = np.where(moving, np.arctan2(dy, dx), np.nan)
+    h = np.concatenate([h, h[:, -1:]], axis=1)
+    valid = ~np.isnan(h)
+    idx = np.where(valid, np.arange(n)[None, :], 0)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    filled = h[np.arange(h.shape[0])[:, None], idx]
+    return np.where(np.isnan(filled), tangent, filled)
+
+
 # ---------------------------------------------------------------------------
 # shared queries
 
@@ -179,64 +196,84 @@ def current_route_lane(obs: Observation) -> str:
     return best[1]
 
 
-def route_index(obs: Observation, lane_id: str) -> Optional[int]:
-    try:
-        return obs.route.lane_sequence.index(lane_id)
-    except ValueError:
-        return None
+@dataclass(frozen=True, eq=False)
+class LaneScene:
+    """The observation's possible conflicts projected once into one lane's
+    Frenet frame, as arrays in observation order: agents, static obstacles
+    and crossing pedestrians."""
+    agent_s: np.ndarray         # center arc position
+    agent_d: np.ndarray         # center lateral offset
+    agent_near_s: np.ndarray    # arc position of the near edge
+    agent_speed: np.ndarray     # speed along the lane
+    agent_reach: np.ndarray     # |d - path offset| up to which it conflicts
+    obstacle_mid_s: np.ndarray
+    obstacle_near_s: np.ndarray
+    obstacle_d_lo: np.ndarray
+    obstacle_d_hi: np.ndarray
+    ped_s: np.ndarray
+    ped_d: np.ndarray
 
 
-def agent_frenet_on(obs: Observation, agent: AgentObs, lane_id: str) -> FrenetPoint:
+def _columns(rows: list, n: int) -> np.ndarray:
+    return np.array(rows, dtype=float).reshape(-1, n).T
+
+
+def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
+    """Project the observation's agents, obstacles and crossing pedestrians
+    into the lane's Frenet frame (extended past the lane ends)."""
     line = obs.graph.lane(lane_id).centerline
-    return line.project_extended((agent.box.center.x, agent.box.center.y))
-
-
-def nearest_lead(obs: Observation, lane_id: str, from_s: float,
-                 path_offset: Callable[[float], float] = lambda s: 0.0,
-                 half_band: float = SWEPT_BAND_HALF_WIDTH,
-                 ) -> Optional[tuple[float, float]]:
-    """Nearest conflicting entity ahead of arc position from_s on a lane, as
-    (s of its near edge, its speed along the lane).
-
-    path_offset gives the planned lateral offset at a given s; entities are
-    conflicting when they laterally overlap the swept band around that
-    offset. Covers agents, static blocking obstacles and crossing or armed
-    pedestrians inside the band.
-    """
-    lane = obs.graph.lane(lane_id)
-    line = lane.centerline
-    best: Optional[tuple[float, float]] = None
-
-    def consider(s_near: float, speed: float):
-        nonlocal best
-        if s_near > from_s and (best is None or s_near < best[0]):
-            best = (s_near, speed)
-
+    agents = []
     for agent in obs.agents:
-        f = agent_frenet_on(obs, agent, lane_id)
-        lat = abs(f.d - path_offset(f.s))
-        rel = wrap_angle(agent.box.center.heading - line.tangent_at(min(max(f.s, 0.0), line.length)))
+        f = line.project_extended((agent.box.center.x, agent.box.center.y))
+        rel = wrap_angle(agent.box.center.heading - line.tangent_at(f.s))
         half_len = (abs(math.cos(rel)) * agent.box.length
                     + abs(math.sin(rel)) * agent.box.width) / 2.0
-        if lat <= half_band + agent.box.width / 2.0 - 0.15:
-            speed_along = agent.speed * math.cos(rel)
-            consider(f.s - half_len, speed_along)
-
+        agents.append((f.s, f.d, f.s - half_len, agent.speed * math.cos(rel),
+                       SWEPT_BAND_HALF_WIDTH + agent.box.width / 2.0 - 0.15))
+    obstacles = []
     for o in obs.obstacles:
-        corners = o.box.corners()
-        fs = [line.project_extended(c) for c in corners]
-        d_lo, d_hi = min(f.d for f in fs), max(f.d for f in fs)
-        s_lo = min(f.s for f in fs)
-        mid_s = min(max(0.5 * (s_lo + max(f.s for f in fs)), 0.0), line.length)
-        off = path_offset(mid_s)
-        if d_lo - 0.05 <= off + half_band and d_hi + 0.05 >= off - half_band:
-            consider(s_lo, 0.0)
-
+        fs = [line.project_extended(c) for c in o.box.corners()]
+        s_lo, s_hi = min(f.s for f in fs), max(f.s for f in fs)
+        obstacles.append((0.5 * (s_lo + s_hi), s_lo,
+                          min(f.d for f in fs), max(f.d for f in fs)))
+    peds = []
     for ped in obs.pedestrians:
-        if not ped.crossing:
-            continue
-        f = line.project_extended(ped.position)
-        if abs(f.d - path_offset(f.s)) <= half_band + 0.3:
-            consider(f.s - 0.3, 0.0)
+        if ped.crossing:
+            f = line.project_extended(ped.position)
+            peds.append((f.s, f.d))
+    return LaneScene(*_columns(agents, 5), *_columns(obstacles, 4),
+                     *_columns(peds, 2))
 
-    return best
+
+def nearest_lead(scene: LaneScene, from_s: float,
+                 path_offset: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest conflicting entity ahead of arc position from_s for K paths
+    at once, as (s of its near edge, its speed along the lane), each of
+    shape (K,); s is inf and the speed 0 where a path has no lead.
+
+    path_offset maps arc positions (E,) to the lateral offsets of the K
+    planned paths there, (K, E); None means the centerline alone (K = 1).
+    An entity conflicts with a path when it laterally overlaps the swept
+    band around the path's offset at the entity.
+    """
+    probe = np.concatenate((scene.agent_s, scene.obstacle_mid_s, scene.ped_s))
+    off = (np.zeros((1, len(probe))) if path_offset is None
+           else path_offset(probe))
+    if not len(probe):
+        return np.full(len(off), np.inf), np.zeros(len(off))
+    n_a, n_o = len(scene.agent_s), len(scene.obstacle_mid_s)
+    off_a, off_o, off_p = off[:, :n_a], off[:, n_a:n_a + n_o], off[:, n_a + n_o:]
+    half = SWEPT_BAND_HALF_WIDTH
+    conflict = np.concatenate((
+        np.abs(scene.agent_d - off_a) <= scene.agent_reach,
+        (scene.obstacle_d_lo - 0.05 <= off_o + half)
+        & (scene.obstacle_d_hi + 0.05 >= off_o - half),
+        np.abs(scene.ped_d - off_p) <= half + 0.3), axis=1)
+    near = np.concatenate((scene.agent_near_s, scene.obstacle_near_s,
+                           scene.ped_s - 0.3))
+    speed = np.concatenate((scene.agent_speed, np.zeros(len(probe) - n_a)))
+    near = np.where(conflict & (near > from_s), near, np.inf)
+    first = np.argmin(near, axis=1)  # earliest entity on equal near edges
+    lead_s = near[np.arange(len(near)), first]
+    return lead_s, np.where(np.isfinite(lead_s), speed[first], 0.0)

@@ -4,6 +4,7 @@ lane change."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,11 +14,14 @@ from ..agents import VEHICLE_LENGTH, IdmParams, idm_acceleration
 from .base import (
     N_SAMPLES,
     STEP,
+    LaneScene,
     Observation,
     Trajectory,
     current_route_lane,
     ego_frenet,
+    lane_scene,
     nearest_lead,
+    path_headings,
 )
 
 
@@ -40,6 +44,14 @@ def idm_rollout(v_start: float, gap0: Optional[float], v_lead: float,
     return s, v
 
 
+def centerline_lead(scene: LaneScene, from_s: float
+                    ) -> Optional[tuple[float, float]]:
+    """nearest_lead along the lane centerline, as (s of its near edge, its
+    speed along the lane), or None."""
+    [lead_s], [lead_v] = nearest_lead(scene, from_s)
+    return None if math.isinf(lead_s) else (float(lead_s), float(lead_v))
+
+
 def centerline_trajectory(obs: Observation, lane_id: str, s_arr: np.ndarray,
                           v_arr: np.ndarray, d_arr=None) -> Trajectory:
     """Embed an arc-length profile on a lane centerline (plus optional
@@ -47,27 +59,9 @@ def centerline_trajectory(obs: Observation, lane_id: str, s_arr: np.ndarray,
     line = obs.graph.lane(lane_id).centerline
     d = np.zeros_like(s_arr) if d_arr is None else np.asarray(d_arr, dtype=float)
     x, y, tangent = line.interpolate_many(s_arr, d)
-    heading = _path_headings(x, y, tangent)
+    heading = path_headings(x[None], y[None], tangent[None])[0]
     t = np.arange(len(s_arr)) * STEP
     return Trajectory(t, x, y, heading, v_arr)
-
-
-def _path_headings(x: np.ndarray, y: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Finite-difference headings along the embedded path; tangent headings
-    where the path stalls."""
-    dx = np.diff(x)
-    dy = np.diff(y)
-    ds = np.hypot(dx, dy)
-    heading = tangent.copy()
-    moving = ds > 1e-6
-    idx = np.where(moving)[0]
-    if len(idx):
-        heading[idx] = np.arctan2(dy[idx], dx[idx])
-        # carry the last moving heading through stalled samples
-        last = heading[idx[-1]]
-        for k in range(int(idx[-1]) + 1, len(heading)):
-            heading[k] = last
-    return heading
 
 
 @dataclass
@@ -81,7 +75,7 @@ class IdmPlanner:
         params = self.params or IdmParams(v0=lane.speed_limit)
         f = ego_frenet(obs, lane_id)
         front = f.s + VEHICLE_LENGTH / 2.0
-        lead = nearest_lead(obs, lane_id, front)
+        lead = centerline_lead(lane_scene(obs, lane_id), front)
         if lead is None:
             gap0, v_lead = None, 0.0
         else:

@@ -15,14 +15,19 @@ import numpy as np
 from ..agents import VEHICLE_LENGTH, IdmParams, idm_acceleration
 from ..geometry import wrap_angle
 from .base import (
+    LaneScene,
     Observation,
     Trajectory,
-    agent_frenet_on,
     current_route_lane,
     ego_frenet,
-    nearest_lead,
+    lane_scene,
 )
-from .idm_planner import IdmPlanner, centerline_trajectory, idm_rollout
+from .idm_planner import (
+    IdmPlanner,
+    centerline_lead,
+    centerline_trajectory,
+    idm_rollout,
+)
 from .sampling import lateral_profile
 
 MIN_CLEARANCE = 0.5  # m of bumper gap below which a change is vetoed outright
@@ -45,27 +50,25 @@ class MobilParams:
             raise ValueError("b_safe must be positive")
 
 
-def _accel_against(obs: Observation, lane_id: str, v: float, from_s: float,
+def _accel_against(scene: LaneScene, v: float, from_s: float,
                    params: IdmParams) -> float:
-    lead = nearest_lead(obs, lane_id, from_s)
+    lead = centerline_lead(scene, from_s)
     if lead is None:
         return idm_acceleration(v, None, None, params)
     gap = lead[0] - from_s
     return idm_acceleration(v, max(0.0, lead[1]), max(gap, 0.01), params)
 
 
-def _follower_behind(obs: Observation, lane_id: str, s_rear: float):
-    """Nearest agent whose front bumper is behind the given rear position."""
-    best = None
-    for agent in obs.agents:
-        f = agent_frenet_on(obs, agent, lane_id)
-        lane = obs.graph.lane(lane_id)
-        if abs(f.d) > lane.width / 2.0:
-            continue
-        front = f.s + agent.box.length / 2.0
-        if front < s_rear and (best is None or front > best[0]):
-            best = (front, agent, f)
-    return best
+def _follower_behind(obs: Observation, scene: LaneScene, lane_width: float,
+                     s_rear: float):
+    """Nearest agent whose front bumper is behind the given rear position,
+    as (its front bumper s, the agent)."""
+    front = scene.agent_s + np.array([a.box.length for a in obs.agents]) / 2.0
+    behind = (np.abs(scene.agent_d) <= lane_width / 2.0) & (front < s_rear)
+    if not behind.any():
+        return None
+    i = int(np.argmax(np.where(behind, front, -np.inf)))
+    return float(front[i]), obs.agents[i]
 
 
 def _goal_distance(obs: Observation, lane_id: str) -> Optional[int]:
@@ -87,11 +90,12 @@ def mobil_decide(obs: Observation, mp: MobilParams,
     f = ego_frenet(obs, lane_id)
     front = f.s + VEHICLE_LENGTH / 2.0
     rear = f.s - VEHICLE_LENGTH / 2.0
-    a_ego = _accel_against(obs, lane_id, v, front, params)
+    scene = lane_scene(obs, lane_id)
+    a_ego = _accel_against(scene, v, front, params)
 
     own_goal_dist = _goal_distance(obs, lane_id)
-    old_follower = _follower_behind(obs, lane_id, rear)
-    old_lead = nearest_lead(obs, lane_id, front)
+    old_follower = _follower_behind(obs, scene, lane.width, rear)
+    old_lead = centerline_lead(scene, front)
 
     best: Optional[tuple[float, bool, str]] = None
     for cand in (lane.left_neighbor, lane.right_neighbor):
@@ -103,23 +107,25 @@ def mobil_decide(obs: Observation, mp: MobilParams,
         front_c = ego_c.s + VEHICLE_LENGTH / 2.0
         rear_c = ego_c.s - VEHICLE_LENGTH / 2.0
 
-        new_lead = nearest_lead(obs, cand, front_c)
+        cand_scene = lane_scene(obs, cand)
+        new_lead = centerline_lead(cand_scene, front_c)
         if new_lead is not None and new_lead[0] - front_c < MIN_CLEARANCE:
             continue
-        a_ego_new = _accel_against(obs, cand, v, front_c, cand_params)
+        a_ego_new = _accel_against(cand_scene, v, front_c, cand_params)
 
         d_new_follower = 0.0
-        follower = _follower_behind(obs, cand, rear_c)
+        follower = _follower_behind(obs, cand_scene, cand_lane.width, rear_c)
         safe = True
         if follower is not None:
-            fr_front, fr_agent, _ = follower
+            fr_front, fr_agent = follower
             gap_f = rear_c - fr_front
             if gap_f < MIN_CLEARANCE:
                 safe = False
             else:
                 fp = IdmParams(v0=cand_lane.speed_limit)
                 a_after = idm_acceleration(fr_agent.speed, v, gap_f, fp)
-                a_before = _accel_against(obs, cand, fr_agent.speed, fr_front, fp)
+                a_before = _accel_against(cand_scene, fr_agent.speed, fr_front,
+                                          fp)
                 if a_after < -mp.b_safe:
                     safe = False
                 d_new_follower = a_after - a_before
@@ -128,7 +134,7 @@ def mobil_decide(obs: Observation, mp: MobilParams,
 
         d_old_follower = 0.0
         if old_follower is not None:
-            of_front, of_agent, _ = old_follower
+            of_front, of_agent = old_follower
             fp = IdmParams(v0=lane.speed_limit)
             a_before = idm_acceleration(of_agent.speed, v,
                                         max(rear - of_front, 0.01), fp)
@@ -170,7 +176,7 @@ class IdmMobilPlanner:
         params = self.params or IdmParams(v0=lane.speed_limit)
         f = ego_frenet(obs, target)
         front = f.s + VEHICLE_LENGTH / 2.0
-        lead = nearest_lead(obs, target, front)
+        lead = centerline_lead(lane_scene(obs, target), front)
         if lead is None:
             gap0, v_lead = None, 0.0
         else:

@@ -32,6 +32,9 @@ from .base import (
     Trajectory,
     current_route_lane,
     ego_frenet,
+    lane_scene,
+    nearest_lead,
+    path_headings,
 )
 
 OFFSET_DELTAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -72,11 +75,6 @@ class Candidate:
     cost: float = 0.0
 
 
-def _quintic_shape(u: np.ndarray) -> np.ndarray:
-    u = np.clip(u, 0.0, 1.0)
-    return 10.0 * u ** 3 - 15.0 * u ** 4 + 6.0 * u ** 5
-
-
 def lateral_profile(d0: float, slope0: float, target, s_rel: np.ndarray,
                     span: float) -> np.ndarray:
     """Quintic Hermite lateral offset over traveled arc length: starts at d0
@@ -91,23 +89,6 @@ def lateral_profile(d0: float, slope0: float, target, s_rel: np.ndarray,
     if target.ndim == 1:
         target = target[:, None]
     return d0 * h0 + slope0 * span * h1 + target * h3
-
-
-def _path_headings_batch(x: np.ndarray, y: np.ndarray,
-                         tangent: np.ndarray) -> np.ndarray:
-    """Finite-difference headings per candidate row; stalls carry the last
-    moving heading, fully stalled rows keep the tangent."""
-    n = x.shape[1]
-    dx = np.diff(x, axis=1)
-    dy = np.diff(y, axis=1)
-    moving = np.hypot(dx, dy) > 1e-6
-    h = np.where(moving, np.arctan2(dy, dx), np.nan)
-    h = np.concatenate([h, h[:, -1:]], axis=1)
-    valid = ~np.isnan(h)
-    idx = np.where(valid, np.arange(n)[None, :], 0)
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    filled = h[np.arange(h.shape[0])[:, None], idx]
-    return np.where(np.isnan(filled), tangent, filled)
 
 
 class SamplingPlanner:
@@ -156,36 +137,35 @@ class SamplingPlanner:
         slope0 = float(np.clip(math.tan(
             _wrap(obs.ego_box.center.heading - tangent0)), -0.6, 0.6))
 
-        entities = self._entities_frenet(obs, behavior.centerline)
-
-        C = len(OFFSET_DELTAS) * (len(SPEED_FRACTIONS) + 1)
-        deltas = np.repeat(OFFSET_DELTAS, len(SPEED_FRACTIONS) + 1)
+        n_profiles = len(SPEED_FRACTIONS) + 1
+        C = len(OFFSET_DELTAS) * n_profiles
+        deltas = np.repeat(OFFSET_DELTAS, n_profiles)
         fractions = np.tile(list(SPEED_FRACTIONS) + [np.nan], len(OFFSET_DELTAS))
         stop_mask = np.isnan(fractions)
-        targets = behavior.lateral_offset + deltas
+        offsets = behavior.lateral_offset + np.asarray(OFFSET_DELTAS)
+        targets = np.repeat(offsets, n_profiles)
         span = max(2.0 * max(v_now, 0.1), 10.0)
 
-        # per-candidate lead along its offset path
-        gap0 = np.full(C, np.inf)
-        v_lead = np.zeros(C)
+        # lead along each distinct offset path, shared by its speed profiles
         front0 = s0 + VEHICLE_LENGTH / 2.0
-        for ci in range(C):
-            lead = self._lead_for_offset(entities, targets[ci], d0, slope0,
-                                         s0, span, front0)
-            if lead is not None:
-                gap0[ci] = max(lead[0] - front0, 0.01)
-                v_lead[ci] = max(0.0, lead[1])
+        lead_s, lead_v = nearest_lead(
+            lane_scene(obs, behavior.centerline), front0,
+            lambda s: lateral_profile(d0, slope0, offsets,
+                                      np.maximum(s - s0, 0.0), span))
+        gap0 = np.repeat(np.maximum(lead_s - front0, 0.01), n_profiles)
+        v_lead = np.repeat(np.maximum(0.0, lead_v), n_profiles)
 
         s_rel, v = self._rollout(v_now, gap0, v_lead, fractions, stop_mask,
                                  cap, limit, params)
         d = lateral_profile(d0, slope0, targets, s_rel, span)
         s_abs = s0 + s_rel
         x, y, tangent = line.interpolate_many(s_abs, d)
-        heading = _path_headings_batch(x, y, tangent)
+        heading = path_headings(x, y, tangent)
 
         K = min(int(round(self.eval_horizon / STEP)), N_SAMPLES - 1)
-        collided, off_area = self._feasibility(obs, x, y, heading, d, K)
-        ttc_frac = self._ttc_fractions(obs, x, y, heading, v, K)
+        world = self._world_entities(obs)
+        collided, off_area = self._feasibility(obs, world, x, y, heading, d, K)
+        ttc_frac = self._ttc_fractions(world, x, y, heading, v, K)
         # progress is credited over the full horizon; only the safety checks
         # (collision, area, TTC) are confined to the evaluation window
         progress = s_rel[:, -1].copy()
@@ -224,32 +204,6 @@ class SamplingPlanner:
 
     # -- internals ----------------------------------------------------------
 
-    def _entities_frenet(self, obs: Observation, lane_id: str) -> dict:
-        """Static obstacles, agents and pedestrians in the reference lane's
-        Frenet frame plus their world-frame forecast parameters."""
-        line = obs.graph.lane(lane_id).centerline
-        obstacles = []
-        for o in obs.obstacles:
-            fs = [line.project_extended(c) for c in o.box.corners()]
-            obstacles.append((min(f.s for f in fs), max(f.s for f in fs),
-                              min(f.d for f in fs), max(f.d for f in fs)))
-        agents = []
-        for a in obs.agents:
-            fa = line.project_extended((a.box.center.x, a.box.center.y))
-            h_rel = a.box.center.heading - line.tangent_at(
-                min(max(fa.s, 0.0), line.length))
-            half_len = (abs(math.cos(h_rel)) * a.box.length
-                        + abs(math.sin(h_rel)) * a.box.width) / 2.0
-            agents.append((fa.s, fa.d, half_len, a.speed * math.cos(h_rel),
-                           a.box.width))
-        peds = []
-        for p in obs.pedestrians:
-            fp = line.project_extended(p.position)
-            peds.append((fp.s, fp.d, p.crossing))
-        world = self._world_entities(obs)
-        return {"obstacles": obstacles, "agents": agents, "peds": peds,
-                "world": world}
-
     @staticmethod
     def _world_entities(obs: Observation):
         """(positions, velocities, headings, lengths, widths, radii) of
@@ -284,36 +238,6 @@ class SamplingPlanner:
         radii = np.hypot(arr[5], arr[6]) / 2.0
         return arr + [radii]
 
-    def _lead_for_offset(self, entities, target, d0, slope0, s0, span, front0):
-        """Nearest longitudinal conflict for a candidate offset path."""
-        best = None
-
-        def path_d(s):
-            rel = np.array([max(s - s0, 0.0)])
-            return float(lateral_profile(d0, slope0, np.array([target]),
-                                         rel, span)[0, 0])
-
-        def consider(s_near, speed):
-            nonlocal best
-            if s_near > front0 and (best is None or s_near < best[0]):
-                best = (s_near, speed)
-
-        half = VEHICLE_WIDTH / 2.0 + 0.25
-        for s_lo, s_hi, d_lo, d_hi in entities["obstacles"]:
-            off = path_d(0.5 * (s_lo + s_hi))
-            if d_lo - 0.05 <= off + half and d_hi + 0.05 >= off - half:
-                consider(s_lo, 0.0)
-        for s_a, d_a, half_len, speed_along, width in entities["agents"]:
-            off = path_d(s_a)
-            if abs(d_a - off) <= (VEHICLE_WIDTH + width) / 2.0 + 0.1:
-                consider(s_a - half_len, speed_along)
-        for s_p, d_p, crossing in entities["peds"]:
-            if not crossing:
-                continue
-            if abs(d_p - path_d(s_p)) <= half + 0.3:
-                consider(s_p - 0.3, 0.0)
-        return best
-
     def _rollout(self, v_now, gap0, v_lead, fractions, stop_mask, cap, limit,
                  params: IdmParams):
         """Vectorized IDM integration of all candidates at once."""
@@ -346,14 +270,14 @@ class SamplingPlanner:
             s[:, k] = s[:, k - 1] + v[:, k] * STEP
         return s, v
 
-    def _feasibility(self, obs, x, y, heading, d, K):
+    def _feasibility(self, obs, world, x, y, heading, d, K):
         """At-fault predicted collisions and drivable-area exits over the
         evaluation window."""
         C = x.shape[0]
         collided = np.zeros(C, dtype=bool)
         off_area = np.zeros(C, dtype=bool)
 
-        ex, ey, evx, evy, eh, el, ew, er = self._world_entities(obs)
+        ex, ey, evx, evy, eh, el, ew, er = world
         E = len(ex)
         t = (np.arange(1, K + 1)) * STEP
         gx = x[:, 1:K + 1]
@@ -397,11 +321,11 @@ class SamplingPlanner:
         off_area = ~inside.all(axis=(1, 2))
         return collided, off_area
 
-    def _ttc_fractions(self, obs, x, y, heading, v, K):
+    def _ttc_fractions(self, world, x, y, heading, v, K):
         """Fraction of evaluation ticks whose constant-velocity projection
         collides within the TTC threshold."""
         C = x.shape[0]
-        ex, ey, evx, evy, eh, el, ew, er = self._world_entities(obs)
+        ex, ey, evx, evy, eh, el, ew, er = world
         E = len(ex)
         if not E:
             return np.zeros(C)

@@ -17,9 +17,7 @@ from drivebench.geometry import (
     Route,
     boxes_collide,
     fraction_outside_drivable,
-    frenet_to_cartesian,
     lane_changes_required,
-    project_to_centerline,
     shortest_route,
     wrap_angle,
 )
@@ -65,24 +63,24 @@ def parallel_graph(n_lanes, length=100.0, width=3.5, speed_limit=13.9):
 class TestProjection:
     def test_point_on_line_midway(self):
         line = straight_line(10.0)
-        f = project_to_centerline((5.0, 0.0), line)
+        f = line.project((5.0, 0.0))
         assert f.s == pytest.approx(5.0)
         assert f.d == pytest.approx(0.0)
 
     def test_point_left_of_east_line(self):
-        f = project_to_centerline((5.0, 1.0), straight_line(10.0))
+        f = straight_line(10.0).project((5.0, 1.0))
         assert f.s == pytest.approx(5.0)
         assert f.d == pytest.approx(1.0)
 
     def test_point_right_is_negative(self):
-        f = project_to_centerline((5.0, -2.0), straight_line(10.0))
+        f = straight_line(10.0).project((5.0, -2.0))
         assert f.d == pytest.approx(-2.0)
 
     def test_point_past_final_vertex_clamps(self):
         pts = np.array([[0.0, 0.0], [4.0, 3.0], [8.0, 3.0]])
         line = Polyline(pts)
         p = (10.0, 4.0)
-        f = project_to_centerline(p, line)
+        f = line.project(p)
         s_ref, d_ref = min_distance_to_polyline(p, pts)
         assert f.s == pytest.approx(line.length)
         assert f.s == pytest.approx(s_ref, abs=1e-3)
@@ -91,7 +89,7 @@ class TestProjection:
     def test_matches_dense_sampling_on_arc(self):
         line = arc_polyline(30.0, 1.2)
         for p in [(5.0, 1.0), (20.0, 3.0), (-2.0, -1.0), (25.0, 20.0)]:
-            f = project_to_centerline(p, line)
+            f = line.project(p)
             s_ref, d_ref = min_distance_to_polyline(p, line.points, samples=200000)
             assert f.s == pytest.approx(s_ref, abs=2e-3)
             assert abs(f.d) == pytest.approx(d_ref, abs=1e-6)
@@ -99,12 +97,12 @@ class TestProjection:
 
 class TestFrenetEmbedding:
     def test_start_of_line(self):
-        pose = frenet_to_cartesian(FrenetPoint(0.0, 0.0), straight_line())
+        pose = straight_line().interpolate(FrenetPoint(0.0, 0.0))
         assert (pose.x, pose.y) == (0.0, 0.0)
         assert pose.heading == pytest.approx(0.0)
 
     def test_straight_east_offset(self):
-        pose = frenet_to_cartesian(FrenetPoint(3.0, 2.0), straight_line())
+        pose = straight_line().interpolate(FrenetPoint(3.0, 2.0))
         assert pose.x == pytest.approx(3.0)
         assert pose.y == pytest.approx(2.0)
         assert pose.heading == pytest.approx(0.0)
@@ -113,15 +111,15 @@ class TestFrenetEmbedding:
         r = 20.0
         line = arc_polyline(r, 1.5, n=2000)
         # ccw turn: center at (0, r); d=+1 is toward the center -> radius r-1
-        pose = frenet_to_cartesian(FrenetPoint(15.0, 1.0), line)
+        pose = line.interpolate(FrenetPoint(15.0, 1.0))
         dist_to_center = math.hypot(pose.x - 0.0, pose.y - r)
         assert dist_to_center == pytest.approx(r - 1.0, abs=2e-4)
 
     def test_rejects_out_of_range_s(self):
         with pytest.raises(ValueError):
-            frenet_to_cartesian(FrenetPoint(11.0, 0.0), straight_line(10.0))
+            straight_line(10.0).interpolate(FrenetPoint(11.0, 0.0))
         with pytest.raises(ValueError):
-            frenet_to_cartesian(FrenetPoint(-0.5, 0.0), straight_line(10.0))
+            straight_line(10.0).interpolate(FrenetPoint(-0.5, 0.0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -150,8 +148,8 @@ class TestFrenetEmbedding:
         max_turn = float(turns.max()) if len(turns) else 0.0
         tol = 1e-6 + abs(d) * max_turn
         f_in = FrenetPoint(s * line.length, d)
-        pose = frenet_to_cartesian(f_in, line)
-        f_out = project_to_centerline((pose.x, pose.y), line)
+        pose = line.interpolate(f_in)
+        f_out = line.project((pose.x, pose.y))
         assert abs(f_out.s - f_in.s) < tol
         assert abs(f_out.d - f_in.d) < tol
 
@@ -321,8 +319,8 @@ class TestRouting:
             ids = sorted(segs)
             start = ids[int(rng.integers(len(ids)))]
             goal = ids[int(rng.integers(len(ids)))]
-            goal_pose = frenet_to_cartesian(
-                FrenetPoint(5.0, 0.0), segs[goal].centerline)
+            goal_pose = segs[goal].centerline.interpolate(
+                FrenetPoint(5.0, 0.0))
             try:
                 route = shortest_route(g, start, goal, goal_pose)
             except NoRoute:

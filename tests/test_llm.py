@@ -189,13 +189,13 @@ class TestScriptedOracle:
     def test_clear_oncoming_lane_overtakes(self):
         obs = self.overtake_obs()
         options = enumerate_behaviors(obs)
-        resp = scripted_oracle(ScenarioType.OVERTAKE, obs, options)
+        resp = scripted_oracle(obs, options)
         assert resp.chosen_label == "overtake_obstacle"
 
     def test_close_oncoming_waits(self):
         obs = self.overtake_obs(with_oncoming=3.0)
         options = enumerate_behaviors(obs)
-        resp = scripted_oracle(ScenarioType.OVERTAKE, obs, options)
+        resp = scripted_oracle(obs, options)
         assert resp.chosen_label == "stop_and_wait"
 
     def test_merges_toward_goal_with_gap(self):
@@ -203,7 +203,7 @@ class TestScriptedOracle:
         spec = augment_goal_for_lane_changes(spec, 1)
         obs = make_obs(spec)
         options = enumerate_behaviors(obs)
-        resp = scripted_oracle(ScenarioType.LANE_CHANGE_LTD, obs, options)
+        resp = scripted_oracle(obs, options)
         assert resp.chosen_label == "merge_left"
 
     def test_follows_when_target_gap_too_small(self):
@@ -213,14 +213,14 @@ class TestScriptedOracle:
                   make_agent(spec.graph, "lane1", 34.0, 10.0)]
         obs = make_obs(spec, agents=agents)
         options = enumerate_behaviors(obs)
-        resp = scripted_oracle(ScenarioType.LANE_CHANGE_LTD, obs, options)
+        resp = scripted_oracle(obs, options)
         assert resp.chosen_label == "follow_lane"
 
     def test_deterministic(self):
         obs = self.overtake_obs()
         options = enumerate_behaviors(obs)
-        a = scripted_oracle(ScenarioType.OVERTAKE, obs, options)
-        b = scripted_oracle(ScenarioType.OVERTAKE, obs, options)
+        a = scripted_oracle(obs, options)
+        b = scripted_oracle(obs, options)
         assert a == b
 
 
