@@ -162,12 +162,26 @@ def plan_with_fallback(planner: Planner, obs: Observation) -> Trajectory:
 def path_headings(x: np.ndarray, y: np.ndarray,
                   tangent: np.ndarray) -> np.ndarray:
     """Finite-difference headings per path row; stalls carry the last
-    moving heading, fully stalled rows keep the tangent."""
+    moving heading, fully stalled rows keep the tangent.
+
+    A step whose heading change exceeds MAX_CURVATURE times its length
+    keeps the previous heading. A path creeping to a stop across a
+    centerline vertex (millimeter steps, a turn of about 0.02 rad) would
+    otherwise break Trajectory's curvature bound.
+    """
     n = x.shape[1]
     dx = np.diff(x, axis=1)
     dy = np.diff(y, axis=1)
-    moving = np.hypot(dx, dy) > 1e-6
+    ds = np.hypot(dx, dy)
+    moving = ds > 1e-6
     h = np.where(moving, np.arctan2(dy, dx), np.nan)
+    turn = np.abs((np.diff(h, axis=1) + np.pi) % (2.0 * np.pi) - np.pi)
+    for r in np.nonzero((turn > MAX_CURVATURE * ds[:, :-1]).any(axis=1))[0]:
+        row = h[r]
+        for k in range(1, n - 1):
+            if (moving[r, k] and moving[r, k - 1] and abs(wrap_angle(
+                    row[k] - row[k - 1])) > MAX_CURVATURE * ds[r, k - 1]):
+                row[k] = row[k - 1]
     h = np.concatenate([h, h[:, -1:]], axis=1)
     valid = ~np.isnan(h)
     idx = np.where(valid, np.arange(n)[None, :], 0)

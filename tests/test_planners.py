@@ -131,6 +131,22 @@ class TestPlanContract:
         assert np.all(np.diff(traj.speed) <= 1e-9)
         assert np.allclose(traj.y, obs.ego_box.center.y, atol=1e-6)
 
+    def test_creep_across_curved_vertex_is_valid(self):
+        from drivebench.planners.base import STEP, Trajectory, path_headings
+
+        # millimeter steps decaying to a stop across a 0.017 rad vertex, as
+        # on the curved construction map
+        turn = 0.017
+        line = Polyline([[0.0, 0.0], [10.0, 0.0],
+                         [10.0 + 10.0 * math.cos(turn), 10.0 * math.sin(turn)]])
+        steps = 0.004 * 0.8 ** np.arange(80)
+        s = 10.0 - 0.006 + np.concatenate(([0.0], np.cumsum(steps)))
+        speed = np.concatenate((steps / STEP, [0.0]))
+        x, y, tangent = line.interpolate_many(s, np.zeros_like(s))
+        heading = path_headings(x[None], y[None], tangent[None])[0]
+        traj = Trajectory(np.arange(len(s)) * STEP, x, y, heading, speed)
+        assert np.all(np.abs(traj.heading) <= turn)
+
 
 class TestMobilDecide:
     def make_spec(self, lanes=2):
