@@ -89,20 +89,42 @@ def sampler_nudge_run(tmp_path_factory):
     return _run_subset(tmp_path_factory, "sam_nudge", "sampler", ["nudge"])
 
 
-def check_golden(planner, hashes):
-    """Compare a seed-2024 run's trace_hashes.txt with the committed golden
-    hashes of that planner; every scenario of the run must match."""
-    lines = (GOLDEN_DIR / f"{planner}.txt").read_text().splitlines()
+def _golden_lines(name):
+    lines = (GOLDEN_DIR / name).read_text().splitlines()
     recorded = next(line[2:] for line in lines if line.startswith("# python"))
-    golden = dict(line.split() for line in lines
-                  if line and not line.startswith("#"))
+    return recorded, [line for line in lines
+                      if line and not line.startswith("#")]
+
+
+def check_golden(planner, run):
+    """Compare a seed-2024 run's trace_hashes.txt and scores.csv with the
+    committed goldens of that planner; every scenario of the run must
+    match. Score rows are keyed by scenario name, because the CSV's index
+    column counts within the run's subset."""
+    _report, csv, hashes, _elapsed, _out = run
+    names = [line.split()[0] for line in hashes.splitlines()]
+    versions = f"this run on python {platform.python_version()} numpy {np.__version__}"
+
+    recorded, lines = _golden_lines(f"{planner}.txt")
+    golden = dict(line.split() for line in lines)
     mismatched = [name for name, digest in (line.split()
                                             for line in hashes.splitlines())
                   if golden.get(name) != digest]
     assert not mismatched, (
         f"{planner} traces differ from tests/golden/{planner}.txt on "
-        f"{', '.join(mismatched)}; goldens recorded with {recorded}, this run "
-        f"on python {platform.python_version()} numpy {np.__version__}")
+        f"{', '.join(mismatched)}; goldens recorded with {recorded}, "
+        f"{versions}")
+
+    recorded, lines = _golden_lines(f"{planner}-scores.csv")
+    golden = dict(line.split(",", 1) for line in lines[1:])
+    rows = [line.split(",", 1)[1] for line in csv.splitlines()[1:]]
+    assert len(rows) == len(names)
+    mismatched = [f"{name} ({golden.get(name)} != {row})"
+                  for name, row in zip(names, rows) if golden.get(name) != row]
+    assert not mismatched, (
+        f"{planner} scores differ from tests/golden/{planner}-scores.csv on "
+        f"{'; '.join(mismatched)}; goldens recorded with {recorded}, "
+        f"{versions}")
 
 
 def _csv_rows(csv_text):
@@ -156,8 +178,8 @@ class TestCriterion03LaneChangeGates:
         note(3, ok, f"IDM Goal={idm_report.goal_sub * 100:.0f} "
                     f"No-Col={idm_report.no_collision_sub * 100:.0f}; "
                     f"IDM+MOBIL Goal={mobil_report.goal_sub * 100:.0f}")
-        check_golden("idm", idm_lc_run[2])
-        check_golden("mobil", mobil_lc_run[2])
+        check_golden("idm", idm_lc_run)
+        check_golden("mobil", mobil_lc_run)
 
 
 class TestCriterion04NudgeCompetence:
@@ -229,8 +251,8 @@ class TestCriterion06HybridBeatsBase:
                     f"{score.min_progress:.0f}); Constr. "
                     f"{h_per['construction']:.2f} > {b_per['construction']:.2f}, "
                     f"Acc. {h_per['accident']:.2f} > {b_per['accident']:.2f}")
-        check_golden("hybrid-scripted", hybrid[2])
-        check_golden("sampler", base[2])
+        check_golden("hybrid-scripted", hybrid)
+        check_golden("sampler", base)
 
 
 class TestCriterion07MetricInvariants:
@@ -400,8 +422,8 @@ class TestCriterion10Determinism:
         note(10, ok, f"serial vs 8-way-parallel IDM suites byte-identical: "
                      f"{identical}; full sampling-planner suite in "
                      f"{sampler[3]:.0f} s (< 300 s)")
-        check_golden("idm", serial[2])
-        check_golden("sampler", sampler[2])
+        check_golden("idm", serial)
+        check_golden("sampler", sampler)
 
 
 class TestCriterion11LlmFree:
