@@ -253,6 +253,47 @@ def boxes_collide_batch(cx_a, cy_a, h_a, len_a, wid_a,
     return overlap.all(axis=-1)
 
 
+def box_contacts(x, y, h, length, width, qx, qy, qh, ql, qw
+                 ) -> tuple[np.ndarray, ...]:
+    """Overlapping pairs between boxes (x, y, h, length, width) and boxes
+    (qx, qy, qh, ql, qw), all broadcast against each other: one index
+    array per axis of the broadcast shape. Pairs whose circumcircles are
+    apart are rejected before the separating-axis test."""
+    reach = np.hypot(length, width) / 2.0 + np.hypot(ql, qw) / 2.0
+    near = np.nonzero((x - qx) ** 2 + (y - qy) ** 2 <= reach ** 2)
+    if not len(near[0]):
+        return near
+    hits = boxes_collide_batch(*(a[near] for a in np.broadcast_arrays(
+        x, y, h, length, width, qx, qy, qh, ql, qw)))
+    return tuple(i[hits] for i in near)
+
+
+def ttc_violations(x, y, h, v, length, width, qx, qy, qvx, qvy, qh, ql, qw,
+                   threshold: float) -> np.ndarray:
+    """Which ego states (x, y, h, v: shape S; length, width: floats) meet
+    an entity (trailing axis N, leading axes broadcasting against S) when
+    both are projected at constant velocity to u = min(k * 0.1 s,
+    threshold), k = 1, 2, ...: a bool array of shape S.
+
+    Entity headings are the callers' own, and they differ on pedestrians on
+    purpose: the sampler heads a crossing pedestrian along its velocity (0
+    while waiting), the metric heads every pedestrian at 0. Either way the
+    pedestrian is a 0.6 m square, so only contacts near its corners differ.
+    """
+    n_u = int(math.ceil(threshold / 0.1))
+    u = np.minimum(np.arange(1, n_u + 1) * 0.1, threshold)
+    px = x[..., None] + (v * np.cos(h))[..., None] * u  # S + (U,)
+    py = y[..., None] + (v * np.sin(h))[..., None] * u
+    qx = qx[..., None, :] + qvx[..., None, :] * u[:, None]  # (..., U, N)
+    qy = qy[..., None, :] + qvy[..., None, :] * u[:, None]
+    hits = box_contacts(px[..., None], py[..., None], h[..., None, None],
+                        length, width, qx, qy, qh[..., None, :],
+                        ql[..., None, :], qw[..., None, :])
+    violating = np.zeros(np.shape(x), dtype=bool)
+    violating[hits[:violating.ndim]] = True
+    return violating
+
+
 def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     """Even-odd ray-casting containment test, vectorized over points."""
     x = points[:, 0][:, None]

@@ -21,9 +21,9 @@ from .agents import SWEPT_BAND_HALF_WIDTH, VEHICLE_LENGTH, VEHICLE_WIDTH
 from .geometry import (
     OrientedBox,
     Pose2D,
-    boxes_collide_batch,
     fraction_outside_drivable,
     lane_changes_required,
+    ttc_violations,
 )
 from .scenarios import LANE_CHANGE_TYPES, ScenarioSpec, ScenarioType, blocking_spans
 from .simulation import SimConfig, SimTrace
@@ -284,58 +284,22 @@ def ttc_metric(trace: SimTrace, spec: ScenarioSpec,
     T = len(trace.snapshots)
     ego = trace.ego_series()
     ent = _entity_series(trace)
-    O = len(spec.obstacles)
-    ox = np.array([o.box.center.x for o in spec.obstacles])
-    oy = np.array([o.box.center.y for o in spec.obstacles])
-    oh = np.array([o.box.center.heading for o in spec.obstacles])
-    ol = np.array([o.box.length for o in spec.obstacles])
-    ow = np.array([o.box.width for o in spec.obstacles])
-
-    n_u = int(math.ceil(cfg.ttc_threshold / 0.1))
-    u = np.minimum(np.arange(1, n_u + 1) * 0.1, cfg.ttc_threshold)
-    U = len(u)
-    evx = ego["speed"] * np.cos(ego["heading"])
-    evy = ego["speed"] * np.sin(ego["heading"])
-    ex = ego["x"][:, None] + evx[:, None] * u[None, :]  # (T, U)
-    ey = ego["y"][:, None] + evy[:, None] * u[None, :]
-    eh = ego["heading"]
-    r_ego = math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0
-
-    violating = np.zeros(T, dtype=bool)
-
-    def check(qx, qy, qh, ql, qw):
-        # qx/qy: (T, U, N); qh: (T, N) or (N,); ql/qw: (N,)
-        if qx.shape[-1] == 0:
-            return
-        radius = np.hypot(ql, qw) / 2.0
-        dist2 = (ex[:, :, None] - qx) ** 2 + (ey[:, :, None] - qy) ** 2
-        flag = dist2 <= (r_ego + radius[None, None, :]) ** 2
-        ti, ui, ni = np.nonzero(flag)
-        if not len(ti):
-            return
-        qh_full = np.broadcast_to(qh, (T, len(ql))) if qh.ndim <= 1 else qh
-        hits = boxes_collide_batch(
-            ex[ti, ui], ey[ti, ui], eh[ti],
-            np.full(len(ti), VEHICLE_LENGTH), np.full(len(ti), VEHICLE_WIDTH),
-            qx[ti, ui, ni], qy[ti, ui, ni], qh_full[ti, ni], ql[ni], qw[ni])
-        violating[np.unique(ti[hits])] = True
-
-    if ent["ax"].shape[1]:
-        avx = ent["av"] * np.cos(ent["ah"])
-        avy = ent["av"] * np.sin(ent["ah"])
-        check(ent["ax"][:, None, :] + avx[:, None, :] * u[None, :, None],
-              ent["ay"][:, None, :] + avy[:, None, :] * u[None, :, None],
-              ent["ah"], ent["al"], ent["aw"])
-    if O:
-        check(np.broadcast_to(ox[None, None, :], (T, U, O)),
-              np.broadcast_to(oy[None, None, :], (T, U, O)),
-              oh, ol, ow)
-    if ent["px"].shape[1]:
-        P = ent["px"].shape[1]
-        check(ent["px"][:, None, :] + ent["pvx"][:, None, :] * u[None, :, None],
-              ent["py"][:, None, :] + ent["pvy"][:, None, :] * u[None, :, None],
-              np.zeros((T, P)), np.full(P, 0.6), np.full(P, 0.6))
-
+    ox, oy, oh, ol, ow = np.array(
+        [(o.box.center.x, o.box.center.y, o.box.center.heading, o.box.length,
+          o.box.width) for o in spec.obstacles], dtype=float).reshape(-1, 5).T
+    P = ent["px"].shape[1]
+    at_rest = np.zeros((T, len(ox)))
+    violating = ttc_violations(
+        ego["x"], ego["y"], ego["heading"], ego["speed"],
+        VEHICLE_LENGTH, VEHICLE_WIDTH,
+        np.hstack([ent["ax"], np.tile(ox, (T, 1)), ent["px"]]),
+        np.hstack([ent["ay"], np.tile(oy, (T, 1)), ent["py"]]),
+        np.hstack([ent["av"] * np.cos(ent["ah"]), at_rest, ent["pvx"]]),
+        np.hstack([ent["av"] * np.sin(ent["ah"]), at_rest, ent["pvy"]]),
+        np.hstack([ent["ah"], np.tile(oh, (T, 1)), np.zeros((T, P))]),
+        np.concatenate([ent["al"], ol, np.full(P, 0.6)]),
+        np.concatenate([ent["aw"], ow, np.full(P, 0.6)]),
+        cfg.ttc_threshold)
     return float(1.0 - violating.mean())
 
 

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from ..agents import SWEPT_BAND_HALF_WIDTH
-from ..geometry import FrenetPoint, LaneGraph, OrientedBox, Route, wrap_angle
+from ..geometry import FrenetPoint, LaneGraph, OrientedBox, Polyline, Route
+from ..geometry import wrap_angle
 from ..scenarios import ObstacleSpec
 
 HORIZON = 8.0          # s
@@ -220,8 +221,8 @@ class LaneScene:
     agent_near_s: np.ndarray    # arc position of the near edge
     agent_speed: np.ndarray     # speed along the lane
     agent_reach: np.ndarray     # |d - path offset| up to which it conflicts
-    obstacle_mid_s: np.ndarray
     obstacle_near_s: np.ndarray
+    obstacle_far_s: np.ndarray
     obstacle_d_lo: np.ndarray
     obstacle_d_hi: np.ndarray
     ped_s: np.ndarray
@@ -230,6 +231,15 @@ class LaneScene:
 
 def _columns(rows: list, n: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, n).T
+
+
+def box_extent(line: Polyline, box: OrientedBox
+               ) -> tuple[float, float, float, float]:
+    """(s_lo, s_hi, d_lo, d_hi) of the box's corners in the line's Frenet
+    frame, extended past the line's ends."""
+    fs = [line.project_extended(c) for c in box.corners()]
+    return (min(f.s for f in fs), max(f.s for f in fs),
+            min(f.d for f in fs), max(f.d for f in fs))
 
 
 def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
@@ -244,12 +254,7 @@ def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
                     + abs(math.sin(rel)) * agent.box.width) / 2.0
         agents.append((f.s, f.d, f.s - half_len, agent.speed * math.cos(rel),
                        SWEPT_BAND_HALF_WIDTH + agent.box.width / 2.0 - 0.15))
-    obstacles = []
-    for o in obs.obstacles:
-        fs = [line.project_extended(c) for c in o.box.corners()]
-        s_lo, s_hi = min(f.s for f in fs), max(f.s for f in fs)
-        obstacles.append((0.5 * (s_lo + s_hi), s_lo,
-                          min(f.d for f in fs), max(f.d for f in fs)))
+    obstacles = [box_extent(line, o.box) for o in obs.obstacles]
     peds = []
     for ped in obs.pedestrians:
         if ped.crossing:
@@ -271,12 +276,14 @@ def nearest_lead(scene: LaneScene, from_s: float,
     An entity conflicts with a path when it laterally overlaps the swept
     band around the path's offset at the entity.
     """
-    probe = np.concatenate((scene.agent_s, scene.obstacle_mid_s, scene.ped_s))
+    probe = np.concatenate((
+        scene.agent_s, 0.5 * (scene.obstacle_near_s + scene.obstacle_far_s),
+        scene.ped_s))
     off = (np.zeros((1, len(probe))) if path_offset is None
            else path_offset(probe))
     if not len(probe):
         return np.full(len(off), np.inf), np.zeros(len(off))
-    n_a, n_o = len(scene.agent_s), len(scene.obstacle_mid_s)
+    n_a, n_o = len(scene.agent_s), len(scene.obstacle_near_s)
     off_a, off_o, off_p = off[:, :n_a], off[:, n_a:n_a + n_o], off[:, n_a + n_o:]
     half = SWEPT_BAND_HALF_WIDTH
     conflict = np.concatenate((

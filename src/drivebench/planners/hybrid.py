@@ -2,25 +2,29 @@
 queried at 1 Hz chooses among the filtered behavior options; the sampling
 motion planner, running every tick, is conditioned on the choice.
 
-Selector failures (errors, timeouts, unparsable output) retain the previous
-behavior, falling back to follow-lane before any selection succeeded.
+Selector failures (errors, timeouts, unparsable output, unoffered labels)
+are recorded as selector_failure events and retain the previous behavior,
+falling back to follow-lane before any selection succeeded.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 
-from ..agents import VEHICLE_LENGTH, VEHICLE_WIDTH
+from ..agents import SWEPT_BAND_HALF_WIDTH, VEHICLE_LENGTH, VEHICLE_WIDTH
 from ..geometry import OrientedBox, points_in_any_polygon
 from .base import (
     BehaviorOption,
     Observation,
     Trajectory,
+    box_extent,
     current_route_lane,
     ego_frenet,
+    lane_scene,
 )
 from .sampling import CostWeights, SamplingPlanner
 
@@ -32,16 +36,14 @@ STOPPED_AGENT_SPEED = 0.2    # m/s below which an actor counts as stopped
 def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
     """The nearest blocking span ahead within scan range, with the lateral
     extent of everything inside it; None when the corridor is clear."""
-    spans = list(obs.lane_blockers.get(lane_id, []))
-    line = obs.graph.lane(lane_id).centerline
-    half_band = VEHICLE_WIDTH / 2.0 + 0.25
-    for agent in obs.agents:
-        if agent.speed >= STOPPED_AGENT_SPEED:
-            continue
-        fa = line.project_extended((agent.box.center.x, agent.box.center.y))
-        if abs(fa.d) <= half_band + agent.box.width / 2.0 - 0.15:
-            half_len = agent.box.length / 2.0
-            spans.append((fa.s - half_len, fa.s + half_len))
+    scene = lane_scene(obs, lane_id)
+    stopped = [a.speed < STOPPED_AGENT_SPEED for a in obs.agents]
+    half_len = np.array([a.box.length / 2.0 for a in obs.agents])
+    on_lane = np.array(stopped, dtype=bool) & (
+        np.abs(scene.agent_d) <= scene.agent_reach)
+    spans = list(obs.lane_blockers.get(lane_id, [])) + list(zip(
+        (scene.agent_s - half_len)[on_lane].tolist(),
+        (scene.agent_s + half_len)[on_lane].tolist()))
     spans = [sp for sp in spans
              if sp[1] >= ego_front and sp[0] <= ego_front + OVERTAKE_SCAN_AHEAD]
     if not spans:
@@ -51,26 +53,17 @@ def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
     for lo, hi in spans[1:]:
         if lo <= far + 6.0:
             far = max(far, hi)
-    d_lo, d_hi = math.inf, -math.inf
-    boxes = [o.box for o in obs.obstacles]
-    for agent in obs.agents:
-        if agent.speed < STOPPED_AGENT_SPEED:
-            boxes.append(agent.box)
-    for box in boxes:
-        fs = [line.project_extended(c) for c in box.corners()]
-        s_lo = min(f.s for f in fs)
-        s_hi = max(f.s for f in fs)
-        if s_hi < near - 0.5 or s_lo > far + 0.5:
-            continue
-        lo_d = min(f.d for f in fs)
-        hi_d = max(f.d for f in fs)
-        if lo_d > half_band or hi_d < -half_band:
-            continue
-        d_lo = min(d_lo, lo_d)
-        d_hi = max(d_hi, hi_d)
-    if not math.isfinite(d_lo):
+    line = obs.graph.lane(lane_id).centerline
+    s_lo, s_hi, d_lo, d_hi = np.vstack(
+        [np.column_stack((scene.obstacle_near_s, scene.obstacle_far_s,
+                          scene.obstacle_d_lo, scene.obstacle_d_hi))]
+        + [box_extent(line, a.box) for a in compress(obs.agents, stopped)]).T
+    inside = ((s_hi >= near - 0.5) & (s_lo <= far + 0.5)
+              & (d_lo <= SWEPT_BAND_HALF_WIDTH)
+              & (d_hi >= -SWEPT_BAND_HALF_WIDTH))
+    if not inside.any():
         return None
-    return near, far, d_lo, d_hi
+    return near, far, float(d_lo[inside].min()), float(d_hi[inside].max())
 
 
 def _offset_inside_area(obs: Observation, lane_id: str, s: float,
@@ -147,8 +140,12 @@ class HybridBehaviorPlanner:
             resp = self.selector.select(obs, options)
             chosen = next((o for o in options if o.label == resp.chosen_label),
                           None)
-        except Exception:
-            chosen = None
+            if chosen is None:
+                raise ValueError(f"label {resp.chosen_label!r} was not offered")
+        except Exception as exc:
+            self._events.append({
+                "kind": "selector_failure", "time": obs.time,
+                "error": type(exc).__name__, "message": str(exc)})
         if chosen is None:
             chosen = self._behavior if self._behavior is not None else options[0]
         if (self._behavior is not None and chosen.label != self._behavior.label

@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ..agents import VEHICLE_LENGTH, IdmParams, idm_acceleration
+from ..geometry import FrenetPoint
 from .base import (
     N_SAMPLES,
     STEP,
@@ -71,11 +72,16 @@ class IdmPlanner:
 
     def plan(self, obs: Observation) -> Trajectory:
         lane_id = current_route_lane(obs)
-        lane = obs.graph.lane(lane_id)
-        params = self.params or IdmParams(v0=lane.speed_limit)
-        f = ego_frenet(obs, lane_id)
+        return self.plan_on(obs, lane_id, ego_frenet(obs, lane_id),
+                            lane_scene(obs, lane_id))
+
+    def plan_on(self, obs: Observation, lane_id: str, f: FrenetPoint,
+                scene: LaneScene) -> Trajectory:
+        """The plan along lane_id from the ego's Frenet point f on it,
+        following the nearest lead in scene, the lane's projected scene."""
+        params = self.params or IdmParams(v0=obs.graph.lane(lane_id).speed_limit)
         front = f.s + VEHICLE_LENGTH / 2.0
-        lead = centerline_lead(lane_scene(obs, lane_id), front)
+        lead = centerline_lead(scene, front)
         if lead is None:
             gap0, v_lead = None, 0.0
         else:

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..agents import VEHICLE_LENGTH, IdmParams, idm_acceleration
-from ..geometry import wrap_angle
+from ..geometry import FrenetPoint, wrap_angle
 from .base import (
     LaneScene,
     Observation,
@@ -84,13 +84,19 @@ def mobil_decide(obs: Observation, mp: MobilParams,
     and passing the safety check, or None. Ties break toward the route's
     goal side."""
     lane_id = current_route_lane(obs)
+    return _decide(obs, mp, idm, lane_id, ego_frenet(obs, lane_id),
+                   lane_scene(obs, lane_id))
+
+
+def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
+            lane_id: str, f: FrenetPoint, scene: LaneScene) -> Optional[str]:
+    """mobil_decide from the current route lane, the ego's Frenet point on
+    it and its projected scene."""
     lane = obs.graph.lane(lane_id)
     params = idm or IdmParams(v0=lane.speed_limit)
     v = obs.ego_speed
-    f = ego_frenet(obs, lane_id)
     front = f.s + VEHICLE_LENGTH / 2.0
     rear = f.s - VEHICLE_LENGTH / 2.0
-    scene = lane_scene(obs, lane_id)
     a_ego = _accel_against(scene, v, front, params)
 
     own_goal_dist = _goal_distance(obs, lane_id)
@@ -169,9 +175,12 @@ class IdmMobilPlanner:
     name: str = "mobil"
 
     def plan(self, obs: Observation) -> Trajectory:
-        target = mobil_decide(obs, self.mobil, self.params)
+        lane_id = current_route_lane(obs)
+        f = ego_frenet(obs, lane_id)
+        scene = lane_scene(obs, lane_id)
+        target = _decide(obs, self.mobil, self.params, lane_id, f, scene)
         if target is None:
-            return IdmPlanner(params=self.params).plan(obs)
+            return IdmPlanner(params=self.params).plan_on(obs, lane_id, f, scene)
         lane = obs.graph.lane(target)
         params = self.params or IdmParams(v0=lane.speed_limit)
         f = ego_frenet(obs, target)

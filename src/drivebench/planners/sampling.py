@@ -22,7 +22,12 @@ from ..agents import (
     VEHICLE_WIDTH,
     IdmParams,
 )
-from ..geometry import boxes_collide_batch, points_in_any_polygon
+from ..geometry import (
+    _box_corners_batch,
+    box_contacts,
+    points_in_any_polygon,
+    ttc_violations,
+)
 from ..geometry import wrap_angle as _wrap
 from .base import (
     BehaviorOption,
@@ -206,8 +211,8 @@ class SamplingPlanner:
 
     @staticmethod
     def _world_entities(obs: Observation):
-        """(positions, velocities, headings, lengths, widths, radii) of
-        everything collidable, for forecasting."""
+        """(positions, velocities, headings, lengths, widths) of everything
+        collidable, for forecasting."""
         px, py, vx, vy, hh, ll, ww = [], [], [], [], [], [], []
         for a in obs.agents:
             px.append(a.box.center.x)
@@ -234,9 +239,7 @@ class SamplingPlanner:
                       if p.crossing else 0.0)
             ll.append(0.6)
             ww.append(0.6)
-        arr = [np.asarray(v, dtype=float) for v in (px, py, vx, vy, hh, ll, ww)]
-        radii = np.hypot(arr[5], arr[6]) / 2.0
-        return arr + [radii]
+        return [np.asarray(v, dtype=float) for v in (px, py, vx, vy, hh, ll, ww)]
 
     def _rollout(self, v_now, gap0, v_lead, fractions, stop_mask, cap, limit,
                  params: IdmParams):
@@ -275,89 +278,40 @@ class SamplingPlanner:
         evaluation window."""
         C = x.shape[0]
         collided = np.zeros(C, dtype=bool)
-        off_area = np.zeros(C, dtype=bool)
-
-        ex, ey, evx, evy, eh, el, ew, er = world
-        E = len(ex)
+        ex, ey, evx, evy, eh, el, ew = world
         t = (np.arange(1, K + 1)) * STEP
         gx = x[:, 1:K + 1]
         gy = y[:, 1:K + 1]
         gh = heading[:, 1:K + 1]
+        fx = ex + evx * t[:, None]  # (K, E)
+        fy = ey + evy * t[:, None]
+        hc, hk, he = box_contacts(gx[..., None], gy[..., None], gh[..., None],
+                                  VEHICLE_LENGTH, VEHICLE_WIDTH,
+                                  fx, fy, eh, el, ew)
         lat_speed = np.abs(np.diff(d[:, :K + 1], axis=1)) / STEP
-
-        if E:
-            fx = ex[None, :] + evx[None, :] * t[:, None]  # (K, E)
-            fy = ey[None, :] + evy[None, :] * t[:, None]
-            dist2 = (gx[:, :, None] - fx[None, :, :]) ** 2 \
-                + (gy[:, :, None] - fy[None, :, :]) ** 2
-            r_ego = math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0
-            flag = dist2 <= (r_ego + er[None, None, :]) ** 2
-            ci, ki, ei = np.nonzero(flag)
-            if len(ci):
-                hits = boxes_collide_batch(
-                    gx[ci, ki], gy[ci, ki], gh[ci, ki],
-                    np.full(len(ci), VEHICLE_LENGTH),
-                    np.full(len(ci), VEHICLE_WIDTH),
-                    fx[ki, ei], fy[ki, ei], eh[ei], el[ei], ew[ei])
-                if hits.any():
-                    hc, hk, he = ci[hits], ki[hits], ei[hits]
-                    rel_x = (fx[hk, he] - gx[hc, hk]) * np.cos(gh[hc, hk]) \
-                        + (fy[hk, he] - gy[hc, hk]) * np.sin(gh[hc, hk])
-                    struck_from_behind = (rel_x < 0.0) & \
-                        (lat_speed[hc, hk] < LANE_KEEP_LAT_SPEED)
-                    at_fault = ~struck_from_behind
-                    collided[np.unique(hc[at_fault])] = True
+        rel_x = (fx[hk, he] - gx[hc, hk]) * np.cos(gh[hc, hk]) \
+            + (fy[hk, he] - gy[hc, hk]) * np.sin(gh[hc, hk])
+        struck_from_behind = (rel_x < 0.0) & \
+            (lat_speed[hc, hk] < LANE_KEEP_LAT_SPEED)
+        collided[hc[~struck_from_behind]] = True
 
         # corners + center containment in the drivable area
-        c, s_ = np.cos(gh), np.sin(gh)
-        hl, hw = VEHICLE_LENGTH / 2.0, VEHICLE_WIDTH / 2.0
-        offs = [(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw), (0.0, 0.0)]
-        pts = np.stack([
-            np.stack([gx + c * ox - s_ * oy, gy + s_ * ox + c * oy], axis=-1)
-            for ox, oy in offs], axis=2)  # (C, K, 5, 2)
-        flat = pts.reshape(-1, 2)
-        inside = points_in_any_polygon(flat, obs.graph.drivable_area)
-        inside = inside.reshape(C, K, len(offs))
-        off_area = ~inside.all(axis=(1, 2))
+        corners = _box_corners_batch(gx, gy, gh, VEHICLE_LENGTH, VEHICLE_WIDTH)
+        pts = np.concatenate([corners, np.stack([gx, gy], axis=-1)[:, :, None]],
+                             axis=2)  # (C, K, 5, 2)
+        inside = points_in_any_polygon(pts.reshape(-1, 2),
+                                       obs.graph.drivable_area)
+        off_area = ~inside.reshape(C, -1).all(axis=1)
         return collided, off_area
 
     def _ttc_fractions(self, world, x, y, heading, v, K):
         """Fraction of evaluation ticks whose constant-velocity projection
         collides within the TTC threshold."""
-        C = x.shape[0]
-        ex, ey, evx, evy, eh, el, ew, er = world
-        E = len(ex)
-        if not E:
-            return np.zeros(C)
-        n_u = int(math.ceil(self.ttc_threshold / 0.1))
-        u = np.minimum(np.arange(1, n_u + 1) * 0.1, self.ttc_threshold)  # (U,)
+        ex, ey, evx, evy, eh, el, ew = world
         t = (np.arange(1, K + 1)) * STEP
-        gx = x[:, 1:K + 1]
-        gy = y[:, 1:K + 1]
-        gh = heading[:, 1:K + 1]
-        gv = v[:, 1:K + 1]
-        # ego projected at constant velocity from each eval tick
-        pvx = gv * np.cos(gh)
-        pvy = gv * np.sin(gh)
-        px = gx[:, :, None] + pvx[:, :, None] * u[None, None, :]  # (C,K,U)
-        py = gy[:, :, None] + pvy[:, :, None] * u[None, None, :]
-        # entities projected from the same absolute times
-        base_x = ex[None, :] + evx[None, :] * t[:, None]  # (K,E)
-        base_y = ey[None, :] + evy[None, :] * t[:, None]
-        qx = base_x[:, None, :] + evx[None, None, :] * u[None, :, None]  # (K,U,E)
-        qy = base_y[:, None, :] + evy[None, None, :] * u[None, :, None]
-        dist2 = (px[:, :, :, None] - qx[None, :, :, :]) ** 2 \
-            + (py[:, :, :, None] - qy[None, :, :, :]) ** 2  # (C,K,U,E)
-        r_ego = math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0
-        flag = dist2 <= (r_ego + er[None, None, None, :]) ** 2
-        viol = np.zeros((C, K), dtype=bool)
-        ci, ki, ui, ei = np.nonzero(flag)
-        if len(ci):
-            hits = boxes_collide_batch(
-                px[ci, ki, ui], py[ci, ki, ui], gh[ci, ki],
-                np.full(len(ci), VEHICLE_LENGTH),
-                np.full(len(ci), VEHICLE_WIDTH),
-                qx[ki, ui, ei], qy[ki, ui, ei], eh[ei], el[ei], ew[ei])
-            if hits.any():
-                np.logical_or.at(viol, (ci[hits], ki[hits]), True)
-        return viol.mean(axis=1)
+        window = np.s_[:, 1:K + 1]
+        return ttc_violations(
+            x[window], y[window], heading[window], v[window],
+            VEHICLE_LENGTH, VEHICLE_WIDTH, ex + evx * t[:, None],
+            ey + evy * t[:, None], evx, evy, eh, el, ew,
+            self.ttc_threshold).mean(axis=1)

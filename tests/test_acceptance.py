@@ -102,14 +102,13 @@ def check_golden(planner, run):
     match. Score rows are keyed by scenario name, because the CSV's index
     column counts within the run's subset."""
     _report, csv, hashes, _elapsed, _out = run
-    names = [line.split()[0] for line in hashes.splitlines()]
+    digests = [line.split() for line in hashes.splitlines()]
+    names = [name for name, _digest in digests]
     versions = f"this run on python {platform.python_version()} numpy {np.__version__}"
 
     recorded, lines = _golden_lines(f"{planner}.txt")
     golden = dict(line.split() for line in lines)
-    mismatched = [name for name, digest in (line.split()
-                                            for line in hashes.splitlines())
-                  if golden.get(name) != digest]
+    mismatched = [name for name, digest in digests if golden.get(name) != digest]
     assert not mismatched, (
         f"{planner} traces differ from tests/golden/{planner}.txt on "
         f"{', '.join(mismatched)}; goldens recorded with {recorded}, "

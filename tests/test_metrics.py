@@ -1,9 +1,12 @@
+import copy
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from drivebench.agents import VEHICLE_LENGTH
+from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
+from drivebench.geometry import boxes_collide_batch
 from drivebench.metrics import (
     MetricConfig,
     ScenarioScore,
@@ -30,6 +33,7 @@ from drivebench.scenarios import (
     augment_goal_for_lane_changes,
     base_scenario,
     build_base_map,
+    generate_benchmark_suite,
     place_construction_zone,
     place_parked_vehicle,
 )
@@ -213,6 +217,105 @@ class TestTtcMetric:
 
         trace = synthetic_trace(cruise_states(), agents_fn=agents)
         assert ttc_metric(trace, spec, CFG) == 1.0
+
+
+def reference_ttc_metric(trace, spec, cfg):
+    """Reference: ttc_metric before the shared projector, with one
+    prefilter and collision check per entity kind."""
+    from drivebench.metrics import _entity_series
+
+    T = len(trace.snapshots)
+    ego = trace.ego_series()
+    ent = _entity_series(trace)
+    O = len(spec.obstacles)
+    ox = np.array([o.box.center.x for o in spec.obstacles])
+    oy = np.array([o.box.center.y for o in spec.obstacles])
+    oh = np.array([o.box.center.heading for o in spec.obstacles])
+    ol = np.array([o.box.length for o in spec.obstacles])
+    ow = np.array([o.box.width for o in spec.obstacles])
+    n_u = int(math.ceil(cfg.ttc_threshold / 0.1))
+    u = np.minimum(np.arange(1, n_u + 1) * 0.1, cfg.ttc_threshold)
+    U = len(u)
+    evx = ego["speed"] * np.cos(ego["heading"])
+    evy = ego["speed"] * np.sin(ego["heading"])
+    ex = ego["x"][:, None] + evx[:, None] * u[None, :]
+    ey = ego["y"][:, None] + evy[:, None] * u[None, :]
+    eh = ego["heading"]
+    r_ego = math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0
+    violating = np.zeros(T, dtype=bool)
+
+    def check(qx, qy, qh, ql, qw):
+        if qx.shape[-1] == 0:
+            return
+        radius = np.hypot(ql, qw) / 2.0
+        dist2 = (ex[:, :, None] - qx) ** 2 + (ey[:, :, None] - qy) ** 2
+        ti, ui, ni = np.nonzero(dist2 <= (r_ego + radius[None, None, :]) ** 2)
+        if not len(ti):
+            return
+        qh_full = np.broadcast_to(qh, (T, len(ql))) if qh.ndim <= 1 else qh
+        hits = boxes_collide_batch(
+            ex[ti, ui], ey[ti, ui], eh[ti],
+            np.full(len(ti), VEHICLE_LENGTH), np.full(len(ti), VEHICLE_WIDTH),
+            qx[ti, ui, ni], qy[ti, ui, ni], qh_full[ti, ni], ql[ni], qw[ni])
+        violating[np.unique(ti[hits])] = True
+
+    if ent["ax"].shape[1]:
+        avx = ent["av"] * np.cos(ent["ah"])
+        avy = ent["av"] * np.sin(ent["ah"])
+        check(ent["ax"][:, None, :] + avx[:, None, :] * u[None, :, None],
+              ent["ay"][:, None, :] + avy[:, None, :] * u[None, :, None],
+              ent["ah"], ent["al"], ent["aw"])
+    if O:
+        check(np.broadcast_to(ox[None, None, :], (T, U, O)),
+              np.broadcast_to(oy[None, None, :], (T, U, O)), oh, ol, ow)
+    if ent["px"].shape[1]:
+        P = ent["px"].shape[1]
+        check(ent["px"][:, None, :] + ent["pvx"][:, None, :] * u[None, :, None],
+              ent["py"][:, None, :] + ent["pvy"][:, None, :] * u[None, :, None],
+              np.zeros((T, P)), np.full(P, 0.6), np.full(P, 0.6))
+    return float(1.0 - violating.mean())
+
+
+class TestTtcReference:
+    """ttc_metric over geometry.ttc_violations equals the per-kind loop it
+    replaced exactly: on closed-loop idm traces of an empty road (no
+    entities), a construction zone (obstacles only), a jaywalker scene (a
+    stopped bus and a pedestrian who waits, then crosses), an overtake with
+    traffic and a dense lane-change scene, and on copies of each trace with
+    the ego moved next to an agent, obstacle or pedestrian at every tick."""
+
+    def test_equals_reference_on_perturbed_traces(self):
+        suite = generate_benchmark_suite(2024)
+        specs = [empty_road_spec(lanes=1)] + [suite[i] for i in (0, 20, 41, 70)]
+        rng = np.random.default_rng(5)
+        phases = set()
+        moved_scores = []
+        for spec in specs:
+            trace = run_closed_loop(spec, IdmPlanner())
+            assert ttc_metric(trace, spec, CFG) == \
+                reference_ttc_metric(trace, spec, CFG), spec.type
+            phases |= {p["phase"] for snap in trace.snapshots
+                       for p in snap.pedestrians}
+            for _ in range(3):
+                moved = copy.deepcopy(trace)
+                for snap in moved.snapshots:
+                    others = ([(a["x"], a["y"]) for a in snap.agents]
+                              + [(o.box.center.x, o.box.center.y)
+                                 for o in spec.obstacles]
+                              + [(p["x"], p["y"]) for p in snap.pedestrians])
+                    if not others:
+                        continue
+                    x, y = others[int(rng.integers(len(others)))]
+                    snap.ego.update(x=x + float(rng.uniform(-8.0, 8.0)),
+                                    y=y + float(rng.uniform(-3.0, 3.0)),
+                                    heading=float(rng.uniform(-0.5, 0.5)),
+                                    speed=float(rng.uniform(0.0, 12.0)))
+                score = ttc_metric(moved, spec, CFG)
+                assert score == reference_ttc_metric(moved, spec, CFG), \
+                    spec.type
+                moved_scores.append(score)
+        assert {"waiting", "crossing"} <= phases
+        assert min(moved_scores) < 0.5
 
 
 class TestComfortMetric:

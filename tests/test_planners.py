@@ -493,6 +493,152 @@ class TestNearestLead:
         assert found >= 30
 
 
+# ---------------------------------------------------------------------------
+# sampler contact and TTC queries
+
+
+def reference_feasibility(obs, world, x, y, heading, d, K):
+    """Reference: the sampler's at-fault contact loop and drivable-area
+    check before the shared contact query, with their own circumcircle
+    prefilter and corner arithmetic, as (collided, off_area)."""
+    from drivebench.geometry import boxes_collide_batch, points_in_any_polygon
+    from drivebench.planners.sampling import LANE_KEEP_LAT_SPEED
+
+    C = x.shape[0]
+    collided = np.zeros(C, dtype=bool)
+    ex, ey, evx, evy, eh, el, ew = world
+    er = np.hypot(el, ew) / 2.0
+    t = (np.arange(1, K + 1)) * 0.1
+    gx, gy, gh = x[:, 1:K + 1], y[:, 1:K + 1], heading[:, 1:K + 1]
+    lat_speed = np.abs(np.diff(d[:, :K + 1], axis=1)) / 0.1
+    if len(ex):
+        fx = ex[None, :] + evx[None, :] * t[:, None]
+        fy = ey[None, :] + evy[None, :] * t[:, None]
+        dist2 = (gx[:, :, None] - fx[None, :, :]) ** 2 \
+            + (gy[:, :, None] - fy[None, :, :]) ** 2
+        r_ego = math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0
+        ci, ki, ei = np.nonzero(dist2 <= (r_ego + er[None, None, :]) ** 2)
+        if len(ci):
+            hits = boxes_collide_batch(
+                gx[ci, ki], gy[ci, ki], gh[ci, ki],
+                np.full(len(ci), VEHICLE_LENGTH),
+                np.full(len(ci), VEHICLE_WIDTH),
+                fx[ki, ei], fy[ki, ei], eh[ei], el[ei], ew[ei])
+            hc, hk, he = ci[hits], ki[hits], ei[hits]
+            rel_x = (fx[hk, he] - gx[hc, hk]) * np.cos(gh[hc, hk]) \
+                + (fy[hk, he] - gy[hc, hk]) * np.sin(gh[hc, hk])
+            struck_from_behind = (rel_x < 0.0) & \
+                (lat_speed[hc, hk] < LANE_KEEP_LAT_SPEED)
+            collided[np.unique(hc[~struck_from_behind])] = True
+    c, s_ = np.cos(gh), np.sin(gh)
+    hl, hw = VEHICLE_LENGTH / 2.0, VEHICLE_WIDTH / 2.0
+    offs = [(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw), (0.0, 0.0)]
+    pts = np.stack([
+        np.stack([gx + c * ox - s_ * oy, gy + s_ * ox + c * oy], axis=-1)
+        for ox, oy in offs], axis=2)
+    inside = points_in_any_polygon(pts.reshape(-1, 2), obs.graph.drivable_area)
+    return collided, ~inside.reshape(C, K, len(offs)).all(axis=(1, 2))
+
+
+def reference_ttc_fractions(world, x, y, heading, v, K, threshold):
+    """Reference: the sampler's TTC term before the shared projector."""
+    from drivebench.geometry import boxes_collide_batch
+
+    C = x.shape[0]
+    ex, ey, evx, evy, eh, el, ew = world
+    if not len(ex):
+        return np.zeros(C)
+    er = np.hypot(el, ew) / 2.0
+    n_u = int(math.ceil(threshold / 0.1))
+    u = np.minimum(np.arange(1, n_u + 1) * 0.1, threshold)
+    t = (np.arange(1, K + 1)) * 0.1
+    gx, gy = x[:, 1:K + 1], y[:, 1:K + 1]
+    gh, gv = heading[:, 1:K + 1], v[:, 1:K + 1]
+    px = gx[:, :, None] + (gv * np.cos(gh))[:, :, None] * u[None, None, :]
+    py = gy[:, :, None] + (gv * np.sin(gh))[:, :, None] * u[None, None, :]
+    base_x = ex[None, :] + evx[None, :] * t[:, None]
+    base_y = ey[None, :] + evy[None, :] * t[:, None]
+    qx = base_x[:, None, :] + evx[None, None, :] * u[None, :, None]
+    qy = base_y[:, None, :] + evy[None, None, :] * u[None, :, None]
+    dist2 = (px[:, :, :, None] - qx[None, :, :, :]) ** 2 \
+        + (py[:, :, :, None] - qy[None, :, :, :]) ** 2
+    r_ego = math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0
+    ci, ki, ui, ei = np.nonzero(dist2 <= (r_ego + er[None, None, None, :]) ** 2)
+    viol = np.zeros((C, K), dtype=bool)
+    if len(ci):
+        hits = boxes_collide_batch(
+            px[ci, ki, ui], py[ci, ki, ui], gh[ci, ki],
+            np.full(len(ci), VEHICLE_LENGTH), np.full(len(ci), VEHICLE_WIDTH),
+            qx[ki, ui, ei], qy[ki, ui, ei], eh[ei], el[ei], ew[ei])
+        np.logical_or.at(viol, (ci[hits], ki[hits]), True)
+    return viol.mean(axis=1)
+
+
+def crowded_observation(rng, n_agents, n_obstacles, n_waiting, n_crossing):
+    """A random_observation scene whose entities are replaced by the given
+    numbers of agents, parked vehicles and waiting and crossing pedestrians,
+    all placed in the few metres around and ahead of the ego."""
+    from drivebench.planners.base import AgentObs, PedestrianObs
+
+    obs = random_observation(rng)
+    ego = obs.ego_box.center
+
+    def near():
+        return (ego.x + float(rng.uniform(-6.0, 20.0)),
+                ego.y + float(rng.uniform(-3.5, 3.5)))
+
+    def box():
+        return OrientedBox(Pose2D(*near(), float(rng.uniform(-0.6, 0.6))),
+                           4.6, 1.85)
+
+    agents = tuple(AgentObs(box(), float(rng.uniform(0.0, 12.0)), "lane0")
+                   for _ in range(n_agents))
+    obstacles = tuple(ObstacleSpec("parked_vehicle", box(), "lane0")
+                      for _ in range(n_obstacles))
+    peds = tuple(PedestrianObs(near(), (0.0, 0.0), False)
+                 for _ in range(n_waiting))
+    peds += tuple(PedestrianObs(near(), (float(rng.uniform(-0.5, 0.5)),
+                                         float(rng.choice([-1.2, 1.2]))), True)
+                  for _ in range(n_crossing))
+    return replace(obs, agents=agents, obstacles=obstacles, pedestrians=peds)
+
+
+class TestEgoContacts:
+    """The sampler's contact and TTC terms, now answered by
+    geometry.box_contacts and geometry.ttc_violations, equal the loops they
+    replaced exactly: on random_observation scenes and on crowded scenes
+    with no entities, obstacles only, waiting or crossing pedestrians only,
+    and everything at once."""
+
+    def test_equals_reference_loops(self):
+        planner = SamplingPlanner()
+        K = 20
+        rng = np.random.default_rng(23)
+        scenes = [random_observation(rng, lanes=2 + k % 2) for k in range(20)]
+        for counts in [(0, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0),
+                       (0, 0, 0, 3), (3, 2, 2, 2)] * 6:
+            scenes.append(crowded_observation(rng, *counts))
+        n_collided = n_ttc = 0
+        for i, obs in enumerate(scenes):
+            cands, _ = planner.evaluate(obs)
+            x, y, heading, v, d = (np.stack([getattr(c, name) for c in cands])
+                                   for name in ("x", "y", "heading", "v", "d"))
+            world = planner._world_entities(obs)
+            collided, off_area = planner._feasibility(obs, world, x, y,
+                                                      heading, d, K)
+            want_collided, want_off_area = reference_feasibility(
+                obs, world, x, y, heading, d, K)
+            assert np.array_equal(collided, want_collided), i
+            assert np.array_equal(off_area, want_off_area), i
+            ttc = planner._ttc_fractions(world, x, y, heading, v, K)
+            want_ttc = reference_ttc_fractions(world, x, y, heading, v, K,
+                                               planner.ttc_threshold)
+            assert np.array_equal(ttc, want_ttc), i
+            n_collided += int(want_collided.any())
+            n_ttc += int(want_ttc.any())
+        assert n_collided >= 15 and n_ttc >= 15
+
+
 class TestSamplingPlanner:
     def test_empty_road_full_speed_zero_offset(self):
         spec = empty_road_spec(lanes=1)
@@ -682,6 +828,21 @@ class TestHybridPlanner:
         follow = SamplingPlanner()
         obs = make_obs(spec)
         assert hybrid.plan(obs).equals(follow.plan(obs))
+
+    def test_selector_failures_are_recorded(self):
+        spec = empty_road_spec()
+        for selector, error, message in [
+                (ExplodingSelector(), "RuntimeError", "no llm here"),
+                (CountingSelector("overtake_obstacle"), "ValueError",
+                 "label 'overtake_obstacle' was not offered")]:
+            planner = HybridBehaviorPlanner(selector)
+            for k in range(12):
+                planner.plan(make_obs(spec, t=k * 0.1))
+            failures = [e for e in planner.drain_events()
+                        if e["kind"] == "selector_failure"]
+            assert failures == [
+                {"kind": "selector_failure", "time": t, "error": error,
+                 "message": message} for t in (0.0, 1.0)]
 
     def test_scripted_selector_network_free(self):
         g = build_base_map("two_way", lanes=1, length=450.0)
