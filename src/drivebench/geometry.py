@@ -8,6 +8,7 @@ counterclockwise-positive headings).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -294,19 +295,56 @@ def ttc_violations(x, y, h, v, length, width, qx, qy, qvx, qvy, qh, ql, qw,
     return violating
 
 
+@functools.lru_cache(maxsize=64)
+def _edge_slabs(shape: tuple[int, int], vertex_bytes: bytes
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Slab index of a polygon, a pure function of its float vertex array:
+    its distinct vertex y values ys (sorted) and a table with one row per
+    searchsorted(ys, y, side="right") result k. Row k holds the
+    (x0, y0, x1 - x0, y1 - y0) of every edge with min(y0, y1) <= ys[k-1] <
+    max(y0, y1), which are exactly the edges a ray at any y in [ys[k-1],
+    ys[k]) crosses. Rows are padded to a common width with edges at x0 =
+    NaN, which never count. Row 0 (y below every vertex) and row len(ys)
+    (y at or above the top vertex, or NaN) hold only padding."""
+    polygon = np.frombuffer(vertex_bytes, dtype=float).reshape(shape)
+    x0, y0 = polygon[:, 0], polygon[:, 1]
+    y1 = np.roll(y0, -1)
+    edges = np.stack([x0, y0, np.roll(x0, -1) - x0, y1 - y0], axis=-1)
+    ys = np.unique(y0)
+    member = ((np.minimum(y0, y1) <= ys[:-1, None])
+              & (ys[:-1, None] < np.maximum(y0, y1)))  # (slab, edge)
+    width = max(int(member.sum(axis=1).max(initial=0)), 1)
+    order = np.argsort(~member, axis=1, kind="stable")[:, :width]
+    pad = (np.nan, 0.0, 1.0, 1.0)  # x_int is NaN for any y, without warnings
+    table = np.full((len(ys) + 1, width, 4), pad)
+    table[1:-1] = np.where(np.take_along_axis(member, order, axis=1)[..., None],
+                           edges[order], pad)
+    ys.flags.writeable = False
+    table.flags.writeable = False
+    return ys, table
+
+
 def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Even-odd ray-casting containment test, vectorized over points."""
+    """Even-odd ray-casting containment test, vectorized over points.
+
+    A point counts an edge (x0, y0) -> (x1, y1) when its y lies in the
+    half-open span [min(y0, y1), max(y0, y1)), i.e. (y0 > y) != (y1 > y),
+    and it lies strictly left of the edge at that y; it is inside when the
+    count is odd. Horizontal edges never count. On an axis-aligned
+    rectangle, points on the bottom and left sides are thus inside and
+    points on the top and right sides outside. NaN coordinates are outside.
+
+    Each point is tested only against the edges of its slab of the
+    polygon's y range (see _edge_slabs), whose table is built once per
+    distinct vertex array."""
+    poly = np.ascontiguousarray(polygon, dtype=float)
+    ys, table = _edge_slabs(poly.shape, poly.tobytes())
     x = points[:, 0][:, None]
-    y = points[:, 1][:, None]
-    x0 = polygon[None, :, 0]
-    y0 = polygon[None, :, 1]
-    x1 = np.roll(polygon[:, 0], -1)[None, :]
-    y1 = np.roll(polygon[:, 1], -1)[None, :]
-    crosses = (y0 > y) != (y1 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_int = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-    hits = crosses & (x < x_int)
-    return (hits.sum(axis=1) % 2) == 1
+    y = points[:, 1]
+    edges = table[np.searchsorted(ys, y, side="right")]  # (P, width, 4)
+    x0, y0, dx, dy = edges.transpose(2, 0, 1)
+    x_int = x0 + (y[:, None] - y0) * dx / dy
+    return np.logical_xor.reduce(x < x_int, axis=1)
 
 
 def points_in_any_polygon(points: np.ndarray, polygons: Iterable[np.ndarray]) -> np.ndarray:
@@ -392,12 +430,10 @@ class LaneGraph:
             ss = np.linspace(0.0, seg.centerline.length, n)
             # sample slightly inset from the corridor edges
             half = seg.width / 2.0 - 0.05
-            pts = []
-            for s in ss:
-                for d in (-half, 0.0, half):
-                    p = seg.centerline.interpolate(FrenetPoint(float(s), d))
-                    pts.append([p.x, p.y])
-            inside = points_in_any_polygon(np.asarray(pts), self.drivable_area)
+            x, y, _ = seg.centerline.interpolate_many(
+                np.repeat(ss, 3), np.tile([-half, 0.0, half], n))
+            inside = points_in_any_polygon(np.column_stack([x, y]),
+                                           self.drivable_area)
             if not inside.all():
                 raise LaneGraphError(f"lane {seg.id}: corridor leaves drivable area")
 

@@ -23,6 +23,7 @@ from .geometry import (
     Pose2D,
     fraction_outside_drivable,
     lane_changes_required,
+    points_in_polygon,
     ttc_violations,
 )
 from .scenarios import LANE_CHANGE_TYPES, ScenarioSpec, ScenarioType, blocking_spans
@@ -141,32 +142,35 @@ def collision_metric(trace: SimTrace) -> tuple[float, list[dict]]:
 def drivable_area_metric(trace: SimTrace, spec: ScenarioSpec,
                          cfg: MetricConfig = MetricConfig()) -> float:
     polys = spec.graph.drivable_area
+    edges = [_polygon_edges(poly) for poly in polys]
     for snap in trace.snapshots:
         e = snap.ego
         box = OrientedBox(Pose2D(e["x"], e["y"], e["heading"]),
                           VEHICLE_LENGTH, VEHICLE_WIDTH)
-        if _clearly_inside(box, polys):
+        if _clearly_inside(box, edges):
             continue
         if fraction_outside_drivable(box, polys) > cfg.drivable_threshold:
             return 0.0
     return 1.0
 
 
-def _clearly_inside(box: OrientedBox, polys) -> bool:
+def _polygon_edges(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A polygon's vertices (its edge starts), edge vectors and squared
+    edge lengths (at least 1e-12)."""
+    d = np.roll(poly, -1, axis=0) - poly
+    return poly, d, np.maximum((d ** 2).sum(axis=1), 1e-12)
+
+
+def _clearly_inside(box: OrientedBox, edges) -> bool:
     """Cheap prefilter: center deeper inside some polygon than the box
-    circumradius."""
-    from .geometry import points_in_polygon
+    circumradius; edges holds each polygon's _polygon_edges."""
     c = np.array([[box.center.x, box.center.y]])
-    for poly in polys:
+    for poly, d, seg_len2 in edges:
         if not points_in_polygon(c, poly)[0]:
             continue
-        edges_a = poly
-        edges_b = np.roll(poly, -1, axis=0)
-        d = edges_b - edges_a
-        seg_len2 = (d ** 2).sum(axis=1)
-        rel = c[0] - edges_a
-        t = np.clip((rel * d).sum(axis=1) / np.maximum(seg_len2, 1e-12), 0, 1)
-        foot = edges_a + t[:, None] * d
+        rel = c[0] - poly
+        t = np.clip((rel * d).sum(axis=1) / seg_len2, 0, 1)
+        foot = poly + t[:, None] * d
         dist = np.hypot(*(c[0] - foot).T).min()
         if dist > box.circumradius:
             return True

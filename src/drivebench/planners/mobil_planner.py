@@ -84,14 +84,17 @@ def mobil_decide(obs: Observation, mp: MobilParams,
     and passing the safety check, or None. Ties break toward the route's
     goal side."""
     lane_id = current_route_lane(obs)
-    return _decide(obs, mp, idm, lane_id, ego_frenet(obs, lane_id),
+    best = _decide(obs, mp, idm, lane_id, ego_frenet(obs, lane_id),
                    lane_scene(obs, lane_id))
+    return best[0] if best is not None else None
 
 
 def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
-            lane_id: str, f: FrenetPoint, scene: LaneScene) -> Optional[str]:
+            lane_id: str, f: FrenetPoint, scene: LaneScene
+            ) -> Optional[tuple[str, FrenetPoint, LaneScene]]:
     """mobil_decide from the current route lane, the ego's Frenet point on
-    it and its projected scene."""
+    it and its projected scene. Returns the chosen lane with the ego's
+    Frenet point on it and its projected scene, or None."""
     lane = obs.graph.lane(lane_id)
     params = idm or IdmParams(v0=lane.speed_limit)
     v = obs.ego_speed
@@ -103,7 +106,8 @@ def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
     old_follower = _follower_behind(obs, scene, lane.width, rear)
     old_lead = centerline_lead(scene, front)
 
-    best: Optional[tuple[float, bool, str]] = None
+    best_key: Optional[tuple[float, bool, str]] = None
+    best = None
     for cand in (lane.left_neighbor, lane.right_neighbor):
         if cand is None:
             continue
@@ -163,9 +167,9 @@ def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
                 incentive -= mp.route_bias
         if incentive > mp.a_threshold:
             key = (incentive, toward_goal, cand)
-            if best is None or key > best:
-                best = key
-    return best[2] if best is not None else None
+            if best_key is None or key > best_key:
+                best_key, best = key, (cand, ego_c, cand_scene)
+    return best
 
 
 @dataclass
@@ -178,14 +182,14 @@ class IdmMobilPlanner:
         lane_id = current_route_lane(obs)
         f = ego_frenet(obs, lane_id)
         scene = lane_scene(obs, lane_id)
-        target = _decide(obs, self.mobil, self.params, lane_id, f, scene)
-        if target is None:
+        best = _decide(obs, self.mobil, self.params, lane_id, f, scene)
+        if best is None:
             return IdmPlanner(params=self.params).plan_on(obs, lane_id, f, scene)
+        target, f, scene = best
         lane = obs.graph.lane(target)
         params = self.params or IdmParams(v0=lane.speed_limit)
-        f = ego_frenet(obs, target)
         front = f.s + VEHICLE_LENGTH / 2.0
-        lead = centerline_lead(lane_scene(obs, target), front)
+        lead = centerline_lead(scene, front)
         if lead is None:
             gap0, v_lead = None, 0.0
         else:

@@ -18,9 +18,11 @@ from drivebench.geometry import (
     boxes_collide,
     fraction_outside_drivable,
     lane_changes_required,
+    points_in_polygon,
     shortest_route,
     wrap_angle,
 )
+from drivebench.scenarios import build_base_map
 
 
 def straight_line(length=10.0):
@@ -215,6 +217,87 @@ class TestDrivableFraction:
         assert fraction_outside_drivable(box, self.AREA) == pytest.approx(0.5, abs=0.02)
 
 
+def points_in_polygon_scan(points, polygon):
+    """Oracle: the even-odd rule evaluated against every edge of the polygon."""
+    x = points[:, 0][:, None]
+    y = points[:, 1][:, None]
+    x0 = polygon[None, :, 0]
+    y0 = polygon[None, :, 1]
+    x1 = np.roll(polygon[:, 0], -1)[None, :]
+    y1 = np.roll(polygon[:, 1], -1)[None, :]
+    crosses = (y0 > y) != (y1 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_int = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+    hits = crosses & (x < x_int)
+    return (hits.sum(axis=1) % 2) == 1
+
+
+CONTAINMENT_POLYGONS = {
+    # the curved construction map's drivable area, 280 vertices
+    "annulus": build_base_map("curved", lanes=2, length=280.0,
+                              radius=120.0).drivable_area[0],
+    "rectangle": np.array([[-5.0, -2.75], [455.0, -2.75], [455.0, 6.25],
+                           [-5.0, 6.25]]),
+    # horizontal edges at four heights, vertex y values shared between
+    # non-adjacent vertices, a collinear vertex and a reflex notch
+    "comb": np.array([[0.0, 0.0], [4.0, 0.0], [10.0, 0.0], [10.0, 10.0],
+                      [7.0, 10.0], [7.0, 4.0], [5.0, 4.0], [5.0, 7.0],
+                      [3.0, 7.0], [3.0, 4.0], [1.5, 2.0], [1.5, 10.0],
+                      [0.0, 10.0]]),
+}
+
+
+def boundary_points(polygon):
+    """Every vertex, every edge midpoint and three points along each
+    horizontal edge."""
+    nxt = np.roll(polygon, -1, axis=0)
+    flat = polygon[:, 1] == nxt[:, 1]
+    along = [polygon[flat] + f * (nxt[flat] - polygon[flat])
+             for f in (0.25, 1.0 / 3.0, 0.75)]
+    return np.vstack([polygon, 0.5 * (polygon + nxt)] + along)
+
+
+class TestPointsInPolygon:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CONTAINMENT_POLYGONS)),
+        unit=st.lists(st.tuples(st.floats(-0.1, 1.1), st.floats(-0.1, 1.1)),
+                      min_size=1, max_size=200),
+        snap=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                                st.floats(-0.1, 1.1)), max_size=40),
+    )
+    def test_matches_scan_oracle(self, name, unit, snap):
+        polygon = CONTAINMENT_POLYGONS[name]
+        lo, hi = polygon.min(axis=0), polygon.max(axis=0)
+        random_pts = lo + np.array(unit) * (hi - lo)
+        # random x on the height of a vertex, and a vertex's x at random y
+        n = len(polygon)
+        on_vertex_y = [[lo[0] + u * (hi[0] - lo[0]), polygon[i % n, 1]]
+                       for i, _, u in snap]
+        on_vertex_x = [[polygon[j % n, 0], lo[1] + u * (hi[1] - lo[1])]
+                       for _, j, u in snap]
+        nan = np.nan
+        points = np.vstack([random_pts, boundary_points(polygon),
+                            np.reshape(on_vertex_y + on_vertex_x, (-1, 2)),
+                            [[nan, 0.5 * (lo[1] + hi[1])],
+                             [0.5 * (lo[0] + hi[0]), nan], [nan, nan]]])
+        got = points_in_polygon(points, polygon)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, points_in_polygon_scan(points, polygon))
+
+    def test_boundary_rule_on_a_rectangle(self):
+        rect = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
+        pts = np.array([[2.0, 1.0], [2.0, 0.0], [0.0, 1.0], [2.0, 2.0],
+                        [4.0, 1.0], [0.0, 0.0], [5.0, 1.0], [2.0, -1e-9]])
+        np.testing.assert_array_equal(
+            points_in_polygon(pts, rect),
+            [True, True, True, False, False, True, False, False])
+
+    def test_no_points(self):
+        poly = CONTAINMENT_POLYGONS["comb"]
+        assert points_in_polygon(np.zeros((0, 2)), poly).shape == (0,)
+
+
 class TestLaneGraph:
     def test_asymmetric_neighbors_rejected(self):
         a = LaneSegment("a", straight_line(), 3.5, 13.9, left_neighbor="b")
@@ -234,6 +317,21 @@ class TestLaneGraph:
         area = [np.array([[-1, -0.5], [11, -0.5], [11, 0.5], [-1, 0.5]], dtype=float)]
         with pytest.raises(LaneGraphError):
             LaneGraph([a], area)
+        # a 3.5 m lane on a 120 m radius arc fits an annulus 4 m wide, not 2 m
+        phi = np.linspace(0.0, 1.5, 80)
+        arc = LaneSegment("arc", Polyline(np.column_stack(
+            [120.0 * np.sin(phi), 120.0 - 120.0 * np.cos(phi)])), 3.5, 13.9)
+
+        def annulus(half_width):
+            phi = np.linspace(-0.03, 1.53, 80)
+            r_out, r_in = 120.0 + half_width, 120.0 - half_width
+            outer = np.column_stack([r_out * np.sin(phi), 120.0 - r_out * np.cos(phi)])
+            inner = np.column_stack([r_in * np.sin(phi), 120.0 - r_in * np.cos(phi)])
+            return [np.vstack([outer, inner[::-1]])]
+
+        LaneGraph([arc], annulus(2.0))
+        with pytest.raises(LaneGraphError):
+            LaneGraph([arc], annulus(1.0))
 
     def test_nearest_lane(self):
         g = parallel_graph(3)
