@@ -2,14 +2,18 @@
 conservative/assertive lead-perception rules, and triggered pedestrians.
 
 Agents are lane-keepers: they follow their lane centerline, never change
-lanes, and brake for whatever `select_lead` reports ahead of them.
+lanes, and brake for whatever `select_lead` reports ahead of them: the
+lane-keeper rule of `lane_keeper_obstructions`, which the stationary gate
+of the metric engine shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .geometry import LaneGraph, OrientedBox, Polyline, Pose2D, wrap_angle
 
@@ -168,16 +172,6 @@ class PedestrianState:
         return OrientedBox(Pose2D(x, y, self.heading), 0.6, 0.6)
 
 
-@dataclass
-class TrafficWorld:
-    """Per-tick view of everything an agent can react to."""
-    graph: LaneGraph
-    agents: Sequence[AgentState]
-    # lane id -> static blocking spans (s_near, s_far) inside the swept band
-    lane_blockers: dict[str, list[tuple[float, float]]]
-    pedestrians: Sequence[PedestrianState] = ()
-
-
 def lateral_half_extent(box: OrientedBox, lane_heading: float) -> float:
     """Half-extent of a box projected across a lane direction."""
     rel = wrap_angle(box.center.heading - lane_heading)
@@ -194,63 +188,91 @@ def ego_counts_in_lane(ego_box: OrientedBox, lane_width: float,
     return abs(d) < lane_width / 4.0
 
 
-def select_lead(agent: AgentState, world: TrafficWorld,
-                ego_box: Optional[OrientedBox], ego_speed: float
-                ) -> Optional[tuple[float, float]]:
-    """Nearest in-lane entity ahead of the agent as (lead speed, bumper gap).
+def lane_keeper_obstructions(graph: LaneGraph, lane_id: str,
+                             agents: Iterable[tuple[str, float, float, float]],
+                             lane_blockers: dict[str, list[tuple[float, float]]],
+                             pedestrians: Iterable[tuple[float, float, str]],
+                             ped_half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Everything a vehicle keeping lane `lane_id` brakes for, as (near-edge
+    arc positions, speeds) along the lane, in this order:
 
-    Same-lane agents always count. The ego counts per the agent's policy
-    rule. Static blockers and crossing pedestrians inside the swept band
-    always count (speed 0).
+    - the lane's agents, given as (lane, s, length, speed), by lane
+      membership and in input order, with near edge s - length / 2;
+    - the lane's blocking spans (s_near, s_far) in lane_blockers, at speed 0;
+    - crossing pedestrians, given as (x, y, phase), whose projection lies
+      within SWEPT_BAND_HALF_WIDTH + 0.3 of the centerline, entering
+      ped_half before their center, at speed 0.
     """
-    line = world.graph.lane(agent.lane).centerline
-    lane_width = world.graph.lane(agent.lane).width
-    front = agent.s + agent.length / 2.0
-    best: Optional[tuple[float, float]] = None  # (gap, v_lead)
-
-    def consider(gap: float, v_lead: float):
-        nonlocal best
-        if gap > 0 and (best is None or gap < best[0]):
-            best = (gap, v_lead)
-
-    for other in world.agents:
-        if other is agent or other.lane != agent.lane:
-            continue
-        consider(other.s - other.length / 2.0 - front, other.speed)
-
-    if ego_box is not None:
-        f = line.project((ego_box.center.x, ego_box.center.y))
-        heading = line.tangent_at(f.s)
-        if ego_counts_in_lane(ego_box, lane_width, f.d, heading, agent.policy):
-            half = (abs(math.cos(wrap_angle(ego_box.center.heading - heading)))
-                    * ego_box.length / 2.0
-                    + abs(math.sin(wrap_angle(ego_box.center.heading - heading)))
-                    * ego_box.width / 2.0)
-            consider(f.s - half - front, ego_speed)
-
-    for s_near, _s_far in world.lane_blockers.get(agent.lane, ()):
-        consider(s_near - front, 0.0)
-
-    for ped in world.pedestrians:
-        if ped.phase != "crossing":
-            continue
-        f = line.project(ped.position)
-        if abs(f.d) <= SWEPT_BAND_HALF_WIDTH + 0.3:
-            consider(f.s - 0.3 - front, 0.0)
-
-    if best is None:
-        return None
-    return (best[1], best[0])
+    line = graph.lane(lane_id).centerline
+    rows = [(s - length / 2.0, speed)
+            for lane, s, length, speed in agents if lane == lane_id]
+    rows += [(near, 0.0) for near, _far in lane_blockers.get(lane_id, ())]
+    for x, y, phase in pedestrians:
+        if phase == "crossing":
+            f = line.project((x, y))
+            if abs(f.d) <= SWEPT_BAND_HALF_WIDTH + 0.3:
+                rows.append((f.s - ped_half, 0.0))
+    table = np.array(rows, dtype=float).reshape(-1, 2)
+    return table[:, 0], table[:, 1]
 
 
-def step_vehicle_agent(agent: AgentState, world: TrafficWorld,
-                       ego_box: Optional[OrientedBox], ego_speed: float,
-                       dt: float) -> AgentState:
-    """Advance one agent by dt: IDM acceleration against its lead, then move
-    along the lane centerline (following successors, never changing lane)."""
+def select_lead(agents: Sequence[AgentState], graph: LaneGraph,
+                lane_blockers: dict[str, list[tuple[float, float]]],
+                pedestrians: Sequence[PedestrianState],
+                ego_box: Optional[OrientedBox], ego_speed: float
+                ) -> list[Optional[tuple[float, float]]]:
+    """Each agent's nearest entity ahead in its lane, as (lead speed, bumper
+    gap), or None when nothing ahead has a positive gap.
+
+    One lane_keeper_obstructions query per occupied lane serves all of its
+    agents; a crossing pedestrian (a 0.6 m square) enters 0.3 m before its
+    center. The ego, projected once per lane, counts per each agent's policy
+    (ego_counts_in_lane) and ranks right after the lane's agents: on equal
+    gaps the earlier of agents, ego, spans and pedestrians wins.
+    """
+    rows = [(a.lane, a.s, a.length, a.speed) for a in agents]
+    peds = [(*p.position, p.phase) for p in pedestrians]
+    by_lane: dict[str, list[int]] = {}
+    for i, a in enumerate(agents):
+        by_lane.setdefault(a.lane, []).append(i)
+    leads: list[Optional[tuple[float, float]]] = [None] * len(agents)
+    for lane_id, members in by_lane.items():
+        lane = graph.lane(lane_id)
+        near, speed = lane_keeper_obstructions(graph, lane_id, rows,
+                                               lane_blockers, peds, ped_half=0.3)
+        # an agent's own row has gap -length < 0, so it never leads itself
+        front = np.array([agents[i].s + agents[i].length / 2.0 for i in members])
+        n = len(members)
+        sees_ego = None
+        if ego_box is not None:
+            f = lane.centerline.project((ego_box.center.x, ego_box.center.y))
+            heading = lane.centerline.tangent_at(f.s)
+            rel = wrap_angle(ego_box.center.heading - heading)
+            half = (abs(math.cos(rel)) * ego_box.length / 2.0
+                    + abs(math.sin(rel)) * ego_box.width / 2.0)
+            # the lane's n agents come first; the ego ranks right after them
+            near = np.insert(near, n, f.s - half)
+            speed = np.insert(speed, n, ego_speed)
+            sees_ego = [ego_counts_in_lane(ego_box, lane.width, f.d, heading,
+                                           agents[i].policy) for i in members]
+        gaps = near[None, :] - front[:, None]
+        ahead = gaps > 0
+        if sees_ego is not None:
+            ahead[:, n] &= sees_ego
+        first = np.argmin(np.where(ahead, gaps, np.inf), axis=1)
+        for row, (i, j) in enumerate(zip(members, first)):
+            if ahead[row, j]:
+                leads[i] = (float(speed[j]), float(gaps[row, j]))
+    return leads
+
+
+def step_vehicle_agent(agent: AgentState, lead: Optional[tuple[float, float]],
+                       graph: LaneGraph, dt: float) -> AgentState:
+    """Advance one agent by dt: IDM acceleration against its lead (as
+    select_lead gives it), then move along the lane centerline (following
+    successors, never changing lane)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lead = select_lead(agent, world, ego_box, ego_speed)
     if lead is None:
         a = idm_acceleration(agent.speed, None, None, agent.params)
     else:
@@ -259,15 +281,15 @@ def step_vehicle_agent(agent: AgentState, world: TrafficWorld,
     speed = max(0.0, agent.speed + a * dt)
     s = agent.s + speed * dt
     lane_id = agent.lane
-    line = world.graph.lane(lane_id).centerline
+    line = graph.lane(lane_id).centerline
     while s > line.length:
-        succ = sorted(world.graph.lane(lane_id).successors)
+        succ = sorted(graph.lane(lane_id).successors)
         if not succ:
             break
         s -= line.length
         lane_id = succ[0]
-        line = world.graph.lane(lane_id).centerline
-    pose = lane_pose(world.graph, lane_id, s)
+        line = graph.lane(lane_id).centerline
+    pose = lane_pose(graph, lane_id, s)
     box = OrientedBox(pose, agent.length, agent.width)
     return replace(agent, lane=lane_id, s=s, speed=speed, box=box)
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .agents import SWEPT_BAND_HALF_WIDTH, VEHICLE_LENGTH, VEHICLE_WIDTH
+from .agents import VEHICLE_LENGTH, VEHICLE_WIDTH, lane_keeper_obstructions
 from .geometry import (
     OrientedBox,
     Pose2D,
@@ -142,39 +143,33 @@ def collision_metric(trace: SimTrace) -> tuple[float, list[dict]]:
 def drivable_area_metric(trace: SimTrace, spec: ScenarioSpec,
                          cfg: MetricConfig = MetricConfig()) -> float:
     polys = spec.graph.drivable_area
-    edges = [_polygon_edges(poly) for poly in polys]
-    for snap in trace.snapshots:
-        e = snap.ego
+    egos = [snap.ego for snap in trace.snapshots]
+    centers = np.array([[e["x"], e["y"]] for e in egos]).reshape(-1, 2)
+    skip = _clearly_inside(centers, math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0,
+                           polys)
+    for e in compress(egos, ~skip):
         box = OrientedBox(Pose2D(e["x"], e["y"], e["heading"]),
                           VEHICLE_LENGTH, VEHICLE_WIDTH)
-        if _clearly_inside(box, edges):
-            continue
         if fraction_outside_drivable(box, polys) > cfg.drivable_threshold:
             return 0.0
     return 1.0
 
 
-def _polygon_edges(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A polygon's vertices (its edge starts), edge vectors and squared
-    edge lengths (at least 1e-12)."""
-    d = np.roll(poly, -1, axis=0) - poly
-    return poly, d, np.maximum((d ** 2).sum(axis=1), 1e-12)
-
-
-def _clearly_inside(box: OrientedBox, edges) -> bool:
-    """Cheap prefilter: center deeper inside some polygon than the box
-    circumradius; edges holds each polygon's _polygon_edges."""
-    c = np.array([[box.center.x, box.center.y]])
-    for poly, d, seg_len2 in edges:
-        if not points_in_polygon(c, poly)[0]:
+def _clearly_inside(centers: np.ndarray, radius: float, polys) -> np.ndarray:
+    """Cheap prefilter over box centers (N, 2): which lie inside some
+    polygon deeper than the box circumradius."""
+    deep = np.zeros(len(centers), dtype=bool)
+    for poly in polys:
+        idx = np.flatnonzero(points_in_polygon(centers, poly))
+        if not len(idx):
             continue
-        rel = c[0] - poly
-        t = np.clip((rel * d).sum(axis=1) / seg_len2, 0, 1)
-        foot = poly + t[:, None] * d
-        dist = np.hypot(*(c[0] - foot).T).min()
-        if dist > box.circumradius:
-            return True
-    return False
+        (x0, y0), (dx, dy) = poly.T, (np.roll(poly, -1, axis=0) - poly).T
+        seg_len2 = np.maximum(dx * dx + dy * dy, 1e-12)
+        cx, cy = centers[idx, 0][:, None], centers[idx, 1][:, None]
+        t = np.clip(((cx - x0) * dx + (cy - y0) * dy) / seg_len2, 0, 1)
+        dist = np.hypot(cx - (x0 + t * dx), cy - (y0 + t * dy)).min(axis=1)
+        deep[idx[dist > radius]] = True
+    return deep
 
 
 def driving_direction_metric(trace: SimTrace, spec: ScenarioSpec,
@@ -234,30 +229,20 @@ def stationary_metric(trace: SimTrace, spec: ScenarioSpec,
 
 
 def _stop_justified(snap, spec: ScenarioSpec, spans, cfg: MetricConfig) -> bool:
+    """Whether something the ego's lane keeper brakes for has its near edge
+    within the justification distance ahead of the ego's front (closed at
+    both ends); crossing pedestrians count from their center."""
     ego = snap.ego
     pos = (ego["x"], ego["y"])
     lane_id = spec.graph.nearest_lane(pos)
-    lane = spec.graph.lane(lane_id)
-    f = lane.centerline.project(pos)
-    front = f.s + VEHICLE_LENGTH / 2.0
+    front = spec.graph.lane(lane_id).centerline.project(pos).s + VEHICLE_LENGTH / 2.0
+    near, _speed = lane_keeper_obstructions(
+        spec.graph, lane_id,
+        [(a["lane"], a["s"], a["length"], a["speed"]) for a in snap.agents],
+        spans, [(p["x"], p["y"], p["phase"]) for p in snap.pedestrians],
+        ped_half=0.0)
     horizon = cfg.stationary_justify_distance
-    for near, _far in spans.get(lane_id, ()):
-        if front <= near <= front + horizon:
-            return True
-    for a in snap.agents:
-        if a["lane"] != lane_id:
-            continue
-        rear = a["s"] - a["length"] / 2.0
-        if front <= rear <= front + horizon:
-            return True
-    for p in snap.pedestrians:
-        if p["phase"] != "crossing":
-            continue
-        fp = lane.centerline.project((p["x"], p["y"]))
-        if abs(fp.d) <= SWEPT_BAND_HALF_WIDTH + 0.3 and \
-                front <= fp.s <= front + horizon:
-            return True
-    return False
+    return bool(((front <= near) & (near <= front + horizon)).any())
 
 
 def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec,

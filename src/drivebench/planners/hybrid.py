@@ -36,16 +36,20 @@ STOPPED_AGENT_SPEED = 0.2    # m/s below which an actor counts as stopped
 def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
     """The nearest blocking span ahead within scan range, with the lateral
     extent of everything inside it; None when the corridor is clear."""
-    scene = lane_scene(obs, lane_id)
+    def in_range(spans):
+        return [sp for sp in spans
+                if sp[1] >= ego_front and sp[0] <= ego_front + OVERTAKE_SCAN_AHEAD]
+
+    spans = in_range(obs.lane_blockers.get(lane_id, []))
     stopped = [a.speed < STOPPED_AGENT_SPEED for a in obs.agents]
+    if not spans and not any(stopped):
+        return None
+    scene = lane_scene(obs, lane_id)
     half_len = np.array([a.box.length / 2.0 for a in obs.agents])
     on_lane = np.array(stopped, dtype=bool) & (
         np.abs(scene.agent_d) <= scene.agent_reach)
-    spans = list(obs.lane_blockers.get(lane_id, [])) + list(zip(
-        (scene.agent_s - half_len)[on_lane].tolist(),
-        (scene.agent_s + half_len)[on_lane].tolist()))
-    spans = [sp for sp in spans
-             if sp[1] >= ego_front and sp[0] <= ego_front + OVERTAKE_SCAN_AHEAD]
+    spans += in_range(zip((scene.agent_s - half_len)[on_lane].tolist(),
+                          (scene.agent_s + half_len)[on_lane].tolist()))
     if not spans:
         return None
     spans.sort()

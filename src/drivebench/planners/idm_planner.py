@@ -53,6 +53,23 @@ def centerline_lead(scene: LaneScene, from_s: float
     return None if math.isinf(lead_s) else (float(lead_s), float(lead_v))
 
 
+def lead_rollout(v_start: float, f: FrenetPoint, scene: LaneScene,
+                 params: IdmParams) -> tuple[np.ndarray, np.ndarray]:
+    """idm_rollout from v_start against the nearest lead in scene ahead of
+    the front bumper of an ego at Frenet point f: (arc offsets, speeds). A
+    lead at or behind the front bumper counts at a gap of 0.01 m."""
+    front = f.s + VEHICLE_LENGTH / 2.0
+    lead = centerline_lead(scene, front)
+    if lead is None:
+        gap0, v_lead = None, 0.0
+    else:
+        gap0 = lead[0] - front
+        v_lead = max(0.0, lead[1])
+        if gap0 <= 0:
+            gap0 = 0.01
+    return idm_rollout(v_start, gap0, v_lead, params)
+
+
 def centerline_trajectory(obs: Observation, lane_id: str, s_arr: np.ndarray,
                           v_arr: np.ndarray, d_arr=None) -> Trajectory:
     """Embed an arc-length profile on a lane centerline (plus optional
@@ -80,14 +97,5 @@ class IdmPlanner:
         """The plan along lane_id from the ego's Frenet point f on it,
         following the nearest lead in scene, the lane's projected scene."""
         params = self.params or IdmParams(v0=obs.graph.lane(lane_id).speed_limit)
-        front = f.s + VEHICLE_LENGTH / 2.0
-        lead = centerline_lead(scene, front)
-        if lead is None:
-            gap0, v_lead = None, 0.0
-        else:
-            gap0 = lead[0] - front
-            v_lead = max(0.0, lead[1])
-            if gap0 <= 0:
-                gap0 = 0.01
-        ds, v = idm_rollout(obs.ego_speed, gap0, v_lead, params)
+        ds, v = lead_rollout(obs.ego_speed, f, scene, params)
         return centerline_trajectory(obs, lane_id, f.s + ds, v)

@@ -26,7 +26,7 @@ from .idm_planner import (
     IdmPlanner,
     centerline_lead,
     centerline_trajectory,
-    idm_rollout,
+    lead_rollout,
 )
 from .sampling import lateral_profile
 
@@ -188,13 +188,9 @@ class IdmMobilPlanner:
         target, f, scene = best
         lane = obs.graph.lane(target)
         params = self.params or IdmParams(v0=lane.speed_limit)
-        front = f.s + VEHICLE_LENGTH / 2.0
-        lead = centerline_lead(scene, front)
-        if lead is None:
-            gap0, v_lead = None, 0.0
-        else:
-            gap0, v_lead = max(lead[0] - front, 0.01), max(0.0, lead[1])
-        ds, v = idm_rollout(obs.ego_speed, gap0, v_lead, params)
+        # _decide vetoed every target whose lead gap is below MIN_CLEARANCE,
+        # so lead_rollout's 0.01 m gap clamp never fires on a lane change
+        ds, v = lead_rollout(obs.ego_speed, f, scene, params)
         line = lane.centerline
         tangent = line.tangent_at(min(max(f.s, 0.0), line.length))
         slope0 = float(np.clip(

@@ -23,12 +23,12 @@ from .agents import (
     AgentState,
     IdmParams,
     PedestrianState,
-    TrafficWorld,
     make_agent,
+    select_lead,
     step_pedestrian,
     step_vehicle_agent,
 )
-from .geometry import OrientedBox, Pose2D, boxes_collide, wrap_angle
+from .geometry import OrientedBox, Pose2D, box_contacts, boxes_collide, wrap_angle
 from .planners.base import (
     AgentObs,
     Observation,
@@ -288,52 +288,34 @@ def _classify_ego_fault(ego_prev: EgoState, ego_now: EgoState,
     return False
 
 
+def _box_columns(boxes: list[OrientedBox]) -> np.ndarray:
+    """(x, y, heading, length, width) rows, one column per box: (5, N)."""
+    return np.array([(b.center.x, b.center.y, b.center.heading, b.length,
+                      b.width) for b in boxes], dtype=float).reshape(-1, 5).T
+
+
 def _ego_collisions(ego_box: OrientedBox, world: WorldState,
                     spec: ScenarioSpec) -> list[tuple[str, OrientedBox]]:
-    """Partner ids and boxes currently in contact with the ego."""
-    out = []
-    r_ego = ego_box.circumradius
-    for i, a in enumerate(world.agents):
-        dx = a.box.center.x - ego_box.center.x
-        dy = a.box.center.y - ego_box.center.y
-        if dx * dx + dy * dy > (r_ego + a.box.circumradius) ** 2:
-            continue
-        if boxes_collide(ego_box, a.box):
-            out.append((f"agent{i}", a.box))
-    for j, o in enumerate(spec.obstacles):
-        dx = o.box.center.x - ego_box.center.x
-        dy = o.box.center.y - ego_box.center.y
-        if dx * dx + dy * dy > (r_ego + o.box.circumradius) ** 2:
-            continue
-        if boxes_collide(ego_box, o.box):
-            out.append((f"obstacle{j}:{o.kind}", o.box))
-    for k, p in enumerate(world.pedestrians):
-        box = p.box()
-        dx = box.center.x - ego_box.center.x
-        dy = box.center.y - ego_box.center.y
-        if dx * dx + dy * dy > (r_ego + box.circumradius) ** 2:
-            continue
-        if boxes_collide(ego_box, box):
-            out.append((f"pedestrian{k}", box))
-    return out
+    """Partner ids and boxes currently in contact with the ego: agents,
+    then obstacles, then pedestrians."""
+    partners = ([(f"agent{i}", a.box) for i, a in enumerate(world.agents)]
+                + [(f"obstacle{j}:{o.kind}", o.box)
+                   for j, o in enumerate(spec.obstacles)]
+                + [(f"pedestrian{k}", p.box())
+                   for k, p in enumerate(world.pedestrians)])
+    [hits] = box_contacts(*_box_columns([ego_box]),
+                          *_box_columns([box for _, box in partners]))
+    return [partners[i] for i in hits]
 
 
 def _agent_agent_collisions(agents: list[AgentState]) -> list[tuple[int, int]]:
-    n = len(agents)
-    if n < 2:
+    """Agent pairs (i, j), i < j, in contact, in row-major order."""
+    if len(agents) < 2:
         return []
-    cx = np.array([a.box.center.x for a in agents])
-    cy = np.array([a.box.center.y for a in agents])
-    rr = np.array([a.box.circumradius for a in agents])
-    out = []
-    for i in range(n - 1):
-        d2 = (cx[i + 1:] - cx[i]) ** 2 + (cy[i + 1:] - cy[i]) ** 2
-        close = np.nonzero(d2 <= (rr[i + 1:] + rr[i]) ** 2)[0]
-        for off in close:
-            j = i + 1 + int(off)
-            if boxes_collide(agents[i].box, agents[j].box):
-                out.append((i, j))
-    return out
+    i, j = np.triu_indices(len(agents), 1)
+    cols = _box_columns([a.box for a in agents])
+    [hits] = box_contacts(*cols[:, i], *cols[:, j])
+    return list(zip(i[hits].tolist(), j[hits].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +367,11 @@ def run_closed_loop(spec: ScenarioSpec, planner, cfg: SimConfig = SimConfig()
         ego_now = kinematic_bicycle_step(world.ego, steer_cmd, accel_cmd,
                                          cfg, cfg.dt)
 
-        traffic = TrafficWorld(graph=spec.graph, agents=world.agents,
-                               lane_blockers=blockers,
-                               pedestrians=world.pedestrians)
+        leads = select_lead(world.agents, spec.graph, blockers,
+                            world.pedestrians, ego_prev.box, ego_prev.speed)
         new_agents = [
-            step_vehicle_agent(a, traffic, ego_prev.box, ego_prev.speed, cfg.dt)
-            for a in world.agents
+            step_vehicle_agent(a, lead, spec.graph, cfg.dt)
+            for a, lead in zip(world.agents, leads)
         ]
         new_peds = [
             step_pedestrian(p, spec.graph, ego_prev.pose, ego_prev.speed, cfg.dt)

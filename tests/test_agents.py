@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from drivebench.agents import (
     EMERGENCY_DECEL,
+    SWEPT_BAND_HALF_WIDTH,
     IdmParams,
     PedestrianState,
-    TrafficWorld,
+    ego_counts_in_lane,
     equilibrium_gap,
     equilibrium_speed,
     idm_acceleration,
@@ -18,7 +21,15 @@ from drivebench.agents import (
     step_pedestrian,
     step_vehicle_agent,
 )
-from drivebench.geometry import OrientedBox, Polyline, Pose2D, boxes_collide
+from drivebench.geometry import (
+    LaneGraph,
+    OrientedBox,
+    Polyline,
+    Pose2D,
+    boxes_collide,
+    wrap_angle,
+)
+from drivebench.scenarios import MIN_SPAWN_GAP, build_base_map
 from test_geometry import parallel_graph
 
 P = IdmParams(v0=13.9)
@@ -110,9 +121,155 @@ class TestEquilibrium:
             assert equilibrium_speed(g, P) == pytest.approx(v, abs=1e-6)
 
 
+@dataclass
+class TrafficWorld:
+    """Everything an agent can react to in one tick."""
+    graph: LaneGraph
+    agents: Sequence
+    lane_blockers: dict
+    pedestrians: Sequence = ()
+
+
 def single_lane_world(graph, agents, blockers=None, pedestrians=()):
     return TrafficWorld(graph=graph, agents=agents,
                         lane_blockers=blockers or {}, pedestrians=pedestrians)
+
+
+def lead_of(agent, world, ego_box, ego_speed):
+    """The agent's entry of one select_lead query over the whole world."""
+    leads = select_lead(world.agents, world.graph, world.lane_blockers,
+                        world.pedestrians, ego_box, ego_speed)
+    return leads[next(i for i, a in enumerate(world.agents) if a is agent)]
+
+
+def step_agent(agent, world, ego_box, ego_speed, dt):
+    return step_vehicle_agent(agent, lead_of(agent, world, ego_box, ego_speed),
+                              world.graph, dt)
+
+
+def select_lead_scan(agent, world, ego_box, ego_speed):
+    """Reference: the per-agent scan select_lead replaced, as (lead speed,
+    bumper gap) or None."""
+    line = world.graph.lane(agent.lane).centerline
+    lane_width = world.graph.lane(agent.lane).width
+    front = agent.s + agent.length / 2.0
+    best = None  # (gap, v_lead)
+
+    def consider(gap, v_lead):
+        nonlocal best
+        if gap > 0 and (best is None or gap < best[0]):
+            best = (gap, v_lead)
+
+    for other in world.agents:
+        if other is agent or other.lane != agent.lane:
+            continue
+        consider(other.s - other.length / 2.0 - front, other.speed)
+
+    if ego_box is not None:
+        f = line.project((ego_box.center.x, ego_box.center.y))
+        heading = line.tangent_at(f.s)
+        if ego_counts_in_lane(ego_box, lane_width, f.d, heading, agent.policy):
+            half = (abs(math.cos(wrap_angle(ego_box.center.heading - heading)))
+                    * ego_box.length / 2.0
+                    + abs(math.sin(wrap_angle(ego_box.center.heading - heading)))
+                    * ego_box.width / 2.0)
+            consider(f.s - half - front, ego_speed)
+
+    for s_near, _s_far in world.lane_blockers.get(agent.lane, ()):
+        consider(s_near - front, 0.0)
+
+    for ped in world.pedestrians:
+        if ped.phase != "crossing":
+            continue
+        f = line.project(ped.position)
+        if abs(f.d) <= SWEPT_BAND_HALF_WIDTH + 0.3:
+            consider(f.s - 0.3 - front, 0.0)
+
+    if best is None:
+        return None
+    return (best[1], best[0])
+
+
+def random_traffic(rng):
+    """A random traffic world on a straight or curved map with 1-3 lanes,
+    with the ego (box and speed) straddling a lane boundary, merged into a
+    lane, off to the side or absent (None).
+
+    Policies are mixed; there are blocking spans, waiting, crossing and
+    finished pedestrians, and agents at equal s. On the straight map
+    positions lie on a 0.5 m grid, so near edges tie: an agent's with the
+    ego's and a span's (whose near edge is copied from an agent's). Some
+    spans start exactly at an agent's front bumper."""
+    n_lanes = int(rng.integers(1, 4))
+    straight = bool(rng.random() < 0.5)
+    if straight:
+        graph = build_base_map("straight_multilane", lanes=n_lanes, length=300.0)
+    else:
+        graph = build_base_map("curved", lanes=n_lanes, length=280.0,
+                               radius=120.0)
+    lane_ids = sorted(graph.segments)
+
+    def position(lane_id):
+        length = graph.lane(lane_id).centerline.length
+        s = float(rng.uniform(0.0, length))
+        return round(2.0 * s) / 2.0 if straight else s
+
+    agents = []
+    for _ in range(int(rng.integers(0, 13))):
+        lane_id = lane_ids[int(rng.integers(len(lane_ids)))]
+        if agents and rng.random() < 0.25:      # same s as an earlier agent
+            other = agents[int(rng.integers(len(agents)))]
+            lane_id, s = other.lane, other.s
+        else:
+            s = position(lane_id)
+        policy = "assertive" if rng.random() < 0.5 else "conservative"
+        speed = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 14.0))
+        agents.append(make_agent(graph, lane_id, s, speed, policy=policy))
+
+    blockers = {}
+    for lane_id in lane_ids:
+        for _ in range(int(rng.integers(0, 3))):
+            same_lane = [a for a in agents if a.lane == lane_id]
+            if same_lane and rng.random() < 0.5:
+                a = same_lane[int(rng.integers(len(same_lane)))]
+                # ties with a's near edge, or touches a's front (gap 0)
+                near = a.s + (1 if rng.random() < 0.3 else -1) * a.length / 2.0
+            else:
+                near = position(lane_id)
+            blockers.setdefault(lane_id, []).append((near, near + 5.0))
+
+    pedestrians = []
+    line0 = graph.lane("lane0").centerline
+    for _ in range(int(rng.integers(0, 4))):
+        s = float(rng.uniform(20.0, line0.length - 20.0))
+        a = line0.interpolate_frenet(s, -3.0)
+        b = line0.interpolate_frenet(s, n_lanes * 3.5)
+        path = Polyline([[a.x, a.y], [b.x, b.y]])
+        phase = ("waiting", "crossing", "crossing", "done")[int(rng.integers(4))]
+        pedestrians.append(PedestrianState(
+            path=path, walk_speed=1.5, trigger_distance=30.0, lane="lane0",
+            phase=phase, dist_along=float(rng.uniform(0.0, path.length))))
+
+    kind = ("straddling", "merged", "aside", "absent")[int(rng.integers(4))]
+    ego_box = None
+    if kind != "absent":
+        lane = graph.lane(lane_ids[int(rng.integers(len(lane_ids)))])
+        if straight and agents and rng.random() < 0.5:
+            lane = graph.lane(agents[0].lane)
+            s = agents[0].s                    # near edge ties with agents[0]
+        else:
+            s = position(lane.id)
+        d = {"straddling": lane.width / 2.0 * (1 if rng.random() < 0.5 else -1),
+             "merged": float(rng.uniform(-0.8, 0.8)),
+             "aside": float(rng.uniform(-6.0, 6.0))}[kind]
+        pose = lane.centerline.interpolate_frenet(s, d)
+        heading = pose.heading
+        if not straight or rng.random() < 0.5:
+            heading = wrap_angle(heading + float(rng.uniform(-0.4, 0.4)))
+        ego_box = OrientedBox(Pose2D(pose.x, pose.y, heading), 4.6, 1.85)
+    world = TrafficWorld(graph=graph, agents=agents, lane_blockers=blockers,
+                         pedestrians=pedestrians)
+    return world, ego_box, float(rng.uniform(0.0, 14.0))
 
 
 class TestSelectLead:
@@ -122,13 +279,13 @@ class TestSelectLead:
     def test_no_actor_ahead(self):
         a = make_agent(self.graph, "lane0", 50.0, 10.0)
         world = single_lane_world(self.graph, [a])
-        assert select_lead(a, world, None, 0.0) is None
+        assert lead_of(a, world, None, 0.0) is None
 
     def test_same_lane_agent_ahead(self):
         a = make_agent(self.graph, "lane0", 50.0, 10.0)
         b = make_agent(self.graph, "lane0", 80.0, 8.0)
         world = single_lane_world(self.graph, [a, b])
-        v_lead, gap = select_lead(a, world, None, 0.0)
+        v_lead, gap = lead_of(a, world, None, 0.0)
         assert v_lead == 8.0
         assert gap == pytest.approx(30.0 - 4.6)
 
@@ -137,7 +294,7 @@ class TestSelectLead:
         world = single_lane_world(self.graph, [a])
         # ego center on the boundary between lane0 and lane1
         ego = OrientedBox(Pose2D(90.0, 1.75, 0.0), 4.6, 1.85)
-        lead = select_lead(a, world, ego, 9.0)
+        lead = lead_of(a, world, ego, 9.0)
         assert lead is not None
         assert lead[0] == 9.0
 
@@ -145,18 +302,18 @@ class TestSelectLead:
         a = make_agent(self.graph, "lane0", 50.0, 10.0, policy="assertive")
         world = single_lane_world(self.graph, [a])
         ego = OrientedBox(Pose2D(90.0, 1.75, 0.0), 4.6, 1.85)
-        assert select_lead(a, world, ego, 9.0) is None
+        assert lead_of(a, world, ego, 9.0) is None
 
     def test_assertive_sees_fully_merged_ego(self):
         a = make_agent(self.graph, "lane0", 50.0, 10.0, policy="assertive")
         world = single_lane_world(self.graph, [a])
         ego = OrientedBox(Pose2D(90.0, 0.2, 0.0), 4.6, 1.85)
-        assert select_lead(a, world, ego, 9.0) is not None
+        assert lead_of(a, world, ego, 9.0) is not None
 
     def test_static_blocker_counts(self):
         a = make_agent(self.graph, "lane0", 50.0, 10.0)
         world = single_lane_world(self.graph, [a], blockers={"lane0": [(80.0, 85.0)]})
-        v_lead, gap = select_lead(a, world, None, 0.0)
+        v_lead, gap = lead_of(a, world, None, 0.0)
         assert v_lead == 0.0
         assert gap == pytest.approx(80.0 - 50.0 - 2.3)
 
@@ -166,8 +323,51 @@ class TestSelectLead:
         ped = PedestrianState(path=path, walk_speed=1.5, trigger_distance=30.0,
                               lane="lane0", phase="crossing", dist_along=3.0)
         world = single_lane_world(self.graph, [a], pedestrians=[ped])
-        lead = select_lead(a, world, None, 0.0)
+        lead = lead_of(a, world, None, 0.0)
         assert lead is not None and lead[0] == 0.0
+
+
+class TestLaneKeeperRule:
+    def test_select_lead_matches_per_agent_scan(self):
+        rng = np.random.default_rng(2024)
+        n_leads = n_none = 0
+        for _ in range(300):
+            world, ego_box, ego_speed = random_traffic(rng)
+            leads = select_lead(world.agents, world.graph, world.lane_blockers,
+                                world.pedestrians, ego_box, ego_speed)
+            assert leads == [select_lead_scan(a, world, ego_box, ego_speed)
+                             for a in world.agents]
+            n_leads += sum(lead is not None for lead in leads)
+            n_none += sum(lead is None for lead in leads)
+        assert n_leads > 500 and n_none > 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(gaps=st.lists(st.floats(MIN_SPAWN_GAP, 100.0), min_size=1, max_size=6),
+           policies=st.lists(st.sampled_from(["conservative", "assertive"]),
+                             min_size=6, max_size=6),
+           limit=st.floats(8.0, 15.0))
+    def test_idm_column_never_overlaps_its_lead(self, gaps, policies, limit):
+        """A column spawned by the suite's rule (bumper gap to the member
+        ahead in [MIN_SPAWN_GAP, 100] m, speed min(limit,
+        equilibrium_speed(gap))) queued behind a blocking span keeps every
+        bumper gap positive for 300 ticks."""
+        graph = parallel_graph(1, length=1500.0, speed_limit=limit)
+        span_near = 800.0
+        blockers = {"lane0": [(span_near, span_near + 5.0)]}
+        agents = []
+        ahead = span_near
+        for gap, policy in zip(gaps, policies):
+            speed = min(limit, equilibrium_speed(gap, IdmParams(v0=limit)))
+            agents.append(make_agent(graph, "lane0", ahead - gap - 2.3, speed,
+                                     policy=policy))
+            ahead = agents[-1].s - agents[-1].length / 2.0
+        for _ in range(300):
+            leads = select_lead(agents, graph, blockers, (), None, 0.0)
+            agents = [step_vehicle_agent(a, lead, graph, 0.1)
+                      for a, lead in zip(agents, leads)]
+            nears = [span_near] + [a.s - a.length / 2.0 for a in agents[:-1]]
+            for near, a in zip(nears, agents):
+                assert near - (a.s + a.length / 2.0) > 0.0
 
 
 class TestStepVehicleAgent:
@@ -177,7 +377,7 @@ class TestStepVehicleAgent:
     def test_free_road_cruise(self):
         a = make_agent(self.graph, "lane0", 50.0, 13.9)
         world = single_lane_world(self.graph, [a])
-        nxt = step_vehicle_agent(a, world, None, 0.0, 0.1)
+        nxt = step_agent(a, world, None, 0.0, 0.1)
         assert nxt.speed == pytest.approx(13.9)
         assert nxt.s == pytest.approx(50.0 + 13.9 * 0.1)
 
@@ -185,7 +385,7 @@ class TestStepVehicleAgent:
         a = make_agent(self.graph, "lane0", 50.0, 0.0)
         world = single_lane_world(self.graph, [a],
                                   blockers={"lane0": [(50.0 + 2.3 + 4.0, 60.0)]})
-        nxt = step_vehicle_agent(a, world, None, 0.0, 0.1)
+        nxt = step_agent(a, world, None, 0.0, 0.1)
         assert nxt.speed == 0.0
         assert nxt.s == 50.0
 
@@ -198,8 +398,8 @@ class TestStepVehicleAgent:
         dt = 0.1
         for _ in range(900):
             world = single_lane_world(self.graph, [follower, lead])
-            follower = step_vehicle_agent(follower, world, None, 0.0, dt)
-            lead = step_vehicle_agent(lead, world, None, 0.0, dt)
+            follower = step_agent(follower, world, None, 0.0, dt)
+            lead = step_agent(lead, world, None, 0.0, dt)
         gap = lead.s - lead.length / 2.0 - (follower.s + follower.length / 2.0)
         assert follower.speed == pytest.approx(lead_speed, rel=0.01)
         expected = follower_params.s0 + follower.speed * follower_params.T
@@ -216,7 +416,7 @@ class TestStepVehicleAgent:
         graph = LaneGraph([a, b], area)
         agent = make_agent(graph, "a", 99.5, 10.0, params=IdmParams(v0=10.0))
         world = single_lane_world(graph, [agent])
-        nxt = step_vehicle_agent(agent, world, None, 0.0, 0.1)
+        nxt = step_agent(agent, world, None, 0.0, 0.1)
         assert nxt.lane == "b"
         assert nxt.s == pytest.approx(0.5)
 
@@ -224,7 +424,7 @@ class TestStepVehicleAgent:
         a = make_agent(self.graph, "lane0", 50.0, 10.0, policy="assertive")
         world = single_lane_world(self.graph, [a])
         for _ in range(50):
-            a = step_vehicle_agent(a, world, None, 0.0, 0.1)
+            a = step_agent(a, world, None, 0.0, 0.1)
             world = single_lane_world(self.graph, [a])
         assert a.policy == "assertive"
 
@@ -274,8 +474,8 @@ class TestPlatoonSafety:
                               params=IdmParams(v0=lead_v0))
             for _ in range(300):
                 world = single_lane_world(graph, [follower, lead])
-                follower = step_vehicle_agent(follower, world, None, 0.0, 0.1)
-                lead = step_vehicle_agent(lead, world, None, 0.0, 0.1)
+                follower = step_agent(follower, world, None, 0.0, 0.1)
+                lead = step_agent(lead, world, None, 0.0, 0.1)
                 assert not boxes_collide(follower.box, lead.box)
 
 

@@ -5,10 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
-from drivebench.geometry import boxes_collide_batch
+from drivebench.agents import SWEPT_BAND_HALF_WIDTH, VEHICLE_LENGTH, VEHICLE_WIDTH
+from drivebench.geometry import (
+    OrientedBox,
+    Pose2D,
+    boxes_collide_batch,
+    fraction_outside_drivable,
+    points_in_polygon,
+)
 from drivebench.metrics import (
     MetricConfig,
+    _clearly_inside,
+    _stop_justified,
     ScenarioScore,
     aggregate_score,
     collision_metric,
@@ -37,7 +45,14 @@ from drivebench.scenarios import (
     place_construction_zone,
     place_parked_vehicle,
 )
-from drivebench.simulation import SimTrace, TickSnapshot, run_closed_loop
+from drivebench.simulation import (
+    SimTrace,
+    TickSnapshot,
+    _agent_snapshot,
+    _ped_snapshot,
+    run_closed_loop,
+)
+from test_agents import random_traffic
 from test_planners import empty_road_spec
 
 CFG = MetricConfig()
@@ -112,6 +127,71 @@ class TestDrivableMetric:
                                     CFG) == 1.0
 
 
+def clearly_inside_one(box, polys):
+    """Reference: the per-snapshot prefilter of drivable_area_metric before
+    it ran over all centers of a trace at once."""
+    c = np.array([[box.center.x, box.center.y]])
+    for poly in polys:
+        if not points_in_polygon(c, poly)[0]:
+            continue
+        d = np.roll(poly, -1, axis=0) - poly
+        seg_len2 = np.maximum((d ** 2).sum(axis=1), 1e-12)
+        rel = c[0] - poly
+        t = np.clip((rel * d).sum(axis=1) / seg_len2, 0, 1)
+        foot = poly + t[:, None] * d
+        if np.hypot(*(c[0] - foot).T).min() > box.circumradius:
+            return True
+    return False
+
+
+def drivable_area_scan(trace, spec, cfg):
+    polys = spec.graph.drivable_area
+    for snap in trace.snapshots:
+        e = snap.ego
+        box = OrientedBox(Pose2D(e["x"], e["y"], e["heading"]),
+                          VEHICLE_LENGTH, VEHICLE_WIDTH)
+        if clearly_inside_one(box, polys):
+            continue
+        if fraction_outside_drivable(box, polys) > cfg.drivable_threshold:
+            return 0.0
+    return 1.0
+
+
+class TestDrivableReference:
+    @pytest.mark.parametrize("kind", ["straight_multilane", "curved"])
+    def test_matches_per_snapshot_scan(self, kind):
+        """Ego centers across the whole road and its edges (and NaN): the
+        batched prefilter picks exactly the snapshots the per-snapshot one
+        did, and the metric agrees on traces that leave the road at a
+        random tick or never."""
+        rng = np.random.default_rng(5)
+        g = build_base_map(kind, lanes=2, length=280.0)
+        spec = replace(empty_road_spec(), graph=g)
+        line = g.lane("lane0").centerline
+        radius = math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0
+        for trial in range(20):
+            n = 151
+            s = np.sort(rng.uniform(0.0, line.length, n))
+            d = rng.uniform(-1.0, 4.5, n)
+            off = int(rng.integers(0, 2 * n))
+            if off < n:
+                d[off] = rng.choice([-4.0, 8.0])
+            poses = [line.interpolate_frenet(si, di) for si, di in zip(s, d)]
+            states = [(p.x, p.y, p.heading, 5.0) for p in poses]
+            if trial == 0:
+                states[3] = (math.nan, math.nan, 0.0, 5.0)
+            trace = synthetic_trace(states)
+            centers = np.array([st[:2] for st in states])
+            expected = [clearly_inside_one(OrientedBox(
+                Pose2D(*st[:3]), VEHICLE_LENGTH, VEHICLE_WIDTH),
+                g.drivable_area) for st in states]
+            got = _clearly_inside(centers, radius, g.drivable_area)
+            assert got.tolist() == expected
+            assert 0 < sum(expected) < n
+            assert drivable_area_metric(trace, spec, CFG) == \
+                drivable_area_scan(trace, spec, CFG)
+
+
 class TestDirectionMetric:
     def wrong_way_states(self, meters):
         # drive forward, then roll backwards by the given distance
@@ -179,6 +259,78 @@ class TestStationaryMetric:
         states = [(53.0, 0.0, 0.0, 0.0)] * 151
         trace = synthetic_trace(states)
         assert stationary_metric(trace, spec, CFG) == 1.0
+
+
+def stop_justified_scan(snap, spec, spans, cfg):
+    """Reference: the stationary gate's own scan before it shared the
+    lane-keeper rule with traffic."""
+    ego = snap.ego
+    pos = (ego["x"], ego["y"])
+    lane_id = spec.graph.nearest_lane(pos)
+    lane = spec.graph.lane(lane_id)
+    f = lane.centerline.project(pos)
+    front = f.s + VEHICLE_LENGTH / 2.0
+    horizon = cfg.stationary_justify_distance
+    for near, _far in spans.get(lane_id, ()):
+        if front <= near <= front + horizon:
+            return True
+    for a in snap.agents:
+        if a["lane"] != lane_id:
+            continue
+        rear = a["s"] - a["length"] / 2.0
+        if front <= rear <= front + horizon:
+            return True
+    for p in snap.pedestrians:
+        if p["phase"] != "crossing":
+            continue
+        fp = lane.centerline.project((p["x"], p["y"]))
+        if abs(fp.d) <= SWEPT_BAND_HALF_WIDTH + 0.3 and \
+                front <= fp.s <= front + horizon:
+            return True
+    return False
+
+
+class TestStopJustifiedReference:
+    def test_matches_scan_on_random_traffic(self):
+        """Random worlds of tests/test_agents.py (straight and curved, 1-3
+        lanes), the ego anywhere in them, two horizons, spans put just
+        inside, on and just outside both ends of the closed window, and
+        crossing pedestrians within 0.3 m of either end."""
+        rng = np.random.default_rng(11)
+        outcomes = []
+        for _ in range(300):
+            world, ego_box, _speed = random_traffic(rng)
+            if ego_box is None:
+                continue
+            spec = replace(empty_road_spec(), graph=world.graph)
+            cfg = replace(CFG, stationary_justify_distance=float(
+                rng.choice([10.0, 40.0])))
+            pos = (ego_box.center.x, ego_box.center.y)
+            lane_id = world.graph.nearest_lane(pos)
+            front = (world.graph.lane(lane_id).centerline.project(pos).s
+                     + VEHICLE_LENGTH / 2.0)
+            spans = {k: list(v) for k, v in world.lane_blockers.items()}
+            edge = float(rng.choice([front, front + cfg.stationary_justify_distance]))
+            near = float(rng.choice([edge, np.nextafter(edge, -np.inf),
+                                     np.nextafter(edge, np.inf)]))
+            if rng.random() < 0.5:
+                spans.setdefault(lane_id, []).append((near, near + 3.0))
+            peds = [_ped_snapshot(p) for p in world.pedestrians]
+            if rng.random() < 0.5:     # crossing within 0.3 m of an end
+                line = world.graph.lane(lane_id).centerline
+                s = edge + float(rng.uniform(-0.3, 0.3))
+                if 0.0 <= s <= line.length:
+                    p = line.interpolate_frenet(s, float(rng.uniform(-1.0, 1.0)))
+                    peds.append({"x": p.x, "y": p.y, "vx": 0.0, "vy": 1.5,
+                                 "phase": "crossing"})
+            snap = TickSnapshot(
+                t=0.0, ego={"x": pos[0], "y": pos[1], "speed": 0.0},
+                agents=[_agent_snapshot(a) for a in world.agents],
+                pedestrians=peds, plan=[])
+            got = _stop_justified(snap, spec, spans, cfg)
+            assert got == stop_justified_scan(snap, spec, spans, cfg)
+            outcomes.append(got)
+        assert 50 < sum(outcomes) < len(outcomes) - 50
 
 
 class TestTtcMetric:

@@ -19,13 +19,16 @@ from drivebench.simulation import (
     EgoState,
     SimConfig,
     SimTrace,
+    _agent_agent_collisions,
+    _ego_collisions,
     build_observation,
     kinematic_bicycle_step,
     run_closed_loop,
     track_trajectory,
     WorldState,
 )
-from drivebench.agents import make_agent
+from drivebench.agents import PedestrianState, make_agent
+from drivebench.geometry import Polyline
 from test_planners import empty_road_spec
 
 
@@ -167,6 +170,54 @@ class TestBuildObservation:
         o1 = build_observation(w1, spec, blockers, 0.5, SimConfig())
         o2 = build_observation(w2, spec, blockers, 0.5, SimConfig())
         assert o1 == o2
+
+
+class TestContacts:
+    def test_match_scalar_box_test(self):
+        """The simulator's contact lists equal a scan with the scalar
+        boxes_collide: ego partners in the order agents, obstacles,
+        pedestrians; agent pairs (i, j), i < j, row-major. Scenes are
+        crowded around the ego, some boxes exactly touching it."""
+        g = build_base_map("straight_multilane", lanes=2, length=450.0)
+        spec = base_scenario(ScenarioType.CONSTRUCTION, g, "lane0", 20.0,
+                             10.0, 1)
+        spec = place_construction_zone(spec, start_s=60.0, zone_length=14.0)
+        rng = np.random.default_rng(3)
+        n_ego = n_pairs = 0
+        for _ in range(60):
+            ex = float(rng.uniform(55.0, 80.0))
+            ego = EgoState(pose=Pose2D(ex, float(rng.uniform(-1.0, 2.0)),
+                                       float(rng.uniform(-0.5, 0.5))),
+                           speed=5.0)
+            agents = []
+            for _ in range(int(rng.integers(0, 30))):
+                s = float(rng.uniform(ex - 15.0, ex + 15.0))
+                agents.append(make_agent(g, "lane0" if rng.random() < 0.5
+                                         else "lane1", s, 5.0))
+            if rng.random() < 0.5:   # bumper to bumper with a heading-0 ego
+                ego = replace(ego, pose=Pose2D(ex, 0.0, 0.0))
+                agents.append(make_agent(g, "lane0", ex + VEHICLE_LENGTH, 5.0))
+            peds = [PedestrianState(
+                path=Polyline([[x, -3.0], [x, 4.0]]), walk_speed=1.5,
+                trigger_distance=30.0, lane="lane0", phase="crossing",
+                dist_along=float(rng.uniform(0.0, 7.0)))
+                for x in rng.uniform(ex - 4.0, ex + 4.0, int(rng.integers(0, 3)))]
+            world = WorldState(ego=ego, agents=agents, pedestrians=peds)
+            partners = ([(f"agent{i}", a.box) for i, a in enumerate(agents)]
+                        + [(f"obstacle{j}:{o.kind}", o.box)
+                           for j, o in enumerate(spec.obstacles)]
+                        + [(f"pedestrian{k}", p.box()) for k, p in enumerate(peds)])
+            expected = [name for name, box in partners
+                        if boxes_collide(ego.box, box)]
+            assert [name for name, _box in _ego_collisions(ego.box, world, spec)] \
+                == expected
+            pairs = [(i, j) for i in range(len(agents))
+                     for j in range(i + 1, len(agents))
+                     if boxes_collide(agents[i].box, agents[j].box)]
+            assert _agent_agent_collisions(agents) == pairs
+            n_ego += len(expected)
+            n_pairs += len(pairs)
+        assert n_ego > 50 and n_pairs > 100
 
 
 class TestClosedLoop:
