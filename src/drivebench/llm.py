@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import requests
 
 from .geometry import wrap_angle
-from .planners.base import Observation, current_route_lane, ego_frenet
+from .planners.base import Observation, ego_frenet
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -134,7 +134,7 @@ def render_scene_description(obs: Observation) -> tuple[str, str]:
         lines.append("- no agents, pedestrians or obstacles nearby")
     perception = "\n".join(lines)
 
-    lane_id = obs.ego_lane or current_route_lane(obs)
+    lane_id = obs.ego_lane
     lane = obs.graph.lane(lane_id)
     f = ego_frenet(obs, lane_id)
     neighbors = []
@@ -267,7 +267,7 @@ def parse_waypoints_response(text: str, n_points: int = 16) -> list[tuple[float,
 
 
 def _oncoming_within_headway(obs: Observation, horizon_s: float = 8.0) -> bool:
-    lane_id = obs.ego_lane or current_route_lane(obs)
+    lane_id = obs.ego_lane
     line = obs.graph.lane(lane_id).centerline
     ego_f = ego_frenet(obs, lane_id)
     ego_h = line.tangent_at(min(max(ego_f.s, 0.0), line.length))
@@ -321,7 +321,7 @@ def scripted_oracle(obs: Observation, options: Sequence) -> SelectorResponse:
             if "stop_and_wait" in labels:
                 return SelectorResponse("stop_and_wait", "oncoming traffic too close")
         return SelectorResponse("overtake_obstacle", "lane blocked, oncoming side clear")
-    lane_id = obs.ego_lane or current_route_lane(obs)
+    lane_id = obs.ego_lane
     seq = obs.route.lane_sequence
     if lane_id in seq:
         idx = seq.index(lane_id)

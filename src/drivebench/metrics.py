@@ -94,6 +94,29 @@ class SuiteReport:
 # trace decompositions
 
 
+@dataclass(frozen=True, eq=False)
+class EgoTrack:
+    """Which lane the ego is on at each snapshot, decided once per trace."""
+    lane: tuple[str, ...]      # nearest lane of the graph, ties to the lower id
+    s: tuple[float, ...]       # arc position on that lane
+    route_index: np.ndarray    # index of the nearest route lane, route order
+
+
+def ego_track(trace: SimTrace, spec: ScenarioSpec) -> EgoTrack:
+    """One clamped projection per lane per snapshot, lanes in sorted-id
+    order; both argmins take the first minimum of |d|."""
+    ids = sorted(spec.graph.segments)
+    lines = [spec.graph.lane(lane_id).centerline for lane_id in ids]
+    proj = [[line.project((snap.ego["x"], snap.ego["y"])) for line in lines]
+            for snap in trace.snapshots]
+    dist = np.array([[abs(f.d) for f in row] for row in proj]).reshape(-1, len(ids))
+    nearest = dist.argmin(axis=1)
+    route_cols = [ids.index(lane_id) for lane_id in spec.route.lane_sequence]
+    return EgoTrack(lane=tuple(ids[k] for k in nearest),
+                    s=tuple(row[k].s for row, k in zip(proj, nearest)),
+                    route_index=dist[:, route_cols].argmin(axis=1))
+
+
 def _entity_series(trace: SimTrace):
     """Time-major arrays of every collidable actor in the trace."""
     T = len(trace.snapshots)
@@ -173,13 +196,13 @@ def _clearly_inside(centers: np.ndarray, radius: float, polys) -> np.ndarray:
 
 
 def driving_direction_metric(trace: SimTrace, spec: ScenarioSpec,
-                             scenario_type: ScenarioType,
+                             track: EgoTrack, scenario_type: ScenarioType,
                              cfg: MetricConfig = MetricConfig()) -> float:
     """Distance traveled against the nearest lane's direction, thresholded;
     forced to 1 for the overtake and accident families."""
     if scenario_type in DIRECTION_EXEMPT_TYPES:
         return 1.0
-    wrong_way = _wrong_way_distance(trace, spec)
+    wrong_way = _wrong_way_distance(trace, spec, track)
     if wrong_way < cfg.direction_minor:
         return 1.0
     if wrong_way < cfg.direction_major:
@@ -187,20 +210,18 @@ def driving_direction_metric(trace: SimTrace, spec: ScenarioSpec,
     return 0.0
 
 
-def _wrong_way_distance(trace: SimTrace, spec: ScenarioSpec) -> float:
+def _wrong_way_distance(trace: SimTrace, spec: ScenarioSpec,
+                        track: EgoTrack) -> float:
     total = 0.0
     prev = None
-    for snap in trace.snapshots:
+    for snap, lane, s in zip(trace.snapshots, track.lane, track.s):
         e = snap.ego
         pos = (e["x"], e["y"])
         if prev is not None:
             dx = pos[0] - prev[0]
             dy = pos[1] - prev[1]
             if dx * dx + dy * dy > 1e-12:
-                lane = spec.graph.nearest_lane(pos)
-                line = spec.graph.lane(lane).centerline
-                f = line.project(pos)
-                tangent = line.tangent_at(f.s)
+                tangent = spec.graph.lane(lane).centerline.tangent_at(s)
                 along = dx * math.cos(tangent) + dy * math.sin(tangent)
                 if along < 0:
                     total += -along
@@ -208,17 +229,17 @@ def _wrong_way_distance(trace: SimTrace, spec: ScenarioSpec) -> float:
     return total
 
 
-def stationary_metric(trace: SimTrace, spec: ScenarioSpec,
-                      cfg: MetricConfig = MetricConfig()) -> float:
+def stationary_metric(trace: SimTrace, spec: ScenarioSpec, track: EgoTrack,
+                      spans: dict, cfg: MetricConfig = MetricConfig()) -> float:
     """0 iff the ego idles longer than the threshold with nothing within the
-    justification distance ahead of it."""
-    spans = blocking_spans(spec)
+    justification distance ahead of it; spans are blocking_spans(spec)."""
     dt = trace.dt
     run = 0.0
-    for t_idx, snap in enumerate(trace.snapshots):
+    for snap, lane_id, s in zip(trace.snapshots, track.lane, track.s):
         ego = snap.ego
         stationary = ego["speed"] < cfg.stationary_speed
-        justified = stationary and _stop_justified(snap, spec, spans, cfg)
+        justified = stationary and _stop_justified(snap, spec, lane_id, s,
+                                                   spans, cfg)
         if stationary and not justified:
             run += dt
             if run > cfg.stationary_duration:
@@ -228,14 +249,13 @@ def stationary_metric(trace: SimTrace, spec: ScenarioSpec,
     return 1.0
 
 
-def _stop_justified(snap, spec: ScenarioSpec, spans, cfg: MetricConfig) -> bool:
-    """Whether something the ego's lane keeper brakes for has its near edge
-    within the justification distance ahead of the ego's front (closed at
-    both ends); crossing pedestrians count from their center."""
-    ego = snap.ego
-    pos = (ego["x"], ego["y"])
-    lane_id = spec.graph.nearest_lane(pos)
-    front = spec.graph.lane(lane_id).centerline.project(pos).s + VEHICLE_LENGTH / 2.0
+def _stop_justified(snap, spec: ScenarioSpec, lane_id: str, s: float, spans,
+                    cfg: MetricConfig) -> bool:
+    """Whether something the lane keeper of lane_id brakes for has its near
+    edge within the justification distance ahead of the front of an ego at
+    arc position s (closed at both ends); crossing pedestrians count from
+    their center."""
+    front = s + VEHICLE_LENGTH / 2.0
     near, _speed = lane_keeper_obstructions(
         spec.graph, lane_id,
         [(a["lane"], a["s"], a["length"], a["speed"]) for a in snap.agents],
@@ -245,11 +265,10 @@ def _stop_justified(snap, spec: ScenarioSpec, spans, cfg: MetricConfig) -> bool:
     return bool(((front <= near) & (near <= front + horizon)).any())
 
 
-def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec,
+def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec, spans: dict,
                             cfg: MetricConfig = MetricConfig()) -> float:
     """1 iff the ego front passes the farthest blocking obstacle's far end
     plus the margin, by route arclength; 1 when nothing blocks the route."""
-    spans = blocking_spans(spec)
     far_end = None
     for lane_id in spec.route.lane_sequence:
         for _near, far in spans.get(lane_id, ()):
@@ -319,13 +338,13 @@ def comfort_metric(trace: SimTrace, cfg: MetricConfig = MetricConfig()) -> float
     return 1.0 if all(checks) else 0.0
 
 
-def speed_limit_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
+def speed_limit_metric(trace: SimTrace, spec: ScenarioSpec,
+                       track: EgoTrack) -> float:
     """1 - (speed-over-limit integral / (limit * duration)), floored at 0."""
     over = 0.0
     limit_integral = 0.0
-    for snap in trace.snapshots:
+    for snap, lane in zip(trace.snapshots, track.lane):
         ego = snap.ego
-        lane = spec.graph.nearest_lane((ego["x"], ego["y"]))
         limit = spec.graph.lane(lane).speed_limit
         over += max(0.0, ego["speed"] - limit) * trace.dt
         limit_integral += limit * trace.dt
@@ -363,24 +382,17 @@ def progress_metric(trace: SimTrace, spec: ScenarioSpec,
     return min(1.0, route_progress(trace, spec) / ref)
 
 
-def lane_change_completion(trace: SimTrace, spec: ScenarioSpec) -> float:
+def lane_change_completion(trace: SimTrace, spec: ScenarioSpec,
+                           track: EgoTrack) -> float:
     """Fraction of route-required lane changes after which the ego center
     held the target (or a closer-to-goal) lane for at least one second."""
     required = lane_changes_required(spec.route, spec.graph)
     if required == 0:
         return 1.0
-    seq = spec.route.lane_sequence
-    lines = [spec.graph.lane(lid).centerline for lid in seq]
-    idx_series = []
-    for snap in trace.snapshots:
-        pos = (snap.ego["x"], snap.ego["y"])
-        ds = [abs(line.project(pos).d) for line in lines]
-        idx_series.append(int(np.argmin(ds)))
-    idx_series = np.asarray(idx_series)
     hold_ticks = max(int(round(1.0 / trace.dt)), 1)
     completed = 0
     for level in range(1, required + 1):
-        ok = idx_series >= level
+        ok = track.route_index >= level
         run = 0
         sustained = False
         for v in ok:
@@ -438,19 +450,21 @@ def score_scenario(trace: SimTrace, spec: ScenarioSpec,
                    cfg: MetricConfig = MetricConfig(),
                    ref_progress: Optional[float] = None) -> ScenarioScore:
     collision, _events = collision_metric(trace)
+    track = ego_track(trace, spec)
+    spans = blocking_spans(spec)
     components = {
         "progress": progress_metric(trace, spec, ref_progress),
         "ttc": ttc_metric(trace, spec, cfg),
-        "speed_compliance": speed_limit_metric(trace, spec),
+        "speed_compliance": speed_limit_metric(trace, spec, track),
         "comfort": comfort_metric(trace, cfg),
-        "lane_change_completion": lane_change_completion(trace, spec),
+        "lane_change_completion": lane_change_completion(trace, spec, track),
     }
     multipliers = {
         "collision": collision,
         "drivable": drivable_area_metric(trace, spec, cfg),
-        "direction": driving_direction_metric(trace, spec, spec.type, cfg),
-        "stationary": stationary_metric(trace, spec, cfg),
-        "min_progress": min_progress_multiplier(trace, spec, cfg),
+        "direction": driving_direction_metric(trace, spec, track, spec.type, cfg),
+        "stationary": stationary_metric(trace, spec, track, spans, cfg),
+        "min_progress": min_progress_multiplier(trace, spec, spans, cfg),
     }
     return aggregate_score(components, multipliers, cfg, spec.type)
 

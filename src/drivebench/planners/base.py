@@ -52,7 +52,7 @@ class Observation:
     route: Route
     time: float
     # derived caches, functions of the fields above
-    ego_lane: str = ""
+    ego_lane: str  # nearest route lane by clamped projection, ties to lower id
     lane_blockers: dict = field(default_factory=dict)
 
 
@@ -198,17 +198,6 @@ def path_headings(x: np.ndarray, y: np.ndarray,
 def ego_frenet(obs: Observation, lane_id: str) -> FrenetPoint:
     line = obs.graph.lane(lane_id).centerline
     return line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y))
-
-
-def current_route_lane(obs: Observation) -> str:
-    """The route lane laterally closest to the ego."""
-    best = None
-    for lane_id in obs.route.lane_sequence:
-        f = ego_frenet(obs, lane_id)
-        key = (abs(f.d), lane_id)
-        if best is None or key < best[0]:
-            best = (key, lane_id)
-    return best[1]
 
 
 @dataclass(frozen=True, eq=False)

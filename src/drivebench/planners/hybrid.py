@@ -22,7 +22,6 @@ from .base import (
     Observation,
     Trajectory,
     box_extent,
-    current_route_lane,
     ego_frenet,
     lane_scene,
 )
@@ -83,7 +82,7 @@ def enumerate_behaviors(obs: Observation) -> list[BehaviorOption]:
     """Behavior options filtered by neighbor-lane availability and the
     presence of obstacles in the current corridor. follow_lane and
     stop_and_wait are always offered."""
-    lane_id = current_route_lane(obs)
+    lane_id = obs.ego_lane
     lane = obs.graph.lane(lane_id)
     options = [BehaviorOption("follow_lane", lane_id, 0.0, lane.speed_limit)]
     if lane.left_neighbor is not None:

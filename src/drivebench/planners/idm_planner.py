@@ -18,7 +18,6 @@ from .base import (
     LaneScene,
     Observation,
     Trajectory,
-    current_route_lane,
     ego_frenet,
     lane_scene,
     nearest_lead,
@@ -88,7 +87,7 @@ class IdmPlanner:
     name: str = "idm"
 
     def plan(self, obs: Observation) -> Trajectory:
-        lane_id = current_route_lane(obs)
+        lane_id = obs.ego_lane
         return self.plan_on(obs, lane_id, ego_frenet(obs, lane_id),
                             lane_scene(obs, lane_id))
 

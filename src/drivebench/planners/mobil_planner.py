@@ -18,7 +18,6 @@ from .base import (
     LaneScene,
     Observation,
     Trajectory,
-    current_route_lane,
     ego_frenet,
     lane_scene,
 )
@@ -83,7 +82,7 @@ def mobil_decide(obs: Observation, mp: MobilParams,
     """The neighbor lane with the largest incentive exceeding the threshold
     and passing the safety check, or None. Ties break toward the route's
     goal side."""
-    lane_id = current_route_lane(obs)
+    lane_id = obs.ego_lane
     best = _decide(obs, mp, idm, lane_id, ego_frenet(obs, lane_id),
                    lane_scene(obs, lane_id))
     return best[0] if best is not None else None
@@ -179,7 +178,7 @@ class IdmMobilPlanner:
     name: str = "mobil"
 
     def plan(self, obs: Observation) -> Trajectory:
-        lane_id = current_route_lane(obs)
+        lane_id = obs.ego_lane
         f = ego_frenet(obs, lane_id)
         scene = lane_scene(obs, lane_id)
         best = _decide(obs, self.mobil, self.params, lane_id, f, scene)

@@ -35,7 +35,6 @@ from .base import (
     Observation,
     STEP,
     Trajectory,
-    current_route_lane,
     ego_frenet,
     lane_scene,
     nearest_lead,
@@ -121,7 +120,7 @@ class SamplingPlanner:
         return Trajectory(t, c.x, c.y, c.heading, c.v)
 
     def default_behavior(self, obs: Observation) -> BehaviorOption:
-        lane_id = current_route_lane(obs)
+        lane_id = obs.ego_lane
         return BehaviorOption("follow_lane", lane_id, 0.0,
                               obs.graph.lane(lane_id).speed_limit)
 

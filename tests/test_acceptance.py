@@ -285,7 +285,7 @@ class TestCriterion07MetricInvariants:
             if any(v == 0.0 for v in mult.values()) and score.final != 0.0:
                 zero_rule_ok = False
         # direction exemption
-        from drivebench.metrics import driving_direction_metric
+        from drivebench.metrics import driving_direction_metric, ego_track
         from test_metrics import synthetic_trace, cruise_states
         g = build_base_map("two_way", lanes=1, length=450.0)
         spec = base_scenario(ScenarioType.OVERTAKE, g, "lane0", 20.0, 10.0, 1)
@@ -293,10 +293,13 @@ class TestCriterion07MetricInvariants:
         back = [(fwd[-1][0] - 10.0 * (k / 50.0), 0.0, 0.0, 1.0)
                 for k in range(1, 52)]
         trace = synthetic_trace(fwd + back)
+        track = ego_track(trace, spec)
         exempt_ok = (
-            driving_direction_metric(trace, spec, ScenarioType.OVERTAKE) == 1.0
-            and driving_direction_metric(trace, spec, ScenarioType.ACCIDENT) == 1.0
-            and driving_direction_metric(trace, spec,
+            driving_direction_metric(trace, spec, track,
+                                     ScenarioType.OVERTAKE) == 1.0
+            and driving_direction_metric(trace, spec, track,
+                                         ScenarioType.ACCIDENT) == 1.0
+            and driving_direction_metric(trace, spec, track,
                                          ScenarioType.LANE_CHANGE_LTD) == 0.0)
         ok = worst < 1e-12 and zero_rule_ok and exempt_ok
         note(7, ok, f"aggregation error {worst:.2e}, zero-multiplier rule and "

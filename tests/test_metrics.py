@@ -5,18 +5,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drivebench.agents import SWEPT_BAND_HALF_WIDTH, VEHICLE_LENGTH, VEHICLE_WIDTH
+from drivebench.agents import (
+    SWEPT_BAND_HALF_WIDTH,
+    VEHICLE_LENGTH,
+    VEHICLE_WIDTH,
+    lane_pose,
+)
 from drivebench.geometry import (
+    LaneGraph,
     OrientedBox,
+    Polyline,
     Pose2D,
     boxes_collide_batch,
     fraction_outside_drivable,
+    lane_changes_required,
     points_in_polygon,
 )
 from drivebench.metrics import (
     MetricConfig,
     _clearly_inside,
     _stop_justified,
+    _wrong_way_distance,
     ScenarioScore,
     aggregate_score,
     collision_metric,
@@ -24,11 +33,13 @@ from drivebench.metrics import (
     compare_reports,
     driving_direction_metric,
     drivable_area_metric,
+    ego_track,
     lane_change_completion,
     min_progress_multiplier,
     progress_metric,
     reference_progress,
     report_to_markdown,
+    score_scenario,
     scores_to_csv,
     speed_limit_metric,
     stationary_metric,
@@ -37,9 +48,11 @@ from drivebench.metrics import (
 )
 from drivebench.planners import IdmPlanner
 from drivebench.scenarios import (
+    LANE_WIDTH,
     ScenarioType,
     augment_goal_for_lane_changes,
     base_scenario,
+    blocking_spans,
     build_base_map,
     generate_benchmark_suite,
     place_construction_zone,
@@ -203,28 +216,34 @@ class TestDirectionMetric:
     def test_clean_run(self):
         spec = empty_road_spec(lanes=1)
         trace = synthetic_trace(cruise_states())
-        assert driving_direction_metric(trace, spec,
+        assert driving_direction_metric(trace, spec, ego_track(trace, spec),
                                         ScenarioType.LANE_CHANGE_LTD, CFG) == 1.0
 
     def test_ten_meters_wrong_way_zeroes(self):
         spec = empty_road_spec(lanes=1)
         trace = synthetic_trace(self.wrong_way_states(10.0))
-        assert driving_direction_metric(trace, spec,
+        assert driving_direction_metric(trace, spec, ego_track(trace, spec),
                                         ScenarioType.LANE_CHANGE_LTD, CFG) == 0.0
 
     def test_three_meters_wrong_way_halves(self):
         spec = empty_road_spec(lanes=1)
         trace = synthetic_trace(self.wrong_way_states(3.0))
-        assert driving_direction_metric(trace, spec,
+        assert driving_direction_metric(trace, spec, ego_track(trace, spec),
                                         ScenarioType.LANE_CHANGE_LTD, CFG) == 0.5
 
     def test_overtake_exemption(self):
         spec = empty_road_spec(lanes=1)
         trace = synthetic_trace(self.wrong_way_states(20.0))
-        assert driving_direction_metric(trace, spec,
+        track = ego_track(trace, spec)
+        assert driving_direction_metric(trace, spec, track,
                                         ScenarioType.OVERTAKE, CFG) == 1.0
-        assert driving_direction_metric(trace, spec,
+        assert driving_direction_metric(trace, spec, track,
                                         ScenarioType.ACCIDENT, CFG) == 1.0
+
+
+def stationary(trace, spec, cfg=CFG):
+    return stationary_metric(trace, spec, ego_track(trace, spec),
+                             blocking_spans(spec), cfg)
 
 
 class TestStationaryMetric:
@@ -232,7 +251,7 @@ class TestStationaryMetric:
         states = [(50.0, 0.0, 0.0, 0.0)] * 151  # 15 s standstill
         spec = empty_road_spec(lanes=1)
         trace = synthetic_trace(states)
-        assert stationary_metric(trace, spec, CFG) == 0.0
+        assert stationary(trace, spec, CFG) == 0.0
 
     def test_justified_by_crossing_pedestrian(self):
         spec = empty_road_spec(lanes=1)
@@ -243,12 +262,12 @@ class TestStationaryMetric:
                      "phase": "crossing"}]
 
         trace = synthetic_trace(states, peds_fn=peds)
-        assert stationary_metric(trace, spec, CFG) == 1.0
+        assert stationary(trace, spec, CFG) == 1.0
 
     def test_never_stopped(self):
         spec = empty_road_spec(lanes=1)
-        assert stationary_metric(synthetic_trace(cruise_states()), spec,
-                                 CFG) == 1.0
+        assert stationary(synthetic_trace(cruise_states()), spec,
+                          CFG) == 1.0
 
     def test_justified_by_blocking_obstacle(self):
         g = build_base_map("straight_multilane", lanes=2, length=450.0)
@@ -258,7 +277,7 @@ class TestStationaryMetric:
         # stopped 5 m before the first cone for the whole run
         states = [(53.0, 0.0, 0.0, 0.0)] * 151
         trace = synthetic_trace(states)
-        assert stationary_metric(trace, spec, CFG) == 1.0
+        assert stationary(trace, spec, CFG) == 1.0
 
 
 def stop_justified_scan(snap, spec, spans, cfg):
@@ -307,8 +326,8 @@ class TestStopJustifiedReference:
                 rng.choice([10.0, 40.0])))
             pos = (ego_box.center.x, ego_box.center.y)
             lane_id = world.graph.nearest_lane(pos)
-            front = (world.graph.lane(lane_id).centerline.project(pos).s
-                     + VEHICLE_LENGTH / 2.0)
+            ego_s = world.graph.lane(lane_id).centerline.project(pos).s
+            front = ego_s + VEHICLE_LENGTH / 2.0
             spans = {k: list(v) for k, v in world.lane_blockers.items()}
             edge = float(rng.choice([front, front + cfg.stationary_justify_distance]))
             near = float(rng.choice([edge, np.nextafter(edge, -np.inf),
@@ -327,7 +346,7 @@ class TestStopJustifiedReference:
                 t=0.0, ego={"x": pos[0], "y": pos[1], "speed": 0.0},
                 agents=[_agent_snapshot(a) for a in world.agents],
                 pedestrians=peds, plan=[])
-            got = _stop_justified(snap, spec, spans, cfg)
+            got = _stop_justified(snap, spec, lane_id, ego_s, spans, cfg)
             assert got == stop_justified_scan(snap, spec, spans, cfg)
             outcomes.append(got)
         assert 50 < sum(outcomes) < len(outcomes) - 50
@@ -497,22 +516,26 @@ class TestComfortMetric:
         assert comfort_metric(synthetic_trace(states), CFG) == 0.0
 
 
+def speed_compliance(trace, spec):
+    return speed_limit_metric(trace, spec, ego_track(trace, spec))
+
+
 class TestSpeedMetric:
     def test_never_speeding(self):
         spec = empty_road_spec(lanes=1)
-        assert speed_limit_metric(synthetic_trace(cruise_states(speed=12.0)),
-                                  spec) == 1.0
+        assert speed_compliance(synthetic_trace(cruise_states(speed=12.0)),
+                                spec) == 1.0
 
     def test_ten_percent_over_whole_run(self):
         spec = empty_road_spec(lanes=1)  # limit 13.9
         v = 13.9 * 1.1
         trace = synthetic_trace(cruise_states(speed=v))
-        assert speed_limit_metric(trace, spec) == pytest.approx(0.9, abs=1e-9)
+        assert speed_compliance(trace, spec) == pytest.approx(0.9, abs=1e-9)
 
     def test_stationary(self):
         spec = empty_road_spec(lanes=1)
         trace = synthetic_trace([(50.0, 0.0, 0.0, 0.0)] * 151)
-        assert speed_limit_metric(trace, spec) == 1.0
+        assert speed_compliance(trace, spec) == 1.0
 
 
 class TestProgressMetric:
@@ -537,6 +560,10 @@ class TestProgressMetric:
             pytest.approx(0.5, abs=1e-6)
 
 
+def completion(trace, spec):
+    return lane_change_completion(trace, spec, ego_track(trace, spec))
+
+
 class TestLaneChangeCompletion:
     def spec_with_changes(self, n=3):
         g = build_base_map("straight_multilane", lanes=4, length=450.0)
@@ -552,24 +579,202 @@ class TestLaneChangeCompletion:
         spec = self.spec_with_changes(3)
         ys = [0.0] * 40 + [3.5] * 40 + [0.0] * 40  # holds lane1 for 4 s
         trace = synthetic_trace(self.lane_holding_states(ys))
-        assert lane_change_completion(trace, spec) == pytest.approx(1.0 / 3.0)
+        assert completion(trace, spec) == pytest.approx(1.0 / 3.0)
 
     def test_all_three(self):
         spec = self.spec_with_changes(3)
         ys = [0.0] * 20 + [3.5] * 20 + [7.0] * 20 + [10.5] * 40
         trace = synthetic_trace(self.lane_holding_states(ys))
-        assert lane_change_completion(trace, spec) == 1.0
+        assert completion(trace, spec) == 1.0
 
     def test_brief_touch_does_not_count(self):
         spec = self.spec_with_changes(1)
         ys = [0.0] * 60 + [3.5] * 5 + [0.0] * 60  # only 0.5 s in the target
         trace = synthetic_trace(self.lane_holding_states(ys))
-        assert lane_change_completion(trace, spec) == 0.0
+        assert completion(trace, spec) == 0.0
 
     def test_no_required_changes_vacuous_one(self):
         spec = self.spec_with_changes(0)
         trace = synthetic_trace(self.lane_holding_states([0.0] * 100))
-        assert lane_change_completion(trace, spec) == 1.0
+        assert completion(trace, spec) == 1.0
+
+
+def speed_limit_scan(trace, spec):
+    """Reference: speed_limit_metric before the per-trace EgoTrack, with a
+    nearest_lane query per snapshot."""
+    over = 0.0
+    limit_integral = 0.0
+    for snap in trace.snapshots:
+        ego = snap.ego
+        lane = spec.graph.nearest_lane((ego["x"], ego["y"]))
+        limit = spec.graph.lane(lane).speed_limit
+        over += max(0.0, ego["speed"] - limit) * trace.dt
+        limit_integral += limit * trace.dt
+    if limit_integral <= 0:
+        return 1.0
+    return max(0.0, 1.0 - over / limit_integral)
+
+
+def wrong_way_scan(trace, spec):
+    """Reference: _wrong_way_distance before the per-trace EgoTrack, with a
+    nearest_lane query and a projection onto that lane per moving step."""
+    total = 0.0
+    prev = None
+    for snap in trace.snapshots:
+        e = snap.ego
+        pos = (e["x"], e["y"])
+        if prev is not None:
+            dx = pos[0] - prev[0]
+            dy = pos[1] - prev[1]
+            if dx * dx + dy * dy > 1e-12:
+                lane = spec.graph.nearest_lane(pos)
+                line = spec.graph.lane(lane).centerline
+                f = line.project(pos)
+                tangent = line.tangent_at(f.s)
+                along = dx * math.cos(tangent) + dy * math.sin(tangent)
+                if along < 0:
+                    total += -along
+        prev = pos
+    return total
+
+
+def lane_change_scan(trace, spec):
+    """Reference: lane_change_completion before the per-trace EgoTrack, with
+    its own argmin over the route lanes per snapshot."""
+    required = lane_changes_required(spec.route, spec.graph)
+    if required == 0:
+        return 1.0
+    seq = spec.route.lane_sequence
+    lines = [spec.graph.lane(lid).centerline for lid in seq]
+    idx_series = []
+    for snap in trace.snapshots:
+        pos = (snap.ego["x"], snap.ego["y"])
+        ds = [abs(line.project(pos).d) for line in lines]
+        idx_series.append(int(np.argmin(ds)))
+    idx_series = np.asarray(idx_series)
+    hold_ticks = max(int(round(1.0 / trace.dt)), 1)
+    completed = 0
+    for level in range(1, required + 1):
+        ok = idx_series >= level
+        run = 0
+        sustained = False
+        for v in ok:
+            run = run + 1 if v else 0
+            if run >= hold_ticks:
+                sustained = True
+                break
+        if sustained:
+            completed += 1
+    return completed / required
+
+
+def with_lane_limits(spec):
+    """The spec with a different speed limit on every lane, so that the
+    speed metric sees which lane was picked."""
+    segments = [replace(spec.graph.lane(lane_id), speed_limit=8.0 + 2.0 * i)
+                for i, lane_id in enumerate(sorted(spec.graph.segments))]
+    return replace(spec, graph=LaneGraph(segments, spec.graph.drivable_area))
+
+
+def ego_perturbations(trace, spec, rng):
+    """Copies of the trace with the ego, at random speeds, moved onto
+    another lane (held for 1.5 s at a time, sometimes exactly on a midline),
+    driven in reverse, and put past either end of a lane."""
+    graph = spec.graph
+    ids = sorted(graph.segments)
+
+    def respeed(t):
+        for snap in t.snapshots:
+            snap.ego["speed"] = float(rng.uniform(0.0, 20.0))
+        return t
+
+    def put(snap, lane_id, s, d):
+        p = lane_pose(graph, lane_id, s, d)
+        snap.ego.update(x=p.x, y=p.y, heading=p.heading)
+
+    onto = copy.deepcopy(trace)
+    for k, snap in enumerate(onto.snapshots):
+        if k % 15 == 0:
+            lane_id = ids[int(rng.integers(len(ids)))]
+            d = float(rng.choice([rng.uniform(-1.5, 1.5), LANE_WIDTH / 2.0,
+                                  -LANE_WIDTH / 2.0]))
+        line = graph.lane(lane_id).centerline
+        put(snap, lane_id, line.project((snap.ego["x"], snap.ego["y"])).s, d)
+
+    reverse = copy.deepcopy(trace)
+    for snap, ego in zip(reverse.snapshots,
+                         [s.ego for s in reverse.snapshots][::-1]):
+        snap.ego = ego
+
+    past_end = copy.deepcopy(trace)
+    for snap in past_end.snapshots:
+        lane_id = ids[int(rng.integers(len(ids)))]
+        length = graph.lane(lane_id).centerline.length
+        beyond = float(rng.uniform(0.0, 40.0))
+        s = length + beyond if rng.random() < 0.5 else -beyond
+        put(snap, lane_id, s, float(rng.uniform(-2.0, 2.0)))
+
+    return [respeed(t) for t in (onto, reverse, past_end)]
+
+
+class TestEgoTrackReference:
+    """The metrics that read an EgoTrack equal their per-snapshot loops
+    exactly, and the track's lane is nearest_lane's, on closed-loop idm
+    traces of a curved construction zone, an overtake with oncoming traffic
+    and a 4-lane lane change, and on perturbed copies of each."""
+
+    def test_equals_reference_on_perturbed_traces(self):
+        suite = generate_benchmark_suite(2024)
+        rng = np.random.default_rng(3)
+        wrong_way, speed, lcc = [], [], []
+        for i in (3, 45, 52):
+            trace = run_closed_loop(suite[i], IdmPlanner())
+            spec = with_lane_limits(suite[i])
+            for t in [trace] + ego_perturbations(trace, spec, rng):
+                track = ego_track(t, spec)
+                for snap, lane, s in zip(t.snapshots, track.lane, track.s):
+                    pos = (snap.ego["x"], snap.ego["y"])
+                    assert lane == spec.graph.nearest_lane(pos)
+                    assert s == spec.graph.lane(lane).centerline.project(pos).s
+                assert len(track.lane) == len(t.snapshots)
+                speed.append(speed_limit_metric(t, spec, track))
+                assert speed[-1] == speed_limit_scan(t, spec), spec.type
+                wrong_way.append(_wrong_way_distance(t, spec, track))
+                assert wrong_way[-1] == wrong_way_scan(t, spec), spec.type
+                lcc.append(lane_change_completion(t, spec, track))
+                assert lcc[-1] == lane_change_scan(t, spec), spec.type
+        assert min(speed) < 1.0 and 0.0 < max(wrong_way)
+        assert {0.0, 1.0} < set(lcc)
+
+
+class TestScoringProjections:
+    def test_one_projection_per_lane_per_snapshot(self, monkeypatch):
+        """score_scenario projects the ego once onto each lane for each
+        snapshot (ego_track: T x L calls) and twice onto the route spine
+        (route_progress: 2 calls, through project_extended). Nothing else
+        projects here: ref_progress is given, so no reference drive runs;
+        without obstacles there are no blocking spans, so
+        min_progress_multiplier returns before its spine lookup; without
+        pedestrians the stationary gate projects nothing."""
+        spec = generate_benchmark_suite(2024)[52]
+        assert not spec.obstacles and not spec.pedestrians
+        trace = run_closed_loop(spec, IdmPlanner())
+        calls = []
+        project = Polyline.project
+
+        def counted(self, point):
+            calls.append(point)
+            return project(self, point)
+
+        monkeypatch.setattr(Polyline, "project", counted)
+        score_scenario(trace, spec, CFG, ref_progress=100.0)
+        T, L = len(trace.snapshots), len(spec.graph.segments)
+        assert (T, L) == (151, 4)
+        assert len(calls) == T * L + 2
+
+
+def min_progress(trace, spec, cfg=CFG):
+    return min_progress_multiplier(trace, spec, blocking_spans(spec), cfg)
 
 
 class TestMinProgress:
@@ -579,19 +784,19 @@ class TestMinProgress:
                              10.0, 1)
         spec = place_construction_zone(spec, start_s=60.0, zone_length=14.0)
         states = [(53.0, 0.0, 0.0, 0.0)] * 151
-        assert min_progress_multiplier(synthetic_trace(states), spec, CFG) == 0.0
+        assert min_progress(synthetic_trace(states), spec, CFG) == 0.0
 
     def test_passed_obstacle(self):
         g = build_base_map("two_way", lanes=1, length=450.0)
         spec = base_scenario(ScenarioType.OVERTAKE, g, "lane0", 20.0, 10.0, 1)
         spec = place_parked_vehicle(spec, "overtake", at_s=80.0)
         states = cruise_states(n=151, x0=20.0)  # reaches x = 170
-        assert min_progress_multiplier(synthetic_trace(states), spec, CFG) == 1.0
+        assert min_progress(synthetic_trace(states), spec, CFG) == 1.0
 
     def test_no_obstacle_vacuous_one(self):
         spec = empty_road_spec(lanes=2)
         states = [(40.0, 0.0, 0.0, 0.0)] * 151
-        assert min_progress_multiplier(synthetic_trace(states), spec, CFG) == 1.0
+        assert min_progress(synthetic_trace(states), spec, CFG) == 1.0
 
 
 class TestAggregation:
@@ -735,12 +940,13 @@ class TestExemptionProperty:
         back = [(fwd[-1][0] - 10.0 * (k / 50.0), 0.0, 0.0, 1.0)
                 for k in range(1, 52)]
         trace = synthetic_trace(fwd + back)
-        d_o = driving_direction_metric(trace, spec_o, spec_o.type, CFG)
-        d_l = driving_direction_metric(trace, spec_l, spec_l.type, CFG)
+        d_o = driving_direction_metric(trace, spec_o, ego_track(trace, spec_o),
+                                       spec_o.type, CFG)
+        d_l = driving_direction_metric(trace, spec_l, ego_track(trace, spec_l),
+                                       spec_l.type, CFG)
         assert d_o == 1.0 and d_l == 0.0
         # every other metric is identical across the two scenario types
         assert ttc_metric(trace, spec_o, CFG) == ttc_metric(trace, spec_l, CFG)
         assert comfort_metric(trace, CFG) == comfort_metric(trace, CFG)
-        assert speed_limit_metric(trace, spec_o) == speed_limit_metric(trace, spec_l)
-        assert stationary_metric(trace, spec_o, CFG) == \
-            stationary_metric(trace, spec_l, CFG)
+        assert speed_compliance(trace, spec_o) == speed_compliance(trace, spec_l)
+        assert stationary(trace, spec_o, CFG) == stationary(trace, spec_l, CFG)

@@ -9,6 +9,7 @@ from drivebench.geometry import OrientedBox, Pose2D, boxes_collide
 from drivebench.planners import IdmPlanner, SamplingPlanner, Trajectory
 from drivebench.scenarios import (
     ScenarioType,
+    augment_goal_for_lane_changes,
     base_scenario,
     blocking_spans,
     build_base_map,
@@ -170,6 +171,31 @@ class TestBuildObservation:
         o1 = build_observation(w1, spec, blockers, 0.5, SimConfig())
         o2 = build_observation(w2, spec, blockers, 0.5, SimConfig())
         assert o1 == o2
+
+    @staticmethod
+    def ego_lane_at(x, y, n_changes):
+        spec = augment_goal_for_lane_changes(empty_road_spec(lanes=3), n_changes)
+        world = WorldState(ego=EgoState(pose=Pose2D(x, y, 0.0), speed=10.0),
+                           agents=[], pedestrians=[])
+        return build_observation(world, spec, {}, 0.0, SimConfig()).ego_lane
+
+    @pytest.mark.parametrize("x, y, lane", [
+        (100.0, 0.0, "lane0"), (100.0, 3.5, "lane1"), (100.0, 7.0, "lane2"),
+        (100.0, 1.6, "lane0"), (100.0, 1.9, "lane1"),
+        (100.0, 5.1, "lane1"), (100.0, 5.4, "lane2"),
+        (100.0, 1.75, "lane0"), (100.0, 5.25, "lane1"),
+        (470.0, 0.5, "lane0"), (470.0, 3.0, "lane1"), (470.0, 6.5, "lane2"),
+    ])
+    def test_ego_lane_nearest_route_lane(self, x, y, lane):
+        """ego_lane, the planners' current lane, on the 3-lane route
+        lane0 -> lane1 -> lane2 (centers at y = 0, 3.5, 7): on each lane,
+        offset toward a neighbour, exactly on a midline (the lower id wins)
+        and 20 m past the lanes' end at x = 450, where projections clamp."""
+        assert self.ego_lane_at(x, y, 2) == lane
+
+    def test_ego_lane_only_from_the_route(self):
+        """The ego on lane2 of a route lane0 -> lane1 gets lane1."""
+        assert self.ego_lane_at(100.0, 7.0, 1) == "lane1"
 
 
 class TestContacts:
