@@ -29,25 +29,19 @@ VEHICLE_WIDTH = 1.85
 SWEPT_BAND_HALF_WIDTH = VEHICLE_WIDTH / 2.0 + 0.25
 
 
-@dataclass(frozen=True)
-class IdmParams:
-    v0: float = 13.9        # desired speed [m/s]
-    T: float = 1.5          # time headway [s]
-    s0: float = 4.0         # jam distance [m]
-    a_max: float = 1.5      # max acceleration [m/s^2]
-    b_comf: float = 2.0     # comfortable deceleration [m/s^2]
-    delta: float = 4.0      # acceleration exponent
-
-    def __post_init__(self):
-        if min(self.v0, self.T, self.s0, self.a_max, self.b_comf) <= 0:
-            raise ValueError("IDM parameters must be positive")
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
+# IDM parameters of every IDM user: traffic, the rule-based planners and the
+# spawn speeds. The desired speed v0 is an argument.
+IDM_T = 1.5             # time headway [s]
+IDM_S0 = 4.0            # jam distance [m]
+IDM_A_MAX = 1.5         # max acceleration [m/s^2]
+IDM_B_COMF = 2.0        # comfortable deceleration [m/s^2]
+IDM_DELTA = 4.0         # acceleration exponent
 
 
 def idm_acceleration(v: float, v_lead: Optional[float], gap: Optional[float],
-                     p: IdmParams) -> float:
-    """Longitudinal acceleration of the intelligent-driver car-following law.
+                     v0: float) -> float:
+    """Longitudinal acceleration of the intelligent-driver car-following law
+    toward the desired speed v0.
 
     a = a_max * [1 - (v/v0)^delta - (s*/gap)^2],
     s* = s0 + v*T + v*(v - v_lead) / (2*sqrt(a_max*b_comf)).
@@ -55,38 +49,31 @@ def idm_acceleration(v: float, v_lead: Optional[float], gap: Optional[float],
     Without a lead only the free-flow term applies. Output is clamped below
     at the emergency cap.
     """
-    free = 1.0 - (v / p.v0) ** p.delta
+    free = 1.0 - (v / v0) ** IDM_DELTA
     if v_lead is None or gap is None:
-        a = p.a_max * free
+        a = IDM_A_MAX * free
     else:
         if gap <= 0:
             raise ValueError(f"gap must be positive, got {gap}")
-        s_star = p.s0 + v * p.T + v * (v - v_lead) / (2.0 * math.sqrt(p.a_max * p.b_comf))
-        s_star = max(s_star, p.s0)
-        a = p.a_max * (free - (s_star / gap) ** 2)
+        s_star = (IDM_S0 + v * IDM_T
+                  + v * (v - v_lead) / (2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)))
+        s_star = max(s_star, IDM_S0)
+        a = IDM_A_MAX * (free - (s_star / gap) ** 2)
     return max(a, EMERGENCY_DECEL)
 
 
-def equilibrium_gap(v: float, p: IdmParams) -> float:
-    """Steady-state bumper gap while following a lead at the same speed v."""
-    ratio = 1.0 - (v / p.v0) ** p.delta
-    if ratio <= 0:
-        return math.inf
-    return (p.s0 + v * p.T) / math.sqrt(ratio)
-
-
-def equilibrium_speed(gap: float, p: IdmParams) -> float:
+def equilibrium_speed(gap: float, v0: float) -> float:
     """Speed at which idm_acceleration is zero for the given steady gap
     (same-speed lead); 0 when the gap is at or below the jam distance."""
-    if gap <= p.s0:
+    if gap <= IDM_S0:
         return 0.0
 
     def f(v):
-        return (v / p.v0) ** p.delta + ((p.s0 + v * p.T) / gap) ** 2 - 1.0
+        return (v / v0) ** IDM_DELTA + ((IDM_S0 + v * IDM_T) / gap) ** 2 - 1.0
 
-    lo, hi = 0.0, p.v0
+    lo, hi = 0.0, v0
     if f(hi) <= 0:
-        return p.v0
+        return v0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
@@ -102,7 +89,7 @@ class AgentState:
     s: float                 # arc position of the box center along the lane
     speed: float
     policy: str              # "conservative" | "assertive"
-    params: IdmParams
+    v0: float                # IDM desired speed: the spawn lane's limit
     box: OrientedBox
     length: float = VEHICLE_LENGTH
     width: float = VEHICLE_WIDTH
@@ -129,11 +116,11 @@ def lane_pose(graph: LaneGraph, lane_id: str, s: float, d: float = 0.0) -> Pose2
 
 
 def make_agent(graph: LaneGraph, lane_id: str, s: float, speed: float,
-               policy: str = "conservative", params: Optional[IdmParams] = None,
-               length: float = VEHICLE_LENGTH, width: float = VEHICLE_WIDTH) -> AgentState:
-    p = params or IdmParams(v0=graph.lane(lane_id).speed_limit)
+               policy: str = "conservative", length: float = VEHICLE_LENGTH,
+               width: float = VEHICLE_WIDTH) -> AgentState:
     pose = lane_pose(graph, lane_id, s)
-    return AgentState(lane=lane_id, s=s, speed=speed, policy=policy, params=p,
+    return AgentState(lane=lane_id, s=s, speed=speed, policy=policy,
+                      v0=graph.lane(lane_id).speed_limit,
                       box=OrientedBox(pose, length, width), length=length, width=width)
 
 
@@ -274,10 +261,10 @@ def step_vehicle_agent(agent: AgentState, lead: Optional[tuple[float, float]],
     if dt <= 0:
         raise ValueError("dt must be positive")
     if lead is None:
-        a = idm_acceleration(agent.speed, None, None, agent.params)
+        a = idm_acceleration(agent.speed, None, None, agent.v0)
     else:
         v_lead, gap = lead
-        a = idm_acceleration(agent.speed, v_lead, max(gap, 0.01), agent.params)
+        a = idm_acceleration(agent.speed, v_lead, max(gap, 0.01), agent.v0)
     speed = max(0.0, agent.speed + a * dt)
     s = agent.s + speed * dt
     lane_id = agent.lane

@@ -37,7 +37,7 @@ from .scenarios import (
     load_scenario,
     save_scenario,
 )
-from .simulation import SimConfig, SimTrace, run_closed_loop
+from .simulation import SimTrace, run_closed_loop
 
 
 @dataclass
@@ -79,7 +79,7 @@ def _run_one(args) -> tuple[int, ScenarioScore, str, list[dict]]:
     pools can pickle it."""
     index, spec, planner_name, planner_params, metric_cfg = args
     planner = make_planner(planner_name, planner_params)
-    trace = run_closed_loop(spec, planner, SimConfig())
+    trace = run_closed_loop(spec, planner)
     ref = reference_progress(spec)
     score = score_scenario(trace, spec, metric_cfg, ref_progress=ref)
     llm_events = [e for e in trace.events if e.get("kind") == "llm_query"]

@@ -31,6 +31,13 @@ def wrap_angle(a: float) -> float:
     return a
 
 
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle elementwise: the same fmod and corrections, bit for bit."""
+    a = np.fmod(a, 2.0 * math.pi)
+    return np.where(a <= -math.pi, a + 2.0 * math.pi,
+                    np.where(a > math.pi, a - 2.0 * math.pi, a))
+
+
 @dataclass(frozen=True)
 class Pose2D:
     x: float
@@ -385,6 +392,8 @@ class LaneSegment:
     def __post_init__(self):
         if self.width <= 0:
             raise ValueError(f"lane {self.id}: width must be positive")
+        if self.speed_limit <= 0:
+            raise ValueError(f"lane {self.id}: speed limit must be positive")
         if self.id in self.successors:
             raise ValueError(f"lane {self.id}: self-loop successor")
 

@@ -28,7 +28,7 @@ from .geometry import (
     ttc_violations,
 )
 from .scenarios import LANE_CHANGE_TYPES, ScenarioSpec, ScenarioType, blocking_spans
-from .simulation import SimConfig, SimTrace
+from .simulation import SimTrace
 
 DIRECTION_EXEMPT_TYPES = (ScenarioType.OVERTAKE, ScenarioType.ACCIDENT)
 
@@ -363,14 +363,13 @@ def route_progress(trace: SimTrace, spec: ScenarioSpec) -> float:
     return max(0.0, s1 - s0)
 
 
-def reference_progress(spec: ScenarioSpec, sim_cfg: Optional[SimConfig] = None
-                       ) -> float:
+def reference_progress(spec: ScenarioSpec) -> float:
     """Progress of a speed-limit IDM drive on the same route with the
     scenario's obstacles, agents and pedestrians removed."""
     from .planners.idm_planner import IdmPlanner
     from .simulation import run_closed_loop
     stripped = replace(spec, agents=(), pedestrians=(), obstacles=())
-    trace = run_closed_loop(stripped, IdmPlanner(), sim_cfg or SimConfig())
+    trace = run_closed_loop(stripped, IdmPlanner())
     return route_progress(trace, stripped)
 
 

@@ -10,7 +10,7 @@ from .base import (
 )
 from .idm_planner import IdmPlanner
 from .mobil_planner import IdmMobilPlanner, MobilParams, mobil_decide
-from .sampling import CostWeights, SamplingPlanner
+from .sampling import SamplingPlanner
 from .hybrid import HybridBehaviorPlanner, enumerate_behaviors
 from .llm_waypoints import WaypointsLlmPlanner
 
@@ -18,7 +18,7 @@ __all__ = [
     "BehaviorOption", "Observation", "Planner", "Trajectory",
     "fallback_brake_trajectory", "plan_with_fallback",
     "IdmPlanner", "IdmMobilPlanner", "MobilParams", "mobil_decide",
-    "CostWeights", "SamplingPlanner", "HybridBehaviorPlanner",
+    "SamplingPlanner", "HybridBehaviorPlanner",
     "enumerate_behaviors", "WaypointsLlmPlanner", "make_planner",
     "PLANNER_NAMES",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..agents import SWEPT_BAND_HALF_WIDTH
 from ..geometry import FrenetPoint, LaneGraph, OrientedBox, Polyline, Route
-from ..geometry import wrap_angle
+from ..geometry import wrap_angle, wrap_angles
 from ..scenarios import ObstacleSpec
 
 HORIZON = 8.0          # s
@@ -102,26 +102,20 @@ class Trajectory:
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("positions must be finite")
         ds = np.hypot(np.diff(self.x), np.diff(self.y))
-        dh = np.abs(np.array([wrap_angle(d) for d in np.diff(self.heading)]))
+        dh = np.abs(wrap_angles(np.diff(self.heading)))
         moving = ds > 1e-6
         if np.any(dh[moving] / ds[moving] > MAX_CURVATURE + 1e-6):
             worst = float(np.max(dh[moving] / ds[moving]))
             raise ValueError(f"curvature {worst:.3f} exceeds {MAX_CURVATURE} 1/m")
 
-    def sample_at(self, t: float) -> tuple[float, float, float, float]:
-        """Linear interpolation of (x, y, heading, speed) at time t (clamped)."""
-        t = min(max(t, 0.0), float(self.t[-1]))
-        i = int(np.searchsorted(self.t, t, side="right")) - 1
-        i = min(max(i, 0), len(self.t) - 2)
-        w = (t - self.t[i]) / (self.t[i + 1] - self.t[i])
-        h0, h1 = self.heading[i], self.heading[i + 1]
-        h = h0 + w * wrap_angle(h1 - h0)
-        return (
-            float(self.x[i] + w * (self.x[i + 1] - self.x[i])),
-            float(self.y[i] + w * (self.y[i + 1] - self.y[i])),
-            wrap_angle(float(h)),
-            float(self.speed[i] + w * (self.speed[i + 1] - self.speed[i])),
-        )
+    def sample(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Linear interpolation of (x, y, speed) at times ts (clamped)."""
+        ts = np.clip(ts, 0.0, self.t[-1])
+        i = np.clip(np.searchsorted(self.t, ts, side="right") - 1,
+                    0, len(self.t) - 2)
+        w = (ts - self.t[i]) / (self.t[i + 1] - self.t[i])
+        return tuple(a[i] + w * (a[i + 1] - a[i])
+                     for a in (self.x, self.y, self.speed))
 
     def equals(self, other: "Trajectory") -> bool:
         return (np.array_equal(self.t, other.t) and np.array_equal(self.x, other.x)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..agents import SWEPT_BAND_HALF_WIDTH, VEHICLE_LENGTH, VEHICLE_WIDTH
 from ..geometry import OrientedBox, points_in_any_polygon
+from ..scenarios import merge_spans
 from .base import (
     BehaviorOption,
     Observation,
@@ -25,7 +26,7 @@ from .base import (
     ego_frenet,
     lane_scene,
 )
-from .sampling import CostWeights, SamplingPlanner
+from .sampling import SamplingPlanner
 
 OVERTAKE_SCAN_AHEAD = 60.0   # m of corridor scanned for blocking obstacles
 OVERTAKE_CLEARANCE = 0.4     # m of lateral margin past the obstacle edge
@@ -51,11 +52,7 @@ def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
                           (scene.agent_s + half_len)[on_lane].tolist()))
     if not spans:
         return None
-    spans.sort()
-    near, far = spans[0]
-    for lo, hi in spans[1:]:
-        if lo <= far + 6.0:
-            far = max(far, hi)
+    near, far = merge_spans(spans, 6.0)[0]
     line = obs.graph.lane(lane_id).centerline
     s_lo, s_hi, d_lo, d_hi = np.vstack(
         [np.column_stack((scene.obstacle_near_s, scene.obstacle_far_s,
@@ -117,10 +114,10 @@ class HybridBehaviorPlanner:
 
     name = "hybrid"
 
-    def __init__(self, selector, weights: CostWeights = CostWeights(),
-                 eval_horizon: float = 2.0, dwell_time: float = 0.0):
+    def __init__(self, selector, eval_horizon: float = 2.0,
+                 dwell_time: float = 0.0):
         self.selector = selector
-        self.sampler = SamplingPlanner(weights=weights, eval_horizon=eval_horizon)
+        self.sampler = SamplingPlanner(eval_horizon=eval_horizon)
         self.dwell_time = dwell_time  # 0 disables switch damping
         self.query_count = 0
         self._last_query_second: Optional[int] = None

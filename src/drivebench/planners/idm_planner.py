@@ -5,12 +5,11 @@ lane change."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..agents import VEHICLE_LENGTH, IdmParams, idm_acceleration
+from ..agents import VEHICLE_LENGTH, idm_acceleration
 from ..geometry import FrenetPoint
 from .base import (
     N_SAMPLES,
@@ -26,21 +25,21 @@ from .base import (
 
 
 def idm_rollout(v_start: float, gap0: Optional[float], v_lead: float,
-                params: IdmParams, n: int = N_SAMPLES, dt: float = STEP
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-integrate IDM for n samples against a constant-velocity lead
-    (or free flow when gap0 is None); returns (arc offsets, speeds)."""
-    s = np.zeros(n)
-    v = np.zeros(n)
+                v0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-integrate IDM toward desired speed v0 over the plan's
+    N_SAMPLES against a constant-velocity lead (or free flow when gap0 is
+    None); returns (arc offsets, speeds)."""
+    s = np.zeros(N_SAMPLES)
+    v = np.zeros(N_SAMPLES)
     v[0] = max(0.0, v_start)
-    for k in range(1, n):
+    for k in range(1, N_SAMPLES):
         if gap0 is None:
-            a = idm_acceleration(v[k - 1], None, None, params)
+            a = idm_acceleration(v[k - 1], None, None, v0)
         else:
-            gap = gap0 + v_lead * (k - 1) * dt - s[k - 1]
-            a = idm_acceleration(v[k - 1], v_lead, max(gap, 0.01), params)
-        v[k] = max(0.0, v[k - 1] + a * dt)
-        s[k] = s[k - 1] + v[k] * dt
+            gap = gap0 + v_lead * (k - 1) * STEP - s[k - 1]
+            a = idm_acceleration(v[k - 1], v_lead, max(gap, 0.01), v0)
+        v[k] = max(0.0, v[k - 1] + a * STEP)
+        s[k] = s[k - 1] + v[k] * STEP
     return s, v
 
 
@@ -53,7 +52,7 @@ def centerline_lead(scene: LaneScene, from_s: float
 
 
 def lead_rollout(v_start: float, f: FrenetPoint, scene: LaneScene,
-                 params: IdmParams) -> tuple[np.ndarray, np.ndarray]:
+                 v0: float) -> tuple[np.ndarray, np.ndarray]:
     """idm_rollout from v_start against the nearest lead in scene ahead of
     the front bumper of an ego at Frenet point f: (arc offsets, speeds). A
     lead at or behind the front bumper counts at a gap of 0.01 m."""
@@ -66,7 +65,7 @@ def lead_rollout(v_start: float, f: FrenetPoint, scene: LaneScene,
         v_lead = max(0.0, lead[1])
         if gap0 <= 0:
             gap0 = 0.01
-    return idm_rollout(v_start, gap0, v_lead, params)
+    return idm_rollout(v_start, gap0, v_lead, v0)
 
 
 def centerline_trajectory(obs: Observation, lane_id: str, s_arr: np.ndarray,
@@ -81,10 +80,8 @@ def centerline_trajectory(obs: Observation, lane_id: str, s_arr: np.ndarray,
     return Trajectory(t, x, y, heading, v_arr)
 
 
-@dataclass
 class IdmPlanner:
-    params: Optional[IdmParams] = None
-    name: str = "idm"
+    name = "idm"
 
     def plan(self, obs: Observation) -> Trajectory:
         lane_id = obs.ego_lane
@@ -95,6 +92,6 @@ class IdmPlanner:
                 scene: LaneScene) -> Trajectory:
         """The plan along lane_id from the ego's Frenet point f on it,
         following the nearest lead in scene, the lane's projected scene."""
-        params = self.params or IdmParams(v0=obs.graph.lane(lane_id).speed_limit)
-        ds, v = lead_rollout(obs.ego_speed, f, scene, params)
+        ds, v = lead_rollout(obs.ego_speed, f, scene,
+                             obs.graph.lane(lane_id).speed_limit)
         return centerline_trajectory(obs, lane_id, f.s + ds, v)

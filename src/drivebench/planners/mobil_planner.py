@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..agents import VEHICLE_LENGTH, IdmParams, idm_acceleration
+from ..agents import VEHICLE_LENGTH, idm_acceleration
 from ..geometry import FrenetPoint, wrap_angle
 from .base import (
     LaneScene,
@@ -50,12 +50,12 @@ class MobilParams:
 
 
 def _accel_against(scene: LaneScene, v: float, from_s: float,
-                   params: IdmParams) -> float:
+                   v0: float) -> float:
     lead = centerline_lead(scene, from_s)
     if lead is None:
-        return idm_acceleration(v, None, None, params)
+        return idm_acceleration(v, None, None, v0)
     gap = lead[0] - from_s
-    return idm_acceleration(v, max(0.0, lead[1]), max(gap, 0.01), params)
+    return idm_acceleration(v, max(0.0, lead[1]), max(gap, 0.01), v0)
 
 
 def _follower_behind(obs: Observation, scene: LaneScene, lane_width: float,
@@ -77,29 +77,28 @@ def _goal_distance(obs: Observation, lane_id: str) -> Optional[int]:
     return None
 
 
-def mobil_decide(obs: Observation, mp: MobilParams,
-                 idm: Optional[IdmParams] = None) -> Optional[str]:
+def mobil_decide(obs: Observation, mp: MobilParams) -> Optional[str]:
     """The neighbor lane with the largest incentive exceeding the threshold
     and passing the safety check, or None. Ties break toward the route's
     goal side."""
     lane_id = obs.ego_lane
-    best = _decide(obs, mp, idm, lane_id, ego_frenet(obs, lane_id),
+    best = _decide(obs, mp, lane_id, ego_frenet(obs, lane_id),
                    lane_scene(obs, lane_id))
     return best[0] if best is not None else None
 
 
-def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
-            lane_id: str, f: FrenetPoint, scene: LaneScene
+def _decide(obs: Observation, mp: MobilParams, lane_id: str,
+            f: FrenetPoint, scene: LaneScene
             ) -> Optional[tuple[str, FrenetPoint, LaneScene]]:
     """mobil_decide from the current route lane, the ego's Frenet point on
     it and its projected scene. Returns the chosen lane with the ego's
-    Frenet point on it and its projected scene, or None."""
+    Frenet point on it and its projected scene, or None. Every IDM
+    acceleration is toward the speed limit of the lane it is taken on."""
     lane = obs.graph.lane(lane_id)
-    params = idm or IdmParams(v0=lane.speed_limit)
     v = obs.ego_speed
     front = f.s + VEHICLE_LENGTH / 2.0
     rear = f.s - VEHICLE_LENGTH / 2.0
-    a_ego = _accel_against(scene, v, front, params)
+    a_ego = _accel_against(scene, v, front, lane.speed_limit)
 
     own_goal_dist = _goal_distance(obs, lane_id)
     old_follower = _follower_behind(obs, scene, lane.width, rear)
@@ -111,7 +110,6 @@ def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
         if cand is None:
             continue
         cand_lane = obs.graph.lane(cand)
-        cand_params = idm or IdmParams(v0=cand_lane.speed_limit)
         ego_c = ego_frenet(obs, cand)
         front_c = ego_c.s + VEHICLE_LENGTH / 2.0
         rear_c = ego_c.s - VEHICLE_LENGTH / 2.0
@@ -120,7 +118,7 @@ def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
         new_lead = centerline_lead(cand_scene, front_c)
         if new_lead is not None and new_lead[0] - front_c < MIN_CLEARANCE:
             continue
-        a_ego_new = _accel_against(cand_scene, v, front_c, cand_params)
+        a_ego_new = _accel_against(cand_scene, v, front_c, cand_lane.speed_limit)
 
         d_new_follower = 0.0
         follower = _follower_behind(obs, cand_scene, cand_lane.width, rear_c)
@@ -131,10 +129,10 @@ def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
             if gap_f < MIN_CLEARANCE:
                 safe = False
             else:
-                fp = IdmParams(v0=cand_lane.speed_limit)
-                a_after = idm_acceleration(fr_agent.speed, v, gap_f, fp)
+                a_after = idm_acceleration(fr_agent.speed, v, gap_f,
+                                           cand_lane.speed_limit)
                 a_before = _accel_against(cand_scene, fr_agent.speed, fr_front,
-                                          fp)
+                                          cand_lane.speed_limit)
                 if a_after < -mp.b_safe:
                     safe = False
                 d_new_follower = a_after - a_before
@@ -144,14 +142,16 @@ def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
         d_old_follower = 0.0
         if old_follower is not None:
             of_front, of_agent = old_follower
-            fp = IdmParams(v0=lane.speed_limit)
             a_before = idm_acceleration(of_agent.speed, v,
-                                        max(rear - of_front, 0.01), fp)
+                                        max(rear - of_front, 0.01),
+                                        lane.speed_limit)
             if old_lead is not None:
                 a_after = idm_acceleration(of_agent.speed, max(0.0, old_lead[1]),
-                                           max(old_lead[0] - of_front, 0.01), fp)
+                                           max(old_lead[0] - of_front, 0.01),
+                                           lane.speed_limit)
             else:
-                a_after = idm_acceleration(of_agent.speed, None, None, fp)
+                a_after = idm_acceleration(of_agent.speed, None, None,
+                                           lane.speed_limit)
             d_old_follower = a_after - a_before
 
         incentive = (a_ego_new - a_ego
@@ -174,22 +174,20 @@ def _decide(obs: Observation, mp: MobilParams, idm: Optional[IdmParams],
 @dataclass
 class IdmMobilPlanner:
     mobil: MobilParams = MobilParams()
-    params: Optional[IdmParams] = None
-    name: str = "mobil"
+    name = "mobil"
 
     def plan(self, obs: Observation) -> Trajectory:
         lane_id = obs.ego_lane
         f = ego_frenet(obs, lane_id)
         scene = lane_scene(obs, lane_id)
-        best = _decide(obs, self.mobil, self.params, lane_id, f, scene)
+        best = _decide(obs, self.mobil, lane_id, f, scene)
         if best is None:
-            return IdmPlanner(params=self.params).plan_on(obs, lane_id, f, scene)
+            return IdmPlanner().plan_on(obs, lane_id, f, scene)
         target, f, scene = best
         lane = obs.graph.lane(target)
-        params = self.params or IdmParams(v0=lane.speed_limit)
         # _decide vetoed every target whose lead gap is below MIN_CLEARANCE,
         # so lead_rollout's 0.01 m gap clamp never fires on a lane change
-        ds, v = lead_rollout(obs.ego_speed, f, scene, params)
+        ds, v = lead_rollout(obs.ego_speed, f, scene, lane.speed_limit)
         line = lane.centerline
         tangent = line.tangent_at(min(max(f.s, 0.0), line.length))
         slope0 = float(np.clip(

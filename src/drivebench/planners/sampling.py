@@ -18,9 +18,13 @@ import numpy as np
 
 from ..agents import (
     EMERGENCY_DECEL,
+    IDM_A_MAX,
+    IDM_B_COMF,
+    IDM_DELTA,
+    IDM_S0,
+    IDM_T,
     VEHICLE_LENGTH,
     VEHICLE_WIDTH,
-    IdmParams,
 )
 from ..geometry import (
     _box_corners_batch,
@@ -46,17 +50,11 @@ SPEED_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)   # of min(limit, behavior cap)
 STOP_DECEL = 3.5          # m/s^2 of the dedicated full-stop profile
 LANE_KEEP_LAT_SPEED = 0.3  # m/s below which rear contacts are not our fault
 
-
-@dataclass(frozen=True)
-class CostWeights:
-    ttc: float = 5.0        # penalty weight on the TTC-violation fraction
-    progress: float = 5.0   # reward weight on normalized progress
-    offset: float = 1.0     # penalty per meter of offset delta
-    comfort: float = 0.5    # penalty on normalized mean |accel|
-
-    def __post_init__(self):
-        if min(self.ttc, self.progress, self.offset, self.comfort) < 0:
-            raise ValueError("cost weights must be nonnegative")
+# cost weights
+TTC_WEIGHT = 5.0          # penalty on the TTC-violation fraction
+PROGRESS_WEIGHT = 5.0     # reward on normalized progress
+OFFSET_WEIGHT = 1.0       # penalty per meter of offset delta
+COMFORT_WEIGHT = 0.5      # penalty on normalized mean |accel|
 
 
 @dataclass
@@ -102,13 +100,9 @@ class SamplingPlanner:
 
     name = "sampler"
 
-    def __init__(self, weights: CostWeights = CostWeights(),
-                 eval_horizon: float = 2.0, ttc_threshold: float = 0.95,
-                 params: Optional[IdmParams] = None):
-        self.weights = weights
+    def __init__(self, eval_horizon: float = 2.0, ttc_threshold: float = 0.95):
         self.eval_horizon = eval_horizon
         self.ttc_threshold = ttc_threshold
-        self.params = params
 
     # -- public API ---------------------------------------------------------
 
@@ -133,7 +127,6 @@ class SamplingPlanner:
         line = lane.centerline
         limit = lane.speed_limit
         cap = min(limit, behavior.target_speed_cap) if behavior.target_speed_cap > 0 else 0.0
-        params = self.params or IdmParams(v0=limit)
         f = ego_frenet(obs, behavior.centerline)
         s0, d0 = f.s, f.d
         v_now = obs.ego_speed
@@ -160,7 +153,7 @@ class SamplingPlanner:
         v_lead = np.repeat(np.maximum(0.0, lead_v), n_profiles)
 
         s_rel, v = self._rollout(v_now, gap0, v_lead, fractions, stop_mask,
-                                 cap, limit, params)
+                                 cap)
         d = lateral_profile(d0, slope0, targets, s_rel, span)
         s_abs = s0 + s_rel
         x, y, tangent = line.interpolate_many(s_abs, d)
@@ -176,9 +169,8 @@ class SamplingPlanner:
         prog_norm = progress / max(limit * (N_SAMPLES - 1) * STEP, 1e-6)
         accel = np.abs(np.diff(v[:, : K + 1], axis=1)) / STEP
         comfort = accel.mean(axis=1) / 4.0
-        w = self.weights
-        cost = (w.ttc * ttc_frac + w.offset * np.abs(deltas)
-                + w.comfort * comfort - w.progress * prog_norm)
+        cost = (TTC_WEIGHT * ttc_frac + OFFSET_WEIGHT * np.abs(deltas)
+                + COMFORT_WEIGHT * comfort - PROGRESS_WEIGHT * prog_norm)
 
         candidates = []
         for ci in range(C):
@@ -240,14 +232,13 @@ class SamplingPlanner:
             ww.append(0.6)
         return [np.asarray(v, dtype=float) for v in (px, py, vx, vy, hh, ll, ww)]
 
-    def _rollout(self, v_now, gap0, v_lead, fractions, stop_mask, cap, limit,
-                 params: IdmParams):
+    def _rollout(self, v_now, gap0, v_lead, fractions, stop_mask, cap):
         """Vectorized IDM integration of all candidates at once."""
         C = len(gap0)
         v_target = np.where(stop_mask, 0.0,
                             np.nan_to_num(fractions) * (cap if cap > 0 else 0.0))
         v0_eff = np.maximum(v_target, 0.2)
-        root = 2.0 * math.sqrt(params.a_max * params.b_comf)
+        root = 2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)
         s = np.zeros((C, N_SAMPLES))
         v = np.zeros((C, N_SAMPLES))
         v[:, 0] = max(0.0, v_now)
@@ -256,18 +247,18 @@ class SamplingPlanner:
             vk = v[:, k - 1]
             # free-flow braking toward a lower target speed stays comfortable;
             # only the lead-interaction term may brake at the emergency cap
-            free = np.maximum(params.a_max * (1.0 - (vk / v0_eff) ** params.delta),
-                              -2.0 * params.b_comf)
+            free = np.maximum(IDM_A_MAX * (1.0 - (vk / v0_eff) ** IDM_DELTA),
+                              -2.0 * IDM_B_COMF)
             a = free
             if has_lead.any():
                 gap = gap0 + v_lead * (k - 1) * STEP - s[:, k - 1]
                 gap = np.maximum(gap, 0.01)
-                s_star = params.s0 + vk * params.T + vk * (vk - v_lead) / root
-                s_star = np.maximum(s_star, params.s0)
-                inter = np.where(has_lead, params.a_max * (s_star / gap) ** 2, 0.0)
+                s_star = IDM_S0 + vk * IDM_T + vk * (vk - v_lead) / root
+                s_star = np.maximum(s_star, IDM_S0)
+                inter = np.where(has_lead, IDM_A_MAX * (s_star / gap) ** 2, 0.0)
                 a = free - inter
             a = np.where(stop_mask, -STOP_DECEL, a)
-            a = np.clip(a, EMERGENCY_DECEL, params.a_max)
+            a = np.clip(a, EMERGENCY_DECEL, IDM_A_MAX)
             v[:, k] = np.maximum(0.0, vk + a * STEP)
             s[:, k] = s[:, k - 1] + v[:, k] * STEP
         return s, v

@@ -22,7 +22,6 @@ from .agents import (
     SWEPT_BAND_HALF_WIDTH,
     VEHICLE_LENGTH,
     VEHICLE_WIDTH,
-    IdmParams,
     equilibrium_speed,
 )
 from .geometry import (
@@ -249,17 +248,20 @@ def blocking_spans(spec: ScenarioSpec) -> dict[str, list[tuple[float, float]]]:
             span = box_lane_span(o.box, lane, SWEPT_BAND_HALF_WIDTH)
             if span is not None:
                 spans.setdefault(lane_id, []).append(span)
-    merged: dict[str, list[tuple[float, float]]] = {}
-    for lane_id, items in spans.items():
-        items.sort()
-        out = [items[0]]
-        for near, far in items[1:]:
-            if near <= out[-1][1] + 0.5:
-                out[-1] = (out[-1][0], max(out[-1][1], far))
-            else:
-                out.append((near, far))
-        merged[lane_id] = out
-    return merged
+    return {lane_id: merge_spans(items, 0.5) for lane_id, items in spans.items()}
+
+
+def merge_spans(spans: Sequence[tuple[float, float]], gap: float
+                ) -> list[tuple[float, float]]:
+    """Sorted (near, far) spans, each folded into the merged span before it
+    when it starts within gap of that span's far end."""
+    out: list[tuple[float, float]] = []
+    for near, far in sorted(spans):
+        if out and near <= out[-1][1] + gap:
+            out[-1] = (out[-1][0], max(out[-1][1], far))
+        else:
+            out.append((near, far))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +517,13 @@ def spawn_traffic(spec: ScenarioSpec, density: TrafficDensity, rng: Rng,
         f = lane.centerline.project((ego_box.center.x, ego_box.center.y))
         if abs(f.d) <= lane.width / 2.0 + VEHICLE_WIDTH / 2.0:
             occupants.append((f.s - VEHICLE_LENGTH / 2.0, f.s + VEHICLE_LENGTH / 2.0))
-        occupants = _merge_intervals(occupants)
+        occupants = merge_spans(occupants, 0.0)
         r = rng.split("spawn", lane_id)
         centers = _chain_spawn(lane.centerline.length, occupants, r, density)
         # speed from the gap to the next member ahead
         members = sorted([(c - VEHICLE_LENGTH / 2.0, c + VEHICLE_LENGTH / 2.0, "agent")
                           for c in centers]
                          + [(near, far, "occ") for near, far in occupants])
-        params = IdmParams(v0=lane.speed_limit)
         for idx, (near, far, kind) in enumerate(members):
             if kind != "agent":
                 continue
@@ -532,23 +533,11 @@ def spawn_traffic(spec: ScenarioSpec, density: TrafficDensity, rng: Rng,
             if gap_ahead is None:
                 speed = lane.speed_limit
             else:
-                speed = min(lane.speed_limit, equilibrium_speed(gap_ahead, params))
+                speed = min(lane.speed_limit,
+                            equilibrium_speed(gap_ahead, lane.speed_limit))
             new_agents.append(VehicleAgentSpec(
                 lane=lane_id, s=(near + far) / 2.0, speed=speed))
     return replace(spec, agents=spec.agents + tuple(new_agents))
-
-
-def _merge_intervals(items):
-    if not items:
-        return []
-    items = sorted(items)
-    out = [items[0]]
-    for near, far in items[1:]:
-        if near <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], far))
-        else:
-            out.append((near, far))
-    return out
 
 
 def _chain_spawn(length: float, occupants, r: Rng, density: TrafficDensity,

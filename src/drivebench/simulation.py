@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .agents import (
     VEHICLE_LENGTH,
     VEHICLE_WIDTH,
     AgentState,
-    IdmParams,
     PedestrianState,
     make_agent,
     select_lead,
@@ -45,24 +43,17 @@ class MalformedTraceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float = 0.1
-    duration: Optional[float] = None   # None: take the scenario's duration
-    wheelbase: float = 3.1
-    lookahead_base: float = 4.0        # m
-    lookahead_time: float = 0.5        # s
-    # 1/dt makes the proportional law reproduce the plan's own acceleration
-    # profile under per-tick replanning (plans restart at the current speed)
-    speed_gain: float = 10.0           # 1/s
-    perception_radius: float = 100.0
-    max_steer: float = 0.6             # rad
-    accel_min: float = -8.0
-    accel_max: float = 4.0
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+DT = 0.1                     # s per tick
+WHEELBASE = 3.1              # m
+LOOKAHEAD_BASE = 4.0         # m
+LOOKAHEAD_TIME = 0.5         # s
+# 1/DT makes the proportional law reproduce the plan's own acceleration
+# profile under per-tick replanning (plans restart at the current speed)
+SPEED_GAIN = 10.0            # 1/s
+PERCEPTION_RADIUS = 100.0    # m
+MAX_STEER = 0.6              # rad
+ACCEL_MIN = -8.0             # m/s^2
+ACCEL_MAX = 4.0              # m/s^2
 
 
 @dataclass(frozen=True)
@@ -75,7 +66,7 @@ class EgoState:
     def __post_init__(self):
         if self.speed < 0:
             raise ValueError("ego speed must be >= 0")
-        if abs(self.steering) > 0.6 + 1e-9:
+        if abs(self.steering) > MAX_STEER + 1e-9:
             raise ValueError("steering outside bounds")
 
     @property
@@ -84,14 +75,14 @@ class EgoState:
 
 
 def kinematic_bicycle_step(state: EgoState, steer_cmd: float, accel_cmd: float,
-                           cfg: SimConfig, dt: float) -> EgoState:
+                           dt: float) -> EgoState:
     """Kinematic bicycle with commands clamped to the state bounds; the
     stored acceleration is the realized dv/dt."""
-    steer = min(max(steer_cmd, -cfg.max_steer), cfg.max_steer)
-    accel = min(max(accel_cmd, cfg.accel_min), cfg.accel_max)
+    steer = min(max(steer_cmd, -MAX_STEER), MAX_STEER)
+    accel = min(max(accel_cmd, ACCEL_MIN), ACCEL_MAX)
     v_new = max(0.0, state.speed + accel * dt)
     heading = wrap_angle(state.pose.heading
-                         + (v_new / cfg.wheelbase) * math.tan(steer) * dt)
+                         + (v_new / WHEELBASE) * math.tan(steer) * dt)
     x = state.pose.x + v_new * math.cos(heading) * dt
     y = state.pose.y + v_new * math.sin(heading) * dt
     realized = (v_new - state.speed) / dt
@@ -99,27 +90,26 @@ def kinematic_bicycle_step(state: EgoState, steer_cmd: float, accel_cmd: float,
                     steering=steer)
 
 
-def track_trajectory(traj: Trajectory, ego: EgoState, cfg: SimConfig
-                     ) -> tuple[float, float]:
+def track_trajectory(traj: Trajectory, ego: EgoState) -> tuple[float, float]:
     """Pure-pursuit steering toward the lookahead point plus proportional
     speed control against the reference speed one step ahead."""
     dists = np.hypot(traj.x - ego.pose.x, traj.y - ego.pose.y)
     if float(dists.max()) < 0.2 and float(traj.speed.max()) < 0.1:
-        return 0.0, cfg.accel_min  # degenerate reference: full brake
-    lookahead = max(cfg.lookahead_base, cfg.lookahead_time * ego.speed)
+        return 0.0, ACCEL_MIN  # degenerate reference: full brake
+    lookahead = max(LOOKAHEAD_BASE, LOOKAHEAD_TIME * ego.speed)
     nearest = int(np.argmin(dists))
     ahead = np.nonzero(dists[nearest:] >= lookahead)[0]
     idx = nearest + int(ahead[0]) if len(ahead) else len(dists) - 1
     dx = float(traj.x[idx] - ego.pose.x)
     dy = float(traj.y[idx] - ego.pose.y)
     ld = math.hypot(dx, dy)
-    _, _, _, v_ref = traj.sample_at(cfg.dt)
-    accel = cfg.speed_gain * (v_ref - ego.speed)
+    v_ref = float(traj.sample(DT)[2])
+    accel = SPEED_GAIN * (v_ref - ego.speed)
     if ld < 1e-6:
         return 0.0, accel
     alpha = wrap_angle(math.atan2(dy, dx) - ego.pose.heading)
     curvature = 2.0 * math.sin(alpha) / ld
-    steer = math.atan(curvature * cfg.wheelbase)
+    steer = math.atan(curvature * WHEELBASE)
     return steer, accel
 
 
@@ -131,11 +121,11 @@ class WorldState:
 
 
 def build_observation(world: WorldState, spec: ScenarioSpec, blockers: dict,
-                      t: float, cfg: SimConfig) -> Observation:
+                      t: float) -> Observation:
     """Exact, noise-free snapshot of all actors within the perception
     radius."""
     ex, ey = world.ego.pose.x, world.ego.pose.y
-    radius2 = cfg.perception_radius ** 2
+    radius2 = PERCEPTION_RADIUS ** 2
     agents = tuple(
         AgentObs(box=a.box, speed=a.speed, lane=a.lane)
         for a in world.agents
@@ -252,14 +242,10 @@ def _ped_snapshot(p: PedestrianState) -> dict:
     return {"x": x, "y": y, "vx": vx, "vy": vy, "phase": p.phase}
 
 
-def _downsample_plan(traj: Trajectory, every: float = 0.5) -> list[list[float]]:
-    out = []
-    t = 0.0
-    while t <= float(traj.t[-1]) + 1e-9:
-        x, y, _, _ = traj.sample_at(t)
-        out.append([x, y])
-        t += every
-    return out
+def _downsample_plan(traj: Trajectory) -> list[list[float]]:
+    """(x, y) of the plan every 0.5 s, end included."""
+    x, y, _ = traj.sample(np.arange(0.0, float(traj.t[-1]) + 1e-9, 0.5))
+    return np.column_stack((x, y)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +308,17 @@ def _agent_agent_collisions(agents: list[AgentState]) -> list[tuple[int, int]]:
 # main loop
 
 
-def run_closed_loop(spec: ScenarioSpec, planner, cfg: SimConfig = SimConfig()
-                    ) -> SimTrace:
+def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     """Run the full closed loop: per tick, observation -> plan -> tracking
     commands -> bicycle step -> agent/pedestrian stepping -> collision
     detection -> snapshot. Events record, never abort."""
-    duration = cfg.duration if cfg.duration is not None else spec.duration
-    n_steps = int(round(duration / cfg.dt))
-    if abs(n_steps * cfg.dt - duration) > 1e-9:
-        raise ValueError("duration must be a multiple of dt")
+    n_steps = int(round(spec.duration / DT))
+    if abs(n_steps * DT - spec.duration) > 1e-9:
+        raise ValueError("duration must be a multiple of DT")
 
     ego = EgoState(pose=spec.ego.pose, speed=spec.ego.speed)
     agents = [
         make_agent(spec.graph, a.lane, a.s, a.speed, policy=a.policy,
-                   params=IdmParams(v0=spec.graph.lane(a.lane).speed_limit),
                    length=a.length, width=a.width)
         for a in spec.agents
     ]
@@ -348,7 +331,7 @@ def run_closed_loop(spec: ScenarioSpec, planner, cfg: SimConfig = SimConfig()
     blockers = blocking_spans(spec)
 
     trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
-                     dt=cfg.dt, duration=duration)
+                     dt=DT, duration=spec.duration)
     trace.snapshots.append(TickSnapshot(
         t=0.0, ego=_ego_snapshot(ego),
         agents=[_agent_snapshot(a) for a in world.agents],
@@ -359,34 +342,32 @@ def run_closed_loop(spec: ScenarioSpec, planner, cfg: SimConfig = SimConfig()
     ongoing_agent_contacts: set[tuple[int, int]] = set()
 
     for k in range(n_steps):
-        t = k * cfg.dt
-        obs = build_observation(world, spec, blockers, t, cfg)
+        t = k * DT
+        obs = build_observation(world, spec, blockers, t)
         traj = plan_with_fallback(planner, obs)
-        steer_cmd, accel_cmd = track_trajectory(traj, world.ego, cfg)
+        steer_cmd, accel_cmd = track_trajectory(traj, world.ego)
         ego_prev = world.ego
-        ego_now = kinematic_bicycle_step(world.ego, steer_cmd, accel_cmd,
-                                         cfg, cfg.dt)
+        ego_now = kinematic_bicycle_step(world.ego, steer_cmd, accel_cmd, DT)
 
         leads = select_lead(world.agents, spec.graph, blockers,
                             world.pedestrians, ego_prev.box, ego_prev.speed)
         new_agents = [
-            step_vehicle_agent(a, lead, spec.graph, cfg.dt)
+            step_vehicle_agent(a, lead, spec.graph, DT)
             for a, lead in zip(world.agents, leads)
         ]
         new_peds = [
-            step_pedestrian(p, spec.graph, ego_prev.pose, ego_prev.speed, cfg.dt)
+            step_pedestrian(p, spec.graph, ego_prev.pose, ego_prev.speed, DT)
             for p in world.pedestrians
         ]
         world = WorldState(ego=ego_now, agents=new_agents, pedestrians=new_peds)
-        t_next = (k + 1) * cfg.dt
+        t_next = (k + 1) * DT
 
         contacts = _ego_collisions(ego_now.box, world, spec)
         current_ids = set()
         for partner, box in contacts:
             current_ids.add(partner)
             if partner not in ongoing_ego_contacts:
-                at_fault = _classify_ego_fault(ego_prev, ego_now, box, spec,
-                                               cfg.dt)
+                at_fault = _classify_ego_fault(ego_prev, ego_now, box, spec, DT)
                 trace.events.append({
                     "kind": "collision", "time": t_next, "partner": partner,
                     "at_fault": bool(at_fault)})

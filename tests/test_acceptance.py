@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import boxes_overlap_sampled, sat_margin
-from drivebench.agents import IdmParams, VEHICLE_LENGTH, idm_acceleration
+from drivebench.agents import IDM_S0, IDM_T, VEHICLE_LENGTH, idm_acceleration
 from drivebench.cli import RunConfig, run_benchmark
 from drivebench.geometry import OrientedBox, Polyline, Pose2D, boxes_collide
 from drivebench.llm import ScriptedSelector
@@ -31,8 +31,8 @@ from drivebench.scenarios import (
     generate_benchmark_suite,
 )
 from drivebench.simulation import (
+    WHEELBASE,
     EgoState,
-    SimConfig,
     kinematic_bicycle_step,
     run_closed_loop,
     track_trajectory,
@@ -343,30 +343,29 @@ class TestCriterion08OracleEquivalence:
 class TestCriterion09Numerics:
     def test_criterion_09_numerical_checks(self):
         # two-car steady-state gap
-        p = IdmParams(v0=15.0)
+        v0 = 15.0
         lead_v = 4.5
         s_f, v_f = 0.0, 12.0
         s_l = 60.0
         dt = 0.1
         for _ in range(900):  # 90 s
             gap = s_l - s_f - VEHICLE_LENGTH
-            a = idm_acceleration(v_f, lead_v, max(gap, 0.01), p)
+            a = idm_acceleration(v_f, lead_v, max(gap, 0.01), v0)
             v_f = max(0.0, v_f + a * dt)
             s_f += v_f * dt
             s_l += lead_v * dt
         gap = s_l - s_f - VEHICLE_LENGTH
-        expected_gap = p.s0 + v_f * p.T
+        expected_gap = IDM_S0 + v_f * IDM_T
         gap_ok = abs(gap - expected_gap) / expected_gap < 0.01
 
         # turning radius
-        cfg = SimConfig()
         steer = 0.3
-        expected_r = cfg.wheelbase / math.tan(steer)
+        expected_r = WHEELBASE / math.tan(steer)
         s = EgoState(pose=Pose2D(0.0, 0.0, 0.0), speed=10.0)
         xs, ys = [], []
         n = int(2 * math.pi * expected_r / 10.0 / 0.01) + 10
         for _ in range(n):
-            s = kinematic_bicycle_step(s, steer, 0.0, cfg, 0.01)
+            s = kinematic_bicycle_step(s, steer, 0.0, 0.01)
             xs.append(s.pose.x)
             ys.append(s.pose.y)
         _, _, r = fit_circle(np.array(xs), np.array(ys))
@@ -378,8 +377,7 @@ class TestCriterion09Numerics:
             for k in range(int(round(total / h))):
                 t = k * h
                 st = kinematic_bicycle_step(
-                    st, 0.2 * math.sin(0.5 * t), 0.8 * math.cos(0.4 * t),
-                    cfg, h)
+                    st, 0.2 * math.sin(0.5 * t), 0.8 * math.cos(0.4 * t), h)
             return np.array([st.pose.x, st.pose.y])
 
         e1 = np.linalg.norm(simulate(0.1) - simulate(0.05))
@@ -396,8 +394,8 @@ class TestCriterion09Numerics:
         ego = EgoState(pose=Pose2D(0.0, 1.0, 0.0), speed=10.0)
         ys = []
         for _ in range(70):
-            steer_cmd, accel_cmd = track_trajectory(traj, ego, cfg)
-            ego = kinematic_bicycle_step(ego, steer_cmd, accel_cmd, cfg, 0.1)
+            steer_cmd, accel_cmd = track_trajectory(traj, ego)
+            ego = kinematic_bicycle_step(ego, steer_cmd, accel_cmd, 0.1)
             ys.append(abs(ego.pose.y))
         cross_ok = max(ys[40:]) < 0.1
 

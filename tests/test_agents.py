@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from drivebench.agents import (
     EMERGENCY_DECEL,
+    IDM_A_MAX,
+    IDM_DELTA,
+    IDM_S0,
+    IDM_T,
     SWEPT_BAND_HALF_WIDTH,
-    IdmParams,
     PedestrianState,
     ego_counts_in_lane,
-    equilibrium_gap,
     equilibrium_speed,
     idm_acceleration,
     lane_pose,
@@ -32,29 +34,29 @@ from drivebench.geometry import (
 from drivebench.scenarios import MIN_SPAWN_GAP, build_base_map
 from test_geometry import parallel_graph
 
-P = IdmParams(v0=13.9)
+V0 = 13.9
 
 
 class TestIdmAcceleration:
     def test_free_flow_at_desired_speed(self):
-        assert idm_acceleration(P.v0, None, None, P) == 0.0
+        assert idm_acceleration(V0, None, None, V0) == 0.0
 
     def test_standstill_equilibrium(self):
-        assert idm_acceleration(0.0, 0.0, P.s0, P) == pytest.approx(0.0)
+        assert idm_acceleration(0.0, 0.0, IDM_S0, V0) == pytest.approx(0.0)
 
     def test_closed_form_double_deficit(self):
         # v = v0 and gap = s* makes both bracketed terms equal 1
-        gap = P.s0 + P.v0 * P.T
-        assert idm_acceleration(P.v0, P.v0, gap, P) == pytest.approx(-P.a_max)
+        gap = IDM_S0 + V0 * IDM_T
+        assert idm_acceleration(V0, V0, gap, V0) == pytest.approx(-IDM_A_MAX)
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
-            idm_acceleration(5.0, 5.0, 0.0, P)
+            idm_acceleration(5.0, 5.0, 0.0, V0)
         with pytest.raises(ValueError):
-            idm_acceleration(5.0, 5.0, -1.0, P)
+            idm_acceleration(5.0, 5.0, -1.0, V0)
 
     def test_emergency_clamp(self):
-        a = idm_acceleration(20.0, 0.0, 1.0, P)
+        a = idm_acceleration(20.0, 0.0, 1.0, V0)
         assert a == EMERGENCY_DECEL
 
     @settings(max_examples=300, deadline=None)
@@ -64,9 +66,9 @@ class TestIdmAcceleration:
         gap=st.floats(1.0, 200.0),
     )
     def test_bounded_and_finite(self, v, v_lead, gap):
-        a = idm_acceleration(v, v_lead, gap, P)
+        a = idm_acceleration(v, v_lead, gap, V0)
         assert math.isfinite(a)
-        assert EMERGENCY_DECEL <= a <= P.a_max
+        assert EMERGENCY_DECEL <= a <= IDM_A_MAX
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -76,8 +78,8 @@ class TestIdmAcceleration:
         gap=st.floats(1.0, 200.0),
     )
     def test_monotone_decreasing_in_speed(self, v1, dv, v_lead, gap):
-        a1 = idm_acceleration(v1, v_lead, gap, P)
-        a2 = idm_acceleration(v1 + dv, v_lead, gap, P)
+        a1 = idm_acceleration(v1, v_lead, gap, V0)
+        a2 = idm_acceleration(v1 + dv, v_lead, gap, V0)
         assert a2 <= a1 + 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -88,8 +90,8 @@ class TestIdmAcceleration:
         dg=st.floats(0.01, 1.0),
     )
     def test_monotone_increasing_in_gap(self, v, v_lead, gap, dg):
-        a1 = idm_acceleration(v, v_lead, gap, P)
-        a2 = idm_acceleration(v, v_lead, gap + dg, P)
+        a1 = idm_acceleration(v, v_lead, gap, V0)
+        a2 = idm_acceleration(v, v_lead, gap + dg, V0)
         assert a2 >= a1 - 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -99,26 +101,27 @@ class TestIdmAcceleration:
         gap=st.floats(1.0, 200.0),
     )
     def test_continuity_under_tiny_perturbation(self, v, v_lead, gap):
-        a1 = idm_acceleration(v, v_lead, gap, P)
-        a2 = idm_acceleration(v + 1e-9, v_lead + 1e-9, gap + 1e-9, P)
+        a1 = idm_acceleration(v, v_lead, gap, V0)
+        a2 = idm_acceleration(v + 1e-9, v_lead + 1e-9, gap + 1e-9, V0)
         assert abs(a1 - a2) < 1e-3
 
 
 class TestEquilibrium:
     def test_equilibrium_speed_zeroes_acceleration(self):
         for gap in (10.0, 25.0, 60.0, 150.0):
-            v = equilibrium_speed(gap, P)
-            a = idm_acceleration(v, v, gap, P)
+            v = equilibrium_speed(gap, V0)
+            a = idm_acceleration(v, v, gap, V0)
             assert abs(a) < 1e-6
 
     def test_jammed_gap_gives_zero(self):
-        assert equilibrium_speed(P.s0, P) == 0.0
-        assert equilibrium_speed(2.0, P) == 0.0
+        assert equilibrium_speed(IDM_S0, V0) == 0.0
+        assert equilibrium_speed(2.0, V0) == 0.0
 
     def test_gap_speed_round_trip(self):
         for v in (2.0, 5.0, 9.0):
-            g = equilibrium_gap(v, P)
-            assert equilibrium_speed(g, P) == pytest.approx(v, abs=1e-6)
+            # steady-state bumper gap behind a lead at the same speed v
+            g = (IDM_S0 + v * IDM_T) / math.sqrt(1.0 - (v / V0) ** IDM_DELTA)
+            assert equilibrium_speed(g, V0) == pytest.approx(v, abs=1e-6)
 
 
 @dataclass
@@ -357,7 +360,7 @@ class TestLaneKeeperRule:
         agents = []
         ahead = span_near
         for gap, policy in zip(gaps, policies):
-            speed = min(limit, equilibrium_speed(gap, IdmParams(v0=limit)))
+            speed = min(limit, equilibrium_speed(gap, limit))
             agents.append(make_agent(graph, "lane0", ahead - gap - 2.3, speed,
                                      policy=policy))
             ahead = agents[-1].s - agents[-1].length / 2.0
@@ -391,10 +394,9 @@ class TestStepVehicleAgent:
 
     def test_converges_to_lead_speed_and_equilibrium_gap(self):
         lead_speed = 4.5
-        follower_params = IdmParams(v0=15.0)
-        lead = make_agent(self.graph, "lane0", 120.0, lead_speed,
-                          params=IdmParams(v0=lead_speed))
-        follower = make_agent(self.graph, "lane0", 40.0, 12.0, params=follower_params)
+        lead = replace(make_agent(self.graph, "lane0", 120.0, lead_speed),
+                       v0=lead_speed)
+        follower = replace(make_agent(self.graph, "lane0", 40.0, 12.0), v0=15.0)
         dt = 0.1
         for _ in range(900):
             world = single_lane_world(self.graph, [follower, lead])
@@ -402,7 +404,7 @@ class TestStepVehicleAgent:
             lead = step_agent(lead, world, None, 0.0, dt)
         gap = lead.s - lead.length / 2.0 - (follower.s + follower.length / 2.0)
         assert follower.speed == pytest.approx(lead_speed, rel=0.01)
-        expected = follower_params.s0 + follower.speed * follower_params.T
+        expected = IDM_S0 + follower.speed * IDM_T
         assert gap == pytest.approx(expected, rel=0.01)
 
     def test_follows_successor(self):
@@ -414,7 +416,7 @@ class TestStepVehicleAgent:
         b = LaneSegment("b", Polyline([[100.0, 0.0], [200.0, 0.0]]), 3.5, 13.9)
         area = [np.array([[-5, -3], [205, -3], [205, 3], [-5, 3]], dtype=float)]
         graph = LaneGraph([a, b], area)
-        agent = make_agent(graph, "a", 99.5, 10.0, params=IdmParams(v0=10.0))
+        agent = replace(make_agent(graph, "a", 99.5, 10.0), v0=10.0)
         world = single_lane_world(graph, [agent])
         nxt = step_agent(agent, world, None, 0.0, 0.1)
         assert nxt.lane == "b"
@@ -439,18 +441,16 @@ class TestPlatoonSafety:
             gap = float(rng.uniform(8.0, 100.0))
             limit = float(rng.uniform(8.0, 15.0))
             lead_v0 = float(rng.uniform(1.0, limit))
-            follower_p = IdmParams(v0=limit)
-            v_f = min(limit, equilibrium_speed(gap, follower_p))
+            v_f = min(limit, equilibrium_speed(gap, limit))
             # direct longitudinal integration (straight lane)
             s_f, s_l = 0.0, gap + 4.6
             v_l = limit
-            lead_p = IdmParams(v0=lead_v0)
             dt = 0.1
             ok = True
             for _ in range(300):
-                a_l = idm_acceleration(v_l, None, None, lead_p)
+                a_l = idm_acceleration(v_l, None, None, lead_v0)
                 g = s_l - s_f - 4.6
-                a_f = idm_acceleration(v_f, v_l, max(g, 0.01), follower_p)
+                a_f = idm_acceleration(v_f, v_l, max(g, 0.01), limit)
                 v_l = max(0.0, v_l + a_l * dt)
                 v_f = max(0.0, v_f + a_f * dt)
                 s_l += v_l * dt
@@ -467,11 +467,11 @@ class TestPlatoonSafety:
             gap = float(rng.uniform(8.0, 60.0))
             limit = float(rng.uniform(8.0, 15.0))
             lead_v0 = float(rng.uniform(1.0, limit))
-            follower = make_agent(graph, "lane0", 30.0,
-                                  min(limit, equilibrium_speed(gap, IdmParams(v0=limit))),
-                                  params=IdmParams(v0=limit))
-            lead = make_agent(graph, "lane0", 30.0 + gap + 4.6, limit,
-                              params=IdmParams(v0=lead_v0))
+            follower = replace(make_agent(graph, "lane0", 30.0,
+                                          min(limit, equilibrium_speed(gap, limit))),
+                               v0=limit)
+            lead = replace(make_agent(graph, "lane0", 30.0 + gap + 4.6, limit),
+                           v0=lead_v0)
             for _ in range(300):
                 world = single_lane_world(graph, [follower, lead])
                 follower = step_agent(follower, world, None, 0.0, 0.1)

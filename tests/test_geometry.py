@@ -21,6 +21,7 @@ from drivebench.geometry import (
     points_in_polygon,
     shortest_route,
     wrap_angle,
+    wrap_angles,
 )
 from drivebench.scenarios import build_base_map
 
@@ -471,3 +472,13 @@ class TestAngles:
         assert -math.pi < w <= math.pi
         assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-9)
         assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-9)
+
+    def test_wrap_angles_equals_wrap_angle_bitwise(self):
+        rng = np.random.default_rng(5)
+        multiples = np.arange(-8, 9) * math.pi
+        a = np.concatenate((
+            multiples, np.nextafter(multiples, np.inf),
+            np.nextafter(multiples, -np.inf), [0.0, -0.0],
+            rng.uniform(-50.0, 50.0, 2000), rng.uniform(-1e4, 1e4, 500)))
+        expected = np.array([wrap_angle(float(v)) for v in a])
+        assert wrap_angles(a).tobytes() == expected.tobytes()

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drivebench.agents import IdmParams, VEHICLE_LENGTH, VEHICLE_WIDTH
+from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
 from drivebench.geometry import OrientedBox, Polyline, Pose2D, boxes_collide
 from drivebench.llm import ScriptedSelector
 from drivebench.planners import (
@@ -14,6 +14,7 @@ from drivebench.planners import (
     IdmMobilPlanner,
     IdmPlanner,
     SamplingPlanner,
+    Trajectory,
     WaypointsLlmPlanner,
     enumerate_behaviors,
     fallback_brake_trajectory,
@@ -22,6 +23,12 @@ from drivebench.planners import (
     plan_with_fallback,
 )
 from drivebench.planners.mobil_planner import MobilParams
+from drivebench.planners.sampling import (
+    COMFORT_WEIGHT,
+    OFFSET_WEIGHT,
+    PROGRESS_WEIGHT,
+    TTC_WEIGHT,
+)
 from drivebench.scenarios import (
     ObstacleSpec,
     ScenarioType,
@@ -30,7 +37,7 @@ from drivebench.scenarios import (
     build_base_map,
     place_parked_vehicle,
 )
-from drivebench.simulation import SimConfig, WorldState, EgoState, build_observation
+from drivebench.simulation import WorldState, EgoState, build_observation
 from drivebench.agents import make_agent
 
 
@@ -39,7 +46,7 @@ def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
     ego = EgoState(pose=ego_pose or spec.ego.pose,
                    speed=spec.ego.speed if ego_speed is None else ego_speed)
     world = WorldState(ego=ego, agents=list(agents), pedestrians=list(pedestrians))
-    return build_observation(world, spec, blocking_spans(spec), t, SimConfig())
+    return build_observation(world, spec, blocking_spans(spec), t)
 
 
 def empty_road_spec(lanes=2, kind="straight_multilane"):
@@ -80,8 +87,7 @@ class TestIdmPlanner:
 
     def test_converges_to_slow_lead(self):
         spec = empty_road_spec(lanes=1)
-        lead = make_agent(spec.graph, "lane0", 75.0, 5.0,
-                          params=IdmParams(v0=5.0))
+        lead = make_agent(spec.graph, "lane0", 75.0, 5.0)
         obs = make_obs(spec, ego_speed=12.0,
                        agents=[lead])
         traj = IdmPlanner().plan(obs)
@@ -146,6 +152,36 @@ class TestPlanContract:
         heading = path_headings(x[None], y[None], tangent[None])[0]
         traj = Trajectory(np.arange(len(s)) * STEP, x, y, heading, speed)
         assert np.all(np.abs(traj.heading) <= turn)
+
+
+def sample_at(traj, t):
+    """Scalar linear interpolation of (x, y, speed) at time t (clamped): the
+    reference for Trajectory.sample."""
+    t = min(max(t, 0.0), float(traj.t[-1]))
+    i = int(np.searchsorted(traj.t, t, side="right")) - 1
+    i = min(max(i, 0), len(traj.t) - 2)
+    w = (t - traj.t[i]) / (traj.t[i + 1] - traj.t[i])
+    return (float(traj.x[i] + w * (traj.x[i + 1] - traj.x[i])),
+            float(traj.y[i] + w * (traj.y[i + 1] - traj.y[i])),
+            float(traj.speed[i] + w * (traj.speed[i + 1] - traj.speed[i])))
+
+
+class TestTrajectorySample:
+    def test_equals_scalar_interpolation(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(2, 90))
+            t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.3, n - 1))))
+            traj = Trajectory(t, rng.uniform(-100, 100, n),
+                              rng.uniform(-100, 100, n), np.zeros(n),
+                              rng.uniform(0, 20, n))
+            ts = np.concatenate((t, rng.uniform(-1.0, t[-1] + 1.0, 40),
+                                 [-5.0, t[-1] + 5.0]))
+            x, y, v = traj.sample(ts)
+            assert [tuple(r) for r in np.column_stack((x, y, v)).tolist()] \
+                == [sample_at(traj, float(u)) for u in ts]
+            assert tuple(float(a) for a in traj.sample(0.1)) \
+                == sample_at(traj, 0.1)
 
 
 class TestMobilDecide:
@@ -299,9 +335,8 @@ def sampling_oracle_select(planner: SamplingPlanner, obs, behavior=None):
         prog_norm = progress / (limit * 8.0)
         accel = np.abs(np.diff(c.v[: K + 1])) / 0.1
         comfort = accel.mean() / 4.0
-        w = planner.weights
-        cost = (w.ttc * ttc_frac + w.offset * abs(c.delta)
-                + w.comfort * comfort - w.progress * prog_norm)
+        cost = (TTC_WEIGHT * ttc_frac + OFFSET_WEIGHT * abs(c.delta)
+                + COMFORT_WEIGHT * comfort - PROGRESS_WEIGHT * prog_norm)
         results.append((not (collided or off_area), cost, progress))
 
     feasible = [i for i, r in enumerate(results) if r[0]]

@@ -3,8 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from drivebench.cli import RunConfig, main, run_benchmark
-from drivebench.planners import IdmPlanner
+from drivebench.cli import RunConfig, _parse_params, main, run_benchmark
+from drivebench.planners import IdmPlanner, make_planner
 from drivebench.render import render_svg
 from drivebench.scenarios import ScenarioType, generate_benchmark_suite
 from drivebench.simulation import run_closed_loop
@@ -130,3 +130,25 @@ class TestCliRun:
                      "--types", "jaywalker", "--out", str(out),
                      "--planner-param", "eval_horizon=4.0"])
         assert code == 0
+        # every --planner-param key reaches the planner it configures
+        cases = [
+            ("mobil", "politeness", "0.5", 0.5, lambda p: p.mobil.politeness),
+            ("mobil", "a_threshold", "0.4", 0.4, lambda p: p.mobil.a_threshold),
+            ("mobil", "b_safe", "3.0", 3.0, lambda p: p.mobil.b_safe),
+            ("mobil", "route_bias", "1.0", 1.0, lambda p: p.mobil.route_bias),
+            ("sampler", "eval_horizon", "4.0", 4.0, lambda p: p.eval_horizon),
+            ("sampler", "ttc_threshold", "1.5", 1.5, lambda p: p.ttc_threshold),
+            ("hybrid-scripted", "eval_horizon", "4.0", 4.0,
+             lambda p: p.sampler.eval_horizon),
+            ("hybrid-scripted", "dwell_time", "3.0", 3.0, lambda p: p.dwell_time),
+            ("hybrid-llm", "eval_horizon", "4.0", 4.0,
+             lambda p: p.sampler.eval_horizon),
+            ("hybrid-llm", "dwell_time", "3.0", 3.0, lambda p: p.dwell_time),
+            ("hybrid-llm", "endpoint", "http://localhost:1", "http://localhost:1",
+             lambda p: p.selector.cfg.endpoint),
+            ("hybrid-llm", "model", "mock", "mock", lambda p: p.selector.cfg.model),
+        ]
+        for planner, key, text, value, read in cases:
+            assert read(make_planner(planner)) != value, (planner, key)
+            params = _parse_params([f"{key}={text}"])
+            assert read(make_planner(planner, params)) == value, (planner, key)

@@ -24,6 +24,7 @@ from drivebench.scenarios import (
     build_base_map,
     generate_benchmark_suite,
     load_scenario,
+    merge_spans,
     place_accident_site,
     place_construction_zone,
     place_jaywalker,
@@ -243,6 +244,40 @@ class TestSpawnTraffic:
         assert all(0.0 <= a.speed <= g.lane(a.lane).speed_limit for a in spec.agents)
 
 
+class TestMergeSpans:
+    @staticmethod
+    def merge_scan(spans, gap):
+        items = sorted(spans)
+        out = [items[0]]
+        for near, far in items[1:]:
+            if near <= out[-1][1] + gap:
+                out[-1] = (out[-1][0], max(out[-1][1], far))
+            else:
+                out.append((near, far))
+        return out
+
+    @staticmethod
+    def first_cluster_scan(spans, gap):
+        spans = sorted(spans)
+        near, far = spans[0]
+        for lo, hi in spans[1:]:
+            if lo <= far + gap:
+                far = max(far, hi)
+        return near, far
+
+    def test_equals_scan_loops(self):
+        rng = np.random.default_rng(17)
+        assert merge_spans([], 0.5) == []
+        for _ in range(300):
+            near = np.round(rng.uniform(0.0, 60.0, int(rng.integers(1, 9))), 1)
+            spans = list(zip(near.tolist(),
+                             (near + np.round(rng.uniform(0.0, 8.0, len(near)), 1)).tolist()))
+            for gap in (0.0, 0.5, 6.0):
+                merged = merge_spans(spans, gap)
+                assert merged == self.merge_scan(spans, gap)
+                assert merged[0] == self.first_cluster_scan(spans, gap)
+
+
 class TestAssignPolicies:
     def make_traffic(self, seed=5):
         g = build_base_map("straight_multilane", lanes=4, length=400.0)
@@ -389,6 +424,13 @@ class TestSerialization:
         p.write_text(json.dumps(data))
         with pytest.raises(SchemaVersionError):
             load_scenario(p)
+
+    @pytest.mark.parametrize("limit", [0.0, -5.0])
+    def test_nonpositive_speed_limit_rejected(self, limit):
+        data = scenario_to_dict(generate_benchmark_suite(7)[0])
+        data["map"]["lanes"][0]["speed_limit"] = limit
+        with pytest.raises(MalformedScenarioError):
+            scenario_from_dict(data)
 
     def test_garbage_payload_rejected(self):
         with pytest.raises(MalformedScenarioError):

@@ -17,8 +17,10 @@ from drivebench.scenarios import (
     place_construction_zone,
 )
 from drivebench.simulation import (
+    ACCEL_MIN,
+    MAX_STEER,
+    WHEELBASE,
     EgoState,
-    SimConfig,
     SimTrace,
     _agent_agent_collisions,
     _ego_collisions,
@@ -45,31 +47,28 @@ def fit_circle(xs, ys):
 
 class TestBicycleModel:
     def test_straight_constant_speed(self):
-        cfg = SimConfig()
         s = EgoState(pose=Pose2D(0.0, 0.0, 0.0), speed=10.0)
         for _ in range(50):
-            s = kinematic_bicycle_step(s, 0.0, 0.0, cfg, 0.1)
+            s = kinematic_bicycle_step(s, 0.0, 0.0, 0.1)
         assert s.pose.x == pytest.approx(50.0, abs=1e-9)
         assert s.pose.y == pytest.approx(0.0, abs=1e-12)
         assert s.speed == 10.0
 
     def test_turning_radius_matches_formula(self):
-        cfg = SimConfig()
         steer = 0.3
-        expected_r = cfg.wheelbase / math.tan(steer)
+        expected_r = WHEELBASE / math.tan(steer)
         s = EgoState(pose=Pose2D(0.0, 0.0, 0.0), speed=10.0)
         xs, ys = [], []
         dt = 0.01
         n = int(2 * math.pi * expected_r / 10.0 / dt) + 10
         for _ in range(n):
-            s = kinematic_bicycle_step(s, steer, 0.0, cfg, dt)
+            s = kinematic_bicycle_step(s, steer, 0.0, dt)
             xs.append(s.pose.x)
             ys.append(s.pose.y)
         _, _, r = fit_circle(np.array(xs), np.array(ys))
         assert r == pytest.approx(expected_r, rel=0.01)
 
     def test_dt_halving_first_order_convergence(self):
-        cfg = SimConfig()
 
         def simulate(dt, total=5.0):
             s = EgoState(pose=Pose2D(0.0, 0.0, 0.0), speed=8.0)
@@ -78,7 +77,7 @@ class TestBicycleModel:
                 t = k * dt
                 steer = 0.2 * math.sin(0.5 * t)
                 accel = 0.8 * math.cos(0.4 * t)
-                s = kinematic_bicycle_step(s, steer, accel, cfg, dt)
+                s = kinematic_bicycle_step(s, steer, accel, dt)
             return np.array([s.pose.x, s.pose.y])
 
         h = 0.1
@@ -88,12 +87,11 @@ class TestBicycleModel:
         assert 1.8 <= ratio <= 2.2
 
     def test_command_clamping(self):
-        cfg = SimConfig()
         s = EgoState(pose=Pose2D(0.0, 0.0, 0.0), speed=1.0)
-        s = kinematic_bicycle_step(s, 5.0, -100.0, cfg, 0.1)
-        assert s.steering == cfg.max_steer
-        assert s.speed == max(0.0, 1.0 + cfg.accel_min * 0.1)
-        s = kinematic_bicycle_step(s, -5.0, -100.0, cfg, 0.1)
+        s = kinematic_bicycle_step(s, 5.0, -100.0, 0.1)
+        assert s.steering == MAX_STEER
+        assert s.speed == max(0.0, 1.0 + ACCEL_MIN * 0.1)
+        s = kinematic_bicycle_step(s, -5.0, -100.0, 0.1)
         assert s.speed == 0.0  # never reverses
 
 
@@ -106,40 +104,36 @@ def straight_reference(speed=10.0, length=120.0):
 
 class TestTrackTrajectory:
     def test_on_reference_no_commands(self):
-        cfg = SimConfig()
         traj = straight_reference()
         ego = EgoState(pose=Pose2D(0.0, 0.0, 0.0), speed=10.0)
-        steer, accel = track_trajectory(traj, ego, cfg)
+        steer, accel = track_trajectory(traj, ego)
         assert abs(steer) < 1e-3
         assert abs(accel) < 1e-3
 
     def test_left_offset_steers_right(self):
-        cfg = SimConfig()
         traj = straight_reference()
         ego = EgoState(pose=Pose2D(10.0, 0.5, 0.0), speed=10.0)
-        steer, _ = track_trajectory(traj, ego, cfg)
+        steer, _ = track_trajectory(traj, ego)
         assert steer < -1e-4
 
     def test_settles_below_decimeter_cross_track(self):
-        cfg = SimConfig()
         traj = straight_reference(length=400.0)
         ego = EgoState(pose=Pose2D(0.0, 1.0, 0.0), speed=10.0)
         ys = []
         for _ in range(70):
-            steer, accel = track_trajectory(traj, ego, cfg)
-            ego = kinematic_bicycle_step(ego, steer, accel, cfg, 0.1)
+            steer, accel = track_trajectory(traj, ego)
+            ego = kinematic_bicycle_step(ego, steer, accel, 0.1)
             ys.append(abs(ego.pose.y))
         assert max(ys[40:]) < 0.1
 
     def test_degenerate_trajectory_full_brakes(self):
-        cfg = SimConfig()
         n = 81
         t = np.arange(n) * 0.1
         traj = Trajectory(t, np.full(n, 5.0), np.zeros(n), np.zeros(n),
                           np.zeros(n))
         ego = EgoState(pose=Pose2D(5.0, 0.0, 0.0), speed=3.0)
-        steer, accel = track_trajectory(traj, ego, cfg)
-        assert accel == cfg.accel_min
+        steer, accel = track_trajectory(traj, ego)
+        assert accel == ACCEL_MIN
 
 
 class TestBuildObservation:
@@ -149,15 +143,14 @@ class TestBuildObservation:
         far = make_agent(spec.graph, "lane0", 300.0, 5.0)
         world = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                            agents=[near, far], pedestrians=[])
-        obs = build_observation(world, spec, blocking_spans(spec), 0.0,
-                                SimConfig())
+        obs = build_observation(world, spec, blocking_spans(spec), 0.0)
         assert len(obs.agents) == 1
 
     def test_time_is_exact(self):
         spec = empty_road_spec()
         world = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                            agents=[], pedestrians=[])
-        obs = build_observation(world, spec, {}, 1.2345, SimConfig())
+        obs = build_observation(world, spec, {}, 1.2345)
         assert obs.time == 1.2345
 
     def test_equal_states_equal_observations(self):
@@ -168,8 +161,8 @@ class TestBuildObservation:
         w2 = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                         agents=[agent], pedestrians=[])
         blockers = blocking_spans(spec)
-        o1 = build_observation(w1, spec, blockers, 0.5, SimConfig())
-        o2 = build_observation(w2, spec, blockers, 0.5, SimConfig())
+        o1 = build_observation(w1, spec, blockers, 0.5)
+        o2 = build_observation(w2, spec, blockers, 0.5)
         assert o1 == o2
 
     @staticmethod
@@ -177,7 +170,7 @@ class TestBuildObservation:
         spec = augment_goal_for_lane_changes(empty_road_spec(lanes=3), n_changes)
         world = WorldState(ego=EgoState(pose=Pose2D(x, y, 0.0), speed=10.0),
                            agents=[], pedestrians=[])
-        return build_observation(world, spec, {}, 0.0, SimConfig()).ego_lane
+        return build_observation(world, spec, {}, 0.0).ego_lane
 
     @pytest.mark.parametrize("x, y, lane", [
         (100.0, 0.0, "lane0"), (100.0, 3.5, "lane1"), (100.0, 7.0, "lane2"),
