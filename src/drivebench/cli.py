@@ -53,9 +53,8 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.planner not in PLANNER_NAMES:
-            raise ValueError(f"unknown planner {self.planner!r}; "
-                             f"known: {', '.join(PLANNER_NAMES)}")
+        # a bad planner name, key or value fails here, before any scenario
+        make_planner(self.planner, self.planner_params)
 
 
 def _load_metric_config(path: Optional[str]) -> MetricConfig:

@@ -13,10 +13,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
 import requests
 
 from .geometry import wrap_angle
-from .planners.base import Observation, ego_frenet
+from .planners.base import Observation, lane_scene
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -136,7 +137,7 @@ def render_scene_description(obs: Observation) -> tuple[str, str]:
 
     lane_id = obs.ego_lane
     lane = obs.graph.lane(lane_id)
-    f = ego_frenet(obs, lane_id)
+    f = lane_scene(obs, lane_id).ego
     neighbors = []
     if lane.left_neighbor:
         neighbors.append(f"left neighbor {lane.left_neighbor}")
@@ -183,7 +184,7 @@ def build_behavior_prompt(obs: Observation, options: Sequence) -> PromptBundle:
         extra = ""
         if opt.label == "overtake_obstacle":
             extra = (f" (requires lateral offset {opt.lateral_offset:+.1f} m; "
-                     f"obstacle ends {opt.obstacle_far_s - ego_frenet(obs, opt.centerline).s:.1f} m ahead)"
+                     f"obstacle ends {opt.obstacle_far_s - lane_scene(obs, opt.centerline).ego.s:.1f} m ahead)"
                      if opt.obstacle_far_s is not None else "")
         rendered.append(f"{i}. {opt.label}{extra}")
     options_text = ("Available behaviors:\n" + "\n".join(rendered)
@@ -269,18 +270,15 @@ def parse_waypoints_response(text: str, n_points: int = 16) -> list[tuple[float,
 def _oncoming_within_headway(obs: Observation, horizon_s: float = 8.0) -> bool:
     lane_id = obs.ego_lane
     line = obs.graph.lane(lane_id).centerline
-    ego_f = ego_frenet(obs, lane_id)
-    ego_h = line.tangent_at(min(max(ego_f.s, 0.0), line.length))
-    for agent in obs.agents:
+    scene = lane_scene(obs, lane_id)
+    ego_s = scene.ego.s
+    ego_h = line.tangent_at(min(max(ego_s, 0.0), line.length))
+    for agent, s in zip(obs.agents, scene.agent_s.tolist()):
         rel = wrap_angle(agent.box.center.heading - ego_h)
-        if math.cos(rel) > -0.5:
-            continue
-        f = line.project_extended((agent.box.center.x, agent.box.center.y))
-        dist = f.s - ego_f.s
-        if dist <= 0:
+        if math.cos(rel) > -0.5 or s <= ego_s:
             continue
         closing = max(agent.speed + obs.ego_speed, 0.5)
-        if dist / closing <= horizon_s:
+        if (s - ego_s) / closing <= horizon_s:
             return True
     return False
 
@@ -288,25 +286,18 @@ def _oncoming_within_headway(obs: Observation, horizon_s: float = 8.0) -> bool:
 def _target_lane_slot(obs: Observation, target_lane: str) -> float:
     """Length of the free slot around the ego's projected position on the
     target lane (inf when empty)."""
-    line = obs.graph.lane(target_lane).centerline
-    ego_f = line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y))
-    ahead = math.inf
-    behind = -math.inf
-    for agent in obs.agents:
-        if agent.lane != target_lane:
-            continue
-        f = line.project_extended((agent.box.center.x, agent.box.center.y))
-        rear = f.s - agent.box.length / 2.0
-        front = f.s + agent.box.length / 2.0
-        if f.s >= ego_f.s:
-            ahead = min(ahead, rear)
-        else:
-            behind = max(behind, front)
-    if math.isinf(ahead) and math.isinf(behind):
+    scene = lane_scene(obs, target_lane)
+    on_lane = np.array([a.lane == target_lane for a in obs.agents], dtype=bool)
+    if not on_lane.any():
         return math.inf
-    lo = behind if math.isfinite(behind) else ego_f.s - 200.0
-    hi = ahead if math.isfinite(ahead) else ego_f.s + 200.0
-    return hi - lo
+    ego_s = scene.ego.s
+    ahead = on_lane & (scene.agent_s >= ego_s)
+    behind = on_lane & ~ahead
+    hi = ((scene.agent_s - scene.agent_half_len)[ahead].min() if ahead.any()
+          else ego_s + 200.0)
+    lo = ((scene.agent_s + scene.agent_half_len)[behind].max() if behind.any()
+          else ego_s - 200.0)
+    return float(hi - lo)
 
 
 def scripted_oracle(obs: Observation, options: Sequence) -> SelectorResponse:

@@ -20,43 +20,47 @@ __all__ = [
     "IdmPlanner", "IdmMobilPlanner", "MobilParams", "mobil_decide",
     "SamplingPlanner", "HybridBehaviorPlanner",
     "enumerate_behaviors", "WaypointsLlmPlanner", "make_planner",
-    "PLANNER_NAMES",
+    "PLANNER_NAMES", "PLANNER_PARAMS",
 ]
 
-PLANNER_NAMES = ("idm", "mobil", "sampler", "hybrid-scripted", "hybrid-llm",
-                 "llm-waypoints")
+# the --planner-param keys each registered planner accepts
+PLANNER_PARAMS = {
+    "idm": (),
+    "mobil": ("politeness", "a_threshold", "b_safe", "route_bias"),
+    "sampler": ("eval_horizon", "ttc_threshold"),
+    "hybrid-scripted": ("eval_horizon", "dwell_time"),
+    "hybrid-llm": ("eval_horizon", "dwell_time", "endpoint", "model"),
+    "llm-waypoints": ("endpoint", "model"),
+}
+PLANNER_NAMES = tuple(PLANNER_PARAMS)
 
 
 def make_planner(name: str, params: dict | None = None):
-    """Instantiate a registered planner; numeric parameter overrides come
-    from the CLI as k=v pairs."""
-    from ..llm import ClientConfig, LlmBehaviorSelector, ScriptedSelector, llm_call
-
-    params = dict(params or {})
+    """Instantiate a registered planner; parameter overrides come from the
+    CLI as k=v pairs, and a key the planner does not accept is an error."""
+    if name not in PLANNER_PARAMS:
+        raise ValueError(
+            f"unknown planner {name!r}; known: {', '.join(PLANNER_NAMES)}")
+    params = params or {}
+    unknown = sorted(set(params) - set(PLANNER_PARAMS[name]))
+    if unknown:
+        raise ValueError(
+            f"planner {name!r} does not accept {', '.join(unknown)}; "
+            f"accepted: {', '.join(PLANNER_PARAMS[name]) or 'none'}")
+    client = {k: v for k, v in params.items() if k in ("endpoint", "model")}
+    floats = {k: float(v) for k, v in params.items() if k not in client}
     if name == "idm":
         return IdmPlanner()
     if name == "mobil":
-        fields = {k: float(v) for k, v in params.items()
-                  if k in ("politeness", "a_threshold", "b_safe", "route_bias")}
-        return IdmMobilPlanner(mobil=MobilParams(**fields))
+        return IdmMobilPlanner(mobil=MobilParams(**floats))
     if name == "sampler":
-        return SamplingPlanner(
-            eval_horizon=float(params.get("eval_horizon", 2.0)),
-            ttc_threshold=float(params.get("ttc_threshold", 0.95)))
+        return SamplingPlanner(**floats)
+    # imported here: llm loads an HTTP client the other planners never use
+    from ..llm import ClientConfig, LlmBehaviorSelector, ScriptedSelector, llm_call
+
     if name == "hybrid-scripted":
-        return HybridBehaviorPlanner(
-            ScriptedSelector(),
-            eval_horizon=float(params.get("eval_horizon", 2.0)),
-            dwell_time=float(params.get("dwell_time", 0.0)))
+        return HybridBehaviorPlanner(ScriptedSelector(), **floats)
+    cfg = ClientConfig.from_env(**client)
     if name == "hybrid-llm":
-        cfg = ClientConfig.from_env(**{k: v for k, v in params.items()
-                                       if k in ("endpoint", "model")})
-        return HybridBehaviorPlanner(
-            LlmBehaviorSelector(cfg),
-            eval_horizon=float(params.get("eval_horizon", 2.0)),
-            dwell_time=float(params.get("dwell_time", 0.0)))
-    if name == "llm-waypoints":
-        cfg = ClientConfig.from_env(**{k: v for k, v in params.items()
-                                       if k in ("endpoint", "model")})
-        return WaypointsLlmPlanner(lambda prompt: llm_call(prompt, cfg))
-    raise ValueError(f"unknown planner {name!r}; known: {', '.join(PLANNER_NAMES)}")
+        return HybridBehaviorPlanner(LlmBehaviorSelector(cfg), **floats)
+    return WaypointsLlmPlanner(lambda prompt: llm_call(prompt, cfg))

@@ -54,6 +54,10 @@ class Observation:
     # derived caches, functions of the fields above
     ego_lane: str  # nearest route lane by clamped projection, ties to lower id
     lane_blockers: dict = field(default_factory=dict)
+    # lane id -> LaneScene, filled by lane_scene; dataclasses.replace starts
+    # a new observation with an empty memo
+    _scenes: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
 
 BEHAVIOR_LABELS = ("follow_lane", "merge_left", "merge_right",
@@ -145,12 +149,16 @@ def fallback_brake_trajectory(obs: Observation) -> Trajectory:
     return Trajectory(t, x, y, np.full_like(t, h), speed)
 
 
-def plan_with_fallback(planner: Planner, obs: Observation) -> Trajectory:
-    """The simulator-facing contract: planner-internal failures map to the
-    brake fallback, never to a missing trajectory."""
+def plan_with_fallback(planner: Planner, obs: Observation,
+                       events: list) -> Trajectory:
+    """The simulator-facing contract: a planner-internal failure maps to the
+    brake fallback, never to a missing trajectory, and appends a
+    planner_fallback event naming the exception to events."""
     try:
         return planner.plan(obs)
-    except Exception:
+    except Exception as exc:
+        events.append({"kind": "planner_fallback", "time": obs.time,
+                       "error": type(exc).__name__, "message": str(exc)})
         return fallback_brake_trajectory(obs)
 
 
@@ -189,18 +197,15 @@ def path_headings(x: np.ndarray, y: np.ndarray,
 # shared queries
 
 
-def ego_frenet(obs: Observation, lane_id: str) -> FrenetPoint:
-    line = obs.graph.lane(lane_id).centerline
-    return line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y))
-
-
 @dataclass(frozen=True, eq=False)
 class LaneScene:
-    """The observation's possible conflicts projected once into one lane's
-    Frenet frame, as arrays in observation order: agents, static obstacles
-    and crossing pedestrians."""
+    """The observation projected once into one lane's Frenet frame: the
+    ego's center, then its possible conflicts as arrays in observation
+    order: agents, static obstacles and crossing pedestrians."""
+    ego: FrenetPoint
     agent_s: np.ndarray         # center arc position
     agent_d: np.ndarray         # center lateral offset
+    agent_half_len: np.ndarray  # half the box length
     agent_near_s: np.ndarray    # arc position of the near edge
     agent_speed: np.ndarray     # speed along the lane
     agent_reach: np.ndarray     # |d - path offset| up to which it conflicts
@@ -226,16 +231,22 @@ def box_extent(line: Polyline, box: OrientedBox
 
 
 def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
-    """Project the observation's agents, obstacles and crossing pedestrians
-    into the lane's Frenet frame (extended past the lane ends)."""
+    """Project the ego, the agents, the obstacles and the crossing
+    pedestrians into the lane's Frenet frame (extended past the lane ends).
+    Built once per observation and lane; later calls return the same
+    scene."""
+    scene = obs._scenes.get(lane_id)
+    if scene is not None:
+        return scene
     line = obs.graph.lane(lane_id).centerline
     agents = []
     for agent in obs.agents:
         f = line.project_extended((agent.box.center.x, agent.box.center.y))
         rel = wrap_angle(agent.box.center.heading - line.tangent_at(f.s))
-        half_len = (abs(math.cos(rel)) * agent.box.length
-                    + abs(math.sin(rel)) * agent.box.width) / 2.0
-        agents.append((f.s, f.d, f.s - half_len, agent.speed * math.cos(rel),
+        along = (abs(math.cos(rel)) * agent.box.length
+                 + abs(math.sin(rel)) * agent.box.width) / 2.0
+        agents.append((f.s, f.d, agent.box.length / 2.0, f.s - along,
+                       agent.speed * math.cos(rel),
                        SWEPT_BAND_HALF_WIDTH + agent.box.width / 2.0 - 0.15))
     obstacles = [box_extent(line, o.box) for o in obs.obstacles]
     peds = []
@@ -243,8 +254,10 @@ def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
         if ped.crossing:
             f = line.project_extended(ped.position)
             peds.append((f.s, f.d))
-    return LaneScene(*_columns(agents, 5), *_columns(obstacles, 4),
-                     *_columns(peds, 2))
+    scene = obs._scenes[lane_id] = LaneScene(
+        line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y)),
+        *_columns(agents, 6), *_columns(obstacles, 4), *_columns(peds, 2))
+    return scene
 
 
 def nearest_lead(scene: LaneScene, from_s: float,

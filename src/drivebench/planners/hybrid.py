@@ -23,7 +23,6 @@ from .base import (
     Observation,
     Trajectory,
     box_extent,
-    ego_frenet,
     lane_scene,
 )
 from .sampling import SamplingPlanner
@@ -42,14 +41,12 @@ def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
 
     spans = in_range(obs.lane_blockers.get(lane_id, []))
     stopped = [a.speed < STOPPED_AGENT_SPEED for a in obs.agents]
-    if not spans and not any(stopped):
-        return None
     scene = lane_scene(obs, lane_id)
-    half_len = np.array([a.box.length / 2.0 for a in obs.agents])
     on_lane = np.array(stopped, dtype=bool) & (
         np.abs(scene.agent_d) <= scene.agent_reach)
-    spans += in_range(zip((scene.agent_s - half_len)[on_lane].tolist(),
-                          (scene.agent_s + half_len)[on_lane].tolist()))
+    spans += in_range(zip(
+        (scene.agent_s - scene.agent_half_len)[on_lane].tolist(),
+        (scene.agent_s + scene.agent_half_len)[on_lane].tolist()))
     if not spans:
         return None
     near, far = merge_spans(spans, 6.0)[0]
@@ -91,7 +88,7 @@ def enumerate_behaviors(obs: Observation) -> list[BehaviorOption]:
             "merge_right", lane.right_neighbor, 0.0,
             obs.graph.lane(lane.right_neighbor).speed_limit))
 
-    ego_front = ego_frenet(obs, lane_id).s + VEHICLE_LENGTH / 2.0
+    ego_front = lane_scene(obs, lane_id).ego.s + VEHICLE_LENGTH / 2.0
     cluster = _blocking_cluster(obs, lane_id, ego_front)
     if cluster is not None:
         near, far, d_lo, d_hi = cluster

@@ -10,14 +10,12 @@ from typing import Optional
 import numpy as np
 
 from ..agents import VEHICLE_LENGTH, idm_acceleration
-from ..geometry import FrenetPoint
 from .base import (
     N_SAMPLES,
     STEP,
     LaneScene,
     Observation,
     Trajectory,
-    ego_frenet,
     lane_scene,
     nearest_lead,
     path_headings,
@@ -51,12 +49,12 @@ def centerline_lead(scene: LaneScene, from_s: float
     return None if math.isinf(lead_s) else (float(lead_s), float(lead_v))
 
 
-def lead_rollout(v_start: float, f: FrenetPoint, scene: LaneScene,
+def lead_rollout(v_start: float, scene: LaneScene,
                  v0: float) -> tuple[np.ndarray, np.ndarray]:
     """idm_rollout from v_start against the nearest lead in scene ahead of
-    the front bumper of an ego at Frenet point f: (arc offsets, speeds). A
-    lead at or behind the front bumper counts at a gap of 0.01 m."""
-    front = f.s + VEHICLE_LENGTH / 2.0
+    the ego's front bumper: (arc offsets, speeds). A lead at or behind the
+    front bumper counts at a gap of 0.01 m."""
+    front = scene.ego.s + VEHICLE_LENGTH / 2.0
     lead = centerline_lead(scene, front)
     if lead is None:
         gap0, v_lead = None, 0.0
@@ -85,13 +83,7 @@ class IdmPlanner:
 
     def plan(self, obs: Observation) -> Trajectory:
         lane_id = obs.ego_lane
-        return self.plan_on(obs, lane_id, ego_frenet(obs, lane_id),
-                            lane_scene(obs, lane_id))
-
-    def plan_on(self, obs: Observation, lane_id: str, f: FrenetPoint,
-                scene: LaneScene) -> Trajectory:
-        """The plan along lane_id from the ego's Frenet point f on it,
-        following the nearest lead in scene, the lane's projected scene."""
-        ds, v = lead_rollout(obs.ego_speed, f, scene,
+        scene = lane_scene(obs, lane_id)
+        ds, v = lead_rollout(obs.ego_speed, scene,
                              obs.graph.lane(lane_id).speed_limit)
-        return centerline_trajectory(obs, lane_id, f.s + ds, v)
+        return centerline_trajectory(obs, lane_id, scene.ego.s + ds, v)

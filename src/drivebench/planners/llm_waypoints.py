@@ -1,7 +1,7 @@
 """Waypoints-from-an-LLM planner: the model is prompted for an 8-second
 trajectory at 2 Hz in the ego frame; the 16 parsed waypoints are
-cubic-interpolated to the internal 0.1 s spacing. Any parse or validation
-failure yields the brake fallback."""
+cubic-interpolated to the internal 0.1 s spacing. A parse or validation
+failure raises, and plan_with_fallback turns it into the brake fallback."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .base import (
     Observation,
     STEP,
     Trajectory,
-    fallback_brake_trajectory,
 )
 
 WAYPOINT_SPACING = 0.5  # s, the 2 Hz wire format
@@ -35,16 +34,12 @@ class WaypointsLlmPlanner:
     def plan(self, obs: Observation) -> Trajectory:
         # imported here: the llm module itself depends on planners.base
         from ..llm import build_waypoints_prompt, parse_waypoints_response
-        try:
-            prompt = build_waypoints_prompt(obs)
-            raw = self.client(prompt)
-            self._events.append({"kind": "llm_query", "time": obs.time,
-                                 "prompt": prompt.user_content(),
-                                 "response": raw})
-            pairs = parse_waypoints_response(raw, N_WAYPOINTS)
-            return self._to_trajectory(obs, pairs)
-        except Exception:
-            return fallback_brake_trajectory(obs)
+        prompt = build_waypoints_prompt(obs)
+        raw = self.client(prompt)
+        self._events.append({"kind": "llm_query", "time": obs.time,
+                             "prompt": prompt.user_content(), "response": raw})
+        pairs = parse_waypoints_response(raw, N_WAYPOINTS)
+        return self._to_trajectory(obs, pairs)
 
     def drain_events(self) -> list[dict]:
         out, self._events = self._events, []

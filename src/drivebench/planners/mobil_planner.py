@@ -13,12 +13,11 @@ from typing import Optional
 import numpy as np
 
 from ..agents import VEHICLE_LENGTH, idm_acceleration
-from ..geometry import FrenetPoint, wrap_angle
+from ..geometry import wrap_angle
 from .base import (
     LaneScene,
     Observation,
     Trajectory,
-    ego_frenet,
     lane_scene,
 )
 from .idm_planner import (
@@ -62,7 +61,7 @@ def _follower_behind(obs: Observation, scene: LaneScene, lane_width: float,
                      s_rear: float):
     """Nearest agent whose front bumper is behind the given rear position,
     as (its front bumper s, the agent)."""
-    front = scene.agent_s + np.array([a.box.length for a in obs.agents]) / 2.0
+    front = scene.agent_s + scene.agent_half_len
     behind = (np.abs(scene.agent_d) <= lane_width / 2.0) & (front < s_rear)
     if not behind.any():
         return None
@@ -80,21 +79,12 @@ def _goal_distance(obs: Observation, lane_id: str) -> Optional[int]:
 def mobil_decide(obs: Observation, mp: MobilParams) -> Optional[str]:
     """The neighbor lane with the largest incentive exceeding the threshold
     and passing the safety check, or None. Ties break toward the route's
-    goal side."""
+    goal side. Every IDM acceleration is toward the speed limit of the lane
+    it is taken on."""
     lane_id = obs.ego_lane
-    best = _decide(obs, mp, lane_id, ego_frenet(obs, lane_id),
-                   lane_scene(obs, lane_id))
-    return best[0] if best is not None else None
-
-
-def _decide(obs: Observation, mp: MobilParams, lane_id: str,
-            f: FrenetPoint, scene: LaneScene
-            ) -> Optional[tuple[str, FrenetPoint, LaneScene]]:
-    """mobil_decide from the current route lane, the ego's Frenet point on
-    it and its projected scene. Returns the chosen lane with the ego's
-    Frenet point on it and its projected scene, or None. Every IDM
-    acceleration is toward the speed limit of the lane it is taken on."""
     lane = obs.graph.lane(lane_id)
+    scene = lane_scene(obs, lane_id)
+    f = scene.ego
     v = obs.ego_speed
     front = f.s + VEHICLE_LENGTH / 2.0
     rear = f.s - VEHICLE_LENGTH / 2.0
@@ -105,16 +95,14 @@ def _decide(obs: Observation, mp: MobilParams, lane_id: str,
     old_lead = centerline_lead(scene, front)
 
     best_key: Optional[tuple[float, bool, str]] = None
-    best = None
     for cand in (lane.left_neighbor, lane.right_neighbor):
         if cand is None:
             continue
         cand_lane = obs.graph.lane(cand)
-        ego_c = ego_frenet(obs, cand)
-        front_c = ego_c.s + VEHICLE_LENGTH / 2.0
-        rear_c = ego_c.s - VEHICLE_LENGTH / 2.0
-
         cand_scene = lane_scene(obs, cand)
+        front_c = cand_scene.ego.s + VEHICLE_LENGTH / 2.0
+        rear_c = cand_scene.ego.s - VEHICLE_LENGTH / 2.0
+
         new_lead = centerline_lead(cand_scene, front_c)
         if new_lead is not None and new_lead[0] - front_c < MIN_CLEARANCE:
             continue
@@ -167,8 +155,8 @@ def _decide(obs: Observation, mp: MobilParams, lane_id: str,
         if incentive > mp.a_threshold:
             key = (incentive, toward_goal, cand)
             if best_key is None or key > best_key:
-                best_key, best = key, (cand, ego_c, cand_scene)
-    return best
+                best_key = key
+    return best_key[2] if best_key is not None else None
 
 
 @dataclass
@@ -177,17 +165,16 @@ class IdmMobilPlanner:
     name = "mobil"
 
     def plan(self, obs: Observation) -> Trajectory:
-        lane_id = obs.ego_lane
-        f = ego_frenet(obs, lane_id)
-        scene = lane_scene(obs, lane_id)
-        best = _decide(obs, self.mobil, lane_id, f, scene)
-        if best is None:
-            return IdmPlanner().plan_on(obs, lane_id, f, scene)
-        target, f, scene = best
+        target = mobil_decide(obs, self.mobil)
+        if target is None:
+            return IdmPlanner().plan(obs)
         lane = obs.graph.lane(target)
-        # _decide vetoed every target whose lead gap is below MIN_CLEARANCE,
-        # so lead_rollout's 0.01 m gap clamp never fires on a lane change
-        ds, v = lead_rollout(obs.ego_speed, f, scene, lane.speed_limit)
+        scene = lane_scene(obs, target)
+        f = scene.ego
+        # mobil_decide vetoed every target whose lead gap is below
+        # MIN_CLEARANCE, so lead_rollout's 0.01 m gap clamp never fires on a
+        # lane change
+        ds, v = lead_rollout(obs.ego_speed, scene, lane.speed_limit)
         line = lane.centerline
         tangent = line.tangent_at(min(max(f.s, 0.0), line.length))
         slope0 = float(np.clip(

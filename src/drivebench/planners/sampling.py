@@ -39,7 +39,6 @@ from .base import (
     Observation,
     STEP,
     Trajectory,
-    ego_frenet,
     lane_scene,
     nearest_lead,
     path_headings,
@@ -127,8 +126,8 @@ class SamplingPlanner:
         line = lane.centerline
         limit = lane.speed_limit
         cap = min(limit, behavior.target_speed_cap) if behavior.target_speed_cap > 0 else 0.0
-        f = ego_frenet(obs, behavior.centerline)
-        s0, d0 = f.s, f.d
+        scene = lane_scene(obs, behavior.centerline)
+        s0, d0 = scene.ego.s, scene.ego.d
         v_now = obs.ego_speed
         tangent0 = line.tangent_at(min(max(s0, 0.0), line.length))
         slope0 = float(np.clip(math.tan(
@@ -146,9 +145,8 @@ class SamplingPlanner:
         # lead along each distinct offset path, shared by its speed profiles
         front0 = s0 + VEHICLE_LENGTH / 2.0
         lead_s, lead_v = nearest_lead(
-            lane_scene(obs, behavior.centerline), front0,
-            lambda s: lateral_profile(d0, slope0, offsets,
-                                      np.maximum(s - s0, 0.0), span))
+            scene, front0, lambda s: lateral_profile(
+                d0, slope0, offsets, np.maximum(s - s0, 0.0), span))
         gap0 = np.repeat(np.maximum(lead_s - front0, 0.01), n_profiles)
         v_lead = np.repeat(np.maximum(0.0, lead_v), n_profiles)
 

@@ -344,7 +344,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     for k in range(n_steps):
         t = k * DT
         obs = build_observation(world, spec, blockers, t)
-        traj = plan_with_fallback(planner, obs)
+        traj = plan_with_fallback(planner, obs, trace.events)
         steer_cmd, accel_cmd = track_trajectory(traj, world.ego)
         ego_prev = world.ego
         ego_now = kinematic_bicycle_step(world.ego, steer_cmd, accel_cmd, DT)

@@ -2,6 +2,7 @@
 PASS/FAIL line (run with -s or -v to see them). The heavy fixtures execute
 whole benchmark subsets and are shared module-wide."""
 
+import json
 import math
 import platform
 import time
@@ -96,15 +97,38 @@ def _golden_lines(name):
                       if line and not line.startswith("#")]
 
 
+def simd_level():
+    """The SIMD targets numpy dispatches to here. The raw AVX512* entries
+    of __cpu_features__ stay set under NPY_ENABLE_CPU_FEATURES; the
+    dispatch targets follow it."""
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+
+    enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    return f"numpy dispatch {' '.join(enabled) or 'baseline only'}"
+
+
 def check_golden(planner, run):
     """Compare a seed-2024 run's trace_hashes.txt and scores.csv with the
     committed goldens of that planner; every scenario of the run must
-    match. Score rows are keyed by scenario name, because the CSV's index
-    column counts within the run's subset."""
-    _report, csv, hashes, _elapsed, _out = run
+    match, and no trace may hold a planner_fallback event. Score rows are
+    keyed by scenario name, because the CSV's index column counts within
+    the run's subset."""
+    _report, csv, hashes, _elapsed, out = run
+    fallbacks = [f"{path.stem} t={event['time']} {event['error']}"
+                 for path in sorted((out / "traces").glob("*.json"))
+                 for event in json.loads(path.read_text())["events"]
+                 if event["kind"] == "planner_fallback"]
+    assert not fallbacks, f"{planner} fell back to braking: {fallbacks}"
     digests = [line.split() for line in hashes.splitlines()]
     names = [name for name, _digest in digests]
-    versions = f"this run on python {platform.python_version()} numpy {np.__version__}"
+    versions = (f"this run on python {platform.python_version()} numpy "
+                f"{np.__version__} with {simd_level()}; the goldens were "
+                f"recorded with numpy's AVX512 (X86_V4) dispatch, and sampler "
+                f"and hybrid traces hash differently without it (ROADMAP "
+                f"item 1)")
 
     recorded, lines = _golden_lines(f"{planner}.txt")
     golden = dict(line.split() for line in lines)

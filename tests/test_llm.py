@@ -1,11 +1,14 @@
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drivebench.geometry import wrap_angle
 from drivebench.llm import (
     ClientConfig,
     LlmBadStatus,
@@ -19,6 +22,8 @@ from drivebench.llm import (
     llm_call,
     parse_behavior_response,
     parse_waypoints_response,
+    _oncoming_within_headway,
+    _target_lane_slot,
     render_scene_description,
     scripted_oracle,
 )
@@ -222,6 +227,92 @@ class TestScriptedOracle:
         a = scripted_oracle(obs, options)
         b = scripted_oracle(obs, options)
         assert a == b
+
+
+def reference_oncoming_within_headway(obs, horizon_s=8.0):
+    """Reference: the selector's per-agent loop before it read the lane
+    scene, projecting the ego and each agent itself."""
+    lane_id = obs.ego_lane
+    line = obs.graph.lane(lane_id).centerline
+    ego_f = line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y))
+    ego_h = line.tangent_at(min(max(ego_f.s, 0.0), line.length))
+    for agent in obs.agents:
+        rel = wrap_angle(agent.box.center.heading - ego_h)
+        if math.cos(rel) > -0.5:
+            continue
+        f = line.project_extended((agent.box.center.x, agent.box.center.y))
+        dist = f.s - ego_f.s
+        if dist <= 0:
+            continue
+        closing = max(agent.speed + obs.ego_speed, 0.5)
+        if dist / closing <= horizon_s:
+            return True
+    return False
+
+
+def reference_target_lane_slot(obs, target_lane):
+    """Reference: the selector's per-agent slot loop before it read the
+    lane scene."""
+    line = obs.graph.lane(target_lane).centerline
+    ego_f = line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y))
+    ahead = math.inf
+    behind = -math.inf
+    for agent in obs.agents:
+        if agent.lane != target_lane:
+            continue
+        f = line.project_extended((agent.box.center.x, agent.box.center.y))
+        rear = f.s - agent.box.length / 2.0
+        front = f.s + agent.box.length / 2.0
+        if f.s >= ego_f.s:
+            ahead = min(ahead, rear)
+        else:
+            behind = max(behind, front)
+    if math.isinf(ahead) and math.isinf(behind):
+        return math.inf
+    lo = behind if math.isfinite(behind) else ego_f.s - 200.0
+    hi = ahead if math.isfinite(ahead) else ego_f.s + 200.0
+    return hi - lo
+
+
+def traffic_observation(rng):
+    """An ego on a two-way or curved road with up to six agents on random
+    lanes (oncoming ones included) around it."""
+    kind = ("two_way", "curved")[int(rng.integers(0, 2))]
+    g = build_base_map(kind, lanes=int(rng.integers(1, 4)), length=300.0)
+    ego_s = float(rng.uniform(20.0, 200.0))
+    spec = base_scenario(ScenarioType.OVERTAKE, g, "lane0", ego_s,
+                         float(rng.uniform(0.0, 13.0)), 1)
+    lane_ids = list(g.segments)
+    agents = []
+    for _ in range(int(rng.integers(0, 7))):
+        lane = lane_ids[int(rng.integers(0, len(lane_ids)))]
+        s = float(np.clip(ego_s + rng.uniform(-60.0, 90.0), 0.0,
+                          g.lane(lane).centerline.length))
+        if lane == "oncoming0":
+            s = g.lane(lane).centerline.length - s
+        agents.append(make_agent(g, lane, s, float(rng.uniform(0.0, 14.0))))
+    return make_obs(spec, agents=agents)
+
+
+class TestSelectorQueries:
+    """The scripted selector's oncoming and target-lane queries, now read
+    from the lane scene, equal the loops they replaced exactly."""
+
+    def test_equal_reference_loops(self):
+        rng = np.random.default_rng(13)
+        outcomes, slots = set(), 0
+        for _ in range(200):
+            obs = traffic_observation(rng)
+            for horizon in (2.0, 8.0):
+                got = _oncoming_within_headway(obs, horizon)
+                assert got == reference_oncoming_within_headway(obs, horizon)
+                outcomes.add(got)
+            for lane_id in obs.graph.segments:
+                got = _target_lane_slot(obs, lane_id)
+                assert got == reference_target_lane_slot(obs, lane_id)
+                slots += math.isfinite(got)
+        assert outcomes == {True, False}
+        assert slots >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,12 @@ from drivebench.scenarios import (
     build_base_map,
     place_parked_vehicle,
 )
-from drivebench.simulation import WorldState, EgoState, build_observation
+from drivebench.simulation import (
+    WorldState,
+    EgoState,
+    build_observation,
+    run_closed_loop,
+)
 from drivebench.agents import make_agent
 
 
@@ -125,10 +130,14 @@ class FailingPlanner:
 class TestPlanContract:
     def test_fallback_on_internal_error(self):
         spec = empty_road_spec()
-        obs = make_obs(spec, ego_speed=10.0)
-        traj = plan_with_fallback(FailingPlanner(), obs)
+        obs = make_obs(spec, ego_speed=10.0, t=2.5)
+        events = []
+        traj = plan_with_fallback(FailingPlanner(), obs, events)
         assert traj.speed[0] == pytest.approx(10.0)
         assert traj.speed[-1] == 0.0
+        assert events == [{"kind": "planner_fallback", "time": 2.5,
+                           "error": "RuntimeError",
+                           "message": "forced test failure"}]
 
     def test_fallback_brakes_along_lane(self):
         spec = empty_road_spec()
@@ -496,7 +505,7 @@ class TestNearestLead:
                 for s, v in zip(lead_s.tolist(), lead_v.tolist())]
 
     def test_equals_reference_loops(self):
-        from drivebench.planners.base import ego_frenet, lane_scene, nearest_lead
+        from drivebench.planners.base import lane_scene, nearest_lead
         from drivebench.planners.sampling import OFFSET_DELTAS, lateral_profile
 
         rng = np.random.default_rng(41)
@@ -508,7 +517,7 @@ class TestNearestLead:
                 lane_id = f"lane{k}"
                 line = obs.graph.lane(lane_id).centerline
                 scene = lane_scene(obs, lane_id)
-                f = ego_frenet(obs, lane_id)
+                f = scene.ego
                 front = f.s + VEHICLE_LENGTH / 2.0
                 want = scalar_nearest_lead(obs, lane_id, front)
                 assert self._leads(*nearest_lead(scene, front)) == [want]
@@ -526,6 +535,41 @@ class TestNearestLead:
                             for t in offsets]
                     assert self._leads(*got) == want, (trial, lane_id, base)
         assert found >= 30
+
+
+class TestLaneSceneMemo:
+    """lane_scene builds one scene per observation and lane."""
+
+    @staticmethod
+    def _values(scene):
+        return [scene.ego] + [getattr(scene, f.name).tolist()
+                              for f in fields(scene) if f.name != "ego"]
+
+    def test_same_scene_per_lane(self):
+        from drivebench.planners.base import lane_scene
+
+        obs = random_observation(np.random.default_rng(3))
+        assert lane_scene(obs, "lane0") is lane_scene(obs, "lane0")
+        assert lane_scene(obs, "lane1") is not lane_scene(obs, "lane0")
+
+    def test_replaced_observation_projects_anew(self):
+        from drivebench.planners.base import AgentObs, Observation, lane_scene
+
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            obs = random_observation(rng)
+            stale = lane_scene(obs, "lane0")
+            ego = obs.ego_box.center
+            extra = AgentObs(OrientedBox(Pose2D(ego.x + 15.0, ego.y, 0.1),
+                                         4.6, 1.85), 3.0, "lane0")
+            moved = replace(obs, agents=obs.agents + (extra,))
+            scene = lane_scene(moved, "lane0")
+            fresh = lane_scene(Observation(**{
+                f.name: getattr(moved, f.name)
+                for f in fields(Observation) if f.init}), "lane0")
+            assert scene is not stale
+            assert self._values(scene) == self._values(fresh)
+            assert self._values(scene) != self._values(stale)
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +934,42 @@ class TestHybridPlanner:
                    for e in events)
 
 
+class TestSharedLaneScene:
+    def test_query_tick_projects_like_other_ticks(self, monkeypatch):
+        """The behavior filter, the scripted selector and the sampler share
+        one projected scene of the ego lane. On 000_construction at
+        t = 1.0 s, a tick that queries the selector makes 49
+        project_extended calls (the ego and 4 corners of each of 12
+        cones), as many as the tick after it."""
+        from drivebench.scenarios import generate_benchmark_suite
+
+        spec = replace(generate_benchmark_suite(2024)[0], duration=1.2)
+        assert spec.type is ScenarioType.CONSTRUCTION and not spec.agents
+        calls = []
+        project_extended = Polyline.project_extended
+
+        def counted(self, point):
+            calls.append(point)
+            return project_extended(self, point)
+
+        monkeypatch.setattr(Polyline, "project_extended", counted)
+        hybrid = HybridBehaviorPlanner(ScriptedSelector())
+        ticks = {}
+
+        class Counting:
+            def plan(self, obs):
+                start = len(calls)
+                traj = hybrid.plan(obs)
+                ticks[round(obs.time, 1)] = (len(calls) - start,
+                                             len(obs.obstacles),
+                                             hybrid.query_count)
+                return traj
+
+        run_closed_loop(spec, Counting())
+        assert ticks[1.0] == (49, 12, 2)
+        assert ticks[1.1] == (49, 12, 2)
+
+
 class TestWaypointsPlanner:
     def test_straight_waypoints_advance_80m(self):
         spec = empty_road_spec(lanes=1)
@@ -907,8 +987,14 @@ class TestWaypointsPlanner:
     def test_empty_response_brakes(self):
         spec = empty_road_spec(lanes=1)
         obs = make_obs(spec, ego_speed=10.0)
-        traj = WaypointsLlmPlanner(lambda prompt: "").plan(obs)
+        planner = WaypointsLlmPlanner(lambda prompt: "")
+        events = []
+        traj = plan_with_fallback(planner, obs, events)
         assert traj.speed[-1] == 0.0
+        assert [(e["kind"], e["error"]) for e in events] == [
+            ("planner_fallback", "MalformedTrajectory")]
+        # the query is recorded before its response is parsed
+        assert [e["response"] for e in planner.drain_events()] == [""]
 
     def test_unparsable_kinematics_brake(self):
         spec = empty_road_spec(lanes=1)
@@ -918,8 +1004,12 @@ class TestWaypointsPlanner:
             pts = ", ".join(f"({2.0 * (i + 1):.1f}, {5.0 * (-1) ** i:.1f})"
                             for i in range(16))
             return pts
-        traj = WaypointsLlmPlanner(client).plan(obs)
+        events = []
+        traj = plan_with_fallback(WaypointsLlmPlanner(client), obs, events)
         assert traj.speed[-1] == 0.0
+        assert [(e["kind"], e["error"]) for e in events] == [
+            ("planner_fallback", "ValueError")]
+        assert "curvature" in events[0]["message"]
 
 
 class TestRegistry:

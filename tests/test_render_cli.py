@@ -152,3 +152,17 @@ class TestCliRun:
             assert read(make_planner(planner)) != value, (planner, key)
             params = _parse_params([f"{key}={text}"])
             assert read(make_planner(planner, params)) == value, (planner, key)
+        # a key the planner does not take is rejected, never dropped
+        for planner, key in [("idm", "eval_horizon"), ("mobil", "politness"),
+                             ("sampler", "eval_horizn"),
+                             ("hybrid-scripted", "ttc_threshold"),
+                             ("hybrid-llm", "ttc_threshold"),
+                             ("llm-waypoints", "dwell_time")]:
+            with pytest.raises(ValueError, match=f"does not accept {key}"):
+                make_planner(planner, {key: "1.0"})
+        # and fails before any scenario runs
+        bad = tmp_path / "bad"
+        with pytest.raises(ValueError, match="eval_horizn"):
+            main(["run", "--planner", "sampler", "--out", str(bad),
+                  "--planner-param", "eval_horizn=4.0"])
+        assert not bad.exists()
