@@ -12,7 +12,9 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,7 +24,7 @@ from .metrics import (
     ScenarioScore,
     SuiteReport,
     compare_reports,
-    reference_progress,
+    reference_progresses,
     report_to_markdown,
     score_scenario,
     scores_to_csv,
@@ -73,16 +75,17 @@ def _select_scenarios(cfg: RunConfig) -> list[tuple[int, ScenarioSpec]]:
             if wanted is None or spec.type in wanted]
 
 
-def _run_one(args) -> tuple[int, ScenarioScore, str, list[dict]]:
-    """Worker: simulate one scenario and score it. Top-level so process
-    pools can pickle it."""
-    index, spec, planner_name, planner_params, metric_cfg = args
+def _run_one(args) -> tuple[int, ScenarioScore, str, list[dict], Counter]:
+    """Worker: simulate one scenario and score it against its reference
+    progress. Top-level so process pools can pickle it. Returns the
+    scenario's llm_query events and its count of each event kind."""
+    index, spec, planner_name, planner_params, metric_cfg, ref = args
     planner = make_planner(planner_name, planner_params)
     trace = run_closed_loop(spec, planner)
-    ref = reference_progress(spec)
     score = score_scenario(trace, spec, metric_cfg, ref_progress=ref)
     llm_events = [e for e in trace.events if e.get("kind") == "llm_query"]
-    return index, score, trace.to_json(), llm_events
+    kinds = Counter(e.get("kind") for e in trace.events)
+    return index, score, trace.to_json(), llm_events, kinds
 
 
 def run_benchmark(cfg: RunConfig) -> SuiteReport:
@@ -94,17 +97,18 @@ def run_benchmark(cfg: RunConfig) -> SuiteReport:
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "scenarios").mkdir(parents=True, exist_ok=True)
 
-    tasks = [(i, spec, cfg.planner, cfg.planner_params, metric_cfg)
-             for i, spec in selected]
     results: dict[int, tuple[ScenarioScore, str, list[dict]]] = {}
-    if cfg.jobs == 1:
-        for task in tasks:
-            index, score, trace_json, llm = _run_one(task)
+    kinds: Counter = Counter()
+    with (ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1
+          else nullcontext()) as pool:
+        map_fn = map if pool is None else pool.map
+        # one reference drive per distinct input, before any scenario task
+        refs = reference_progresses([spec for _, spec in selected], map_fn)
+        tasks = [(i, spec, cfg.planner, cfg.planner_params, metric_cfg, ref)
+                 for (i, spec), ref in zip(selected, refs)]
+        for index, score, trace_json, llm, counts in map_fn(_run_one, tasks):
             results[index] = (score, trace_json, llm)
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for index, score, trace_json, llm in pool.map(_run_one, tasks):
-                results[index] = (score, trace_json, llm)
+            kinds.update(counts)
 
     scores: list[ScenarioScore] = []
     hash_lines: list[str] = []
@@ -135,6 +139,8 @@ def run_benchmark(cfg: RunConfig) -> SuiteReport:
         "goal_sub": report.goal_sub,
         "no_collision_sub": report.no_collision_sub,
         "n_scenarios": report.n_scenarios,
+        "planner_fallbacks": kinds["planner_fallback"],
+        "selector_failures": kinds["selector_failure"],
     }, sort_keys=True, indent=1), encoding="utf-8")
     return report
 

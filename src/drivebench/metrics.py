@@ -11,10 +11,12 @@ legitimately use the oncoming lane.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +29,15 @@ from .geometry import (
     points_in_polygon,
     ttc_violations,
 )
-from .scenarios import LANE_CHANGE_TYPES, ScenarioSpec, ScenarioType, blocking_spans
-from .simulation import SimTrace
+from .planners.idm_planner import IdmPlanner
+from .scenarios import (
+    LANE_CHANGE_TYPES,
+    ScenarioSpec,
+    ScenarioType,
+    blocking_spans,
+    scenario_to_dict,
+)
+from .simulation import SimTrace, run_closed_loop
 
 DIRECTION_EXEMPT_TYPES = (ScenarioType.OVERTAKE, ScenarioType.ACCIDENT)
 
@@ -363,14 +372,44 @@ def route_progress(trace: SimTrace, spec: ScenarioSpec) -> float:
     return max(0.0, s1 - s0)
 
 
+# reference progress by reference_key. It lives as long as the process, so
+# a later run_benchmark call (another planner, another round) reuses it.
+_REFERENCE_PROGRESS: dict[str, float] = {}
+
+
+def reference_key(spec: ScenarioSpec) -> str:
+    """Digest of what the reference drive reads: the map, the route, the
+    ego start and the duration. A ScenarioSpec field that the stripped loop
+    comes to read must join it. JSON floats round-trip exactly."""
+    data = scenario_to_dict(spec)
+    part = {k: data[k] for k in ("map", "route", "ego", "duration")}
+    return hashlib.sha256(
+        json.dumps(part, sort_keys=True).encode()).hexdigest()
+
+
 def reference_progress(spec: ScenarioSpec) -> float:
     """Progress of a speed-limit IDM drive on the same route with the
-    scenario's obstacles, agents and pedestrians removed."""
-    from .planners.idm_planner import IdmPlanner
-    from .simulation import run_closed_loop
-    stripped = replace(spec, agents=(), pedestrians=(), obstacles=())
-    trace = run_closed_loop(stripped, IdmPlanner())
-    return route_progress(trace, stripped)
+    scenario's obstacles, agents and pedestrians removed; driven once per
+    distinct reference_key in a process."""
+    key = reference_key(spec)
+    if key not in _REFERENCE_PROGRESS:
+        stripped = replace(spec, agents=(), pedestrians=(), obstacles=())
+        trace = run_closed_loop(stripped, IdmPlanner())
+        _REFERENCE_PROGRESS[key] = route_progress(trace, stripped)
+    return _REFERENCE_PROGRESS[key]
+
+
+def reference_progresses(specs: Sequence[ScenarioSpec],
+                         map_fn: Callable[..., Iterable] = map) -> list[float]:
+    """reference_progress of every spec. Each key not yet memoised is
+    driven once, through map_fn (a process pool's map drives them in the
+    workers), and memoised here."""
+    keys = [reference_key(spec) for spec in specs]
+    todo = {key: spec for key, spec in zip(keys, specs)
+            if key not in _REFERENCE_PROGRESS}
+    for key, ref in zip(todo, map_fn(reference_progress, todo.values())):
+        _REFERENCE_PROGRESS[key] = ref
+    return [_REFERENCE_PROGRESS[key] for key in keys]
 
 
 def progress_metric(trace: SimTrace, spec: ScenarioSpec,

@@ -126,11 +126,14 @@ class TestFrenetEmbedding:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        s=st.floats(0.0, 1.0),
+        s=st.floats(-0.1, 1.1),
         d=st.floats(-2.0, 2.0),
         kind=st.sampled_from(["straight", "arc", "s_curve"]),
     )
     def test_round_trip(self, s, d, kind):
+        """interpolate then project, and interpolate_many then
+        project_extended (which also runs past both ends along the end
+        tangents), recover the Frenet point."""
         if kind == "straight":
             line = straight_line(200.0)
         elif kind == "arc":
@@ -151,10 +154,15 @@ class TestFrenetEmbedding:
         max_turn = float(turns.max()) if len(turns) else 0.0
         tol = 1e-6 + abs(d) * max_turn
         f_in = FrenetPoint(s * line.length, d)
-        pose = line.interpolate(f_in)
-        f_out = line.project((pose.x, pose.y))
-        assert abs(f_out.s - f_in.s) < tol
-        assert abs(f_out.d - f_in.d) < tol
+        x, y, _ = line.interpolate_many(f_in.s, d)
+        f_ext = line.project_extended((float(x), float(y)))
+        assert abs(f_ext.s - f_in.s) < tol
+        assert abs(f_ext.d - f_in.d) < tol
+        if 0.0 <= s <= 1.0:
+            pose = line.interpolate(f_in)
+            f_out = line.project((pose.x, pose.y))
+            assert abs(f_out.s - f_in.s) < tol
+            assert abs(f_out.d - f_in.d) < tol
 
 
 class TestOrientedBoxCollision:

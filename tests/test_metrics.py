@@ -1,10 +1,13 @@
 import copy
+import functools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import drivebench.metrics as metrics
 from drivebench.agents import (
     SWEPT_BAND_HALF_WIDTH,
     VEHICLE_LENGTH,
@@ -37,8 +40,10 @@ from drivebench.metrics import (
     lane_change_completion,
     min_progress_multiplier,
     progress_metric,
+    reference_key,
     reference_progress,
     report_to_markdown,
+    route_progress,
     score_scenario,
     scores_to_csv,
     speed_limit_metric,
@@ -57,6 +62,8 @@ from drivebench.scenarios import (
     generate_benchmark_suite,
     place_construction_zone,
     place_parked_vehicle,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 from drivebench.simulation import (
     SimTrace,
@@ -558,6 +565,74 @@ class TestProgressMetric:
         trace = synthetic_trace(states)
         assert progress_metric(trace, spec, ref_progress=ref) == \
             pytest.approx(0.5, abs=1e-6)
+
+
+# entries of scenario_to_dict that the reference drive reads, each with a
+# change to it
+DRIVE_INPUT_CHANGES = [
+    (("map", "lanes", 0, "centerline", 0, 1), lambda v: v + 1e-3),
+    (("map", "lanes", 0, "width"), lambda v: v - 0.01),
+    (("map", "lanes", 0, "speed_limit"), lambda v: v + 0.1),
+    (("map", "lanes", 0, "successors"), lambda v: ["oncoming0"]),
+    (("map", "drivable_area", 0, 0, 0), lambda v: v - 1e-3),
+    (("route", "lanes"), lambda v: ["oncoming0"]),
+    (("route", "goal", 0), lambda v: v + 1.0),
+    (("ego", "pose", 0), lambda v: v + 1e-3),
+    (("ego", "speed"), lambda v: v + 0.1),
+    (("duration",), lambda v: v + 0.1),
+]
+
+
+def changed(spec, path, change):
+    """spec with change applied to the scenario_to_dict entry at path."""
+    data = scenario_to_dict(spec)
+    *parents, last = path
+    node = functools.reduce(operator.getitem, parents, data)
+    node[last] = change(node[last])
+    return scenario_from_dict(data)
+
+
+class TestReferenceMemo:
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return generate_benchmark_suite(2024)
+
+    def test_key_ignores_what_the_drive_strips(self, suite):
+        # jaywalker 20: a pedestrian and an obstacle; overtake 41: 7 agents
+        for spec in (suite[20], suite[41]):
+            key = reference_key(spec)
+            variants = [
+                replace(spec, agents=(), pedestrians=(), obstacles=()),
+                replace(spec, agents=spec.agents[1:]),
+                replace(spec, pedestrians=spec.pedestrians[1:]),
+                replace(spec, obstacles=()),
+                replace(spec, type=ScenarioType.NUDGE),
+                replace(spec, seed=spec.seed + 1),
+            ]
+            assert [reference_key(v) for v in variants] == [key] * 6
+
+    def test_key_follows_every_input_of_the_drive(self, suite):
+        spec = suite[41]   # lanes lane0 and oncoming0, no successors
+        key = reference_key(spec)
+        assert reference_key(changed(spec, ("seed",), lambda v: v)) == key
+        keys = {reference_key(changed(spec, path, change))
+                for path, change in DRIVE_INPUT_CHANGES}
+        assert len(keys) == len(DRIVE_INPUT_CHANGES) and key not in keys
+
+    def test_memoised_value_is_a_fresh_drive(self, suite, monkeypatch):
+        spec = suite[20]
+        stripped = replace(spec, agents=(), pedestrians=(), obstacles=())
+        fresh = route_progress(run_closed_loop(stripped, IdmPlanner()),
+                               stripped)
+        drives = []
+        monkeypatch.setattr(metrics, "_REFERENCE_PROGRESS", {})
+        monkeypatch.setattr(metrics, "run_closed_loop",
+                            lambda *args: drives.append(args) or
+                            run_closed_loop(*args))
+        assert reference_progress(spec) == fresh
+        assert reference_progress(replace(spec, seed=7)) == fresh
+        assert len(drives) == 1
+        assert metrics._REFERENCE_PROGRESS == {reference_key(spec): fresh}
 
 
 def completion(trace, spec):

@@ -1,13 +1,17 @@
 import json
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 
 import pytest
 
+import drivebench.cli as cli
+import drivebench.metrics as metrics
 from drivebench.cli import RunConfig, _parse_params, main, run_benchmark
 from drivebench.planners import IdmPlanner, make_planner
 from drivebench.render import render_svg
 from drivebench.scenarios import ScenarioType, generate_benchmark_suite
 from drivebench.simulation import run_closed_loop
+from test_planners import FailingPlanner
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,7 @@ class TestCliRun:
         report = json.loads((out / "report.json").read_text())
         assert report["planner"] == "idm"
         assert report["n_scenarios"] == 10
+        assert report["planner_fallbacks"] == report["selector_failures"] == 0
 
     def test_same_config_identical_csv_bytes(self, tmp_path):
         args = dict(planner="idm", master_seed=5, types=["jaywalker"], jobs=1)
@@ -166,3 +171,59 @@ class TestCliRun:
             main(["run", "--planner", "sampler", "--out", str(bad),
                   "--planner-param", "eval_horizn=4.0"])
         assert not bad.exists()
+
+
+@pytest.fixture
+def three_scenarios(monkeypatch):
+    """run_benchmark sees three seed-2024 scenarios, two of which share a
+    reference drive, and starts from an empty reference memo."""
+    by_key = defaultdict(list)
+    for spec in generate_benchmark_suite(2024):
+        by_key[metrics.reference_key(spec)].append(spec)
+    pair = next(specs for specs in by_key.values() if len(specs) >= 2)[:2]
+    single = next(specs for specs in by_key.values() if len(specs) == 1)
+    monkeypatch.setattr(cli, "generate_benchmark_suite",
+                        lambda seed: pair + single)
+    monkeypatch.setattr(metrics, "_REFERENCE_PROGRESS", {})
+
+
+class TestReferenceDrives:
+    def test_one_drive_per_distinct_input(self, three_scenarios, tmp_path,
+                                          monkeypatch):
+        drives, mapped = [], []
+        drive, reference = metrics.run_closed_loop, metrics.reference_progress
+        monkeypatch.setattr(metrics, "run_closed_loop",
+                            lambda *args: drives.append(args) or drive(*args))
+        # what run_benchmark maps over the workers, when it has several
+        monkeypatch.setattr(metrics, "reference_progress",
+                            lambda spec: mapped.append(spec) or reference(spec))
+        run_benchmark(RunConfig(planner="idm", out_dir=str(tmp_path / "a")))
+        assert len(drives) == len(mapped) == 2
+        run_benchmark(RunConfig(planner="idm", out_dir=str(tmp_path / "b")))
+        assert len(drives) == len(mapped) == 2
+        assert (tmp_path / "a" / "scores.csv").read_bytes() == \
+            (tmp_path / "b" / "scores.csv").read_bytes()
+
+    def test_pool_drives_match_serial(self, three_scenarios, tmp_path,
+                                      monkeypatch):
+        run_benchmark(RunConfig(planner="idm", out_dir=str(tmp_path / "j1")))
+        serial = dict(metrics._REFERENCE_PROGRESS)
+        monkeypatch.setattr(metrics, "_REFERENCE_PROGRESS", {})
+        run_benchmark(RunConfig(planner="idm", jobs=2,
+                                out_dir=str(tmp_path / "j2")))
+        # the pool's drives are memoised in this process
+        assert metrics._REFERENCE_PROGRESS == serial and len(serial) == 2
+        for name in ("scores.csv", "trace_hashes.txt"):
+            assert (tmp_path / "j1" / name).read_bytes() == \
+                (tmp_path / "j2" / name).read_bytes()
+
+
+def test_report_counts_planner_fallbacks(tmp_path, monkeypatch):
+    spec = generate_benchmark_suite(2024)[0]
+    monkeypatch.setattr(cli, "generate_benchmark_suite", lambda seed: [spec])
+    monkeypatch.setattr(cli, "make_planner",
+                        lambda name, params=None: FailingPlanner())
+    run_benchmark(RunConfig(planner="idm", out_dir=str(tmp_path)))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["planner_fallbacks"] == 150   # every tick
+    assert report["selector_failures"] == 0

@@ -1,8 +1,11 @@
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
 from drivebench.geometry import OrientedBox, Pose2D, boxes_collide
@@ -22,6 +25,7 @@ from drivebench.simulation import (
     WHEELBASE,
     EgoState,
     SimTrace,
+    TickSnapshot,
     _agent_agent_collisions,
     _ego_collisions,
     build_observation,
@@ -333,3 +337,50 @@ class TestClosedLoop:
         loaded = SimTrace.load(p)
         assert loaded.to_json() == trace.to_json()
         assert loaded.content_hash() == trace.content_hash()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=8)
+
+
+def snapshot_dicts(keys, **fixed):
+    return st.fixed_dictionaries({**{k: FINITE for k in keys}, **fixed})
+
+
+V1_TRACES = st.builds(
+    SimTrace,
+    scenario_type=st.sampled_from([t.value for t in ScenarioType]),
+    seed=st.integers(0, 2 ** 32),
+    dt=FINITE,
+    duration=FINITE,
+    snapshots=st.lists(st.builds(
+        TickSnapshot,
+        t=FINITE,
+        ego=snapshot_dicts(("x", "y", "heading", "speed", "accel", "steering")),
+        agents=st.lists(snapshot_dicts(
+            ("s", "speed", "x", "y", "heading", "length", "width"),
+            lane=st.text(max_size=8), policy=st.text(max_size=8)), max_size=3),
+        pedestrians=st.lists(snapshot_dicts(
+            ("x", "y", "vx", "vy"), phase=st.text(max_size=8)), max_size=2),
+        plan=st.lists(st.lists(FINITE, min_size=2, max_size=2), max_size=4)),
+        max_size=4),
+    events=st.lists(st.dictionaries(st.text(max_size=8), JSON_VALUES,
+                                    max_size=4), max_size=4))
+
+
+class TestTraceFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(trace=V1_TRACES)
+    def test_v1_survives_save_and_load(self, trace):
+        """A trace in schema v1 (the snapshot fields run_closed_loop
+        writes, any JSON objects as events) loads back equal."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.json"
+            trace.save(path)
+            loaded = SimTrace.load(path)
+        assert loaded == trace
+        assert loaded.to_json() == trace.to_json()
