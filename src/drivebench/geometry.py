@@ -8,6 +8,7 @@ counterclockwise-positive headings).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -103,6 +104,7 @@ class Polyline:
         self._dirs = deltas / seg_len[:, None]       # unit tangents per segment
         self._seg_len = seg_len
         self.cum_len = np.concatenate(([0.0], np.cumsum(seg_len)))
+        self._cum = tuple(self.cum_len.tolist())  # for scalar bisection
 
     @property
     def length(self) -> float:
@@ -115,7 +117,7 @@ class Polyline:
         starts = self.points[:-1]
         rel = p - starts
         t = np.einsum("ij,ij->i", rel, self._dirs)
-        t = np.clip(t, 0.0, self._seg_len)
+        t = np.minimum(np.maximum(t, 0.0), self._seg_len)
         foot = starts + t[:, None] * self._dirs
         diff = p - foot
         dist = np.hypot(diff[:, 0], diff[:, 1])
@@ -145,7 +147,7 @@ class Polyline:
         return f
 
     def _segment_index(self, s: float) -> int:
-        i = int(np.searchsorted(self.cum_len, s, side="right")) - 1
+        i = bisect.bisect_right(self._cum, s) - 1
         return min(max(i, 0), len(self._seg_len) - 1)
 
     def interpolate(self, f: FrenetPoint) -> Pose2D:

@@ -53,6 +53,8 @@ class Observation:
     time: float
     # derived caches, functions of the fields above
     ego_lane: str  # nearest route lane by clamped projection, ties to lower id
+    # the scenario's obstacle extents, shared by every tick
+    obstacle_table: ObstacleTable = field(repr=False, compare=False)
     lane_blockers: dict = field(default_factory=dict)
     # lane id -> LaneScene, filled by lane_scene; dataclasses.replace starts
     # a new observation with an empty memo
@@ -230,11 +232,34 @@ def box_extent(line: Polyline, box: OrientedBox
             min(f.d for f in fs), max(f.d for f in fs))
 
 
+class ObstacleTable:
+    """box_extent rows (s_lo, s_hi, d_lo, d_hi) of a scenario's static
+    obstacles on each lane. Obstacles and lanes never move, so each lane's
+    rows are projected on its first use and kept for the whole scenario."""
+
+    def __init__(self, graph: LaneGraph, obstacles: Sequence[ObstacleSpec]):
+        self._graph = graph
+        self._obstacles = tuple(obstacles)
+        self._row = {o: i for i, o in enumerate(self._obstacles)}
+        self._extents: dict[str, np.ndarray] = {}
+
+    def extents(self, lane_id: str, obstacles: Sequence[ObstacleSpec]
+                ) -> np.ndarray:
+        """(4, n): the box_extent columns of the given obstacles on the
+        lane, in their order; each must be one of the table's."""
+        table = self._extents.get(lane_id)
+        if table is None:
+            line = self._graph.lane(lane_id).centerline
+            table = self._extents[lane_id] = _columns(
+                [box_extent(line, o.box) for o in self._obstacles], 4)
+        return table[:, [self._row[o] for o in obstacles]]
+
+
 def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
     """Project the ego, the agents, the obstacles and the crossing
     pedestrians into the lane's Frenet frame (extended past the lane ends).
     Built once per observation and lane; later calls return the same
-    scene."""
+    scene. The obstacles' rows come from the observation's ObstacleTable."""
     scene = obs._scenes.get(lane_id)
     if scene is not None:
         return scene
@@ -248,7 +273,6 @@ def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
         agents.append((f.s, f.d, agent.box.length / 2.0, f.s - along,
                        agent.speed * math.cos(rel),
                        SWEPT_BAND_HALF_WIDTH + agent.box.width / 2.0 - 0.15))
-    obstacles = [box_extent(line, o.box) for o in obs.obstacles]
     peds = []
     for ped in obs.pedestrians:
         if ped.crossing:
@@ -256,7 +280,9 @@ def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
             peds.append((f.s, f.d))
     scene = obs._scenes[lane_id] = LaneScene(
         line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y)),
-        *_columns(agents, 6), *_columns(obstacles, 4), *_columns(peds, 2))
+        *_columns(agents, 6),
+        *obs.obstacle_table.extents(lane_id, obs.obstacles),
+        *_columns(peds, 2))
     return scene
 
 

@@ -58,6 +58,8 @@ COMFORT_WEIGHT = 0.5      # penalty on normalized mean |accel|
 
 @dataclass
 class Candidate:
+    """One scored candidate. s and v span the full 8 s horizon (N_SAMPLES);
+    d, x, y and heading span only the evaluation window, samples 0..K."""
     delta: float
     fraction: Optional[float]      # None = full-stop profile
     target_offset: float
@@ -107,10 +109,7 @@ class SamplingPlanner:
 
     def plan(self, obs: Observation, behavior: Optional[BehaviorOption] = None
              ) -> Trajectory:
-        cands, best = self.evaluate(obs, behavior)
-        c = cands[best]
-        t = np.arange(N_SAMPLES) * STEP
-        return Trajectory(t, c.x, c.y, c.heading, c.v)
+        return self.evaluate(obs, behavior)[2]
 
     def default_behavior(self, obs: Observation) -> BehaviorOption:
         lane_id = obs.ego_lane
@@ -119,8 +118,11 @@ class SamplingPlanner:
 
     def evaluate(self, obs: Observation,
                  behavior: Optional[BehaviorOption] = None
-                 ) -> tuple[list[Candidate], int]:
-        """All 30 candidates with their costs plus the selected index."""
+                 ) -> tuple[list[Candidate], int, Trajectory]:
+        """All 30 candidates with their costs, the selected index and the
+        selected candidate's full 8 s trajectory. The candidates' paths
+        (d, x, y, heading) cover only the evaluation window, samples 0..K;
+        their s and v cover the full horizon."""
         behavior = behavior or self.default_behavior(obs)
         lane = obs.graph.lane(behavior.centerline)
         line = lane.centerline
@@ -152,12 +154,19 @@ class SamplingPlanner:
 
         s_rel, v = self._rollout(v_now, gap0, v_lead, fractions, stop_mask,
                                  cap)
-        d = lateral_profile(d0, slope0, targets, s_rel, span)
         s_abs = s0 + s_rel
-        x, y, tangent = line.interpolate_many(s_abs, d)
-        heading = path_headings(x, y, tangent)
+
+        def paths(rows, n):
+            """d, x, y and heading of the given candidates' first n samples."""
+            d = lateral_profile(d0, slope0, targets[rows], s_rel[rows, :n], span)
+            x, y, tangent = line.interpolate_many(s_abs[rows, :n], d)
+            return d, x, y, path_headings(x, y, tangent)
 
         K = min(int(round(self.eval_horizon / STEP)), N_SAMPLES - 1)
+        # path_headings copies its last column and otherwise looks only
+        # backwards, so K + 2 samples give the first K + 1 exactly
+        d, x, y, heading = (a[:, :K + 1] for a in paths(
+            slice(None), min(K + 2, N_SAMPLES)))
         world = self._world_entities(obs)
         collided, off_area = self._feasibility(obs, world, x, y, heading, d, K)
         ttc_frac = self._ttc_fractions(world, x, y, heading, v, K)
@@ -183,7 +192,9 @@ class SamplingPlanner:
                 ttc_fraction=float(ttc_frac[ci]), progress=float(progress[ci]),
                 comfort=float(comfort[ci]), cost=float(cost[ci])))
         best = self.select_index(candidates)
-        return candidates, best
+        _, bx, by, bh = paths(slice(best, best + 1), N_SAMPLES)
+        return candidates, best, Trajectory(np.arange(N_SAMPLES) * STEP,
+                                            bx[0], by[0], bh[0], v[best])
 
     @staticmethod
     def select_index(candidates: list[Candidate]) -> int:
@@ -202,33 +213,18 @@ class SamplingPlanner:
     def _world_entities(obs: Observation):
         """(positions, velocities, headings, lengths, widths) of everything
         collidable, for forecasting."""
-        px, py, vx, vy, hh, ll, ww = [], [], [], [], [], [], []
-        for a in obs.agents:
-            px.append(a.box.center.x)
-            py.append(a.box.center.y)
-            vx.append(a.speed * math.cos(a.box.center.heading))
-            vy.append(a.speed * math.sin(a.box.center.heading))
-            hh.append(a.box.center.heading)
-            ll.append(a.box.length)
-            ww.append(a.box.width)
-        for o in obs.obstacles:
-            px.append(o.box.center.x)
-            py.append(o.box.center.y)
-            vx.append(0.0)
-            vy.append(0.0)
-            hh.append(o.box.center.heading)
-            ll.append(o.box.length)
-            ww.append(o.box.width)
-        for p in obs.pedestrians:
-            px.append(p.position[0])
-            py.append(p.position[1])
-            vx.append(p.velocity[0])
-            vy.append(p.velocity[1])
-            hh.append(math.atan2(p.velocity[1], p.velocity[0])
-                      if p.crossing else 0.0)
-            ll.append(0.6)
-            ww.append(0.6)
-        return [np.asarray(v, dtype=float) for v in (px, py, vx, vy, hh, ll, ww)]
+        rows = [(a.box.center.x, a.box.center.y,
+                 a.speed * math.cos(a.box.center.heading),
+                 a.speed * math.sin(a.box.center.heading),
+                 a.box.center.heading, a.box.length, a.box.width)
+                for a in obs.agents]
+        rows += [(o.box.center.x, o.box.center.y, 0.0, 0.0,
+                  o.box.center.heading, o.box.length, o.box.width)
+                 for o in obs.obstacles]
+        rows += [(*p.position, *p.velocity,
+                  math.atan2(p.velocity[1], p.velocity[0]) if p.crossing
+                  else 0.0, 0.6, 0.6) for p in obs.pedestrians]
+        return list(np.array(rows, dtype=float).reshape(-1, 7).T.copy())
 
     def _rollout(self, v_now, gap0, v_lead, fractions, stop_mask, cap):
         """Vectorized IDM integration of all candidates at once."""
@@ -241,24 +237,26 @@ class SamplingPlanner:
         v = np.zeros((C, N_SAMPLES))
         v[:, 0] = max(0.0, v_now)
         has_lead = np.isfinite(gap0)
+        any_lead = has_lead.any()
+        stop = np.flatnonzero(stop_mask)
+        # gap0 + v_lead * (k - 1) * STEP for every step k
+        ahead = gap0[:, None] + v_lead[:, None] * np.arange(N_SAMPLES - 1) * STEP
         for k in range(1, N_SAMPLES):
             vk = v[:, k - 1]
             # free-flow braking toward a lower target speed stays comfortable;
             # only the lead-interaction term may brake at the emergency cap
-            free = np.maximum(IDM_A_MAX * (1.0 - (vk / v0_eff) ** IDM_DELTA),
-                              -2.0 * IDM_B_COMF)
-            a = free
-            if has_lead.any():
-                gap = gap0 + v_lead * (k - 1) * STEP - s[:, k - 1]
-                gap = np.maximum(gap, 0.01)
+            a = IDM_A_MAX * (1.0 - (vk / v0_eff) ** IDM_DELTA)
+            np.maximum(a, -2.0 * IDM_B_COMF, out=a)
+            if any_lead:
+                gap = np.maximum(ahead[:, k - 1] - s[:, k - 1], 0.01)
                 s_star = IDM_S0 + vk * IDM_T + vk * (vk - v_lead) / root
-                s_star = np.maximum(s_star, IDM_S0)
-                inter = np.where(has_lead, IDM_A_MAX * (s_star / gap) ** 2, 0.0)
-                a = free - inter
-            a = np.where(stop_mask, -STOP_DECEL, a)
-            a = np.clip(a, EMERGENCY_DECEL, IDM_A_MAX)
-            v[:, k] = np.maximum(0.0, vk + a * STEP)
-            s[:, k] = s[:, k - 1] + v[:, k] * STEP
+                np.maximum(s_star, IDM_S0, out=s_star)
+                s_star /= gap
+                np.subtract(a, IDM_A_MAX * s_star ** 2, out=a, where=has_lead)
+            a[stop] = -STOP_DECEL
+            np.minimum(np.maximum(a, EMERGENCY_DECEL, out=a), IDM_A_MAX, out=a)
+            np.maximum(0.0, vk + a * STEP, out=v[:, k])
+            np.add(s[:, k - 1], v[:, k] * STEP, out=s[:, k])
         return s, v
 
     def _feasibility(self, obs, world, x, y, heading, d, K):

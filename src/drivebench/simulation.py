@@ -30,6 +30,7 @@ from .geometry import OrientedBox, Pose2D, box_contacts, boxes_collide, wrap_ang
 from .planners.base import (
     AgentObs,
     Observation,
+    ObstacleTable,
     PedestrianObs,
     Trajectory,
     plan_with_fallback,
@@ -121,9 +122,10 @@ class WorldState:
 
 
 def build_observation(world: WorldState, spec: ScenarioSpec, blockers: dict,
-                      t: float) -> Observation:
+                      obstacle_table: ObstacleTable, t: float) -> Observation:
     """Exact, noise-free snapshot of all actors within the perception
-    radius."""
+    radius. blockers and obstacle_table are the scenario's, built once by
+    run_closed_loop."""
     ex, ey = world.ego.pose.x, world.ego.pose.y
     radius2 = PERCEPTION_RADIUS ** 2
     agents = tuple(
@@ -146,7 +148,8 @@ def build_observation(world: WorldState, spec: ScenarioSpec, blockers: dict,
         ego_box=world.ego.box, ego_speed=world.ego.speed,
         ego_accel=world.ego.accel, agents=agents, pedestrians=peds,
         obstacles=obstacles, graph=spec.graph, route=spec.route, time=t,
-        ego_lane=ego_lane, lane_blockers=blockers)
+        ego_lane=ego_lane, obstacle_table=obstacle_table,
+        lane_blockers=blockers)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +332,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     ]
     world = WorldState(ego=ego, agents=agents, pedestrians=pedestrians)
     blockers = blocking_spans(spec)
+    obstacle_table = ObstacleTable(spec.graph, spec.obstacles)
 
     trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
                      dt=DT, duration=spec.duration)
@@ -343,7 +347,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
 
     for k in range(n_steps):
         t = k * DT
-        obs = build_observation(world, spec, blockers, t)
+        obs = build_observation(world, spec, blockers, obstacle_table, t)
         traj = plan_with_fallback(planner, obs, trace.events)
         steer_cmd, accel_cmd = track_trajectory(traj, world.ego)
         ego_prev = world.ego

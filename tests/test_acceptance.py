@@ -356,7 +356,7 @@ class TestCriterion08OracleEquivalence:
         mismatches = 0
         for _ in range(100):
             obs = random_observation(rng)
-            _, fast = planner.evaluate(obs)
+            _, fast, _ = planner.evaluate(obs)
             if fast != sampling_oracle_select(planner, obs):
                 mismatches += 1
         note(8, mismatches == 0,

@@ -98,6 +98,69 @@ class TestProjection:
             assert abs(f.d) == pytest.approx(d_ref, abs=1e-6)
 
 
+class TestScalarKernels:
+    """Polyline's scalar kernels pick the same values as the numpy forms
+    they replaced, bit for bit: _segment_index bisects a tuple of cum_len
+    like np.searchsorted(cum_len, s, side="right"), and project bounds the
+    foot parameter with np.minimum/np.maximum like np.clip."""
+
+    @staticmethod
+    def _lines():
+        return [straight_line(10.0), arc_polyline(30.0, 1.2),
+                Polyline([[0.0, 0.0], [4.0, 3.0], [8.0, 3.0]])]
+
+    @staticmethod
+    def _clip_project(line, point):
+        """The former project, with np.clip, as (s, d)."""
+        p = np.asarray(point, dtype=float)
+        starts = line.points[:-1]
+        rel = p - starts
+        t = np.einsum("ij,ij->i", rel, line._dirs)
+        t = np.clip(t, 0.0, line._seg_len)
+        diff = p - (starts + t[:, None] * line._dirs)
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        i = int(np.argmin(dist))
+        cross = line._dirs[i, 0] * diff[i, 1] - line._dirs[i, 1] * diff[i, 0]
+        return (float(line.cum_len[i] + t[i]),
+                float(dist[i]) if cross >= 0 else -float(dist[i]))
+
+    def test_segment_index_equals_searchsorted(self):
+        rng = np.random.default_rng(17)
+        for line in self._lines():
+            cum = line.cum_len
+            last = len(cum) - 2
+            s_values = np.concatenate((
+                cum, np.nextafter(cum, np.inf), np.nextafter(cum, -np.inf),
+                [0.0, -0.0, -1.0, line.length + 1.0, np.inf, -np.inf, np.nan],
+                rng.uniform(-5.0, line.length + 5.0, 2000)))
+            for s in list(s_values) + s_values.tolist():
+                i = int(np.searchsorted(cum, s, side="right")) - 1
+                assert line._segment_index(s) == min(max(i, 0), last), s
+
+    def test_project_equals_clip_form(self):
+        rng = np.random.default_rng(19)
+        for line in self._lines():
+            lo = line.points.min(axis=0) - 5.0
+            hi = line.points.max(axis=0) + 5.0
+            ends = [line.points[0] - 2.0 * line._dirs[0],
+                    line.points[-1] + 2.0 * line._dirs[-1]]
+            points = np.vstack((line.points, ends, [[np.nan, np.nan],
+                                                    [np.nan, 0.0]],
+                                rng.uniform(lo, hi, (1000, 2))))
+            for p in points:
+                f = line.project(p)
+                got = np.array([f.s, f.d])
+                want = np.array(self._clip_project(line, p))
+                assert got.tobytes() == want.tobytes(), p
+
+    def test_bounds_equal_clip_on_edge_values(self):
+        t = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -5.0,
+                      1.0, 2.0, np.nextafter(2.0, 3.0)])
+        seg = np.full(len(t), 2.0)
+        assert (np.minimum(np.maximum(t, 0.0), seg).tobytes()
+                == np.clip(t, 0.0, seg).tobytes())
+
+
 class TestFrenetEmbedding:
     def test_start_of_line(self):
         pose = straight_line().interpolate(FrenetPoint(0.0, 0.0))

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
 from drivebench.geometry import OrientedBox, Polyline, Pose2D, boxes_collide
@@ -22,6 +23,7 @@ from drivebench.planners import (
     mobil_decide,
     plan_with_fallback,
 )
+from drivebench.planners.base import ObstacleTable
 from drivebench.planners.mobil_planner import MobilParams
 from drivebench.planners.sampling import (
     COMFORT_WEIGHT,
@@ -51,7 +53,8 @@ def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
     ego = EgoState(pose=ego_pose or spec.ego.pose,
                    speed=spec.ego.speed if ego_speed is None else ego_speed)
     world = WorldState(ego=ego, agents=list(agents), pedestrians=list(pedestrians))
-    return build_observation(world, spec, blocking_spans(spec), t)
+    return build_observation(world, spec, blocking_spans(spec),
+                             ObstacleTable(spec.graph, spec.obstacles), t)
 
 
 def empty_road_spec(lanes=2, kind="straight_multilane"):
@@ -273,7 +276,7 @@ def sampling_oracle_select(planner: SamplingPlanner, obs, behavior=None):
     over the planner's candidate set, using only scalar library primitives."""
     from drivebench.geometry import points_in_polygon
 
-    cands, _ = planner.evaluate(obs, behavior)
+    cands, _, _ = planner.evaluate(obs, behavior)
     behavior = behavior or planner.default_behavior(obs)
     lane = obs.graph.lane(behavior.centerline)
     limit = lane.speed_limit
@@ -679,7 +682,8 @@ def crowded_observation(rng, n_agents, n_obstacles, n_waiting, n_crossing):
     peds += tuple(PedestrianObs(near(), (float(rng.uniform(-0.5, 0.5)),
                                          float(rng.choice([-1.2, 1.2]))), True)
                   for _ in range(n_crossing))
-    return replace(obs, agents=agents, obstacles=obstacles, pedestrians=peds)
+    return replace(obs, agents=agents, obstacles=obstacles, pedestrians=peds,
+                   obstacle_table=ObstacleTable(obs.graph, obstacles))
 
 
 class TestEgoContacts:
@@ -699,7 +703,7 @@ class TestEgoContacts:
             scenes.append(crowded_observation(rng, *counts))
         n_collided = n_ttc = 0
         for i, obs in enumerate(scenes):
-            cands, _ = planner.evaluate(obs)
+            cands, _, _ = planner.evaluate(obs)
             x, y, heading, v, d = (np.stack([getattr(c, name) for c in cands])
                                    for name in ("x", "y", "heading", "v", "d"))
             world = planner._world_entities(obs)
@@ -718,12 +722,335 @@ class TestEgoContacts:
         assert n_collided >= 15 and n_ttc >= 15
 
 
+# ---------------------------------------------------------------------------
+# sampler hot path: the obstacle table, the IDM rollout, the window cut
+
+
+def per_tick_obstacle_extents(obs, lane_id):
+    """Reference: lane_scene's former per-tick loop, box_extent of every
+    perceived obstacle, as (4, n) columns s_lo, s_hi, d_lo, d_hi."""
+    from drivebench.planners.base import box_extent
+
+    line = obs.graph.lane(lane_id).centerline
+    return np.array([box_extent(line, o.box) for o in obs.obstacles],
+                    dtype=float).reshape(-1, 4).T
+
+
+class TestObstacleTable:
+    def test_lane_scene_equals_per_tick_loop(self):
+        """On random scenes whose obstacles lie before the lanes' start,
+        past their end and beyond the perception radius, lane_scene's
+        obstacle columns equal the per-tick box_extent loop bit for bit,
+        on every lane and at every ego position, with one table shared by
+        the scenario's observations."""
+        from drivebench.planners.base import lane_scene
+
+        rng = np.random.default_rng(43)
+        n_partial = n_before = n_past = 0
+        for trial in range(30):
+            lanes = 2 + trial % 2
+            kind = ("straight_multilane", "curved")[trial % 3 == 0]
+            g = build_base_map(kind, lanes=lanes, length=200.0)
+            spec = base_scenario(ScenarioType.LANE_CHANGE_LTD, g, "lane0",
+                                 30.0, 10.0, 1)
+            line = g.lane("lane0").centerline
+            obstacles = []
+            for _ in range(int(rng.integers(3, 12))):
+                s = float(rng.uniform(-40.0, line.length + 40.0))
+                pose = line.interpolate_frenet(
+                    min(max(s, 0.0), line.length),
+                    float(rng.uniform(-2.0, 3.5 * lanes)))
+                if not 0.0 <= s <= line.length:  # along the end tangent
+                    h = pose.heading
+                    over = s - min(max(s, 0.0), line.length)
+                    pose = Pose2D(pose.x + over * math.cos(h),
+                                  pose.y + over * math.sin(h), h)
+                pose = Pose2D(pose.x, pose.y,
+                              pose.heading + float(rng.uniform(-1.0, 1.0)))
+                obstacles.append(ObstacleSpec("cone", OrientedBox(
+                    pose, float(rng.uniform(0.3, 5.0)),
+                    float(rng.uniform(0.3, 2.5))), "lane0"))
+            spec = replace(spec, obstacles=tuple(obstacles))
+            table = ObstacleTable(spec.graph, spec.obstacles)
+            blockers = blocking_spans(spec)
+            for ego_s in rng.uniform(0.0, line.length, 3):
+                world = WorldState(ego=EgoState(
+                    pose=line.interpolate_frenet(float(ego_s), 0.0),
+                    speed=10.0), agents=[], pedestrians=[])
+                obs = build_observation(world, spec, blockers, table, 0.0)
+                n_partial += 0 < len(obs.obstacles) < len(obstacles)
+                for k in range(lanes):
+                    scene = lane_scene(obs, f"lane{k}")
+                    got = np.array([scene.obstacle_near_s, scene.obstacle_far_s,
+                                    scene.obstacle_d_lo, scene.obstacle_d_hi])
+                    want = per_tick_obstacle_extents(obs, f"lane{k}")
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (trial, k)
+                    n_before += bool((want[1] < 0.0).any())
+                    n_past += bool((want[0] > line.length).any())
+        assert n_partial >= 20 and n_before >= 10 and n_past >= 10
+
+    def test_unknown_obstacle_is_an_error(self):
+        from drivebench.planners.base import lane_scene
+
+        obs = crowded_observation(np.random.default_rng(7), 0, 2, 0, 0)
+        foreign = replace(obs, obstacles=obs.obstacles[:1] + (ObstacleSpec(
+            "cone", OrientedBox(Pose2D(1.0, 2.0, 0.0), 0.4, 0.4), "lane0"),))
+        with pytest.raises(KeyError):
+            lane_scene(foreign, "lane0")
+
+
+def reference_rollout(v_now, gap0, v_lead, fractions, stop_mask, cap):
+    """Reference: SamplingPlanner._rollout's former per-step loop."""
+    from drivebench.agents import (EMERGENCY_DECEL, IDM_A_MAX, IDM_B_COMF,
+                                   IDM_DELTA, IDM_S0, IDM_T)
+    from drivebench.planners.base import N_SAMPLES, STEP
+    from drivebench.planners.sampling import STOP_DECEL
+
+    C = len(gap0)
+    v_target = np.where(stop_mask, 0.0,
+                        np.nan_to_num(fractions) * (cap if cap > 0 else 0.0))
+    v0_eff = np.maximum(v_target, 0.2)
+    root = 2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)
+    s = np.zeros((C, N_SAMPLES))
+    v = np.zeros((C, N_SAMPLES))
+    v[:, 0] = max(0.0, v_now)
+    has_lead = np.isfinite(gap0)
+    for k in range(1, N_SAMPLES):
+        vk = v[:, k - 1]
+        free = np.maximum(IDM_A_MAX * (1.0 - (vk / v0_eff) ** IDM_DELTA),
+                          -2.0 * IDM_B_COMF)
+        a = free
+        if has_lead.any():
+            gap = gap0 + v_lead * (k - 1) * STEP - s[:, k - 1]
+            gap = np.maximum(gap, 0.01)
+            s_star = IDM_S0 + vk * IDM_T + vk * (vk - v_lead) / root
+            s_star = np.maximum(s_star, IDM_S0)
+            inter = np.where(has_lead, IDM_A_MAX * (s_star / gap) ** 2, 0.0)
+            a = free - inter
+        a = np.where(stop_mask, -STOP_DECEL, a)
+        a = np.clip(a, EMERGENCY_DECEL, IDM_A_MAX)
+        v[:, k] = np.maximum(0.0, vk + a * STEP)
+        s[:, k] = s[:, k - 1] + v[:, k] * STEP
+    return s, v
+
+
+class TestRollout:
+    def test_equals_reference_loop(self):
+        """The in-place rollout equals the former loop bit for bit: with
+        leads on some, all or none of the rows, with cap 0 and full-stop
+        rows, from standstill and from speed."""
+        from drivebench.planners.sampling import OFFSET_DELTAS, SPEED_FRACTIONS
+
+        planner = SamplingPlanner()
+        n_profiles = len(SPEED_FRACTIONS) + 1
+        fractions = np.tile(list(SPEED_FRACTIONS) + [np.nan], len(OFFSET_DELTAS))
+        stop_mask = np.isnan(fractions)
+        rng = np.random.default_rng(29)
+        C = len(fractions)
+        for trial in range(200):
+            v_now = (0.0, float(rng.uniform(0.0, 20.0)))[trial % 4 != 0]
+            cap = (0.0, float(rng.uniform(1.0, 20.0)))[trial % 5 != 0]
+            leads = rng.random(len(OFFSET_DELTAS)) < (0.0, 0.5, 1.0)[trial % 3]
+            gap0 = np.where(leads, rng.uniform(0.01, 60.0, len(leads)), np.inf)
+            lead_v = np.where(leads, rng.uniform(0.0, 15.0, len(leads)), 0.0)
+            if trial % 7 == 0:
+                gap0[leads] = 0.01
+            args = (v_now, np.repeat(gap0, n_profiles),
+                    np.repeat(lead_v, n_profiles), fractions, stop_mask, cap)
+            s, v = planner._rollout(*args)
+            want_s, want_v = reference_rollout(*args)
+            assert s.shape == v.shape == (C, want_s.shape[1])
+            assert s.tobytes() == want_s.tobytes(), trial
+            assert v.tobytes() == want_v.tobytes(), trial
+
+
+@st.composite
+def stalled_turning_paths(draw):
+    """(x, y, tangent) rows of 3..30 samples whose steps stall (zero or
+    sub-micrometre), creep by a millimetre or move up to 3 m, each with a
+    heading change of up to about pi: steps that trip path_headings'
+    curvature guard, stalls it fills forward, and fully stalled rows."""
+    n = draw(st.integers(3, 30))
+    step = st.one_of(st.sampled_from([0.0, 1e-7, 1e-3, 0.05]),
+                     st.floats(0.0, 3.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lengths = np.zeros(n - 1)
+        else:
+            lengths = np.array(draw(st.lists(step, min_size=n - 1,
+                                             max_size=n - 1)))
+        turns = np.array(draw(st.lists(st.floats(-3.2, 3.2),
+                                       min_size=n - 1, max_size=n - 1)))
+        h = draw(st.floats(-math.pi, math.pi)) + np.cumsum(turns)
+        x = np.concatenate(([0.0], np.cumsum(lengths * np.cos(h))))
+        y = np.concatenate(([0.0], np.cumsum(lengths * np.sin(h))))
+        rows.append((x, y))
+    x = np.array([r[0] for r in rows])
+    y = np.array([r[1] for r in rows])
+    tangent = np.array(draw(st.lists(st.floats(-math.pi, math.pi),
+                                     min_size=x.size, max_size=x.size))
+                       ).reshape(x.shape)
+    return x, y, tangent
+
+
+class TestPathHeadingsWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(paths=stalled_turning_paths(), data=st.data())
+    def test_prefix_stable(self, paths, data):
+        """The first K + 1 columns of path_headings on a K + 2 sample
+        window equal those of the full computation."""
+        from drivebench.planners.base import path_headings
+
+        x, y, tangent = paths
+        K = data.draw(st.integers(1, x.shape[1] - 2))
+        full = path_headings(x, y, tangent)
+        window = path_headings(x[:, :K + 2], y[:, :K + 2], tangent[:, :K + 2])
+        assert window[:, :K + 1].tobytes() == full[:, :K + 1].tobytes()
+
+
+def reference_world_entities(obs):
+    """Reference: the sampler's former entity packing, seven arrays."""
+    px, py, vx, vy, hh, ll, ww = [], [], [], [], [], [], []
+    for a in obs.agents:
+        px.append(a.box.center.x)
+        py.append(a.box.center.y)
+        vx.append(a.speed * math.cos(a.box.center.heading))
+        vy.append(a.speed * math.sin(a.box.center.heading))
+        hh.append(a.box.center.heading)
+        ll.append(a.box.length)
+        ww.append(a.box.width)
+    for o in obs.obstacles:
+        px.append(o.box.center.x)
+        py.append(o.box.center.y)
+        vx.append(0.0)
+        vy.append(0.0)
+        hh.append(o.box.center.heading)
+        ll.append(o.box.length)
+        ww.append(o.box.width)
+    for p in obs.pedestrians:
+        px.append(p.position[0])
+        py.append(p.position[1])
+        vx.append(p.velocity[0])
+        vy.append(p.velocity[1])
+        hh.append(math.atan2(p.velocity[1], p.velocity[0])
+                  if p.crossing else 0.0)
+        ll.append(0.6)
+        ww.append(0.6)
+    return [np.asarray(v, dtype=float) for v in (px, py, vx, vy, hh, ll, ww)]
+
+
+def full_array_evaluate(planner, obs, behavior):
+    """Reference: SamplingPlanner.evaluate before the window cut. It builds
+    all N_SAMPLES samples of every candidate's path, integrates with
+    reference_rollout and packs entities with reference_world_entities.
+    Returns the selected index, its Trajectory and the candidates' full
+    (C, N_SAMPLES) arrays by name."""
+    from drivebench.geometry import wrap_angle
+    from drivebench.planners.base import (N_SAMPLES, STEP, lane_scene,
+                                          nearest_lead, path_headings)
+    from drivebench.planners.sampling import (OFFSET_DELTAS, SPEED_FRACTIONS,
+                                              Candidate, lateral_profile)
+
+    lane = obs.graph.lane(behavior.centerline)
+    line, limit = lane.centerline, lane.speed_limit
+    cap = (min(limit, behavior.target_speed_cap)
+           if behavior.target_speed_cap > 0 else 0.0)
+    scene = lane_scene(obs, behavior.centerline)
+    s0, d0 = scene.ego.s, scene.ego.d
+    v_now = obs.ego_speed
+    tangent0 = line.tangent_at(min(max(s0, 0.0), line.length))
+    slope0 = float(np.clip(math.tan(
+        wrap_angle(obs.ego_box.center.heading - tangent0)), -0.6, 0.6))
+    n_profiles = len(SPEED_FRACTIONS) + 1
+    deltas = np.repeat(OFFSET_DELTAS, n_profiles)
+    fractions = np.tile(list(SPEED_FRACTIONS) + [np.nan], len(OFFSET_DELTAS))
+    stop_mask = np.isnan(fractions)
+    offsets = behavior.lateral_offset + np.asarray(OFFSET_DELTAS)
+    targets = np.repeat(offsets, n_profiles)
+    span = max(2.0 * max(v_now, 0.1), 10.0)
+    front0 = s0 + VEHICLE_LENGTH / 2.0
+    lead_s, lead_v = nearest_lead(scene, front0, lambda s: lateral_profile(
+        d0, slope0, offsets, np.maximum(s - s0, 0.0), span))
+    gap0 = np.repeat(np.maximum(lead_s - front0, 0.01), n_profiles)
+    v_lead = np.repeat(np.maximum(0.0, lead_v), n_profiles)
+    s_rel, v = reference_rollout(v_now, gap0, v_lead, fractions, stop_mask,
+                                 cap)
+    d = lateral_profile(d0, slope0, targets, s_rel, span)
+    s_abs = s0 + s_rel
+    x, y, tangent = line.interpolate_many(s_abs, d)
+    heading = path_headings(x, y, tangent)
+    K = min(int(round(planner.eval_horizon / STEP)), N_SAMPLES - 1)
+    world = reference_world_entities(obs)
+    collided, off_area = planner._feasibility(obs, world, x, y, heading, d, K)
+    ttc_frac = planner._ttc_fractions(world, x, y, heading, v, K)
+    progress = s_rel[:, -1].copy()
+    prog_norm = progress / max(limit * (N_SAMPLES - 1) * STEP, 1e-6)
+    comfort = (np.abs(np.diff(v[:, : K + 1], axis=1)) / STEP).mean(axis=1) / 4.0
+    cost = (TTC_WEIGHT * ttc_frac + OFFSET_WEIGHT * np.abs(deltas)
+            + COMFORT_WEIGHT * comfort - PROGRESS_WEIGHT * prog_norm)
+    cands = [Candidate(
+        delta=float(deltas[ci]),
+        fraction=None if stop_mask[ci] else float(fractions[ci]),
+        target_offset=float(targets[ci]), s=s_abs[ci], d=d[ci], v=v[ci],
+        x=x[ci], y=y[ci], heading=heading[ci],
+        feasible=not (collided[ci] or off_area[ci]),
+        progress=float(progress[ci]), cost=float(cost[ci]))
+        for ci in range(len(deltas))]
+    best = SamplingPlanner.select_index(cands)
+    traj = Trajectory(np.arange(N_SAMPLES) * STEP, x[best], y[best],
+                      heading[best], v[best])
+    return best, traj, dict(s=s_abs, v=v, d=d, x=x, y=y, heading=heading)
+
+
+class TestSamplerWindow:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), lanes=st.integers(2, 3),
+           label=st.sampled_from(["follow_lane", "merge_left",
+                                  "overtake_obstacle", "stop_and_wait"]),
+           offset=st.sampled_from([-2.3, -0.6, 1.6]))
+    def test_plan_equals_full_array_row(self, seed, lanes, label, offset):
+        """On random observations and behaviours, the selected plan is a
+        valid 8 s Trajectory equal to the selected row of the full-array
+        evaluate; every candidate's window arrays are the first K + 1
+        samples of its full row, and s and v are the full rows."""
+        from drivebench.planners.base import N_SAMPLES
+
+        obs = random_observation(np.random.default_rng(seed), lanes=lanes)
+        limit = obs.graph.lane("lane0").speed_limit
+        behavior = {
+            "follow_lane": BehaviorOption("follow_lane", "lane0", 0.0, limit),
+            "merge_left": BehaviorOption("merge_left", "lane1", 0.0, limit),
+            "overtake_obstacle": BehaviorOption("overtake_obstacle", "lane0",
+                                                offset, limit),
+            "stop_and_wait": BehaviorOption("stop_and_wait", "lane0", 0.0,
+                                            0.0)}[label]
+        planner = SamplingPlanner()
+        cands, best, traj = planner.evaluate(obs, behavior)
+        want_best, want_traj, rows = full_array_evaluate(planner, obs,
+                                                         behavior)
+        for got, want in zip(planner._world_entities(obs),
+                             reference_world_entities(obs)):
+            assert got.tobytes() == want.tobytes()
+        assert best == want_best
+        assert len(traj.t) == N_SAMPLES and traj.equals(want_traj)
+        Trajectory(traj.t, traj.x, traj.y, traj.heading, traj.speed)
+        assert planner.plan(obs, behavior).equals(traj)
+        K = len(cands[0].x) - 1
+        assert K == 20
+        for name, full in rows.items():
+            got = np.stack([getattr(c, name) for c in cands])
+            want = full if name in ("s", "v") else full[:, :K + 1]
+            assert got.tobytes() == want.tobytes(), name
+
+
 class TestSamplingPlanner:
     def test_empty_road_full_speed_zero_offset(self):
         spec = empty_road_spec(lanes=1)
         obs = make_obs(spec, ego_speed=10.0)
         planner = SamplingPlanner()
-        cands, best = planner.evaluate(obs)
+        cands, best, _ = planner.evaluate(obs)
         chosen = cands[best]
         assert chosen.delta == 0.0
         assert chosen.fraction == 1.0
@@ -734,7 +1061,7 @@ class TestSamplingPlanner:
         spec = place_parked_vehicle(spec, "nudge", at_s=95.0, encroachment=1.4)
         ego_pose = g.lane("lane0").centerline.interpolate_frenet(65.0, 0.0)
         obs = make_obs(spec, ego_pose=ego_pose, ego_speed=10.0)
-        cands, best = SamplingPlanner().evaluate(obs)
+        cands, best, _ = SamplingPlanner().evaluate(obs)
         chosen = cands[best]
         assert chosen.delta in (0.5, 1.0)
 
@@ -746,7 +1073,7 @@ class TestSamplingPlanner:
         ped = PedestrianState(path=path, walk_speed=1.2, trigger_distance=50.0,
                               lane="lane0", phase="crossing", dist_along=1.2)
         obs = make_obs(spec, ego_speed=10.0, pedestrians=[ped])
-        cands, best = SamplingPlanner().evaluate(obs)
+        cands, best, _ = SamplingPlanner().evaluate(obs)
         chosen = cands[best]
         assert chosen.fraction is None or chosen.fraction <= 0.4
 
@@ -757,7 +1084,7 @@ class TestSamplingPlanner:
         spec = replace(spec, obstacles=(
             ObstacleSpec("parked_vehicle", OrientedBox(pose, 4.6, 3.4), "lane0"),))
         obs = make_obs(spec, ego_speed=10.0)
-        cands, best = SamplingPlanner().evaluate(obs)
+        cands, best, _ = SamplingPlanner().evaluate(obs)
         chosen = cands[best]
         assert not any(c.feasible for c in cands)
         assert chosen.delta == 0.0 and chosen.fraction is None
@@ -765,7 +1092,7 @@ class TestSamplingPlanner:
     def test_candidate_count_is_thirty(self):
         spec = empty_road_spec()
         obs = make_obs(spec)
-        cands, _ = SamplingPlanner().evaluate(obs)
+        cands, _, _ = SamplingPlanner().evaluate(obs)
         assert len(cands) == 30
         deltas = {c.delta for c in cands}
         assert deltas == {-1.0, -0.5, 0.0, 0.5, 1.0}
@@ -783,7 +1110,7 @@ class TestSamplingPlanner:
         agree = 0
         for trial in range(25):
             obs = random_observation(rng)
-            _, fast = planner.evaluate(obs)
+            _, fast, _ = planner.evaluate(obs)
             slow = sampling_oracle_select(planner, obs)
             assert fast == slow, f"trial {trial}: fast={fast} oracle={slow}"
             agree += 1
@@ -794,7 +1121,7 @@ class TestSamplingPlanner:
         planner = SamplingPlanner()
         for _ in range(40):
             obs = random_observation(rng)
-            cands, best = planner.evaluate(obs)
+            cands, best, _ = planner.evaluate(obs)
             if any(c.feasible for c in cands):
                 assert cands[best].feasible
 
@@ -937,10 +1264,11 @@ class TestHybridPlanner:
 class TestSharedLaneScene:
     def test_query_tick_projects_like_other_ticks(self, monkeypatch):
         """The behavior filter, the scripted selector and the sampler share
-        one projected scene of the ego lane. On 000_construction at
-        t = 1.0 s, a tick that queries the selector makes 49
-        project_extended calls (the ego and 4 corners of each of 12
-        cones), as many as the tick after it."""
+        one projected scene of the ego lane, and the cones are projected
+        once per scenario. On 000_construction the first tick makes 49
+        project_extended calls (the ego and 4 corners of each of 12 cones,
+        filling the obstacle table); at t = 1.0 s a tick that queries the
+        selector makes 1 (the ego), as many as the tick after it."""
         from drivebench.scenarios import generate_benchmark_suite
 
         spec = replace(generate_benchmark_suite(2024)[0], duration=1.2)
@@ -966,8 +1294,9 @@ class TestSharedLaneScene:
                 return traj
 
         run_closed_loop(spec, Counting())
-        assert ticks[1.0] == (49, 12, 2)
-        assert ticks[1.1] == (49, 12, 2)
+        assert ticks[0.0] == (49, 12, 1)
+        assert ticks[1.0] == (1, 12, 2)
+        assert ticks[1.1] == (1, 12, 2)
 
 
 class TestWaypointsPlanner:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
 from drivebench.geometry import OrientedBox, Pose2D, boxes_collide
 from drivebench.planners import IdmPlanner, SamplingPlanner, Trajectory
+from drivebench.planners.base import ObstacleTable
 from drivebench.scenarios import (
     ScenarioType,
     augment_goal_for_lane_changes,
@@ -147,14 +148,17 @@ class TestBuildObservation:
         far = make_agent(spec.graph, "lane0", 300.0, 5.0)
         world = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                            agents=[near, far], pedestrians=[])
-        obs = build_observation(world, spec, blocking_spans(spec), 0.0)
+        obs = build_observation(world, spec, blocking_spans(spec),
+                                ObstacleTable(spec.graph, spec.obstacles), 0.0)
         assert len(obs.agents) == 1
 
     def test_time_is_exact(self):
         spec = empty_road_spec()
         world = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                            agents=[], pedestrians=[])
-        obs = build_observation(world, spec, {}, 1.2345)
+        obs = build_observation(world, spec, {},
+                                ObstacleTable(spec.graph, spec.obstacles),
+                                1.2345)
         assert obs.time == 1.2345
 
     def test_equal_states_equal_observations(self):
@@ -165,8 +169,9 @@ class TestBuildObservation:
         w2 = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                         agents=[agent], pedestrians=[])
         blockers = blocking_spans(spec)
-        o1 = build_observation(w1, spec, blockers, 0.5)
-        o2 = build_observation(w2, spec, blockers, 0.5)
+        table = ObstacleTable(spec.graph, spec.obstacles)
+        o1 = build_observation(w1, spec, blockers, table, 0.5)
+        o2 = build_observation(w2, spec, blockers, table, 0.5)
         assert o1 == o2
 
     @staticmethod
@@ -174,7 +179,8 @@ class TestBuildObservation:
         spec = augment_goal_for_lane_changes(empty_road_spec(lanes=3), n_changes)
         world = WorldState(ego=EgoState(pose=Pose2D(x, y, 0.0), speed=10.0),
                            agents=[], pedestrians=[])
-        return build_observation(world, spec, {}, 0.0).ego_lane
+        return build_observation(world, spec, {}, ObstacleTable(
+            spec.graph, spec.obstacles), 0.0).ego_lane
 
     @pytest.mark.parametrize("x, y, lane", [
         (100.0, 0.0, "lane0"), (100.0, 3.5, "lane1"), (100.0, 7.0, "lane2"),
