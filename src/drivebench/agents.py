@@ -36,6 +36,7 @@ IDM_S0 = 4.0            # jam distance [m]
 IDM_A_MAX = 1.5         # max acceleration [m/s^2]
 IDM_B_COMF = 2.0        # comfortable deceleration [m/s^2]
 IDM_DELTA = 4.0         # acceleration exponent
+_IDM_SQRT_AB = math.sqrt(IDM_A_MAX * IDM_B_COMF)
 
 
 def idm_acceleration(v: float, v_lead: Optional[float], gap: Optional[float],
@@ -56,7 +57,7 @@ def idm_acceleration(v: float, v_lead: Optional[float], gap: Optional[float],
         if gap <= 0:
             raise ValueError(f"gap must be positive, got {gap}")
         s_star = (IDM_S0 + v * IDM_T
-                  + v * (v - v_lead) / (2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)))
+                  + v * (v - v_lead) / (2.0 * _IDM_SQRT_AB))
         s_star = max(s_star, IDM_S0)
         a = IDM_A_MAX * (free - (s_star / gap) ** 2)
     return max(a, EMERGENCY_DECEL)
@@ -238,15 +239,15 @@ def select_lead(agents: Sequence[AgentState], graph: LaneGraph,
             half = (abs(math.cos(rel)) * ego_box.length / 2.0
                     + abs(math.sin(rel)) * ego_box.width / 2.0)
             # the lane's n agents come first; the ego ranks right after them
-            near = np.insert(near, n, f.s - half)
-            speed = np.insert(speed, n, ego_speed)
+            near = np.concatenate((near[:n], [f.s - half], near[n:]))
+            speed = np.concatenate((speed[:n], [ego_speed], speed[n:]))
             sees_ego = [ego_counts_in_lane(ego_box, lane.width, f.d, heading,
                                            agents[i].policy) for i in members]
         gaps = near[None, :] - front[:, None]
         ahead = gaps > 0
         if sees_ego is not None:
             ahead[:, n] &= sees_ego
-        first = np.argmin(np.where(ahead, gaps, np.inf), axis=1)
+        first = np.where(ahead, gaps, np.inf).argmin(axis=1)
         for row, (i, j) in enumerate(zip(members, first)):
             if ahead[row, j]:
                 leads[i] = (float(speed[j]), float(gaps[row, j]))
@@ -278,7 +279,8 @@ def step_vehicle_agent(agent: AgentState, lead: Optional[tuple[float, float]],
         line = graph.lane(lane_id).centerline
     pose = lane_pose(graph, lane_id, s)
     box = OrientedBox(pose, agent.length, agent.width)
-    return replace(agent, lane=lane_id, s=s, speed=speed, box=box)
+    return AgentState(lane_id, s, speed, agent.policy, agent.v0, box,
+                      agent.length, agent.width)
 
 
 def step_pedestrian(ped: PedestrianState, graph: LaneGraph,

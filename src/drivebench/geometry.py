@@ -90,7 +90,11 @@ class OrientedBox:
 
 
 class Polyline:
-    """An ordered point sequence with a cumulative-arclength cache."""
+    """An ordered point sequence with a cumulative-arclength cache.
+
+    The scalar kernels (interpolate, tangent_at, length) run on Python
+    floats: tuples of the points, the unit segment directions and the
+    segment headings, each heading computed once with math.atan2."""
 
     def __init__(self, points: Sequence[Sequence[float]]):
         pts = np.asarray(points, dtype=float)
@@ -105,10 +109,13 @@ class Polyline:
         self._seg_len = seg_len
         self.cum_len = np.concatenate(([0.0], np.cumsum(seg_len)))
         self._cum = tuple(self.cum_len.tolist())  # for scalar bisection
+        self._xy = tuple(map(tuple, pts.tolist()))
+        self._uv = tuple(map(tuple, self._dirs.tolist()))
+        self._headings = tuple(math.atan2(dy, dx) for dx, dy in self._uv)
 
     @property
     def length(self) -> float:
-        return float(self.cum_len[-1])
+        return self._cum[-1]
 
     def project(self, point: Sequence[float]) -> FrenetPoint:
         """Nearest-point projection; s clamped to [0, length], |d| is the
@@ -121,7 +128,7 @@ class Polyline:
         foot = starts + t[:, None] * self._dirs
         diff = p - foot
         dist = np.hypot(diff[:, 0], diff[:, 1])
-        i = int(np.argmin(dist))
+        i = int(dist.argmin())
         s = float(self.cum_len[i] + t[i])
         cross = self._dirs[i, 0] * diff[i, 1] - self._dirs[i, 1] * diff[i, 0]
         d = float(dist[i]) if cross >= 0 else -float(dist[i])
@@ -157,13 +164,11 @@ class Polyline:
             raise ValueError(f"s={f.s} outside [0, {self.length}]")
         s = min(max(f.s, 0.0), self.length)
         i = self._segment_index(s)
-        t = s - self.cum_len[i]
-        dx, dy = self._dirs[i]
-        base = self.points[i] + t * self._dirs[i]
+        t = s - self._cum[i]
+        (px, py), (dx, dy) = self._xy[i], self._uv[i]
         # left normal of the tangent
-        x = base[0] - dy * f.d
-        y = base[1] + dx * f.d
-        return Pose2D(float(x), float(y), math.atan2(dy, dx))
+        return Pose2D(float((px + t * dx) - dy * f.d),
+                      float((py + t * dy) + dx * f.d), self._headings[i])
 
     def interpolate_frenet(self, s: float, d: float = 0.0) -> Pose2D:
         return self.interpolate(FrenetPoint(s, d))
@@ -175,9 +180,10 @@ class Polyline:
         beyond them) and lateral offsets d."""
         s = np.asarray(s, dtype=float)
         d = np.asarray(d, dtype=float)
-        s_clamped = np.clip(s, 0.0, self.length)
-        idx = np.clip(np.searchsorted(self.cum_len, s_clamped, side="right") - 1,
-                      0, len(self._seg_len) - 1)
+        s_clamped = np.minimum(np.maximum(s, 0.0), self.length)
+        idx = np.minimum(np.maximum(
+            self.cum_len.searchsorted(s_clamped, side="right") - 1, 0),
+            len(self._seg_len) - 1)
         t = (s - self.cum_len[idx])  # includes overrun past the ends
         dirs = self._dirs[idx]
         base = self.points[idx] + t[..., None] * dirs
@@ -188,9 +194,8 @@ class Polyline:
 
     def tangent_at(self, s: float) -> float:
         """Tangent heading at arclength s (clamped)."""
-        s = min(max(s, 0.0), self.length)
-        i = self._segment_index(s)
-        return math.atan2(self._dirs[i, 1], self._dirs[i, 0])
+        return self._headings[self._segment_index(min(max(s, 0.0),
+                                                      self.length))]
 
     def to_list(self) -> list:
         return self.points.tolist()

@@ -101,24 +101,24 @@ class Trajectory:
             raise ValueError("trajectory needs at least 2 samples")
         if any(len(a) != n for a in (self.x, self.y, self.heading, self.speed)):
             raise ValueError("trajectory arrays must share one length")
-        if self.t[0] != 0.0 or np.any(np.diff(self.t) <= 0):
+        if self.t[0] != 0.0 or (np.diff(self.t) <= 0).any():
             raise ValueError("t must strictly increase from 0")
-        if not np.all(np.isfinite(self.speed)) or np.any(self.speed < -1e-9):
+        if not np.isfinite(self.speed).all() or (self.speed < -1e-9).any():
             raise ValueError("speeds must be finite and >= 0")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("positions must be finite")
         ds = np.hypot(np.diff(self.x), np.diff(self.y))
         dh = np.abs(wrap_angles(np.diff(self.heading)))
         moving = ds > 1e-6
-        if np.any(dh[moving] / ds[moving] > MAX_CURVATURE + 1e-6):
-            worst = float(np.max(dh[moving] / ds[moving]))
+        if (dh[moving] / ds[moving] > MAX_CURVATURE + 1e-6).any():
+            worst = float((dh[moving] / ds[moving]).max())
             raise ValueError(f"curvature {worst:.3f} exceeds {MAX_CURVATURE} 1/m")
 
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Linear interpolation of (x, y, speed) at times ts (clamped)."""
-        ts = np.clip(ts, 0.0, self.t[-1])
-        i = np.clip(np.searchsorted(self.t, ts, side="right") - 1,
-                    0, len(self.t) - 2)
+        ts = np.minimum(np.maximum(ts, 0.0), self.t[-1])
+        i = np.minimum(np.maximum(self.t.searchsorted(ts, side="right") - 1, 0),
+                       len(self.t) - 2)
         w = (ts - self.t[i]) / (self.t[i + 1] - self.t[i])
         return tuple(a[i] + w * (a[i + 1] - a[i])
                      for a in (self.x, self.y, self.speed))
@@ -317,6 +317,6 @@ def nearest_lead(scene: LaneScene, from_s: float,
                            scene.ped_s - 0.3))
     speed = np.concatenate((scene.agent_speed, np.zeros(len(probe) - n_a)))
     near = np.where(conflict & (near > from_s), near, np.inf)
-    first = np.argmin(near, axis=1)  # earliest entity on equal near edges
+    first = near.argmin(axis=1)  # earliest entity on equal near edges
     lead_s = near[np.arange(len(near)), first]
     return lead_s, np.where(np.isfinite(lead_s), speed[first], 0.0)

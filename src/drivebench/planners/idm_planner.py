@@ -26,19 +26,21 @@ def idm_rollout(v_start: float, gap0: Optional[float], v_lead: float,
                 v0: float) -> tuple[np.ndarray, np.ndarray]:
     """Forward-integrate IDM toward desired speed v0 over the plan's
     N_SAMPLES against a constant-velocity lead (or free flow when gap0 is
-    None); returns (arc offsets, speeds)."""
-    s = np.zeros(N_SAMPLES)
-    v = np.zeros(N_SAMPLES)
-    v[0] = max(0.0, v_start)
+    None); returns (arc offsets, speeds). The loop runs on Python floats
+    and builds the two arrays once at the end."""
+    sk, vk = 0.0, max(0.0, v_start)
+    s, v = [sk], [vk]
     for k in range(1, N_SAMPLES):
         if gap0 is None:
-            a = idm_acceleration(v[k - 1], None, None, v0)
+            a = idm_acceleration(vk, None, None, v0)
         else:
-            gap = gap0 + v_lead * (k - 1) * STEP - s[k - 1]
-            a = idm_acceleration(v[k - 1], v_lead, max(gap, 0.01), v0)
-        v[k] = max(0.0, v[k - 1] + a * STEP)
-        s[k] = s[k - 1] + v[k] * STEP
-    return s, v
+            gap = gap0 + v_lead * (k - 1) * STEP - sk
+            a = idm_acceleration(vk, v_lead, max(gap, 0.01), v0)
+        vk = max(0.0, vk + a * STEP)
+        sk = sk + vk * STEP
+        s.append(sk)
+        v.append(vk)
+    return np.array(s), np.array(v)
 
 
 def centerline_lead(scene: LaneScene, from_s: float

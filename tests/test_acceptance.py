@@ -125,9 +125,8 @@ def check_golden(planner, run):
     digests = [line.split() for line in hashes.splitlines()]
     names = [name for name, _digest in digests]
     versions = (f"this run on python {platform.python_version()} numpy "
-                f"{np.__version__} with {simd_level()}; the goldens were "
-                f"recorded with numpy's AVX512 (X86_V4) dispatch, and sampler "
-                f"and hybrid traces hash differently without it (ROADMAP "
+                f"{np.__version__} with {simd_level()}; sampler and hybrid "
+                f"traces hash differently under another dispatch (ROADMAP "
                 f"item 1)")
 
     recorded, lines = _golden_lines(f"{planner}.txt")

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from drivebench.agents import (
     EMERGENCY_DECEL,
     IDM_A_MAX,
+    IDM_B_COMF,
     IDM_DELTA,
     IDM_S0,
     IDM_T,
     SWEPT_BAND_HALF_WIDTH,
+    AgentState,
     PedestrianState,
     ego_counts_in_lane,
     equilibrium_speed,
@@ -25,6 +27,7 @@ from drivebench.agents import (
 )
 from drivebench.geometry import (
     LaneGraph,
+    LaneSegment,
     OrientedBox,
     Polyline,
     Pose2D,
@@ -104,6 +107,46 @@ class TestIdmAcceleration:
         a1 = idm_acceleration(v, v_lead, gap, V0)
         a2 = idm_acceleration(v + 1e-9, v_lead + 1e-9, gap + 1e-9, V0)
         assert abs(a1 - a2) < 1e-3
+
+
+def former_idm_acceleration(v, v_lead, gap, v0):
+    """Reference: idm_acceleration with its square root taken per call."""
+    free = 1.0 - (v / v0) ** IDM_DELTA
+    if v_lead is None or gap is None:
+        a = IDM_A_MAX * free
+    else:
+        s_star = (IDM_S0 + v * IDM_T
+                  + v * (v - v_lead) / (2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)))
+        s_star = max(s_star, IDM_S0)
+        a = IDM_A_MAX * (free - (s_star / gap) ** 2)
+    return max(a, EMERGENCY_DECEL)
+
+
+class TestIdmFloatPath:
+    def test_float_inputs_give_the_float64_bits(self):
+        """On Python floats idm_acceleration gives the bits the former form
+        gave on the np.float64 values the planner's rollout used to read
+        out of its arrays, over 100k draws with and without a lead."""
+        rng = np.random.default_rng(43)
+        n = 100_000
+        v = rng.uniform(0.0, 35.0, n)
+        v[::17] = 0.0
+        v_lead = rng.uniform(0.0, 35.0, n)
+        v_lead[::13] = 0.0
+        gap = np.exp(rng.uniform(math.log(0.01), math.log(500.0), n))
+        v0 = rng.uniform(0.2, 30.0, n)
+        free = rng.random(n) < 0.2
+        got, want = [], []
+        for row, args in enumerate(zip(v.tolist(), v_lead.tolist(),
+                                       gap.tolist(), v0.tolist())):
+            f64 = tuple(np.float64(x) for x in args)
+            if free[row]:
+                args = (args[0], None, None, args[3])
+                f64 = (f64[0], None, None, f64[3])
+            got.append(idm_acceleration(*args))
+            want.append(former_idm_acceleration(*f64))
+            assert type(got[-1]) is float
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestEquilibrium:
@@ -429,6 +472,84 @@ class TestStepVehicleAgent:
             a = step_agent(a, world, None, 0.0, 0.1)
             world = single_lane_world(self.graph, [a])
         assert a.policy == "assertive"
+
+
+def replace_step_vehicle_agent(agent, lead, graph, dt):
+    """Reference: step_vehicle_agent's former dataclasses.replace form."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if lead is None:
+        a = idm_acceleration(agent.speed, None, None, agent.v0)
+    else:
+        v_lead, gap = lead
+        a = idm_acceleration(agent.speed, v_lead, max(gap, 0.01), agent.v0)
+    speed = max(0.0, agent.speed + a * dt)
+    s = agent.s + speed * dt
+    lane_id = agent.lane
+    line = graph.lane(lane_id).centerline
+    while s > line.length:
+        succ = sorted(graph.lane(lane_id).successors)
+        if not succ:
+            break
+        s -= line.length
+        lane_id = succ[0]
+        line = graph.lane(lane_id).centerline
+    pose = lane_pose(graph, lane_id, s)
+    box = OrientedBox(pose, agent.length, agent.width)
+    return replace(agent, lane=lane_id, s=s, speed=speed, box=box)
+
+
+def chained_graph(n, length):
+    """n lanes of the given length end to end along the x axis, each the
+    successor of the one before; the last has no successor."""
+    segs = [LaneSegment(f"c{i}", Polyline([[i * length, 0.0],
+                                           [(i + 1) * length, 0.0]]),
+                        3.5, 13.9, successors=[f"c{i + 1}"] if i < n - 1 else [])
+            for i in range(n)]
+    area = [np.array([[-5, -3], [n * length + 5, -3], [n * length + 5, 3],
+                      [-5, 3]], dtype=float)]
+    return LaneGraph(segs, area)
+
+
+class TestStepConstruction:
+    def test_equals_replace_form(self):
+        """Building the AgentState directly gives the former replace form's
+        state, repr included: on random traffic worlds and on a chain of
+        short lanes that agents cross one or more of per step, running off
+        its unconnected end."""
+        rng = np.random.default_rng(47)
+        cases = []
+        for _ in range(60):
+            world, ego_box, ego_speed = random_traffic(rng)
+            leads = select_lead(world.agents, world.graph, world.lane_blockers,
+                                world.pedestrians, ego_box, ego_speed)
+            cases.append((world.graph, list(zip(world.agents, leads))))
+        chain = chained_graph(4, 6.0)
+        agents = [make_agent(chain, f"c{int(rng.integers(4))}",
+                             float(rng.uniform(0.0, 6.0)),
+                             float(rng.uniform(0.0, 30.0)),
+                             policy=("assertive", "conservative")[i % 2])
+                  for i in range(200)]
+        cases.append((chain, [(a, None) for a in agents]))
+        wrapped = 0
+        for graph, pairs in cases:
+            for agent, lead in pairs:
+                for dt in (0.1, float(rng.uniform(0.05, 1.5))):
+                    got = step_vehicle_agent(agent, lead, graph, dt)
+                    want = replace_step_vehicle_agent(agent, lead, graph, dt)
+                    assert got == want and repr(got) == repr(want)
+                    wrapped += got.lane != agent.lane
+        assert wrapped > 50
+
+    def test_validation_still_runs(self):
+        graph = parallel_graph(1, length=500.0)
+        agent = make_agent(graph, "lane0", 50.0, 10.0)
+        with pytest.raises(ValueError, match="speed must be >= 0"):
+            AgentState(agent.lane, agent.s, -0.1, agent.policy, agent.v0,
+                       agent.box, agent.length, agent.width)
+        object.__setattr__(agent, "policy", "reckless")
+        with pytest.raises(ValueError, match="unknown policy"):
+            step_vehicle_agent(agent, None, graph, 0.1)
 
 
 class TestPlatoonSafety:

@@ -101,13 +101,114 @@ class TestProjection:
 class TestScalarKernels:
     """Polyline's scalar kernels pick the same values as the numpy forms
     they replaced, bit for bit: _segment_index bisects a tuple of cum_len
-    like np.searchsorted(cum_len, s, side="right"), and project bounds the
-    foot parameter with np.minimum/np.maximum like np.clip."""
+    like np.searchsorted(cum_len, s, side="right"); project bounds the foot
+    parameter with np.minimum/np.maximum like np.clip; interpolate,
+    tangent_at and length read Python-float tuples where they indexed numpy
+    arrays; interpolate_many bounds like np.clip."""
 
     @staticmethod
     def _lines():
+        rng = np.random.default_rng(53)
+        zigzag = np.cumsum(rng.uniform(0.1, 5.0, (40, 2)) * [1.0, 0.0]
+                           + rng.normal(0.0, 2.0, (40, 2)) * [0.0, 1.0], axis=0)
         return [straight_line(10.0), arc_polyline(30.0, 1.2),
-                Polyline([[0.0, 0.0], [4.0, 3.0], [8.0, 3.0]])]
+                Polyline([[0.0, 0.0], [4.0, 3.0], [8.0, 3.0]]),
+                Polyline([[5.0, 5.0], [-3.0, 5.0], [-3.0, -7.0]]),
+                Polyline(zigzag)]
+
+    @staticmethod
+    def _indexed_interpolate(line, s, d):
+        """The former interpolate, indexing numpy arrays, as (x, y, h)."""
+        length = float(line.cum_len[-1])
+        if s < -1e-9 or s > length + 1e-9:
+            raise ValueError(f"s={s} outside [0, {length}]")
+        s = min(max(s, 0.0), length)
+        i = line._segment_index(s)
+        t = s - line.cum_len[i]
+        dx, dy = line._dirs[i]
+        base = line.points[i] + t * line._dirs[i]
+        p = Pose2D(float(base[0] - dy * d), float(base[1] + dx * d),
+                   math.atan2(dy, dx))
+        return p.x, p.y, p.heading
+
+    @staticmethod
+    def _indexed_tangent_at(line, s):
+        """The former tangent_at, indexing numpy arrays."""
+        i = line._segment_index(min(max(s, 0.0), float(line.cum_len[-1])))
+        return math.atan2(line._dirs[i, 1], line._dirs[i, 0])
+
+    @staticmethod
+    def _clip_interpolate_many(line, s, d):
+        """The former interpolate_many, bounding with np.clip."""
+        s_clamped = np.clip(s, 0.0, float(line.cum_len[-1]))
+        idx = np.clip(np.searchsorted(line.cum_len, s_clamped, side="right") - 1,
+                      0, len(line._seg_len) - 1)
+        t = s - line.cum_len[idx]
+        dirs = line._dirs[idx]
+        base = line.points[idx] + t[..., None] * dirs
+        return (base[..., 0] - dirs[..., 1] * d, base[..., 1] + dirs[..., 0] * d,
+                np.arctan2(dirs[..., 1], dirs[..., 0]))
+
+    @staticmethod
+    def _s_values(line, rng):
+        cum = line.cum_len
+        end = cum[-1]
+        return np.concatenate((
+            cum, np.nextafter(cum, np.inf), np.nextafter(cum, -np.inf),
+            [0.0, -0.0, -1e-9, 1e-9, end - 1e-9, end + 1e-9,
+             np.nextafter(-1e-9, 0.0), np.nextafter(end + 1e-9, end)],
+            rng.uniform(0.0, end, 500)))
+
+    def test_interpolate_and_tangent_equal_indexed_form(self):
+        rng = np.random.default_rng(59)
+        for line in self._lines():
+            assert type(line.length) is float
+            assert line.length == float(line.cum_len[-1])
+            s_values = self._s_values(line, rng)
+            d_values = np.concatenate(([0.0, -0.0, 1.75, -1.75],
+                                       rng.uniform(-6.0, 6.0, len(s_values) - 4)))
+            for s, d in zip(s_values.tolist(), d_values.tolist()):
+                for dd in (d, 0.0):
+                    p = line.interpolate_frenet(s, dd)
+                    got = np.array([p.x, p.y, p.heading])
+                    want = np.array(self._indexed_interpolate(line, s, dd))
+                    assert got.tobytes() == want.tobytes(), (s, dd)
+                got = np.array([line.tangent_at(s)])
+                want = np.array([self._indexed_tangent_at(line, s)])
+                assert got.tobytes() == want.tobytes(), s
+            for s in (np.nan, -np.inf, np.inf, -5.0, line.length + 5.0):
+                got = np.array([line.tangent_at(s)])
+                want = np.array([self._indexed_tangent_at(line, s)])
+                assert got.tobytes() == want.tobytes(), s
+
+    def test_interpolate_out_of_range_error_unchanged(self):
+        for line in self._lines():
+            end = line.length
+            for s in (np.nextafter(-1e-9, -np.inf), -1e-8, -1.0, -np.inf,
+                      np.nextafter(end + 1e-9, np.inf), end + 1e-8, np.inf):
+                with pytest.raises(ValueError) as got:
+                    line.interpolate_frenet(s, 0.0)
+                with pytest.raises(ValueError) as want:
+                    self._indexed_interpolate(line, s, 0.0)
+                assert str(got.value) == str(want.value)
+
+    def test_interpolate_many_equals_clip_form(self):
+        rng = np.random.default_rng(61)
+        for line in self._lines():
+            s = np.concatenate((self._s_values(line, rng),
+                                [-5.0, line.length + 5.0, np.inf, -np.inf,
+                                 np.nan]))
+            d = rng.uniform(-6.0, 6.0, len(s))
+            d[::7] = np.nan
+            for shape in ((len(s),), (1, len(s))):
+                with np.errstate(invalid="ignore"):  # inf * 0 past the ends
+                    got = line.interpolate_many(s.reshape(shape),
+                                                d.reshape(shape))
+                    want = self._clip_interpolate_many(line, s.reshape(shape),
+                                                       d.reshape(shape))
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
 
     @staticmethod
     def _clip_project(line, point):

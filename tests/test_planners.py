@@ -123,6 +123,51 @@ class TestIdmPlanner:
         assert time.perf_counter() - t0 < 0.1
 
 
+def array_idm_rollout(v_start, gap0, v_lead, v0):
+    """Reference: idm_rollout's former loop, which read and wrote numpy
+    arrays at every step."""
+    from drivebench.agents import idm_acceleration
+    from drivebench.planners.base import N_SAMPLES, STEP
+
+    s = np.zeros(N_SAMPLES)
+    v = np.zeros(N_SAMPLES)
+    v[0] = max(0.0, v_start)
+    for k in range(1, N_SAMPLES):
+        if gap0 is None:
+            a = idm_acceleration(v[k - 1], None, None, v0)
+        else:
+            gap = gap0 + v_lead * (k - 1) * STEP - s[k - 1]
+            a = idm_acceleration(v[k - 1], v_lead, max(gap, 0.01), v0)
+        v[k] = max(0.0, v[k - 1] + a * STEP)
+        s[k] = s[k - 1] + v[k] * STEP
+    return s, v
+
+
+class TestIdmRollout:
+    def test_equals_array_loop(self):
+        """The float loop gives the former array loop's bits: from
+        standstill, -0.0, negative and random speeds (float and np.float64),
+        in free flow, against gaps below the 0.01 m clamp, ordinary and
+        huge, and against leads at rest and faster than v0."""
+        from drivebench.planners.idm_planner import idm_rollout
+
+        rng = np.random.default_rng(37)
+        for trial in range(400):
+            v0 = float(rng.uniform(1.0, 30.0))
+            v_start = (0.0, -0.0, -float(rng.uniform(0.0, 5.0)),
+                       float(rng.uniform(0.0, 35.0)),
+                       np.float64(rng.uniform(0.0, 35.0)))[trial % 5]
+            gap0 = (None, float(rng.uniform(0.0, 0.01)), 0.01,
+                    float(rng.uniform(0.01, 80.0)), 1e6)[(trial // 5) % 5]
+            v_lead = (0.0, float(rng.uniform(0.0, v0)),
+                      float(rng.uniform(v0, 2.0 * v0)))[trial % 3]
+            s, v = idm_rollout(v_start, gap0, v_lead, v0)
+            want_s, want_v = array_idm_rollout(v_start, gap0, v_lead, v0)
+            assert s.dtype == v.dtype == np.float64
+            assert s.tobytes() == want_s.tobytes(), trial
+            assert v.tobytes() == want_v.tobytes(), trial
+
+
 class FailingPlanner:
     name = "boom"
 
@@ -178,6 +223,16 @@ def sample_at(traj, t):
             float(traj.speed[i] + w * (traj.speed[i + 1] - traj.speed[i])))
 
 
+def clip_sample(traj, ts):
+    """Reference: Trajectory.sample's former np.clip form."""
+    ts = np.clip(ts, 0.0, traj.t[-1])
+    i = np.clip(np.searchsorted(traj.t, ts, side="right") - 1,
+                0, len(traj.t) - 2)
+    w = (ts - traj.t[i]) / (traj.t[i + 1] - traj.t[i])
+    return tuple(a[i] + w * (a[i + 1] - a[i])
+                 for a in (traj.x, traj.y, traj.speed))
+
+
 class TestTrajectorySample:
     def test_equals_scalar_interpolation(self):
         rng = np.random.default_rng(11)
@@ -194,6 +249,50 @@ class TestTrajectorySample:
                 == [sample_at(traj, float(u)) for u in ts]
             assert tuple(float(a) for a in traj.sample(0.1)) \
                 == sample_at(traj, 0.1)
+
+    def test_equals_clip_form(self):
+        """Bounding with np.minimum/np.maximum gives np.clip's bits, on
+        -0.0, infinities and NaN too, for arrays and scalars."""
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            n = int(rng.integers(2, 90))
+            t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.3, n - 1))))
+            traj = Trajectory(t, rng.uniform(-100, 100, n),
+                              rng.uniform(-100, 100, n), np.zeros(n),
+                              rng.uniform(0, 20, n))
+            ts = np.concatenate((
+                t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                rng.uniform(-1.0, t[-1] + 1.0, 40),
+                [-0.0, -5.0, t[-1] + 5.0, np.inf, -np.inf, np.nan]))
+            for got, want in zip(traj.sample(ts), clip_sample(traj, ts)):
+                assert got.tobytes() == want.tobytes()
+            for u in (0.1, -0.0, float(t[-1]), np.nan):
+                for got, want in zip(traj.sample(u), clip_sample(traj, u)):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestTrajectoryChecks:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"t": [0.1, 0.2, 0.3, 0.4]}, "t must strictly increase"),
+        ({"t": [0.0, 0.1, 0.1, 0.2]}, "t must strictly increase"),
+        ({"t": [0.0, 0.2, 0.1, 0.3]}, "t must strictly increase"),
+        ({"t": [np.nan, 0.1, 0.2, 0.3]}, "t must strictly increase"),
+        ({"speed": [1.0, -0.1, 1.0, 1.0]}, "speeds must be finite"),
+        ({"speed": [1.0, np.nan, 1.0, 1.0]}, "speeds must be finite"),
+        ({"speed": [1.0, np.inf, 1.0, 1.0]}, "speeds must be finite"),
+        ({"x": [0.0, np.nan, 0.2, 0.3]}, "positions must be finite"),
+        ({"y": [0.0, 0.0, np.inf, 0.0]}, "positions must be finite"),
+        ({"heading": [0.0, 0.0, 1.0, 1.0]}, "curvature 10.000 exceeds"),
+        ({"x": [0.0, 0.1, 0.2]}, "share one length"),
+        ({k: [0.0] for k in ("t", "x", "y", "heading", "speed")},
+         "needs at least 2 samples"),
+    ])
+    def test_invalid_input_raises(self, overrides, message):
+        args = {"t": [0.0, 0.1, 0.2, 0.3], "x": [0.0, 0.1, 0.2, 0.3],
+                "y": [0.0] * 4, "heading": [0.0] * 4, "speed": [1.0] * 4}
+        Trajectory(**args)
+        with pytest.raises(ValueError, match=message):
+            Trajectory(**{**args, **overrides})
 
 
 class TestMobilDecide:
