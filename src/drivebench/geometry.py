@@ -138,7 +138,11 @@ class Polyline:
         """Like project, but s runs past the endpoints along the end tangents
         (s < 0 before the start, s > length past the end)."""
         p = np.asarray(point, dtype=float)
-        f = self.project(p)
+        return self._extend(p, self.project(p))
+
+    def _extend(self, p: np.ndarray, f: FrenetPoint) -> FrenetPoint:
+        """The clamped projection f of p, carried past an endpoint along
+        its end tangent when p lies beyond it."""
         if f.s <= 0.0:
             rel = p - self.points[0]
             t = float(rel @ self._dirs[0])
@@ -152,6 +156,17 @@ class Polyline:
                 cross = self._dirs[-1, 0] * rel[1] - self._dirs[-1, 1] * rel[0]
                 return FrenetPoint(s=self.length + t, d=float(cross))
         return f
+
+    def box_extents(self, box: OrientedBox) -> tuple[tuple, tuple]:
+        """(s_lo, s_hi, d_lo, d_hi) of the box's corners in the line's
+        Frenet frame, clamped as project gives them and extended as
+        project_extended gives them; each corner is projected once."""
+        corners = box.corners()
+        clamped = [self.project(c) for c in corners]
+        extended = [self._extend(c, f) for c, f in zip(corners, clamped)]
+        return tuple((min(f.s for f in fs), max(f.s for f in fs),
+                      min(f.d for f in fs), max(f.d for f in fs))
+                     for fs in (clamped, extended))
 
     def _segment_index(self, s: float) -> int:
         i = bisect.bisect_right(self._cum, s) - 1

@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -32,9 +33,9 @@ from .geometry import (
 from .planners.idm_planner import IdmPlanner
 from .scenarios import (
     LANE_CHANGE_TYPES,
+    ObstacleTable,
     ScenarioSpec,
     ScenarioType,
-    blocking_spans,
     scenario_to_dict,
 )
 from .simulation import SimTrace, run_closed_loop
@@ -67,6 +68,13 @@ class MetricConfig:
     min_progress_margin: float = 2.0  # m past the obstacle's far end
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(
+                    f"metric config {f.name} must be a finite number, "
+                    f"got {value!r}")
         weights = (self.weight_progress, self.weight_ttc, self.weight_speed,
                    self.weight_comfort, self.weight_lane_change)
         if min(weights) < 0 or max(weights) <= 0:
@@ -241,7 +249,7 @@ def _wrong_way_distance(trace: SimTrace, spec: ScenarioSpec,
 def stationary_metric(trace: SimTrace, spec: ScenarioSpec, track: EgoTrack,
                       spans: dict, cfg: MetricConfig = MetricConfig()) -> float:
     """0 iff the ego idles longer than the threshold with nothing within the
-    justification distance ahead of it; spans are blocking_spans(spec)."""
+    justification distance ahead of it; spans are the blocking_spans."""
     dt = trace.dt
     run = 0.0
     for snap, lane_id, s in zip(trace.snapshots, track.lane, track.s):
@@ -489,7 +497,7 @@ def score_scenario(trace: SimTrace, spec: ScenarioSpec,
                    ref_progress: Optional[float] = None) -> ScenarioScore:
     collision, _events = collision_metric(trace)
     track = ego_track(trace, spec)
-    spans = blocking_spans(spec)
+    spans = ObstacleTable(spec.graph, spec.obstacles).blocking_spans
     components = {
         "progress": progress_metric(trace, spec, ref_progress),
         "ttc": ttc_metric(trace, spec, cfg),

@@ -14,9 +14,9 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from ..agents import SWEPT_BAND_HALF_WIDTH
-from ..geometry import FrenetPoint, LaneGraph, OrientedBox, Polyline, Route
+from ..geometry import FrenetPoint, LaneGraph, OrientedBox, Route
 from ..geometry import wrap_angle, wrap_angles
-from ..scenarios import ObstacleSpec
+from ..scenarios import ObstacleSpec, ObstacleTable
 
 HORIZON = 8.0          # s
 STEP = 0.1             # s
@@ -53,9 +53,8 @@ class Observation:
     time: float
     # derived caches, functions of the fields above
     ego_lane: str  # nearest route lane by clamped projection, ties to lower id
-    # the scenario's obstacle extents, shared by every tick
+    # the scenario's obstacle extents and blocking spans, shared by every tick
     obstacle_table: ObstacleTable = field(repr=False, compare=False)
-    lane_blockers: dict = field(default_factory=dict)
     # lane id -> LaneScene, filled by lane_scene; dataclasses.replace starts
     # a new observation with an empty memo
     _scenes: dict = field(default_factory=dict, init=False, repr=False,
@@ -101,14 +100,14 @@ class Trajectory:
             raise ValueError("trajectory needs at least 2 samples")
         if any(len(a) != n for a in (self.x, self.y, self.heading, self.speed)):
             raise ValueError("trajectory arrays must share one length")
-        if self.t[0] != 0.0 or (np.diff(self.t) <= 0).any():
+        if self.t[0] != 0.0 or (self.t[1:] - self.t[:-1] <= 0).any():
             raise ValueError("t must strictly increase from 0")
         if not np.isfinite(self.speed).all() or (self.speed < -1e-9).any():
             raise ValueError("speeds must be finite and >= 0")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("positions must be finite")
-        ds = np.hypot(np.diff(self.x), np.diff(self.y))
-        dh = np.abs(wrap_angles(np.diff(self.heading)))
+        ds = np.hypot(self.x[1:] - self.x[:-1], self.y[1:] - self.y[:-1])
+        dh = np.abs(wrap_angles(self.heading[1:] - self.heading[:-1]))
         moving = ds > 1e-6
         if (dh[moving] / ds[moving] > MAX_CURVATURE + 1e-6).any():
             worst = float((dh[moving] / ds[moving]).max())
@@ -175,12 +174,12 @@ def path_headings(x: np.ndarray, y: np.ndarray,
     otherwise break Trajectory's curvature bound.
     """
     n = x.shape[1]
-    dx = np.diff(x, axis=1)
-    dy = np.diff(y, axis=1)
+    dx = x[:, 1:] - x[:, :-1]
+    dy = y[:, 1:] - y[:, :-1]
     ds = np.hypot(dx, dy)
     moving = ds > 1e-6
     h = np.where(moving, np.arctan2(dy, dx), np.nan)
-    turn = np.abs((np.diff(h, axis=1) + np.pi) % (2.0 * np.pi) - np.pi)
+    turn = np.abs((h[:, 1:] - h[:, :-1] + np.pi) % (2.0 * np.pi) - np.pi)
     for r in np.nonzero((turn > MAX_CURVATURE * ds[:, :-1]).any(axis=1))[0]:
         row = h[r]
         for k in range(1, n - 1):
@@ -221,38 +220,6 @@ class LaneScene:
 
 def _columns(rows: list, n: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, n).T
-
-
-def box_extent(line: Polyline, box: OrientedBox
-               ) -> tuple[float, float, float, float]:
-    """(s_lo, s_hi, d_lo, d_hi) of the box's corners in the line's Frenet
-    frame, extended past the line's ends."""
-    fs = [line.project_extended(c) for c in box.corners()]
-    return (min(f.s for f in fs), max(f.s for f in fs),
-            min(f.d for f in fs), max(f.d for f in fs))
-
-
-class ObstacleTable:
-    """box_extent rows (s_lo, s_hi, d_lo, d_hi) of a scenario's static
-    obstacles on each lane. Obstacles and lanes never move, so each lane's
-    rows are projected on its first use and kept for the whole scenario."""
-
-    def __init__(self, graph: LaneGraph, obstacles: Sequence[ObstacleSpec]):
-        self._graph = graph
-        self._obstacles = tuple(obstacles)
-        self._row = {o: i for i, o in enumerate(self._obstacles)}
-        self._extents: dict[str, np.ndarray] = {}
-
-    def extents(self, lane_id: str, obstacles: Sequence[ObstacleSpec]
-                ) -> np.ndarray:
-        """(4, n): the box_extent columns of the given obstacles on the
-        lane, in their order; each must be one of the table's."""
-        table = self._extents.get(lane_id)
-        if table is None:
-            line = self._graph.lane(lane_id).centerline
-            table = self._extents[lane_id] = _columns(
-                [box_extent(line, o.box) for o in self._obstacles], 4)
-        return table[:, [self._row[o] for o in obstacles]]
 
 
 def lane_scene(obs: Observation, lane_id: str) -> LaneScene:

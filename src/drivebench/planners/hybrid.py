@@ -22,7 +22,6 @@ from .base import (
     BehaviorOption,
     Observation,
     Trajectory,
-    box_extent,
     lane_scene,
 )
 from .sampling import SamplingPlanner
@@ -39,7 +38,7 @@ def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
         return [sp for sp in spans
                 if sp[1] >= ego_front and sp[0] <= ego_front + OVERTAKE_SCAN_AHEAD]
 
-    spans = in_range(obs.lane_blockers.get(lane_id, []))
+    spans = in_range(obs.obstacle_table.blocking_spans.get(lane_id, []))
     stopped = [a.speed < STOPPED_AGENT_SPEED for a in obs.agents]
     scene = lane_scene(obs, lane_id)
     on_lane = np.array(stopped, dtype=bool) & (
@@ -54,7 +53,7 @@ def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
     s_lo, s_hi, d_lo, d_hi = np.vstack(
         [np.column_stack((scene.obstacle_near_s, scene.obstacle_far_s,
                           scene.obstacle_d_lo, scene.obstacle_d_hi))]
-        + [box_extent(line, a.box) for a in compress(obs.agents, stopped)]).T
+        + [line.box_extents(a.box)[1] for a in compress(obs.agents, stopped)]).T
     inside = ((s_hi >= near - 0.5) & (s_lo <= far + 0.5)
               & (d_lo <= SWEPT_BAND_HALF_WIDTH)
               & (d_hi >= -SWEPT_BAND_HALF_WIDTH))

@@ -205,8 +205,8 @@ class ScenarioSpec:
             raise ScenarioError("ego start is not on the route's first lane")
         for o in self.obstacles:
             lane = self.graph.lane(o.lane)
-            span = box_lane_span(o.box, lane, lane.width / 2.0)
-            if span is None:
+            _, _, d_lo, d_hi = lane.centerline.box_extents(o.box)[0]
+            if d_lo > lane.width / 2.0 or d_hi < -lane.width / 2.0:
                 raise ScenarioError(f"obstacle {o.kind} does not overlap lane {o.lane}")
         # no initial overlap between any pair, except intentionally
         # intersecting crashed vehicles
@@ -225,32 +225,6 @@ class ScenarioSpec:
                         f"initial overlap between {boxes[i][0]} and {boxes[j][0]}")
 
 
-def box_lane_span(box: OrientedBox, lane: LaneSegment,
-                  band_half_width: float) -> Optional[tuple[float, float]]:
-    """Arc span (s_near, s_far) over which the box intrudes the lateral band
-    around the lane centerline, or None if it stays clear."""
-    corners = box.corners()
-    fs = [lane.centerline.project(c) for c in corners]
-    d_lo = min(f.d for f in fs)
-    d_hi = max(f.d for f in fs)
-    if d_lo > band_half_width or d_hi < -band_half_width:
-        return None
-    return (min(f.s for f in fs), max(f.s for f in fs))
-
-
-def blocking_spans(spec: ScenarioSpec) -> dict[str, list[tuple[float, float]]]:
-    """Per lane, merged arc spans of obstacles inside the swept band that a
-    lane-keeping vehicle cannot clear."""
-    spans: dict[str, list[tuple[float, float]]] = {}
-    for o in spec.obstacles:
-        for lane_id in sorted(spec.graph.segments):
-            lane = spec.graph.lane(lane_id)
-            span = box_lane_span(o.box, lane, SWEPT_BAND_HALF_WIDTH)
-            if span is not None:
-                spans.setdefault(lane_id, []).append(span)
-    return {lane_id: merge_spans(items, 0.5) for lane_id, items in spans.items()}
-
-
 def merge_spans(spans: Sequence[tuple[float, float]], gap: float
                 ) -> list[tuple[float, float]]:
     """Sorted (near, far) spans, each folded into the merged span before it
@@ -262,6 +236,35 @@ def merge_spans(spans: Sequence[tuple[float, float]], gap: float
         else:
             out.append((near, far))
     return out
+
+
+class ObstacleTable:
+    """A scenario's static obstacles projected once onto every lane: the
+    extended Polyline.box_extents rows the planners' lane scenes read, and
+    blocking_spans, per lane with any, the merged (s_near, s_far) spans of
+    the obstacles whose clamped rows reach into the swept band, which a
+    lane-keeping vehicle cannot clear."""
+
+    def __init__(self, graph: LaneGraph, obstacles: Sequence[ObstacleSpec]):
+        self._row = {o: i for i, o in enumerate(obstacles)}
+        self._extents: dict[str, np.ndarray] = {}
+        self.blocking_spans: dict[str, list[tuple[float, float]]] = {}
+        for lane_id in sorted(graph.segments):
+            line = graph.lane(lane_id).centerline
+            rows = [line.box_extents(o.box) for o in obstacles]
+            self._extents[lane_id] = np.array(
+                [ext for _, ext in rows], dtype=float).reshape(-1, 4).T
+            spans = [(s_lo, s_hi) for (s_lo, s_hi, d_lo, d_hi), _ in rows
+                     if not (d_lo > SWEPT_BAND_HALF_WIDTH
+                             or d_hi < -SWEPT_BAND_HALF_WIDTH)]
+            if spans:
+                self.blocking_spans[lane_id] = merge_spans(spans, 0.5)
+
+    def extents(self, lane_id: str, obstacles: Sequence[ObstacleSpec]
+                ) -> np.ndarray:
+        """(4, n): the extended columns of the given obstacles on the lane,
+        in their order; each must be one of the table's."""
+        return self._extents[lane_id][:, [self._row[o] for o in obstacles]]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +511,7 @@ def spawn_traffic(spec: ScenarioSpec, density: TrafficDensity, rng: Rng,
     [MIN_SPAWN_GAP, density.max_gap]; initial speeds are the smaller of the
     lane limit and the IDM equilibrium speed for the spawn gap."""
     lane_ids = sorted(lanes) if lanes is not None else sorted(spec.graph.segments)
-    blockers = blocking_spans(spec)
+    blockers = ObstacleTable(spec.graph, spec.obstacles).blocking_spans
     new_agents: list[VehicleAgentSpec] = []
     ego_box = spec.ego_box()
     for lane_id in lane_ids:

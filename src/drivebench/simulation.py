@@ -30,12 +30,11 @@ from .geometry import OrientedBox, Pose2D, box_contacts, boxes_collide, wrap_ang
 from .planners.base import (
     AgentObs,
     Observation,
-    ObstacleTable,
     PedestrianObs,
     Trajectory,
     plan_with_fallback,
 )
-from .scenarios import ScenarioSpec, blocking_spans
+from .scenarios import ObstacleTable, ScenarioSpec
 
 TRACE_SCHEMA_VERSION = "v1"
 
@@ -121,11 +120,10 @@ class WorldState:
     pedestrians: list[PedestrianState]
 
 
-def build_observation(world: WorldState, spec: ScenarioSpec, blockers: dict,
+def build_observation(world: WorldState, spec: ScenarioSpec,
                       obstacle_table: ObstacleTable, t: float) -> Observation:
     """Exact, noise-free snapshot of all actors within the perception
-    radius. blockers and obstacle_table are the scenario's, built once by
-    run_closed_loop."""
+    radius; obstacle_table is the scenario's, built once by run_closed_loop."""
     ex, ey = world.ego.pose.x, world.ego.pose.y
     radius2 = PERCEPTION_RADIUS ** 2
     agents = tuple(
@@ -148,8 +146,7 @@ def build_observation(world: WorldState, spec: ScenarioSpec, blockers: dict,
         ego_box=world.ego.box, ego_speed=world.ego.speed,
         ego_accel=world.ego.accel, agents=agents, pedestrians=peds,
         obstacles=obstacles, graph=spec.graph, route=spec.route, time=t,
-        ego_lane=ego_lane, obstacle_table=obstacle_table,
-        lane_blockers=blockers)
+        ego_lane=ego_lane, obstacle_table=obstacle_table)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +328,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         for p in spec.pedestrians
     ]
     world = WorldState(ego=ego, agents=agents, pedestrians=pedestrians)
-    blockers = blocking_spans(spec)
-    obstacle_table = ObstacleTable(spec.graph, spec.obstacles)
+    table = ObstacleTable(spec.graph, spec.obstacles)
 
     trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
                      dt=DT, duration=spec.duration)
@@ -347,13 +343,13 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
 
     for k in range(n_steps):
         t = k * DT
-        obs = build_observation(world, spec, blockers, obstacle_table, t)
+        obs = build_observation(world, spec, table, t)
         traj = plan_with_fallback(planner, obs, trace.events)
         steer_cmd, accel_cmd = track_trajectory(traj, world.ego)
         ego_prev = world.ego
         ego_now = kinematic_bicycle_step(world.ego, steer_cmd, accel_cmd, DT)
 
-        leads = select_lead(world.agents, spec.graph, blockers,
+        leads = select_lead(world.agents, spec.graph, table.blocking_spans,
                             world.pedestrians, ego_prev.box, ego_prev.speed)
         new_agents = [
             step_vehicle_agent(a, lead, spec.graph, DT)

@@ -99,3 +99,43 @@ def min_distance_to_polyline(point, pts: np.ndarray, samples: int = 20000):
     d = np.hypot(xy[:, 0] - point[0], xy[:, 1] - point[1])
     k = int(np.argmin(d))
     return float(ss[k]), float(d[k])
+
+
+# ---------------------------------------------------------------------------
+# the two corner loops that ObstacleTable replaced
+
+
+def box_lane_span_oracle(box, lane, band_half_width):
+    """Reference: the former scenarios.box_lane_span, clamped projections
+    of the corners; the arc span (s_near, s_far) over which the box
+    intrudes the band around the centerline, or None."""
+    fs = [lane.centerline.project(c) for c in box.corners()]
+    d_lo = min(f.d for f in fs)
+    d_hi = max(f.d for f in fs)
+    if d_lo > band_half_width or d_hi < -band_half_width:
+        return None
+    return (min(f.s for f in fs), max(f.s for f in fs))
+
+
+def blocking_spans_oracle(spec):
+    """Reference: the former scenarios.blocking_spans, merged spans per
+    lane of the obstacles inside the swept band."""
+    from drivebench.agents import SWEPT_BAND_HALF_WIDTH
+    from drivebench.scenarios import merge_spans
+
+    spans = {}
+    for o in spec.obstacles:
+        for lane_id in sorted(spec.graph.segments):
+            span = box_lane_span_oracle(o.box, spec.graph.lane(lane_id),
+                                        SWEPT_BAND_HALF_WIDTH)
+            if span is not None:
+                spans.setdefault(lane_id, []).append(span)
+    return {lane_id: merge_spans(items, 0.5) for lane_id, items in spans.items()}
+
+
+def box_extent_oracle(line, box):
+    """Reference: the former planners.base.box_extent, (s_lo, s_hi, d_lo,
+    d_hi) of the corners projected with project_extended."""
+    fs = [line.project_extended(c) for c in box.corners()]
+    return (min(f.s for f in fs), max(f.s for f in fs),
+            min(f.d for f in fs), max(f.d for f in fs))

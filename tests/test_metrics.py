@@ -54,10 +54,10 @@ from drivebench.metrics import (
 from drivebench.planners import IdmPlanner
 from drivebench.scenarios import (
     LANE_WIDTH,
+    ObstacleTable,
     ScenarioType,
     augment_goal_for_lane_changes,
     base_scenario,
-    blocking_spans,
     build_base_map,
     generate_benchmark_suite,
     place_construction_zone,
@@ -250,7 +250,8 @@ class TestDirectionMetric:
 
 def stationary(trace, spec, cfg=CFG):
     return stationary_metric(trace, spec, ego_track(trace, spec),
-                             blocking_spans(spec), cfg)
+                             ObstacleTable(spec.graph,
+                                           spec.obstacles).blocking_spans, cfg)
 
 
 class TestStationaryMetric:
@@ -849,7 +850,9 @@ class TestScoringProjections:
 
 
 def min_progress(trace, spec, cfg=CFG):
-    return min_progress_multiplier(trace, spec, blocking_spans(spec), cfg)
+    return min_progress_multiplier(
+        trace, spec, ObstacleTable(spec.graph, spec.obstacles).blocking_spans,
+        cfg)
 
 
 class TestMinProgress:
@@ -1025,3 +1028,21 @@ class TestExemptionProperty:
         assert comfort_metric(trace, CFG) == comfort_metric(trace, CFG)
         assert speed_compliance(trace, spec_o) == speed_compliance(trace, spec_l)
         assert stationary(trace, spec_o, CFG) == stationary(trace, spec_l, CFG)
+
+
+class TestMetricConfigValues:
+    @pytest.mark.parametrize("value", ["0.95", True, False, None,
+                                       float("nan"), float("inf"),
+                                       float("-inf"), [0.95]])
+    def test_non_finite_or_non_numbers_rejected(self, value):
+        for name in ("ttc_threshold", "weight_progress"):
+            with pytest.raises(ValueError, match=f"^metric config {name} must"):
+                MetricConfig(**{name: value})
+
+    def test_finite_reals_accepted(self):
+        cfg = MetricConfig(ttc_threshold=np.float64(1.5), stationary_duration=5)
+        assert (cfg.ttc_threshold, cfg.stationary_duration) == (1.5, 5)
+
+    def test_weights_still_checked(self):
+        with pytest.raises(ValueError, match="weights must"):
+            MetricConfig(weight_progress=-1.0)

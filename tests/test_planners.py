@@ -23,7 +23,6 @@ from drivebench.planners import (
     mobil_decide,
     plan_with_fallback,
 )
-from drivebench.planners.base import ObstacleTable
 from drivebench.planners.mobil_planner import MobilParams
 from drivebench.planners.sampling import (
     COMFORT_WEIGHT,
@@ -33,9 +32,9 @@ from drivebench.planners.sampling import (
 )
 from drivebench.scenarios import (
     ObstacleSpec,
+    ObstacleTable,
     ScenarioType,
     base_scenario,
-    blocking_spans,
     build_base_map,
     place_parked_vehicle,
 )
@@ -46,6 +45,7 @@ from drivebench.simulation import (
     run_closed_loop,
 )
 from drivebench.agents import make_agent
+from conftest import blocking_spans_oracle, box_extent_oracle
 
 
 def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
@@ -53,7 +53,7 @@ def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
     ego = EgoState(pose=ego_pose or spec.ego.pose,
                    speed=spec.ego.speed if ego_speed is None else ego_speed)
     world = WorldState(ego=ego, agents=list(agents), pedestrians=list(pedestrians))
-    return build_observation(world, spec, blocking_spans(spec),
+    return build_observation(world, spec,
                              ObstacleTable(spec.graph, spec.obstacles), t)
 
 
@@ -293,6 +293,23 @@ class TestTrajectoryChecks:
         Trajectory(**args)
         with pytest.raises(ValueError, match=message):
             Trajectory(**{**args, **overrides})
+
+    def test_slice_differences_equal_np_diff(self):
+        """Trajectory and path_headings take differences as a[1:] - a[:-1]
+        (1-D) and a[:, 1:] - a[:, :-1] (axis 1), which give np.diff's bits
+        on random rows and on rows with NaN, infinities and -0.0."""
+        rng = np.random.default_rng(47)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308])
+        for _ in range(200):
+            a = rng.uniform(-1e3, 1e3, (int(rng.integers(1, 6)),
+                                        int(rng.integers(2, 90))))
+            mask = rng.random(a.shape) < 0.1
+            a[mask] = rng.choice(special, int(mask.sum()))
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert (a[:, 1:] - a[:, :-1]).tobytes() \
+                    == np.diff(a, axis=1).tobytes()
+                assert (a[0, 1:] - a[0, :-1]).tobytes() \
+                    == np.diff(a[0]).tobytes()
 
 
 class TestMobilDecide:
@@ -828,10 +845,8 @@ class TestEgoContacts:
 def per_tick_obstacle_extents(obs, lane_id):
     """Reference: lane_scene's former per-tick loop, box_extent of every
     perceived obstacle, as (4, n) columns s_lo, s_hi, d_lo, d_hi."""
-    from drivebench.planners.base import box_extent
-
     line = obs.graph.lane(lane_id).centerline
-    return np.array([box_extent(line, o.box) for o in obs.obstacles],
+    return np.array([box_extent_oracle(line, o.box) for o in obs.obstacles],
                     dtype=float).reshape(-1, 4).T
 
 
@@ -871,12 +886,11 @@ class TestObstacleTable:
                     float(rng.uniform(0.3, 2.5))), "lane0"))
             spec = replace(spec, obstacles=tuple(obstacles))
             table = ObstacleTable(spec.graph, spec.obstacles)
-            blockers = blocking_spans(spec)
             for ego_s in rng.uniform(0.0, line.length, 3):
                 world = WorldState(ego=EgoState(
                     pose=line.interpolate_frenet(float(ego_s), 0.0),
                     speed=10.0), agents=[], pedestrians=[])
-                obs = build_observation(world, spec, blockers, table, 0.0)
+                obs = build_observation(world, spec, table, 0.0)
                 n_partial += 0 < len(obs.obstacles) < len(obstacles)
                 for k in range(lanes):
                     scene = lane_scene(obs, f"lane{k}")
@@ -897,6 +911,71 @@ class TestObstacleTable:
             "cone", OrientedBox(Pose2D(1.0, 2.0, 0.0), 0.4, 0.4), "lane0"),))
         with pytest.raises(KeyError):
             lane_scene(foreign, "lane0")
+
+    @staticmethod
+    def assert_equals_former_loops(spec):
+        """blocking_spans and every lane's extents equal the two former
+        corner loops exactly, float types and signs of zero included."""
+        table = ObstacleTable(spec.graph, spec.obstacles)
+        assert (repr(sorted(table.blocking_spans.items()))
+                == repr(sorted(blocking_spans_oracle(spec).items())))
+        for lane_id in spec.graph.segments:
+            line = spec.graph.lane(lane_id).centerline
+            want = np.array([box_extent_oracle(line, o.box)
+                             for o in spec.obstacles]).reshape(-1, 4).T
+            got = table.extents(lane_id, spec.obstacles)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), lane_id
+            assert table.extents(lane_id, spec.obstacles[::-1]).tobytes() \
+                == want[:, ::-1].tobytes()
+
+    def test_equals_former_loops_on_suite(self):
+        """On every lane of all 80 seed-2024 scenarios."""
+        from drivebench.scenarios import generate_benchmark_suite
+
+        suite = generate_benchmark_suite(2024)
+        for spec in suite:
+            self.assert_equals_former_loops(spec)
+        assert sum(len(spec.obstacles) for spec in suite) > 0
+
+    SPAN_SPECS = {kind: base_scenario(
+        ScenarioType.LANE_CHANGE_LTD,
+        build_base_map(kind, lanes=2, length=200.0), "lane0", 30.0, 10.0, 1)
+        for kind in ("straight_multilane", "curved")}
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(SPAN_SPECS)),
+           lane_id=st.sampled_from(["lane0", "lane1"]),
+           where=st.sampled_from(["before", "past", "straddle_start",
+                                  "straddle_end", "inside"]),
+           along=st.floats(0.5, 25.0), d=st.floats(-6.0, 6.0),
+           turn=st.floats(-1.5, 1.5), length=st.floats(0.3, 12.0),
+           width=st.floats(0.3, 3.0))
+    def test_equals_former_loops_past_the_ends(self, kind, lane_id, where,
+                                               along, d, turn, length,
+                                               width):
+        """On drawn boxes on straight and curved lanes: wholly before the
+        start, wholly past the end, straddling either end and inside,
+        where the clamped and extended rows differ."""
+        spec = self.SPAN_SPECS[kind]
+        line = spec.graph.lane(lane_id).centerline
+        reach = math.hypot(length, width) / 2.0
+        s = {"before": -reach - along, "past": line.length + reach + along,
+             "straddle_start": along % reach, "inside": line.length / 2.0,
+             "straddle_end": line.length - along % reach}[where]
+        base = line.interpolate_frenet(min(max(s, 0.0), line.length), d)
+        over = s - min(max(s, 0.0), line.length)
+        h = base.heading
+        pose = Pose2D(base.x + over * math.cos(h), base.y + over * math.sin(h),
+                      h + turn)
+        box = OrientedBox(pose, length, width)
+        spec = replace(spec, obstacles=(ObstacleSpec("cone", box, lane_id),))
+        self.assert_equals_former_loops(spec)
+        clamped, extended = line.box_extents(box)
+        if where in ("before", "past"):
+            assert clamped != extended
+            assert 0.0 <= clamped[0] <= clamped[1] <= line.length
+            assert extended[1] < 0.0 or extended[0] > line.length
 
 
 def reference_rollout(v_now, gap0, v_lead, fractions, stop_mask, cap):
@@ -1364,38 +1443,51 @@ class TestSharedLaneScene:
     def test_query_tick_projects_like_other_ticks(self, monkeypatch):
         """The behavior filter, the scripted selector and the sampler share
         one projected scene of the ego lane, and the cones are projected
-        once per scenario. On 000_construction the first tick makes 49
-        project_extended calls (the ego and 4 corners of each of 12 cones,
-        filling the obstacle table); at t = 1.0 s a tick that queries the
-        selector makes 1 (the ego), as many as the tick after it."""
+        once per scenario. On 000_construction the obstacle table runs the
+        corner kernel once per lane and cone before the first tick, and no
+        tick runs it again. The first tick makes 1 project_extended call
+        (the ego); at t = 1.0 s a tick that queries the selector makes 1,
+        as many as the tick after it."""
         from drivebench.scenarios import generate_benchmark_suite
 
         spec = replace(generate_benchmark_suite(2024)[0], duration=1.2)
         assert spec.type is ScenarioType.CONSTRUCTION and not spec.agents
-        calls = []
+        calls, kernel = [], []
         project_extended = Polyline.project_extended
+        box_extents = Polyline.box_extents
 
         def counted(self, point):
             calls.append(point)
             return project_extended(self, point)
 
+        def counted_kernel(self, box):
+            kernel.append(box)
+            return box_extents(self, box)
+
         monkeypatch.setattr(Polyline, "project_extended", counted)
+        monkeypatch.setattr(Polyline, "box_extents", counted_kernel)
         hybrid = HybridBehaviorPlanner(ScriptedSelector())
         ticks = {}
+        kernel_at_start = []
 
         class Counting:
             def plan(self, obs):
-                start = len(calls)
+                if not ticks:
+                    kernel_at_start.append(len(kernel))
+                start, kernel_start = len(calls), len(kernel)
                 traj = hybrid.plan(obs)
                 ticks[round(obs.time, 1)] = (len(calls) - start,
+                                             len(kernel) - kernel_start,
                                              len(obs.obstacles),
                                              hybrid.query_count)
                 return traj
 
         run_closed_loop(spec, Counting())
-        assert ticks[0.0] == (49, 12, 1)
-        assert ticks[1.0] == (1, 12, 2)
-        assert ticks[1.1] == (1, 12, 2)
+        assert kernel_at_start == [len(spec.graph.segments) * 12]
+        assert len(kernel) == kernel_at_start[0]
+        assert ticks[0.0] == (1, 0, 12, 1)
+        assert ticks[1.0] == (1, 0, 12, 2)
+        assert ticks[1.1] == (1, 0, 12, 2)
 
 
 class TestWaypointsPlanner:

@@ -1,16 +1,29 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import corridor_passable, straight_offset_path_clear
-from drivebench.geometry import boxes_collide, lane_changes_required, wrap_angle
+from conftest import (
+    box_lane_span_oracle,
+    corridor_passable,
+    straight_offset_path_clear,
+)
+from drivebench.geometry import (
+    OrientedBox,
+    Pose2D,
+    boxes_collide,
+    lane_changes_required,
+    wrap_angle,
+)
 from drivebench.scenarios import (
     LANE_CHANGE_TYPES,
     LANE_WIDTH,
     MIN_SPAWN_GAP,
     MalformedScenarioError,
+    ObstacleSpec,
+    ObstacleTable,
     PolicyMode,
     Rng,
     ScenarioError,
@@ -20,7 +33,6 @@ from drivebench.scenarios import (
     assign_policies,
     augment_goal_for_lane_changes,
     base_scenario,
-    blocking_spans,
     build_base_map,
     generate_benchmark_suite,
     load_scenario,
@@ -44,7 +56,7 @@ def obstacle_boxes(spec):
 
 
 def obstacle_span(spec, lane_id="lane0"):
-    spans = blocking_spans(spec)[lane_id]
+    spans = ObstacleTable(spec.graph, spec.obstacles).blocking_spans[lane_id]
     return min(s for s, _ in spans) - 10.0, max(f for _, f in spans) + 10.0
 
 
@@ -187,7 +199,8 @@ class TestJaywalker:
     def test_bus_stays_out_of_swept_band(self):
         spec = place_jaywalker(fresh_spec(lanes=1, speed=10.0), bus_stop_s=90.0,
                                trigger_distance=30.0)
-        assert "lane0" not in blocking_spans(spec)
+        assert "lane0" not in ObstacleTable(spec.graph,
+                                            spec.obstacles).blocking_spans
 
 
 class TestSpawnTraffic:
@@ -202,7 +215,8 @@ class TestSpawnTraffic:
         f = lane.centerline.project((spec.ego.pose.x, spec.ego.pose.y))
         if abs(f.d) < lane.width / 2:
             members.append((f.s - 2.3, f.s + 2.3))
-        for near, far in blocking_spans(spec).get(lane_id, []):
+        for near, far in ObstacleTable(spec.graph, spec.obstacles
+                                       ).blocking_spans.get(lane_id, []):
             members.append((near, far))
         members.sort()
         return [b[0] - a[1] for a, b in zip(members, members[1:])]
@@ -276,6 +290,32 @@ class TestMergeSpans:
                 merged = merge_spans(spans, gap)
                 assert merged == self.merge_scan(spans, gap)
                 assert merged[0] == self.first_cluster_scan(spans, gap)
+
+
+class TestObstacleBand:
+    """validate applies the lane's half width to the corner kernel's
+    clamped row, as the former box_lane_span did."""
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_validate_band_edge(self, side):
+        # a 0.5 m square whose near edge lies exactly on the lane edge
+        # (1.75 m, every step dyadic), then moved out by one ulp of 2.0
+        spec = fresh_spec(lanes=1)
+        lane = spec.graph.lane("lane0")
+        for y, ok in ((2.0, True), (np.nextafter(2.0, 3.0), False)):
+            box = OrientedBox(Pose2D(150.0, side * y, 0.0), 0.5, 0.5)
+            _, _, d_lo, d_hi = lane.centerline.box_extents(box)[0]
+            edge = d_lo if side > 0 else -d_hi
+            assert (edge == 1.75) if ok else (1.75 < edge < 1.7500001)
+            assert (box_lane_span_oracle(box, lane, lane.width / 2.0)
+                    is not None) == ok
+            placed = replace(spec, obstacles=(ObstacleSpec("cone", box, "lane0"),))
+            if ok:
+                placed.validate()
+            else:
+                with pytest.raises(ScenarioError,
+                                   match="^obstacle cone does not overlap lane lane0$"):
+                    placed.validate()
 
 
 class TestAssignPolicies:

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
 from drivebench.geometry import OrientedBox, Pose2D, boxes_collide
 from drivebench.planners import IdmPlanner, SamplingPlanner, Trajectory
-from drivebench.planners.base import ObstacleTable
 from drivebench.scenarios import (
+    ObstacleTable,
     ScenarioType,
     augment_goal_for_lane_changes,
     base_scenario,
-    blocking_spans,
     build_base_map,
     generate_benchmark_suite,
     place_construction_zone,
@@ -148,7 +147,7 @@ class TestBuildObservation:
         far = make_agent(spec.graph, "lane0", 300.0, 5.0)
         world = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                            agents=[near, far], pedestrians=[])
-        obs = build_observation(world, spec, blocking_spans(spec),
+        obs = build_observation(world, spec,
                                 ObstacleTable(spec.graph, spec.obstacles), 0.0)
         assert len(obs.agents) == 1
 
@@ -156,7 +155,7 @@ class TestBuildObservation:
         spec = empty_road_spec()
         world = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                            agents=[], pedestrians=[])
-        obs = build_observation(world, spec, {},
+        obs = build_observation(world, spec,
                                 ObstacleTable(spec.graph, spec.obstacles),
                                 1.2345)
         assert obs.time == 1.2345
@@ -168,10 +167,9 @@ class TestBuildObservation:
                         agents=[agent], pedestrians=[])
         w2 = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
                         agents=[agent], pedestrians=[])
-        blockers = blocking_spans(spec)
         table = ObstacleTable(spec.graph, spec.obstacles)
-        o1 = build_observation(w1, spec, blockers, table, 0.5)
-        o2 = build_observation(w2, spec, blockers, table, 0.5)
+        o1 = build_observation(w1, spec, table, 0.5)
+        o2 = build_observation(w2, spec, table, 0.5)
         assert o1 == o2
 
     @staticmethod
@@ -179,7 +177,7 @@ class TestBuildObservation:
         spec = augment_goal_for_lane_changes(empty_road_spec(lanes=3), n_changes)
         world = WorldState(ego=EgoState(pose=Pose2D(x, y, 0.0), speed=10.0),
                            agents=[], pedestrians=[])
-        return build_observation(world, spec, {}, ObstacleTable(
+        return build_observation(world, spec, ObstacleTable(
             spec.graph, spec.obstacles), 0.0).ego_lane
 
     @pytest.mark.parametrize("x, y, lane", [
@@ -267,7 +265,8 @@ class TestClosedLoop:
         spec = place_construction_zone(spec, start_s=80.0, zone_length=14.0)
         trace = run_closed_loop(spec, IdmPlanner())
         last = trace.snapshots[-1].ego
-        first_cone = min(s for s, _ in blocking_spans(spec)["lane0"])
+        first_cone = min(s for s, _ in ObstacleTable(
+            spec.graph, spec.obstacles).blocking_spans["lane0"])
         assert last["speed"] < 0.05
         gap = first_cone - (last["x"] + VEHICLE_LENGTH / 2.0)
         assert gap >= 4.0 - 0.5
