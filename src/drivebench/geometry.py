@@ -247,55 +247,65 @@ def boxes_collide(a: OrientedBox, b: OrientedBox) -> bool:
     return True
 
 
-def _box_corners_batch(cx, cy, heading, length, width) -> np.ndarray:
-    """Corners (..., 4, 2) for arrays of box poses and extents."""
-    c, s = np.cos(heading), np.sin(heading)
-    hl = np.asarray(length) / 2.0
-    hw = np.asarray(width) / 2.0
-    ex = np.stack([c * hl, s * hl], axis=-1)   # half-length vector
-    ey = np.stack([-s * hw, c * hw], axis=-1)  # half-width vector
-    center = np.stack([cx, cy], axis=-1)
-    return np.stack([
-        center + ex + ey,
-        center - ex + ey,
-        center - ex - ey,
-        center + ex - ey,
-    ], axis=-2)
+CONTACT_MARGIN = 1.0  # m box_contacts' entity broadphase adds to the reaches
+# corner signs along and across the heading, in OrientedBox.corners' order
+_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+
+
+def _box_corners_batch(cx, cy, heading, length, width) -> tuple:
+    """Corner x and y, each (4, *S) for the broadcast shape S, in corners()
+    order; exact signs give the bits of center ± half-length ± half-width."""
+    c, s, hl, hw = np.cos(heading), np.sin(heading), length / 2.0, width / 2.0
+    ex, ey, fx, fy = c * hl, -s * hw, s * hl, c * hw
+    sl, sw = _SIGNS.reshape((2, 4) + (1,) * np.broadcast(cx, cy, ex, ey).ndim)
+    return cx + sl * ex + sw * ey, cy + sl * fx + sw * fy
 
 
 def boxes_collide_batch(cx_a, cy_a, h_a, len_a, wid_a,
                         cx_b, cy_b, h_b, len_b, wid_b) -> np.ndarray:
     """Vectorized separating-axis test over N box pairs -> bool array.
     Touching counts as collision, matching boxes_collide."""
-    ca = _box_corners_batch(cx_a, cy_a, h_a, len_a, wid_a)  # (N,4,2)
-    cb = _box_corners_batch(cx_b, cy_b, h_b, len_b, wid_b)
-    axes = np.stack([
-        np.stack([np.cos(h_a), np.sin(h_a)], axis=-1),
-        np.stack([-np.sin(h_a), np.cos(h_a)], axis=-1),
-        np.stack([np.cos(h_b), np.sin(h_b)], axis=-1),
-        np.stack([-np.sin(h_b), np.cos(h_b)], axis=-1),
-    ], axis=-2)  # (N,4,2)
-    pa = np.einsum("ncd,nad->nca", ca, axes)  # (N, corners, axes)
-    pb = np.einsum("ncd,nad->nca", cb, axes)
-    lo_a, hi_a = pa.min(axis=1), pa.max(axis=1)
-    lo_b, hi_b = pb.min(axis=1), pb.max(axis=1)
-    overlap = (lo_a <= hi_b) & (lo_b <= hi_a)  # per axis
-    return overlap.all(axis=-1)
+    ca, sa, cb, sb = np.cos(h_a), np.sin(h_a), np.cos(h_b), np.sin(h_b)
+    ux = np.array([ca, -sa, cb, -sb])  # the 4 axes, (4, N)
+    uy = np.array([sa, ca, sb, cb])
+    bounds = []   # of each box's corners on each axis, (axes, N)
+    for px, py in map(_box_corners_batch, (cx_a, cx_b), (cy_a, cy_b),
+                      (h_a, h_b), (len_a, len_b), (wid_a, wid_b)):
+        p = px[:, None] * ux
+        p += py[:, None] * uy   # (corners, axes, N)
+        bounds += p.min(axis=0), p.max(axis=0)
+    lo_a, hi_a, lo_b, hi_b = bounds
+    return ((lo_a <= hi_b) & (lo_b <= hi_a)).all(axis=0)
 
 
 def box_contacts(x, y, h, length, width, qx, qy, qh, ql, qw
                  ) -> tuple[np.ndarray, ...]:
-    """Overlapping pairs between boxes (x, y, h, length, width) and boxes
-    (qx, qy, qh, ql, qw), all broadcast against each other: one index
-    array per axis of the broadcast shape. Pairs whose circumcircles are
-    apart are rejected before the separating-axis test."""
+    """Overlapping pairs between boxes (x, y, h, length, width) and entity
+    boxes (qx, qy, qh, ql, qw), broadcast together: one index array per
+    axis, the trailing one indexing entities. With two or more axes,
+    entities outside the first boxes' bounding box widened by both reaches
+    and CONTACT_MARGIN are dropped first, as the circumcircle test would
+    reject all their pairs; that test and the separating-axis test follow."""
+    args, kept = (x, y, h, length, width, qx, qy, qh, ql, qw), None
+    if np.ndim(x) >= 2 and np.size(x):  # fmin and fmax skip NaN states
+        lo, hi = np.fmin.reduce, np.fmax.reduce
+        pad = (hi(np.hypot(length, width), None) + np.hypot(ql, qw)) / 2.0 \
+            + CONTACT_MARGIN
+        inside = ((qx >= lo(x, None) - pad) & (qx <= hi(x, None) + pad)
+                  & (qy >= lo(y, None) - pad) & (qy <= hi(y, None) + pad))
+        reaches = inside.any(axis=tuple(range(inside.ndim - 1)))
+        if not reaches.all():
+            kept = np.flatnonzero(reaches)
+            args = tuple(a[..., kept] if np.shape(a)[-1:] == reaches.shape
+                         else a for a in args)
+    x, y, h, length, width, qx, qy, qh, ql, qw = args
     reach = np.hypot(length, width) / 2.0 + np.hypot(ql, qw) / 2.0
     near = np.nonzero((x - qx) ** 2 + (y - qy) ** 2 <= reach ** 2)
-    if not len(near[0]):
-        return near
-    hits = boxes_collide_batch(*(a[near] for a in np.broadcast_arrays(
-        x, y, h, length, width, qx, qy, qh, ql, qw)))
-    return tuple(i[hits] for i in near)
+    if len(near[0]):
+        hits = boxes_collide_batch(*(a[near] for a in np.broadcast_arrays(
+            *args)))
+        near = tuple(i[hits] for i in near)
+    return near if kept is None else near[:-1] + (kept[near[-1]],)
 
 
 def ttc_violations(x, y, h, v, length, width, qx, qy, qvx, qvy, qh, ql, qw,

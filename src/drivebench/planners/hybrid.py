@@ -112,6 +112,8 @@ class HybridBehaviorPlanner:
 
     def __init__(self, selector, eval_horizon: float = 2.0,
                  dwell_time: float = 0.0):
+        if not (math.isfinite(dwell_time) and dwell_time >= 0):
+            raise ValueError("dwell_time must be finite and >= 0")
         self.selector = selector
         self.sampler = SamplingPlanner(eval_horizon=eval_horizon)
         self.dwell_time = dwell_time  # 0 disables switch damping

@@ -102,6 +102,10 @@ class SamplingPlanner:
     name = "sampler"
 
     def __init__(self, eval_horizon: float = 2.0, ttc_threshold: float = 0.95):
+        if not (math.isfinite(eval_horizon) and eval_horizon >= STEP):
+            raise ValueError(f"eval_horizon must be finite and >= {STEP}")
+        if not (math.isfinite(ttc_threshold) and ttc_threshold > 0):
+            raise ValueError("ttc_threshold must be finite and > 0")
         self.eval_horizon = eval_horizon
         self.ttc_threshold = ttc_threshold
 
@@ -282,12 +286,11 @@ class SamplingPlanner:
         collided[hc[~struck_from_behind]] = True
 
         # corners + center containment in the drivable area
-        corners = _box_corners_batch(gx, gy, gh, VEHICLE_LENGTH, VEHICLE_WIDTH)
-        pts = np.concatenate([corners, np.stack([gx, gy], axis=-1)[:, :, None]],
-                             axis=2)  # (C, K, 5, 2)
+        px, py = _box_corners_batch(gx, gy, gh, VEHICLE_LENGTH, VEHICLE_WIDTH)
+        pts = np.stack([np.vstack([px, gx[None]]), np.vstack([py, gy[None]])], -1)
         inside = points_in_any_polygon(pts.reshape(-1, 2),
                                        obs.graph.drivable_area)
-        off_area = ~inside.reshape(C, -1).all(axis=1)
+        off_area = ~inside.reshape(5, C, -1).all(axis=(0, 2))
         return collided, off_area
 
     def _ttc_fractions(self, world, x, y, heading, v, K):

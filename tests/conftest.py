@@ -139,3 +139,52 @@ def box_extent_oracle(line, box):
     fs = [line.project_extended(c) for c in box.corners()]
     return (min(f.s for f in fs), max(f.s for f in fs),
             min(f.d for f in fs), max(f.d for f in fs))
+
+
+# ---------------------------------------------------------------------------
+# the contact kernels before the entity broadphase and the stack-free
+# separating-axis test
+
+
+def box_corners_batch_oracle(cx, cy, heading, length, width):
+    """Reference: the former geometry._box_corners_batch, corners (..., 4,
+    2) as center ± half-length vector ± half-width vector."""
+    c, s = np.cos(heading), np.sin(heading)
+    hl = np.asarray(length) / 2.0
+    hw = np.asarray(width) / 2.0
+    ex = np.stack([c * hl, s * hl], axis=-1)
+    ey = np.stack([-s * hw, c * hw], axis=-1)
+    center = np.stack([cx, cy], axis=-1)
+    return np.stack([center + ex + ey, center - ex + ey,
+                     center - ex - ey, center + ex - ey], axis=-2)
+
+
+def boxes_collide_batch_oracle(cx_a, cy_a, h_a, len_a, wid_a,
+                               cx_b, cy_b, h_b, len_b, wid_b):
+    """Reference: the former geometry.boxes_collide_batch, projecting the
+    corners onto the four axes with einsum."""
+    ca = box_corners_batch_oracle(cx_a, cy_a, h_a, len_a, wid_a)
+    cb = box_corners_batch_oracle(cx_b, cy_b, h_b, len_b, wid_b)
+    axes = np.stack([
+        np.stack([np.cos(h_a), np.sin(h_a)], axis=-1),
+        np.stack([-np.sin(h_a), np.cos(h_a)], axis=-1),
+        np.stack([np.cos(h_b), np.sin(h_b)], axis=-1),
+        np.stack([-np.sin(h_b), np.cos(h_b)], axis=-1),
+    ], axis=-2)
+    pa = np.einsum("ncd,nad->nca", ca, axes)
+    pb = np.einsum("ncd,nad->nca", cb, axes)
+    lo_a, hi_a = pa.min(axis=1), pa.max(axis=1)
+    lo_b, hi_b = pb.min(axis=1), pb.max(axis=1)
+    return ((lo_a <= hi_b) & (lo_b <= hi_a)).all(axis=-1)
+
+
+def box_contacts_oracle(x, y, h, length, width, qx, qy, qh, ql, qw):
+    """Reference: the former geometry.box_contacts, the circumcircle test
+    over the whole broadcast shape, then the einsum separating-axis test."""
+    reach = np.hypot(length, width) / 2.0 + np.hypot(ql, qw) / 2.0
+    near = np.nonzero((x - qx) ** 2 + (y - qy) ** 2 <= reach ** 2)
+    if not len(near[0]):
+        return near
+    hits = boxes_collide_batch_oracle(*(a[near] for a in np.broadcast_arrays(
+        x, y, h, length, width, qx, qy, qh, ql, qw)))
+    return tuple(i[hits] for i in near)

@@ -1,10 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import boxes_overlap_sampled, min_distance_to_polyline, sat_margin
+from conftest import (
+    box_contacts_oracle,
+    box_corners_batch_oracle,
+    boxes_collide_batch_oracle,
+    boxes_overlap_sampled,
+    min_distance_to_polyline,
+    sat_margin,
+)
+from drivebench import geometry
 from drivebench.geometry import (
     FrenetPoint,
     LaneGraph,
@@ -15,7 +24,10 @@ from drivebench.geometry import (
     Polyline,
     Pose2D,
     Route,
+    _box_corners_batch,
+    box_contacts,
     boxes_collide,
+    boxes_collide_batch,
     fraction_outside_drivable,
     lane_changes_required,
     points_in_polygon,
@@ -368,6 +380,228 @@ class TestOrientedBoxCollision:
             if got != boxes_overlap_sampled(a, b):
                 mismatches.append(abs(sat_margin(a, b)))
         assert all(m <= 1e-3 for m in mismatches)
+
+
+BOX_ROWS = st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0),
+                     st.floats(-math.pi, math.pi), st.floats(0.3, 12.0),
+                     st.floats(0.3, 3.0))
+NEAR_ROWS = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                      st.floats(-math.pi, math.pi), st.floats(0.3, 12.0),
+                      st.floats(0.3, 3.0))
+
+
+class TestContactKernels:
+    """_box_corners_batch, boxes_collide_batch and box_contacts, with its
+    entity broadphase, equal their former forms (conftest.py) bit for bit:
+    corners, booleans, index tuples and the number of pairs that reach the
+    separating-axis test."""
+
+    @staticmethod
+    def corners(*args):
+        """_box_corners_batch in the former (..., 4, 2) layout."""
+        px, py = _box_corners_batch(*args)
+        return np.moveaxis(np.stack([px, py], axis=-1), 0, -2)
+
+    @staticmethod
+    def assert_contacts_equal(*args):
+        """box_contacts(*args) equals the oracle, index dtypes included, and
+        hands boxes_collide_batch as many pairs as the oracle's circumcircle
+        test lets through. Returns the index tuple."""
+        pairs = []
+
+        def counted(*cols):
+            hits = boxes_collide_batch(*cols)
+            assert hits.shape == np.shape(cols[0]) and hits.dtype == bool
+            pairs.append(hits.size)
+            return hits
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "boxes_collide_batch", counted)
+            got = box_contacts(*args)
+        want = box_contacts_oracle(*args)
+        x, y, h, length, width, qx, qy, qh, ql, qw = args
+        reach = np.hypot(length, width) / 2.0 + np.hypot(ql, qw) / 2.0
+        near = np.count_nonzero((x - qx) ** 2 + (y - qy) ** 2 <= reach ** 2)
+        assert sum(pairs) == near
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        return got
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(BOX_ROWS, NEAR_ROWS), min_size=1,
+                         max_size=25))
+    def test_drawn_pairs(self, rows):
+        """Pairs anywhere within 500 m, the second box within 10 m of the
+        first: corners and the separating-axis test on the pairs, and
+        box_contacts of all first boxes, and of each one alone (which the
+        broadphase culls to the few second boxes nearby), against every
+        second box."""
+        a = np.array([r[0] for r in rows]).T
+        b = np.array([r[1] for r in rows]).T
+        b[:2] += a[:2]
+        for box in (a, b):
+            got = self.corners(*box)
+            assert got.tobytes() == box_corners_batch_oracle(*box).tobytes()
+        got = boxes_collide_batch(*a, *b)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        assert np.array_equal(got, boxes_collide_batch_oracle(*a, *b))
+        self.assert_contacts_equal(*(c[:, None] for c in a),
+                                   *(c[None, :] for c in b))
+        for i in range(len(rows)):
+            self.assert_contacts_equal(*(c[None, i:i + 1] for c in a),
+                                       *(c[None, :] for c in b))
+        self.assert_contacts_equal(*a, *b)
+
+    def test_corner_kernel_shapes(self):
+        """Scalar, (N,) and (C, K) poses with scalar extents, the sampler's
+        drivable-area call."""
+        rng = np.random.default_rng(5)
+        for shape in [(), (7,), (30, 20)]:
+            args = (rng.uniform(-500, 500, shape), rng.uniform(-500, 500, shape),
+                    rng.uniform(-math.pi, math.pi, shape), 4.6, 1.85)
+            got = self.corners(*args)
+            assert got.shape == shape + (4, 2)
+            assert got.tobytes() == box_corners_batch_oracle(*args).tobytes()
+
+    def test_touching_boxes(self):
+        """Boxes sharing an edge or a corner, axis-aligned and turned by
+        multiples of pi/2; axis-aligned touching counts as contact."""
+        n_touch = 0
+        for k in range(-2, 5):
+            h = k * math.pi / 2.0
+            c, s = math.cos(h), math.sin(h)
+            for ox, oy in [(4.0, 0.0), (0.0, 2.0), (4.0, 2.0), (-4.0, -2.0),
+                           (3.0, 2.0), (4.0, 1.0)]:
+                a = np.array([[10.0], [-20.0], [h], [4.0], [2.0]])
+                b = np.array([[10.0 + c * ox - s * oy], [-20.0 + s * ox + c * oy],
+                              [h], [4.0], [2.0]])
+                assert self.corners(*b).tobytes() \
+                    == box_corners_batch_oracle(*b).tobytes()
+                got = boxes_collide_batch(*a, *b)
+                assert np.array_equal(got, boxes_collide_batch_oracle(*a, *b))
+                if k == 0:
+                    assert got[0]
+                    n_touch += 1
+                self.assert_contacts_equal(*a, *b)
+                self.assert_contacts_equal(
+                    *(np.repeat(c_, 3)[:, None, None] for c_ in a),
+                    *(np.repeat(c_, 2)[None, None, :] for c_ in b))
+        assert n_touch == 6
+
+    def test_reach_boundaries(self):
+        """An entity one ulp inside and one ulp outside the circumcircle
+        reach of the nearest first box, and just inside and outside the
+        broadphase's widened bounding box, ahead and behind."""
+        length, width, ql, qw = 4.6, 1.85, 0.6, 0.6
+        reach = np.hypot(length, width) / 2.0 + np.hypot(ql, qw) / 2.0
+        x = np.array([[0.0, 1.0, 2.0]])[..., None]   # (C, K, 1)
+        y = np.zeros_like(x)
+        h = np.full_like(x, 0.3)
+
+        def query(qx):
+            qx = np.array([[qx, -50.0]] * 3)   # (K, E)
+            return self.assert_contacts_equal(
+                x, y, h, length, width, qx, np.zeros_like(qx),
+                np.zeros(2), np.full(2, ql), np.full(2, qw))
+
+        def meets(qx):
+            return (2.0 - qx) ** 2 <= reach ** 2
+
+        inside = 2.0 + reach
+        while not meets(inside):
+            inside = np.nextafter(inside, 0.0)
+        while meets(np.nextafter(inside, 10.0)):
+            inside = np.nextafter(inside, 10.0)
+        outside = np.nextafter(inside, 10.0)
+        assert len(query(inside)[0]) == 0 == len(query(outside)[0])
+        pad = (np.hypot(length, width) + np.hypot(ql, qw)) / 2.0 \
+            + geometry.CONTACT_MARGIN
+        for edge in (2.0 + pad, 0.0 - pad):
+            for qx in (edge, np.nextafter(edge, -10.0),
+                       np.nextafter(edge, 10.0)):
+                query(qx)
+
+    def test_nan_state(self):
+        """A NaN ego state meets nothing and drops no entity for the other
+        states; all-NaN states meet nothing."""
+        rng = np.random.default_rng(9)
+        C, K, E = 6, 5, 4
+        x = rng.uniform(0.0, 10.0, (C, K))
+        y = rng.uniform(-1.0, 1.0, (C, K))
+        h = rng.uniform(-0.3, 0.3, (C, K))
+        qx = np.repeat(rng.uniform(0.0, 12.0, E)[None], K, 0)
+        qy = np.repeat(rng.uniform(-1.0, 1.0, E)[None], K, 0)
+        args = (4.6, 1.85, qx, qy, np.zeros(E), np.full(E, 4.0), np.full(E, 1.8))
+        for nan_x, nan_y in [((0, 0), None), (None, (2, 3)), ((1, 1), (1, 1))]:
+            xs, ys = x.copy(), y.copy()
+            if nan_x:
+                xs[nan_x] = np.nan
+            if nan_y:
+                ys[nan_y] = np.nan
+            got = self.assert_contacts_equal(
+                xs[..., None], ys[..., None], h[..., None], *args)
+            assert len(got[0])
+        got = self.assert_contacts_equal(
+            np.full((C, K, 1), np.nan), y[..., None],
+            h[..., None], *args)
+        assert not len(got[0])
+
+    def test_empty_and_single(self):
+        """E = 0, E = 1 (reached and not) and K = 0 return index arrays of
+        the broadcast rank."""
+        rng = np.random.default_rng(11)
+        for K, E, far in [(4, 0, False), (4, 1, False), (4, 1, True),
+                          (0, 3, False), (0, 0, False)]:
+            x = rng.uniform(0.0, 5.0, (3, K, 1))
+            qx = rng.uniform(0.0, 5.0, (K, E)) + (100.0 if far else 0.0)
+            got = self.assert_contacts_equal(
+                x, np.zeros_like(x), np.zeros_like(x), 4.6, 1.85,
+                qx, np.zeros_like(qx), np.zeros(E), np.full(E, 4.6),
+                np.full(E, 1.85))
+            assert len(got) == 3
+            assert all(i.dtype == np.intp for i in got)
+            assert bool(len(got[0])) == (K > 0 and E > 0 and not far)
+        ego = np.array([[0.0], [0.0], [0.0], [4.6], [1.85]])
+        for n in (0, 1):
+            got = self.assert_contacts_equal(
+                *ego, *np.tile(ego + [[1.0], [0.0], [0.0], [0.0], [0.0]], n))
+            assert len(got) == 1 and len(got[0]) == n
+
+    def test_every_caller(self, monkeypatch):
+        """Each caller's own shapes, from a closed loop and its score: the
+        sampler's feasibility (C, K, E) and TTC (C, K, U, E) queries, the
+        metric's (T, U, N) TTC query, and the simulator's ego and
+        agent-agent checks."""
+        from drivebench import simulation
+        from drivebench.metrics import score_scenario
+        from drivebench.planners import SamplingPlanner
+        from drivebench.planners import sampling
+        from drivebench.scenarios import generate_benchmark_suite
+        from drivebench.simulation import run_closed_loop
+
+        seen = set()
+
+        def checked(where):
+            def call(*args):
+                seen.add((where, np.broadcast(*args).ndim,
+                          where.endswith("simulation") and np.size(args[0]) > 1))
+                return self.assert_contacts_equal(*args)
+            return call
+
+        for mod in (geometry, sampling, simulation):
+            monkeypatch.setattr(mod, "box_contacts", checked(mod.__name__))
+        suite = generate_benchmark_suite(2024)
+        for i in (0, 20, 41):
+            spec = replace(suite[i], duration=3.0)
+            trace = run_closed_loop(spec, SamplingPlanner())
+            score_scenario(trace, spec)
+        # the simulator's ego check has one first box, its agent pairs many
+        assert seen == {("drivebench.planners.sampling", 3, False),
+                        ("drivebench.geometry", 4, False),
+                        ("drivebench.geometry", 3, False),
+                        ("drivebench.simulation", 1, False),
+                        ("drivebench.simulation", 1, True)}
 
 
 class TestDrivableFraction:

@@ -937,6 +937,21 @@ class TestObstacleTable:
         for spec in suite:
             self.assert_equals_former_loops(spec)
         assert sum(len(spec.obstacles) for spec in suite) > 0
+        # no suite corner lies past a lane end, so move two cones of the
+        # first construction scenario onto lane0's start and its end
+        spec = suite[0]
+        line = spec.graph.lane("lane0").centerline
+        moved = [replace(o, box=OrientedBox(pose, o.box.length, o.box.width))
+                 for o, pose in zip(spec.obstacles, (
+                     line.interpolate_frenet(0.0, 0.0),
+                     line.interpolate_frenet(line.length, 0.0)))]
+        spec = replace(spec, obstacles=tuple(moved) + spec.obstacles[2:])
+        self.assert_equals_former_loops(spec)
+        extents = ObstacleTable(spec.graph, spec.obstacles).extents(
+            "lane0", moved)
+        assert extents[0, 0] < 0.0 and extents[1, 1] > line.length
+        for o, row in zip(moved, extents.T):
+            assert tuple(row) != line.box_extents(o.box)[0]
 
     SPAN_SPECS = {kind: base_scenario(
         ScenarioType.LANE_CHANGE_LTD,
@@ -1545,3 +1560,31 @@ class TestRegistry:
     def test_param_override(self):
         planner = make_planner("sampler", {"eval_horizon": "4.0"})
         assert planner.eval_horizon == 4.0
+
+    @pytest.mark.parametrize("planner, key, text", [
+        ("sampler", "eval_horizon", "0"),
+        ("sampler", "eval_horizon", "-1"),
+        ("sampler", "eval_horizon", "0.05"),
+        ("sampler", "eval_horizon", "nan"),
+        ("sampler", "eval_horizon", "inf"),
+        ("hybrid-scripted", "eval_horizon", "0"),
+        ("hybrid-scripted", "eval_horizon", "nan"),
+        ("sampler", "ttc_threshold", "0"),
+        ("sampler", "ttc_threshold", "-1"),
+        ("sampler", "ttc_threshold", "nan"),
+        ("sampler", "ttc_threshold", "inf"),
+        ("hybrid-scripted", "dwell_time", "-1"),
+        ("hybrid-scripted", "dwell_time", "nan"),
+        ("hybrid-scripted", "dwell_time", "inf"),
+    ])
+    def test_bad_param_value(self, planner, key, text):
+        """A value that would score an empty window, brake on every tick or
+        turn a term off is rejected, naming the key."""
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            make_planner(planner, {key: text})
+
+    def test_param_bounds_are_inclusive(self):
+        assert make_planner("sampler", {"eval_horizon": "0.1"}).eval_horizon \
+            == 0.1
+        assert make_planner("hybrid-scripted", {"dwell_time": "0"}).dwell_time \
+            == 0.0

@@ -165,12 +165,13 @@ class TestCliRun:
                              ("llm-waypoints", "dwell_time")]:
             with pytest.raises(ValueError, match=f"does not accept {key}"):
                 make_planner(planner, {key: "1.0"})
-        # and fails before any scenario runs
+        # and fails before any scenario runs, as does a value out of range
         bad = tmp_path / "bad"
-        with pytest.raises(ValueError, match="eval_horizn"):
-            main(["run", "--planner", "sampler", "--out", str(bad),
-                  "--planner-param", "eval_horizn=4.0"])
-        assert not bad.exists()
+        for param in ("eval_horizn=4.0", "eval_horizon=0", "ttc_threshold=nan"):
+            with pytest.raises(ValueError, match=param.split("=")[0]):
+                main(["run", "--planner", "sampler", "--out", str(bad),
+                      "--planner-param", param])
+            assert not bad.exists()
 
 
 @pytest.fixture
