@@ -134,6 +134,31 @@ class Polyline:
         d = float(dist[i]) if cross >= 0 else -float(dist[i])
         return FrenetPoint(s=s, d=d)
 
+    def project_many(self, points, extended: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """project (or project_extended) of each (x, y) row of points, as
+        arrays (s, d) with the bits of the scalar calls: the same per-segment
+        arithmetic over (N, S) and the first minimum of each row."""
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
+        starts = self.points[:-1]
+        rel = p[:, None, :] - starts
+        t = np.einsum("nij,ij->ni", rel, self._dirs)
+        t = np.minimum(np.maximum(t, 0.0), self._seg_len)
+        foot = starts + t[..., None] * self._dirs
+        diff = p[:, None, :] - foot
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        i = dist.argmin(axis=1)
+        rows = np.arange(len(p))
+        s = self.cum_len[i] + t[rows, i]
+        u, du = self._dirs[i], diff[rows, i]
+        cross = u[:, 0] * du[:, 1] - u[:, 1] * du[:, 0]
+        d = np.where(cross >= 0, dist[rows, i], -dist[rows, i])
+        if extended:
+            for k in np.flatnonzero((s <= 0.0) | (s >= self.length)):
+                f = self._extend(p[k], FrenetPoint(float(s[k]), float(d[k])))
+                s[k], d[k] = f.s, f.d
+        return s, d
+
     def project_extended(self, point: Sequence[float]) -> FrenetPoint:
         """Like project, but s runs past the endpoints along the end tangents
         (s < 0 before the start, s > length past the end)."""
@@ -285,7 +310,8 @@ def box_contacts(x, y, h, length, width, qx, qy, qh, ql, qw
     axis, the trailing one indexing entities. With two or more axes,
     entities outside the first boxes' bounding box widened by both reaches
     and CONTACT_MARGIN are dropped first, as the circumcircle test would
-    reject all their pairs; that test and the separating-axis test follow."""
+    reject all their pairs (when none is left, the empty result returns at
+    once); that test and the separating-axis test follow."""
     args, kept = (x, y, h, length, width, qx, qy, qh, ql, qw), None
     if np.ndim(x) >= 2 and np.size(x):  # fmin and fmax skip NaN states
         lo, hi = np.fmin.reduce, np.fmax.reduce
@@ -294,6 +320,9 @@ def box_contacts(x, y, h, length, width, qx, qy, qh, ql, qw
         inside = ((qx >= lo(x, None) - pad) & (qx <= hi(x, None) + pad)
                   & (qy >= lo(y, None) - pad) & (qy <= hi(y, None) + pad))
         reaches = inside.any(axis=tuple(range(inside.ndim - 1)))
+        if not reaches.any():
+            return tuple(np.empty(0, dtype=np.intp)
+                         for _ in range(np.broadcast(*args).ndim))
         if not reaches.all():
             kept = np.flatnonzero(reaches)
             args = tuple(a[..., kept] if np.shape(a)[-1:] == reaches.shape

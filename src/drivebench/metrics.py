@@ -120,17 +120,17 @@ class EgoTrack:
 
 
 def ego_track(trace: SimTrace, spec: ScenarioSpec) -> EgoTrack:
-    """One clamped projection per lane per snapshot, lanes in sorted-id
-    order; both argmins take the first minimum of |d|."""
+    """One clamped projection of every snapshot per lane (project_many),
+    lanes in sorted-id order; both argmins take the first minimum of |d|."""
     ids = sorted(spec.graph.segments)
-    lines = [spec.graph.lane(lane_id).centerline for lane_id in ids]
-    proj = [[line.project((snap.ego["x"], snap.ego["y"])) for line in lines]
-            for snap in trace.snapshots]
-    dist = np.array([[abs(f.d) for f in row] for row in proj]).reshape(-1, len(ids))
+    points = [(snap.ego["x"], snap.ego["y"]) for snap in trace.snapshots]
+    s, d = np.array([spec.graph.lane(lane_id).centerline.project_many(points)
+                     for lane_id in ids]).transpose(1, 2, 0)  # each (T, L)
+    dist = np.abs(d)
     nearest = dist.argmin(axis=1)
     route_cols = [ids.index(lane_id) for lane_id in spec.route.lane_sequence]
     return EgoTrack(lane=tuple(ids[k] for k in nearest),
-                    s=tuple(row[k].s for row, k in zip(proj, nearest)),
+                    s=tuple(s[np.arange(len(s)), nearest].tolist()),
                     route_index=dist[:, route_cols].argmin(axis=1))
 
 

@@ -23,6 +23,8 @@ STEP = 0.1             # s
 N_SAMPLES = int(round(HORIZON / STEP)) + 1
 MAX_CURVATURE = 0.5    # 1/m, kinematic reachability bound between samples
 FALLBACK_DECEL = 6.0   # m/s^2 used by the full-brake fallback
+# lane_scene projects this many points or more with one project_many call
+PROJECT_MANY_MIN = 3
 
 
 @dataclass(frozen=True)
@@ -231,25 +233,27 @@ def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
     if scene is not None:
         return scene
     line = obs.graph.lane(lane_id).centerline
+    points = [(obs.ego_box.center.x, obs.ego_box.center.y)]
+    points += [(a.box.center.x, a.box.center.y) for a in obs.agents]
+    points += [ped.position for ped in obs.pedestrians if ped.crossing]
+    if len(points) < PROJECT_MANY_MIN:  # a scalar call is cheaper here
+        fs = [line.project_extended(p) for p in points]
+        s, d = [f.s for f in fs], [f.d for f in fs]
+    else:
+        s, d = (a.tolist() for a in line.project_many(points, extended=True))
     agents = []
-    for agent in obs.agents:
-        f = line.project_extended((agent.box.center.x, agent.box.center.y))
-        rel = wrap_angle(agent.box.center.heading - line.tangent_at(f.s))
+    for agent, a_s, a_d in zip(obs.agents, s[1:], d[1:]):
+        rel = wrap_angle(agent.box.center.heading - line.tangent_at(a_s))
         along = (abs(math.cos(rel)) * agent.box.length
                  + abs(math.sin(rel)) * agent.box.width) / 2.0
-        agents.append((f.s, f.d, agent.box.length / 2.0, f.s - along,
+        agents.append((a_s, a_d, agent.box.length / 2.0, a_s - along,
                        agent.speed * math.cos(rel),
                        SWEPT_BAND_HALF_WIDTH + agent.box.width / 2.0 - 0.15))
-    peds = []
-    for ped in obs.pedestrians:
-        if ped.crossing:
-            f = line.project_extended(ped.position)
-            peds.append((f.s, f.d))
+    n = 1 + len(obs.agents)
     scene = obs._scenes[lane_id] = LaneScene(
-        line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y)),
-        *_columns(agents, 6),
+        FrenetPoint(s[0], d[0]), *_columns(agents, 6),
         *obs.obstacle_table.extents(lane_id, obs.obstacles),
-        *_columns(peds, 2))
+        *_columns(list(zip(s[n:], d[n:])), 2))
     return scene
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .base import (
     N_SAMPLES,
@@ -47,6 +46,9 @@ class WaypointsLlmPlanner:
 
     @staticmethod
     def _to_trajectory(obs: Observation, pairs) -> Trajectory:
+        # imported here: scipy.interpolate is most of drivebench's import time
+        from scipy.interpolate import CubicSpline
+
         h0 = obs.ego_box.center.heading
         c, s = math.cos(h0), math.sin(h0)
         pts = np.asarray(pairs, dtype=float)

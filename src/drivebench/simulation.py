@@ -26,7 +26,14 @@ from .agents import (
     step_pedestrian,
     step_vehicle_agent,
 )
-from .geometry import OrientedBox, Pose2D, box_contacts, boxes_collide, wrap_angle
+from .geometry import (
+    OrientedBox,
+    Pose2D,
+    box_contacts,
+    boxes_collide,
+    boxes_collide_batch,
+    wrap_angle,
+)
 from .planners.base import (
     AgentObs,
     Observation,
@@ -280,27 +287,41 @@ def _box_columns(boxes: list[OrientedBox]) -> np.ndarray:
                       b.width) for b in boxes], dtype=float).reshape(-1, 5).T
 
 
-def _ego_collisions(ego_box: OrientedBox, world: WorldState,
+def _ego_collisions(ego_box: OrientedBox, agent_cols: np.ndarray,
+                    obstacle_cols: np.ndarray, world: WorldState,
                     spec: ScenarioSpec) -> list[tuple[str, OrientedBox]]:
     """Partner ids and boxes currently in contact with the ego: agents,
-    then obstacles, then pedestrians."""
-    partners = ([(f"agent{i}", a.box) for i, a in enumerate(world.agents)]
-                + [(f"obstacle{j}:{o.kind}", o.box)
-                   for j, o in enumerate(spec.obstacles)]
-                + [(f"pedestrian{k}", p.box())
-                   for k, p in enumerate(world.pedestrians)])
-    [hits] = box_contacts(*_box_columns([ego_box]),
-                          *_box_columns([box for _, box in partners]))
-    return [partners[i] for i in hits]
+    then obstacles, then pedestrians. agent_cols and obstacle_cols are the
+    _box_columns of world.agents and spec.obstacles."""
+    ped_boxes = [p.box() for p in world.pedestrians]
+    [hits] = box_contacts(*_box_columns([ego_box]), *np.concatenate(
+        (agent_cols, obstacle_cols, _box_columns(ped_boxes)), axis=1))
+    n_a, n_o = len(world.agents), len(spec.obstacles)
+    contacts = []
+    for i in hits.tolist():
+        if i < n_a:
+            contacts.append((f"agent{i}", world.agents[i].box))
+        elif i < n_a + n_o:
+            o = spec.obstacles[i - n_a]
+            contacts.append((f"obstacle{i - n_a}:{o.kind}", o.box))
+        else:
+            contacts.append((f"pedestrian{i - n_a - n_o}",
+                             ped_boxes[i - n_a - n_o]))
+    return contacts
 
 
-def _agent_agent_collisions(agents: list[AgentState]) -> list[tuple[int, int]]:
-    """Agent pairs (i, j), i < j, in contact, in row-major order."""
-    if len(agents) < 2:
+def _agent_agent_collisions(cols: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of the boxes in _box_columns cols that are in
+    contact, in row-major order: box_contacts' circumcircle test on the
+    upper triangle, then the separating-axis test on its pairs."""
+    x, y, _, length, width = cols
+    reach = np.hypot(length, width) / 2.0
+    near = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2 \
+        <= (reach[:, None] + reach) ** 2
+    i, j = np.nonzero(np.triu(near, 1))
+    if not len(i):
         return []
-    i, j = np.triu_indices(len(agents), 1)
-    cols = _box_columns([a.box for a in agents])
-    [hits] = box_contacts(*cols[:, i], *cols[:, j])
+    hits = boxes_collide_batch(*cols[:, i], *cols[:, j])
     return list(zip(i[hits].tolist(), j[hits].tolist()))
 
 
@@ -329,6 +350,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     ]
     world = WorldState(ego=ego, agents=agents, pedestrians=pedestrians)
     table = ObstacleTable(spec.graph, spec.obstacles)
+    obstacle_cols = _box_columns([o.box for o in spec.obstacles])
 
     trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
                      dt=DT, duration=spec.duration)
@@ -351,10 +373,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
 
         leads = select_lead(world.agents, spec.graph, table.blocking_spans,
                             world.pedestrians, ego_prev.box, ego_prev.speed)
-        new_agents = [
-            step_vehicle_agent(a, lead, spec.graph, DT)
-            for a, lead in zip(world.agents, leads)
-        ]
+        new_agents = step_vehicle_agent(world.agents, leads, spec.graph, DT)
         new_peds = [
             step_pedestrian(p, spec.graph, ego_prev.pose, ego_prev.speed, DT)
             for p in world.pedestrians
@@ -362,7 +381,9 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         world = WorldState(ego=ego_now, agents=new_agents, pedestrians=new_peds)
         t_next = (k + 1) * DT
 
-        contacts = _ego_collisions(ego_now.box, world, spec)
+        agent_cols = _box_columns([a.box for a in world.agents])
+        contacts = _ego_collisions(ego_now.box, agent_cols, obstacle_cols,
+                                   world, spec)
         current_ids = set()
         for partner, box in contacts:
             current_ids.add(partner)
@@ -373,7 +394,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
                     "at_fault": bool(at_fault)})
         ongoing_ego_contacts = current_ids
 
-        agent_pairs = _agent_agent_collisions(world.agents)
+        agent_pairs = _agent_agent_collisions(agent_cols)
         current_pairs = set(agent_pairs)
         for i, j in agent_pairs:
             if (i, j) not in ongoing_agent_contacts:

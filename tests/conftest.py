@@ -188,3 +188,65 @@ def box_contacts_oracle(x, y, h, length, width, qx, qy, qh, ql, qw):
     hits = boxes_collide_batch_oracle(*(a[near] for a in np.broadcast_arrays(
         x, y, h, length, width, qx, qy, qh, ql, qw)))
     return tuple(i[hits] for i in near)
+
+
+# ---------------------------------------------------------------------------
+# the per-agent, per-pair and per-snapshot forms that the batched traffic
+# step, the upper-triangle contact pass and project_many replaced
+
+
+def step_vehicle_agent_oracle(agent, lead, graph, dt):
+    """Reference: the former agents.step_vehicle_agent, one agent per call,
+    placed with one scalar lane_pose."""
+    from drivebench.agents import AgentState, idm_acceleration, lane_pose
+
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if lead is None:
+        a = idm_acceleration(agent.speed, None, None, agent.v0)
+    else:
+        v_lead, gap = lead
+        a = idm_acceleration(agent.speed, v_lead, max(gap, 0.01), agent.v0)
+    speed = max(0.0, agent.speed + a * dt)
+    s = agent.s + speed * dt
+    lane_id = agent.lane
+    line = graph.lane(lane_id).centerline
+    while s > line.length:
+        succ = sorted(graph.lane(lane_id).successors)
+        if not succ:
+            break
+        s -= line.length
+        lane_id = succ[0]
+        line = graph.lane(lane_id).centerline
+    pose = lane_pose(graph, lane_id, s)
+    box = OrientedBox(pose, agent.length, agent.width)
+    return AgentState(lane_id, s, speed, agent.policy, agent.v0, box,
+                      agent.length, agent.width)
+
+
+def agent_agent_collisions_oracle(boxes):
+    """Reference: the former simulation._agent_agent_collisions, the
+    triu_indices pairs through the former box_contacts, as (i, j) in
+    row-major order."""
+    if len(boxes) < 2:
+        return []
+    i, j = np.triu_indices(len(boxes), 1)
+    cols = np.array([(b.center.x, b.center.y, b.center.heading, b.length,
+                      b.width) for b in boxes], dtype=float).T
+    [hits] = box_contacts_oracle(*cols[:, i], *cols[:, j])
+    return list(zip(i[hits].tolist(), j[hits].tolist()))
+
+
+def ego_track_oracle(trace, spec):
+    """Reference: the former metrics.ego_track, one scalar project per lane
+    per snapshot, as (lane, s, route_index)."""
+    ids = sorted(spec.graph.segments)
+    lines = [spec.graph.lane(lane_id).centerline for lane_id in ids]
+    proj = [[line.project((snap.ego["x"], snap.ego["y"])) for line in lines]
+            for snap in trace.snapshots]
+    dist = np.array([[abs(f.d) for f in row] for row in proj]).reshape(-1, len(ids))
+    nearest = dist.argmin(axis=1)
+    route_cols = [ids.index(lane_id) for lane_id in spec.route.lane_sequence]
+    return (tuple(ids[k] for k in nearest),
+            tuple(row[k].s for row, k in zip(proj, nearest)),
+            dist[:, route_cols].argmin(axis=1))

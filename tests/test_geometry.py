@@ -274,6 +274,79 @@ class TestScalarKernels:
                 == np.clip(t, 0.0, seg).tobytes())
 
 
+STEPS = st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)).filter(
+    lambda v: math.hypot(*v) > 1e-3)
+
+
+@st.composite
+def line_and_points(draw):
+    """A random polyline and points on its vertices, past both ends (on and
+    beside the end tangents), near it, duplicated and NaN, in any order."""
+    start = draw(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+    steps = draw(st.lists(STEPS, min_size=1, max_size=20))
+    line = Polyline(np.vstack([start, np.add(start, np.cumsum(steps, axis=0))]))
+    pts = line.points
+    points = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["vertex", "before", "after", "near", "duplicate", "nan"]),
+            min_size=0, max_size=30)):
+        off = draw(st.floats(-10.0, 10.0))
+        if kind == "vertex":
+            points.append(tuple(pts[draw(st.integers(0, len(pts) - 1))]))
+        elif kind in ("before", "after"):
+            end, u = ((pts[0], -line._dirs[0]) if kind == "before"
+                      else (pts[-1], line._dirs[-1]))
+            run = draw(st.floats(0.0, 30.0))
+            points.append(tuple(end + run * u + off * np.array([-u[1], u[0]])))
+        elif kind == "near":
+            k = draw(st.integers(0, len(pts) - 1))
+            points.append((pts[k][0] + off, pts[k][1] + draw(st.floats(-10.0, 10.0))))
+        elif kind == "duplicate" and points:
+            points.append(points[draw(st.integers(0, len(points) - 1))])
+        elif kind == "nan":
+            points.append(draw(st.sampled_from(
+                [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])))
+    return line, points
+
+
+class TestProjectMany:
+    """project_many returns the bits of the scalar project and
+    project_extended, row by row."""
+
+    @staticmethod
+    def assert_equals_scalar(line, points):
+        for extended, scalar in ((False, line.project),
+                                 (True, line.project_extended)):
+            s, d = line.project_many(points, extended=extended)
+            fs = [scalar(p) for p in points]
+            assert s.shape == d.shape == (len(points),)
+            assert s.dtype == d.dtype == np.float64
+            assert s.tobytes() == np.array([f.s for f in fs], float).tobytes()
+            assert d.tobytes() == np.array([f.d for f in fs], float).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=line_and_points())
+    def test_equals_scalar_project(self, case):
+        self.assert_equals_scalar(*case)
+
+    def test_fixed_lines(self):
+        """The scalar-kernel lines of TestScalarKernels with their vertices,
+        points just past both ends, far points and NaN."""
+        rng = np.random.default_rng(29)
+        for line in TestScalarKernels._lines():
+            lo = line.points.min(axis=0) - 50.0
+            hi = line.points.max(axis=0) + 50.0
+            u0, u1 = line._dirs[0], line._dirs[-1]
+            points = np.vstack((
+                line.points, line.points[0] - 1e-9 * u0,
+                line.points[-1] + 1e-9 * u1, line.points[0] - 3.0 * u0,
+                line.points[-1] + 3.0 * u1, [[np.nan, np.nan], [np.nan, 0.0]],
+                rng.uniform(lo, hi, (500, 2))))
+            self.assert_equals_scalar(line, points)
+            self.assert_equals_scalar(line, points[:1])
+            self.assert_equals_scalar(line, points[:0])
+
+
 class TestFrenetEmbedding:
     def test_start_of_line(self):
         pose = straight_line().interpolate(FrenetPoint(0.0, 0.0))
@@ -568,11 +641,37 @@ class TestContactKernels:
                 *ego, *np.tile(ego + [[1.0], [0.0], [0.0], [0.0], [0.0]], n))
             assert len(got) == 1 and len(got[0]) == n
 
+    def test_nothing_reaches(self, monkeypatch):
+        """When the broadphase keeps no entity, box_contacts returns empty
+        intp index arrays, one per axis of the broadcast shape, as the
+        former form does, and runs no separating-axis test: the sampler's
+        (C, K, E) and (C, K, U, E) shapes and the metric's (T, U, N)."""
+        rng = np.random.default_rng(23)
+        calls = []
+        monkeypatch.setattr(geometry, "boxes_collide_batch",
+                            lambda *cols: calls.append(cols))
+        for lead, E in [((30, 20), 11), ((30, 20, 10), 3), ((151, 10), 24),
+                        ((2, 3), 1)]:
+            x = rng.uniform(0.0, 20.0, lead + (1,))
+            qx = rng.uniform(60.0, 90.0, lead[1:] + (E,)) * rng.choice([-1, 1], E)
+            qy = rng.uniform(-5.0, 5.0, qx.shape)
+            args = (x, rng.uniform(-2.0, 2.0, x.shape),
+                    rng.uniform(-0.3, 0.3, x.shape), 4.6, 1.85, qx, qy,
+                    np.zeros(E), np.full(E, 4.6), np.full(E, 1.85))
+            got = box_contacts(*args)
+            want = box_contacts_oracle(*args)
+            assert len(got) == len(want) == len(lead) + 1
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.intp
+                assert g.shape == w.shape == (0,)
+        assert not calls
+
     def test_every_caller(self, monkeypatch):
         """Each caller's own shapes, from a closed loop and its score: the
         sampler's feasibility (C, K, E) and TTC (C, K, U, E) queries, the
-        metric's (T, U, N) TTC query, and the simulator's ego and
-        agent-agent checks."""
+        metric's (T, U, N) TTC query, and the simulator's ego check. The
+        simulator's agent-agent check runs its own upper-triangle pass
+        (tests/test_simulation.py, TestContacts)."""
         from drivebench import simulation
         from drivebench.metrics import score_scenario
         from drivebench.planners import SamplingPlanner
@@ -596,12 +695,11 @@ class TestContactKernels:
             spec = replace(suite[i], duration=3.0)
             trace = run_closed_loop(spec, SamplingPlanner())
             score_scenario(trace, spec)
-        # the simulator's ego check has one first box, its agent pairs many
+        # the simulator's ego check has one first box
         assert seen == {("drivebench.planners.sampling", 3, False),
                         ("drivebench.geometry", 4, False),
                         ("drivebench.geometry", 3, False),
-                        ("drivebench.simulation", 1, False),
-                        ("drivebench.simulation", 1, True)}
+                        ("drivebench.simulation", 1, False)}
 
 
 class TestDrivableFraction:

@@ -72,6 +72,7 @@ from drivebench.simulation import (
     _ped_snapshot,
     run_closed_loop,
 )
+from conftest import ego_track_oracle
 from test_agents import random_traffic
 from test_planners import empty_road_spec
 
@@ -826,27 +827,57 @@ class TestEgoTrackReference:
 class TestScoringProjections:
     def test_one_projection_per_lane_per_snapshot(self, monkeypatch):
         """score_scenario projects the ego once onto each lane for each
-        snapshot (ego_track: T x L calls) and twice onto the route spine
-        (route_progress: 2 calls, through project_extended). Nothing else
-        projects here: ref_progress is given, so no reference drive runs;
-        without obstacles there are no blocking spans, so
-        min_progress_multiplier returns before its spine lookup; without
-        pedestrians the stationary gate projects nothing."""
+        snapshot (ego_track: one project_many of all T snapshots per lane)
+        and twice onto the route spine (route_progress: 2 calls, through
+        project_extended). Nothing else projects here: ref_progress is
+        given, so no reference drive runs; without obstacles there are no
+        blocking spans, so min_progress_multiplier returns before its spine
+        lookup; without pedestrians the stationary gate projects nothing."""
         spec = generate_benchmark_suite(2024)[52]
         assert not spec.obstacles and not spec.pedestrians
         trace = run_closed_loop(spec, IdmPlanner())
-        calls = []
-        project = Polyline.project
+        calls, batches = [], []
+        project, project_many = Polyline.project, Polyline.project_many
 
         def counted(self, point):
             calls.append(point)
             return project(self, point)
 
+        def counted_many(self, points, extended=False):
+            batches.append(len(points))
+            return project_many(self, points, extended)
+
         monkeypatch.setattr(Polyline, "project", counted)
+        monkeypatch.setattr(Polyline, "project_many", counted_many)
         score_scenario(trace, spec, CFG, ref_progress=100.0)
         T, L = len(trace.snapshots), len(spec.graph.segments)
         assert (T, L) == (151, 4)
-        assert len(calls) == T * L + 2
+        assert batches == [T] * L
+        assert len(calls) == 2
+
+    def test_ego_track_equals_per_snapshot_loop(self):
+        """ego_track equals the former per-snapshot loop of scalar projects
+        (conftest.py): lanes, arc positions and route indices, bit for bit,
+        on closed-loop idm traces of every family and on perturbed copies
+        with NaN and far-off ego positions."""
+        suite = generate_benchmark_suite(2024)
+        rng = np.random.default_rng(13)
+        for i in range(0, 80, 7):
+            spec = replace(suite[i], duration=3.0)
+            trace = run_closed_loop(spec, IdmPlanner())
+            odd = copy.deepcopy(trace)
+            for snap in odd.snapshots[::5]:
+                snap.ego["x"] += float(rng.uniform(-300.0, 300.0))
+            odd.snapshots[3].ego["y"] = math.nan
+            odd.snapshots[4].ego["x"] = math.nan
+            for t in (trace, odd):
+                track = ego_track(t, spec)
+                lane, s, route_index = ego_track_oracle(t, spec)
+                assert track.lane == lane
+                assert np.array(track.s).tobytes() == np.array(s).tobytes()
+                assert all(type(v) is float for v in track.s)
+                assert route_index.dtype == track.route_index.dtype
+                assert np.array_equal(track.route_index, route_index)
 
 
 def min_progress(trace, spec, cfg=CFG):

@@ -691,6 +691,70 @@ class TestLaneSceneMemo:
             assert self._values(scene) != self._values(stale)
 
 
+def lane_scene_scalar(obs, lane_id):
+    """Reference: lane_scene's former per-entity loop, one scalar
+    project_extended for the ego, each agent and each crossing pedestrian,
+    as the scene's values."""
+    from drivebench.agents import SWEPT_BAND_HALF_WIDTH
+    from drivebench.geometry import wrap_angle
+
+    line = obs.graph.lane(lane_id).centerline
+    agents = []
+    for agent in obs.agents:
+        f = line.project_extended((agent.box.center.x, agent.box.center.y))
+        rel = wrap_angle(agent.box.center.heading - line.tangent_at(f.s))
+        along = (abs(math.cos(rel)) * agent.box.length
+                 + abs(math.sin(rel)) * agent.box.width) / 2.0
+        agents.append((f.s, f.d, agent.box.length / 2.0, f.s - along,
+                       agent.speed * math.cos(rel),
+                       SWEPT_BAND_HALF_WIDTH + agent.box.width / 2.0 - 0.15))
+    peds = [line.project_extended(p.position)
+            for p in obs.pedestrians if p.crossing]
+    ego = line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y))
+    columns = np.array(agents, dtype=float).reshape(-1, 6).T
+    ped_columns = np.array([(f.s, f.d) for f in peds], float).reshape(-1, 2).T
+    return [ego] + [c.tobytes() for c in columns] \
+        + [c.tobytes() for c in ped_columns]
+
+
+class TestLaneSceneProjection:
+    def test_equals_scalar_projections(self):
+        """lane_scene, batched from PROJECT_MANY_MIN points on, equals the
+        former per-entity scalar projections bit for bit: 0 to 14 agents
+        anywhere on or off the road, before the lanes' start and past their
+        end, with waiting and crossing pedestrians."""
+        from drivebench.planners.base import (
+            PROJECT_MANY_MIN,
+            AgentObs,
+            PedestrianObs,
+            lane_scene,
+        )
+
+        rng = np.random.default_rng(41)
+        sizes = set()
+        for _ in range(150):
+            obs = random_observation(rng)
+            agents = tuple(AgentObs(OrientedBox(Pose2D(
+                float(rng.uniform(-40.0, 490.0)), float(rng.uniform(-6.0, 10.0)),
+                float(rng.uniform(-math.pi, math.pi))), 4.6, 1.85),
+                float(rng.uniform(0.0, 14.0)), "lane0")
+                for _ in range(int(rng.integers(0, 15))))
+            peds = tuple(PedestrianObs(
+                (float(rng.uniform(-20.0, 470.0)), float(rng.uniform(-3.0, 6.0))),
+                (0.0, 1.2), bool(rng.random() < 0.6))
+                for _ in range(int(rng.integers(0, 3))))
+            obs = replace(obs, agents=agents, pedestrians=peds)
+            sizes.add(1 + len(agents) + sum(p.crossing for p in peds))
+            for lane_id in ("lane0", "lane1"):
+                scene = lane_scene(obs, lane_id)
+                got = [scene.ego] + [
+                    getattr(scene, f.name).tobytes() for f in fields(scene)
+                    if f.name.startswith("agent_")] + [
+                    scene.ped_s.tobytes(), scene.ped_d.tobytes()]
+                assert got == lane_scene_scalar(obs, lane_id)
+        assert min(sizes) < PROJECT_MANY_MIN <= max(sizes)
+
+
 # ---------------------------------------------------------------------------
 # sampler contact and TTC queries
 
@@ -1545,6 +1609,34 @@ class TestWaypointsPlanner:
         assert [(e["kind"], e["error"]) for e in events] == [
             ("planner_fallback", "ValueError")]
         assert "curvature" in events[0]["message"]
+
+    def test_scipy_loads_on_first_plan(self):
+        """Importing drivebench.cli leaves scipy.interpolate unloaded; the
+        planner's first plan loads it and returns the spline trajectory."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import drivebench
+
+        code = (
+            "import sys; import drivebench.cli; "
+            "assert 'scipy.interpolate' not in sys.modules, 'loaded on import'; "
+            "from drivebench.planners import WaypointsLlmPlanner; "
+            "from test_planners import empty_road_spec, make_obs; "
+            "obs = make_obs(empty_road_spec(lanes=1), ego_speed=10.0); "
+            "pts = ', '.join(f'({5.0 * (i + 1):.1f}, 0.0)' for i in range(16)); "
+            "traj = WaypointsLlmPlanner(lambda prompt: pts).plan(obs); "
+            "assert 'scipy.interpolate' in sys.modules; "
+            "print(round(float(traj.x[-1] - traj.x[0]), 3))")
+        src = str(Path(drivebench.__file__).resolve().parent.parent)
+        tests = str(Path(__file__).resolve().parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests))),
+            check=True)
+        assert float(out.stdout.split()[-1]) == pytest.approx(80.0, abs=1.0)
 
 
 class TestRegistry:

@@ -27,6 +27,7 @@ from drivebench.simulation import (
     SimTrace,
     TickSnapshot,
     _agent_agent_collisions,
+    _box_columns,
     _ego_collisions,
     build_observation,
     kinematic_bicycle_step,
@@ -36,6 +37,7 @@ from drivebench.simulation import (
 )
 from drivebench.agents import PedestrianState, make_agent
 from drivebench.geometry import Polyline
+from conftest import agent_agent_collisions_oracle
 from test_planners import empty_road_spec
 
 
@@ -236,15 +238,65 @@ class TestContacts:
                         + [(f"pedestrian{k}", p.box()) for k, p in enumerate(peds)])
             expected = [name for name, box in partners
                         if boxes_collide(ego.box, box)]
-            assert [name for name, _box in _ego_collisions(ego.box, world, spec)] \
-                == expected
+            agent_cols = _box_columns([a.box for a in agents])
+            obstacle_cols = _box_columns([o.box for o in spec.obstacles])
+            got = _ego_collisions(ego.box, agent_cols, obstacle_cols, world,
+                                  spec)
+            assert got == [(name, box) for name, box in partners
+                           if name in expected]
+            assert [name for name, _box in got] == expected
             pairs = [(i, j) for i in range(len(agents))
                      for j in range(i + 1, len(agents))
                      if boxes_collide(agents[i].box, agents[j].box)]
-            assert _agent_agent_collisions(agents) == pairs
+            assert _agent_agent_collisions(agent_cols) == pairs
+            assert agent_agent_collisions_oracle(
+                [a.box for a in agents]) == pairs
             n_ego += len(expected)
             n_pairs += len(pairs)
         assert n_ego > 50 and n_pairs > 100
+
+    def test_agent_pairs_equal_former_pass(self, monkeypatch):
+        """The upper-triangle pass gives the former triu_indices pass's pairs
+        and hands the separating-axis test as many pairs, on clusters of up
+        to 65 boxes of mixed sizes and headings, with duplicated and exactly
+        touching boxes."""
+        from drivebench import geometry, simulation
+
+        rng = np.random.default_rng(17)
+        sizes = []
+
+        def counted(*cols):
+            sizes.append(np.size(cols[0]))
+            return geometry.boxes_collide_batch(*cols)
+
+        monkeypatch.setattr(simulation, "boxes_collide_batch", counted)
+        n_pairs = 0
+        for _ in range(80):
+            n = int(rng.integers(0, 66))
+            spread = float(rng.uniform(5.0, 60.0))
+            boxes = [OrientedBox(Pose2D(float(rng.uniform(0.0, spread)),
+                                        float(rng.uniform(-4.0, 4.0)),
+                                        float(rng.uniform(-math.pi, math.pi))),
+                                 float(rng.uniform(0.5, 12.0)),
+                                 float(rng.uniform(0.5, 2.6)))
+                     for _ in range(n)]
+            if n > 2:
+                boxes[1] = boxes[0]
+                c = boxes[2].center   # axis-aligned, touching end to end
+                boxes[2] = OrientedBox(Pose2D(c.x, c.y, 0.0), 4.0, 2.0)
+                boxes.append(OrientedBox(Pose2D(c.x + 4.0, c.y, 0.0), 4.0, 2.0))
+            sizes.clear()
+            got = _agent_agent_collisions(_box_columns(boxes))
+            assert got == agent_agent_collisions_oracle(boxes)
+            if len(boxes) > 1:
+                x, y, _h, length, width = _box_columns(boxes)
+                reach = np.hypot(length, width) / 2.0
+                i, j = np.triu_indices(len(boxes), 1)
+                near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 \
+                    <= (reach[i] + reach[j]) ** 2
+                assert sum(sizes) == np.count_nonzero(near)
+            n_pairs += len(got)
+        assert n_pairs > 500
 
 
 class TestClosedLoop:
