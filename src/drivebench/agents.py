@@ -265,8 +265,9 @@ def step_vehicle_agent(agents: Sequence[AgentState],
     lane_pose."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    moved = []
-    for agent, lead in zip(agents, leads, strict=True):
+    moved, poses = [], []
+    by_lane: dict[str, list[int]] = {}  # lane -> its agents within the lane
+    for k, (agent, lead) in enumerate(zip(agents, leads, strict=True)):
         if lead is None:
             a = idm_acceleration(agent.speed, None, None, agent.v0)
         else:
@@ -284,17 +285,15 @@ def step_vehicle_agent(agents: Sequence[AgentState],
             lane_id = succ[0]
             line = graph.lane(lane_id).centerline
         moved.append((lane_id, s, speed))
-    poses: list[Optional[Pose2D]] = [None] * len(moved)
-    by_lane: dict[str, list[int]] = {}
-    for k, (lane_id, s, _speed) in enumerate(moved):
-        if 0.0 <= s <= graph.lane(lane_id).centerline.length:
+        if 0.0 <= s <= line.length:
             by_lane.setdefault(lane_id, []).append(k)
+            poses.append(None)
         else:
-            poses[k] = lane_pose(graph, lane_id, s)
+            poses.append(lane_pose(graph, lane_id, s))
     for lane_id, members in by_lane.items():
         line = graph.lane(lane_id).centerline
         s = [moved[k][1] for k in members]
-        x, y, _ = line.interpolate_many(s, np.zeros(len(s)))
+        x, y, _ = line.interpolate_many(s, 0.0)
         for k, px, py, pk in zip(members, x.tolist(), y.tolist(), s):
             poses[k] = Pose2D(px, py, line.tangent_at(pk))
     return [AgentState(lane_id, s, speed, agent.policy, agent.v0,
