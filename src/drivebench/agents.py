@@ -254,52 +254,33 @@ def select_lead(agents: Sequence[AgentState], graph: LaneGraph,
     return leads
 
 
-def step_vehicle_agent(agents: Sequence[AgentState],
-                       leads: Sequence[Optional[tuple[float, float]]],
-                       graph: LaneGraph, dt: float) -> list[AgentState]:
-    """Advance a tick's agents by dt: each one's IDM acceleration against
-    its lead (as select_lead gives it), then a move along its lane
-    centerline (following successors, never changing lane). Each lane
-    places the agents within it with one interpolate_many, which has the
-    bits of the scalar interpolate; an agent past its lane's ends takes
-    lane_pose."""
+def step_vehicle_agent(agent: AgentState, lead: Optional[tuple[float, float]],
+                       graph: LaneGraph, dt: float) -> AgentState:
+    """Advance one agent by dt: IDM acceleration against its lead (as
+    select_lead gives it), then move along the lane centerline (following
+    successors, never changing lane)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    moved, poses = [], []
-    by_lane: dict[str, list[int]] = {}  # lane -> its agents within the lane
-    for k, (agent, lead) in enumerate(zip(agents, leads, strict=True)):
-        if lead is None:
-            a = idm_acceleration(agent.speed, None, None, agent.v0)
-        else:
-            v_lead, gap = lead
-            a = idm_acceleration(agent.speed, v_lead, max(gap, 0.01), agent.v0)
-        speed = max(0.0, agent.speed + a * dt)
-        s = agent.s + speed * dt
-        lane_id = agent.lane
+    if lead is None:
+        a = idm_acceleration(agent.speed, None, None, agent.v0)
+    else:
+        v_lead, gap = lead
+        a = idm_acceleration(agent.speed, v_lead, max(gap, 0.01), agent.v0)
+    speed = max(0.0, agent.speed + a * dt)
+    s = agent.s + speed * dt
+    lane_id = agent.lane
+    line = graph.lane(lane_id).centerline
+    while s > line.length:
+        succ = sorted(graph.lane(lane_id).successors)
+        if not succ:
+            break
+        s -= line.length
+        lane_id = succ[0]
         line = graph.lane(lane_id).centerline
-        while s > line.length:
-            succ = sorted(graph.lane(lane_id).successors)
-            if not succ:
-                break
-            s -= line.length
-            lane_id = succ[0]
-            line = graph.lane(lane_id).centerline
-        moved.append((lane_id, s, speed))
-        if 0.0 <= s <= line.length:
-            by_lane.setdefault(lane_id, []).append(k)
-            poses.append(None)
-        else:
-            poses.append(lane_pose(graph, lane_id, s))
-    for lane_id, members in by_lane.items():
-        line = graph.lane(lane_id).centerline
-        s = [moved[k][1] for k in members]
-        x, y, _ = line.interpolate_many(s, 0.0)
-        for k, px, py, pk in zip(members, x.tolist(), y.tolist(), s):
-            poses[k] = Pose2D(px, py, line.tangent_at(pk))
-    return [AgentState(lane_id, s, speed, agent.policy, agent.v0,
-                       OrientedBox(pose, agent.length, agent.width),
-                       agent.length, agent.width)
-            for agent, (lane_id, s, speed), pose in zip(agents, moved, poses)]
+    pose = lane_pose(graph, lane_id, s)
+    box = OrientedBox(pose, agent.length, agent.width)
+    return AgentState(lane_id, s, speed, agent.policy, agent.v0, box,
+                      agent.length, agent.width)
 
 
 def step_pedestrian(ped: PedestrianState, graph: LaneGraph,

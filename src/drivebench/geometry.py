@@ -303,6 +303,14 @@ def boxes_collide_batch(cx_a, cy_a, h_a, len_a, wid_a,
     return ((lo_a <= hi_b) & (lo_b <= hi_a)).all(axis=0)
 
 
+def circumcircles_meet(x, y, length, width, qx, qy, ql, qw) -> np.ndarray:
+    """Whether the circumscribed circles of boxes (x, y, length, width) and
+    (qx, qy, ql, qw), broadcast together, meet (touching counts); boxes whose
+    circles do not meet cannot overlap."""
+    reach = np.hypot(length, width) / 2.0 + np.hypot(ql, qw) / 2.0
+    return (x - qx) ** 2 + (y - qy) ** 2 <= reach ** 2
+
+
 def box_contacts(x, y, h, length, width, qx, qy, qh, ql, qw
                  ) -> tuple[np.ndarray, ...]:
     """Overlapping pairs between boxes (x, y, h, length, width) and entity
@@ -328,8 +336,7 @@ def box_contacts(x, y, h, length, width, qx, qy, qh, ql, qw
             args = tuple(a[..., kept] if np.shape(a)[-1:] == reaches.shape
                          else a for a in args)
     x, y, h, length, width, qx, qy, qh, ql, qw = args
-    reach = np.hypot(length, width) / 2.0 + np.hypot(ql, qw) / 2.0
-    near = np.nonzero((x - qx) ** 2 + (y - qy) ** 2 <= reach ** 2)
+    near = np.nonzero(circumcircles_meet(x, y, length, width, qx, qy, ql, qw))
     if len(near[0]):
         hits = boxes_collide_batch(*(a[near] for a in np.broadcast_arrays(
             *args)))

@@ -32,6 +32,7 @@ from .geometry import (
     box_contacts,
     boxes_collide,
     boxes_collide_batch,
+    circumcircles_meet,
     wrap_angle,
 )
 from .planners.base import (
@@ -287,37 +288,30 @@ def _box_columns(boxes: list[OrientedBox]) -> np.ndarray:
                       b.width) for b in boxes], dtype=float).reshape(-1, 5).T
 
 
-def _ego_collisions(ego_box: OrientedBox, agent_cols: np.ndarray,
-                    obstacle_cols: np.ndarray, world: WorldState,
+def _ego_collisions(ego_box: OrientedBox, world: WorldState,
                     spec: ScenarioSpec) -> list[tuple[str, OrientedBox]]:
     """Partner ids and boxes currently in contact with the ego: agents,
-    then obstacles, then pedestrians. agent_cols and obstacle_cols are the
-    _box_columns of world.agents and spec.obstacles."""
-    ped_boxes = [p.box() for p in world.pedestrians]
-    [hits] = box_contacts(*_box_columns([ego_box]), *np.concatenate(
-        (agent_cols, obstacle_cols, _box_columns(ped_boxes)), axis=1))
+    then obstacles, then pedestrians."""
+    boxes = ([a.box for a in world.agents] + [o.box for o in spec.obstacles]
+             + [p.box() for p in world.pedestrians])
+    [hits] = box_contacts(*_box_columns([ego_box]), *_box_columns(boxes))
     n_a, n_o = len(world.agents), len(spec.obstacles)
-    contacts = []
-    for i in hits.tolist():
-        if i < n_a:
-            contacts.append((f"agent{i}", world.agents[i].box))
-        elif i < n_a + n_o:
-            o = spec.obstacles[i - n_a]
-            contacts.append((f"obstacle{i - n_a}:{o.kind}", o.box))
-        else:
-            contacts.append((f"pedestrian{i - n_a - n_o}",
-                             ped_boxes[i - n_a - n_o]))
-    return contacts
+    return [(f"agent{i}" if i < n_a
+             else f"obstacle{i - n_a}:{spec.obstacles[i - n_a].kind}"
+             if i < n_a + n_o else f"pedestrian{i - n_a - n_o}", boxes[i])
+            for i in hits.tolist()]
 
 
-def _agent_agent_collisions(cols: np.ndarray) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, of the boxes in _box_columns cols that are in
-    contact, in row-major order: box_contacts' circumcircle test on the
-    upper triangle, then the separating-axis test on its pairs."""
+def _agent_agent_collisions(agents: list[AgentState]) -> list[tuple[int, int]]:
+    """Agent pairs (i, j), i < j, in contact, in row-major order: the
+    circumcircle test on the upper triangle, then the separating-axis test
+    on the pairs it keeps."""
+    if len(agents) < 2:
+        return []
+    cols = _box_columns([a.box for a in agents])
     x, y, _, length, width = cols
-    reach = np.hypot(length, width) / 2.0
-    near = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2 \
-        <= (reach[:, None] + reach) ** 2
+    near = circumcircles_meet(x[:, None], y[:, None], length[:, None],
+                              width[:, None], x, y, length, width)
     i, j = np.nonzero(np.triu(near, 1))
     if not len(i):
         return []
@@ -350,7 +344,6 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     ]
     world = WorldState(ego=ego, agents=agents, pedestrians=pedestrians)
     table = ObstacleTable(spec.graph, spec.obstacles)
-    obstacle_cols = _box_columns([o.box for o in spec.obstacles])
 
     trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
                      dt=DT, duration=spec.duration)
@@ -373,7 +366,10 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
 
         leads = select_lead(world.agents, spec.graph, table.blocking_spans,
                             world.pedestrians, ego_prev.box, ego_prev.speed)
-        new_agents = step_vehicle_agent(world.agents, leads, spec.graph, DT)
+        new_agents = [
+            step_vehicle_agent(a, lead, spec.graph, DT)
+            for a, lead in zip(world.agents, leads)
+        ]
         new_peds = [
             step_pedestrian(p, spec.graph, ego_prev.pose, ego_prev.speed, DT)
             for p in world.pedestrians
@@ -381,9 +377,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         world = WorldState(ego=ego_now, agents=new_agents, pedestrians=new_peds)
         t_next = (k + 1) * DT
 
-        agent_cols = _box_columns([a.box for a in world.agents])
-        contacts = _ego_collisions(ego_now.box, agent_cols, obstacle_cols,
-                                   world, spec)
+        contacts = _ego_collisions(ego_now.box, world, spec)
         current_ids = set()
         for partner, box in contacts:
             current_ids.add(partner)
@@ -394,7 +388,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
                     "at_fault": bool(at_fault)})
         ongoing_ego_contacts = current_ids
 
-        agent_pairs = _agent_agent_collisions(agent_cols)
+        agent_pairs = _agent_agent_collisions(world.agents)
         current_pairs = set(agent_pairs)
         for i, j in agent_pairs:
             if (i, j) not in ongoing_agent_contacts:

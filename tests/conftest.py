@@ -191,37 +191,8 @@ def box_contacts_oracle(x, y, h, length, width, qx, qy, qh, ql, qw):
 
 
 # ---------------------------------------------------------------------------
-# the per-agent, per-pair and per-snapshot forms that the batched traffic
-# step, the upper-triangle contact pass and project_many replaced
-
-
-def step_vehicle_agent_oracle(agent, lead, graph, dt):
-    """Reference: the former agents.step_vehicle_agent, one agent per call,
-    placed with one scalar lane_pose."""
-    from drivebench.agents import AgentState, idm_acceleration, lane_pose
-
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if lead is None:
-        a = idm_acceleration(agent.speed, None, None, agent.v0)
-    else:
-        v_lead, gap = lead
-        a = idm_acceleration(agent.speed, v_lead, max(gap, 0.01), agent.v0)
-    speed = max(0.0, agent.speed + a * dt)
-    s = agent.s + speed * dt
-    lane_id = agent.lane
-    line = graph.lane(lane_id).centerline
-    while s > line.length:
-        succ = sorted(graph.lane(lane_id).successors)
-        if not succ:
-            break
-        s -= line.length
-        lane_id = succ[0]
-        line = graph.lane(lane_id).centerline
-    pose = lane_pose(graph, lane_id, s)
-    box = OrientedBox(pose, agent.length, agent.width)
-    return AgentState(lane_id, s, speed, agent.policy, agent.v0, box,
-                      agent.length, agent.width)
+# the per-pair and per-snapshot forms that the upper-triangle contact pass
+# and project_many replaced
 
 
 def agent_agent_collisions_oracle(boxes):

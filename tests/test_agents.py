@@ -35,7 +35,6 @@ from drivebench.geometry import (
     wrap_angle,
 )
 from drivebench.scenarios import MIN_SPAWN_GAP, build_base_map
-from conftest import step_vehicle_agent_oracle
 from test_geometry import parallel_graph
 
 V0 = 13.9
@@ -190,9 +189,8 @@ def lead_of(agent, world, ego_box, ego_speed):
 
 
 def step_agent(agent, world, ego_box, ego_speed, dt):
-    [stepped] = step_vehicle_agent(
-        [agent], [lead_of(agent, world, ego_box, ego_speed)], world.graph, dt)
-    return stepped
+    return step_vehicle_agent(agent, lead_of(agent, world, ego_box, ego_speed),
+                              world.graph, dt)
 
 
 def select_lead_scan(agent, world, ego_box, ego_speed):
@@ -411,7 +409,8 @@ class TestLaneKeeperRule:
             ahead = agents[-1].s - agents[-1].length / 2.0
         for _ in range(300):
             leads = select_lead(agents, graph, blockers, (), None, 0.0)
-            agents = step_vehicle_agent(agents, leads, graph, 0.1)
+            agents = [step_vehicle_agent(a, lead, graph, 0.1)
+                      for a, lead in zip(agents, leads)]
             nears = [span_near] + [a.s - a.length / 2.0 for a in agents[:-1]]
             for near, a in zip(nears, agents):
                 assert near - (a.s + a.length / 2.0) > 0.0
@@ -534,13 +533,12 @@ class TestStepConstruction:
         cases.append((chain, [(a, None) for a in agents]))
         wrapped = 0
         for graph, pairs in cases:
-            agents, leads = [a for a, _ in pairs], [lead for _, lead in pairs]
-            for dt in (0.1, float(rng.uniform(0.05, 1.5))):
-                got = step_vehicle_agent(agents, leads, graph, dt)
-                want = [replace_step_vehicle_agent(agent, lead, graph, dt)
-                        for agent, lead in pairs]
-                assert got == want and repr(got) == repr(want)
-                wrapped += sum(g.lane != a.lane for g, a in zip(got, agents))
+            for agent, lead in pairs:
+                for dt in (0.1, float(rng.uniform(0.05, 1.5))):
+                    got = step_vehicle_agent(agent, lead, graph, dt)
+                    want = replace_step_vehicle_agent(agent, lead, graph, dt)
+                    assert got == want and repr(got) == repr(want)
+                    wrapped += got.lane != agent.lane
         assert wrapped > 50
 
     def test_validation_still_runs(self):
@@ -551,76 +549,7 @@ class TestStepConstruction:
                        agent.box, agent.length, agent.width)
         object.__setattr__(agent, "policy", "reckless")
         with pytest.raises(ValueError, match="unknown policy"):
-            step_vehicle_agent([agent], [None], graph, 0.1)
-
-
-class TestBatchedStep:
-    """step_vehicle_agent steps a tick's agents at once and equals the
-    former per-agent step (conftest.py) on each of them, repr included."""
-
-    @staticmethod
-    def assert_equals_oracle(agents, leads, graph, dt):
-        got = step_vehicle_agent(agents, leads, graph, dt)
-        want = [step_vehicle_agent_oracle(a, lead, graph, dt)
-                for a, lead in zip(agents, leads)]
-        assert got == want and repr(got) == repr(want)
-        return got
-
-    def test_every_suite_traffic_scenario(self):
-        """The agents of every seed-2024 scenario with traffic, for the
-        scenario's duration at the simulator's tick, braking for each
-        other and the blocking spans; many end past their lane's end."""
-        from drivebench.scenarios import ObstacleTable, generate_benchmark_suite
-        from drivebench.simulation import DT
-
-        n_scenarios = past_end = 0
-        for spec in generate_benchmark_suite(2024):
-            if not spec.agents:
-                continue
-            n_scenarios += 1
-            graph = spec.graph
-            agents = [make_agent(graph, a.lane, a.s, a.speed, policy=a.policy,
-                                 length=a.length, width=a.width)
-                      for a in spec.agents]
-            spans = ObstacleTable(graph, spec.obstacles).blocking_spans
-            for _ in range(int(round(spec.duration / DT))):
-                leads = select_lead(agents, graph, spans, (), None, 0.0)
-                agents = self.assert_equals_oracle(agents, leads, graph, DT)
-                past_end += sum(
-                    not 0.0 <= a.s <= graph.lane(a.lane).centerline.length
-                    for a in agents)
-        assert n_scenarios >= 30 and past_end > 1000
-
-    def test_lane_hops_and_lane_ends(self):
-        """A chain of short lanes that agents cross one or more of per
-        step, running off its unconnected end; agents from several lanes in
-        one call, in mixed order."""
-        rng = np.random.default_rng(61)
-        graph = chained_graph(5, 7.0)
-        hops = past_end = 0
-        for _ in range(40):
-            agents = [make_agent(graph, f"c{int(rng.integers(5))}",
-                                 float(rng.uniform(0.0, 7.0)),
-                                 float(rng.uniform(0.0, 40.0)),
-                                 policy=("assertive", "conservative")[i % 2])
-                      for i in range(int(rng.integers(1, 12)))]
-            leads = [None if rng.random() < 0.5 else
-                     (float(rng.uniform(0.0, 20.0)), float(rng.uniform(-1.0, 30.0)))
-                     for _ in agents]
-            dt = float(rng.uniform(0.05, 1.5))
-            got = self.assert_equals_oracle(agents, leads, graph, dt)
-            hops += sum(g.lane != a.lane for g, a in zip(got, agents))
-            past_end += sum(g.s > 7.0 for g in got)
-        assert hops > 50 and past_end > 10
-
-    def test_no_agents_and_mismatched_leads(self):
-        graph = parallel_graph(1, length=100.0)
-        assert step_vehicle_agent([], [], graph, 0.1) == []
-        agent = make_agent(graph, "lane0", 10.0, 5.0)
-        with pytest.raises(ValueError):
-            step_vehicle_agent([agent], [], graph, 0.1)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            step_vehicle_agent([agent], [None], graph, 0.0)
+            step_vehicle_agent(agent, None, graph, 0.1)
 
 
 class TestPlatoonSafety:

@@ -2,6 +2,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,17 +239,14 @@ class TestContacts:
                         + [(f"pedestrian{k}", p.box()) for k, p in enumerate(peds)])
             expected = [name for name, box in partners
                         if boxes_collide(ego.box, box)]
-            agent_cols = _box_columns([a.box for a in agents])
-            obstacle_cols = _box_columns([o.box for o in spec.obstacles])
-            got = _ego_collisions(ego.box, agent_cols, obstacle_cols, world,
-                                  spec)
+            got = _ego_collisions(ego.box, world, spec)
             assert got == [(name, box) for name, box in partners
                            if name in expected]
             assert [name for name, _box in got] == expected
             pairs = [(i, j) for i in range(len(agents))
                      for j in range(i + 1, len(agents))
                      if boxes_collide(agents[i].box, agents[j].box)]
-            assert _agent_agent_collisions(agent_cols) == pairs
+            assert _agent_agent_collisions(agents) == pairs
             assert agent_agent_collisions_oracle(
                 [a.box for a in agents]) == pairs
             n_ego += len(expected)
@@ -286,7 +284,8 @@ class TestContacts:
                 boxes[2] = OrientedBox(Pose2D(c.x, c.y, 0.0), 4.0, 2.0)
                 boxes.append(OrientedBox(Pose2D(c.x + 4.0, c.y, 0.0), 4.0, 2.0))
             sizes.clear()
-            got = _agent_agent_collisions(_box_columns(boxes))
+            got = _agent_agent_collisions([SimpleNamespace(box=b)
+                                           for b in boxes])
             assert got == agent_agent_collisions_oracle(boxes)
             if len(boxes) > 1:
                 x, y, _h, length, width = _box_columns(boxes)
