@@ -23,7 +23,8 @@ STEP = 0.1             # s
 N_SAMPLES = int(round(HORIZON / STEP)) + 1
 MAX_CURVATURE = 0.5    # 1/m, kinematic reachability bound between samples
 FALLBACK_DECEL = 6.0   # m/s^2 used by the full-brake fallback
-# lane_scene projects this many points or more with one project_many call
+# lane_scene projects this many points or more with one project_many call;
+# for fewer, scalar project_extended calls are faster
 PROJECT_MANY_MIN = 3
 
 

@@ -669,9 +669,9 @@ class TestContactKernels:
     def test_every_caller(self, monkeypatch):
         """Each caller's own shapes, from a closed loop and its score: the
         sampler's feasibility (C, K, E) and TTC (C, K, U, E) queries, the
-        metric's (T, U, N) TTC query, and the simulator's ego check. The
-        simulator's agent-agent check runs its own upper-triangle pass
-        (tests/test_simulation.py, TestContacts)."""
+        metric's (T, U, N) TTC query, and the simulator's ego check, which
+        has one first box. The simulator's agent-agent pass shares only the
+        circumcircle test (tests/test_simulation.py, TestContacts)."""
         from drivebench import simulation
         from drivebench.metrics import score_scenario
         from drivebench.planners import SamplingPlanner
@@ -683,8 +683,7 @@ class TestContactKernels:
 
         def checked(where):
             def call(*args):
-                seen.add((where, np.broadcast(*args).ndim,
-                          where.endswith("simulation") and np.size(args[0]) > 1))
+                seen.add((where, np.broadcast(*args).ndim))
                 return self.assert_contacts_equal(*args)
             return call
 
@@ -695,11 +694,10 @@ class TestContactKernels:
             spec = replace(suite[i], duration=3.0)
             trace = run_closed_loop(spec, SamplingPlanner())
             score_scenario(trace, spec)
-        # the simulator's ego check has one first box
-        assert seen == {("drivebench.planners.sampling", 3, False),
-                        ("drivebench.geometry", 4, False),
-                        ("drivebench.geometry", 3, False),
-                        ("drivebench.simulation", 1, False)}
+        assert seen == {("drivebench.planners.sampling", 3),
+                        ("drivebench.geometry", 4),
+                        ("drivebench.geometry", 3),
+                        ("drivebench.simulation", 1)}
 
 
 class TestDrivableFraction:
