@@ -35,7 +35,6 @@ IDM_T = 1.5             # time headway [s]
 IDM_S0 = 4.0            # jam distance [m]
 IDM_A_MAX = 1.5         # max acceleration [m/s^2]
 IDM_B_COMF = 2.0        # comfortable deceleration [m/s^2]
-IDM_DELTA = 4.0         # acceleration exponent
 _IDM_SQRT_AB = math.sqrt(IDM_A_MAX * IDM_B_COMF)
 
 
@@ -44,23 +43,24 @@ def idm_acceleration(v: float, v_lead: Optional[float], gap: Optional[float],
     """Longitudinal acceleration of the intelligent-driver car-following law
     toward the desired speed v0.
 
-    a = a_max * [1 - (v/v0)^delta - (s*/gap)^2],
-    s* = s0 + v*T + v*(v - v_lead) / (2*sqrt(a_max*b_comf)).
+    a = a_max * [1 - (v/v0)^4] - a_max * (s*/gap)^2,
+    s* = max(s0 + v*T + v*(v - v_lead) / (2*sqrt(a_max*b_comf)), s0).
 
     Without a lead only the free-flow term applies. Output is clamped below
-    at the emergency cap.
+    at the emergency cap. Powers are products and clamps comparisons, so
+    numpy's SIMD loops and Python floats give the same bits.
     """
-    free = 1.0 - (v / v0) ** IDM_DELTA
-    if v_lead is None or gap is None:
-        a = IDM_A_MAX * free
-    else:
+    r = v / v0
+    r2 = r * r
+    a = IDM_A_MAX * (1.0 - r2 * r2)
+    if v_lead is not None and gap is not None:
         if gap <= 0:
             raise ValueError(f"gap must be positive, got {gap}")
         s_star = (IDM_S0 + v * IDM_T
                   + v * (v - v_lead) / (2.0 * _IDM_SQRT_AB))
-        s_star = max(s_star, IDM_S0)
-        a = IDM_A_MAX * (free - (s_star / gap) ** 2)
-    return max(a, EMERGENCY_DECEL)
+        q = (s_star if s_star > IDM_S0 else IDM_S0) / gap
+        a -= IDM_A_MAX * (q * q)
+    return a if a > EMERGENCY_DECEL else EMERGENCY_DECEL
 
 
 def equilibrium_speed(gap: float, v0: float) -> float:
@@ -70,7 +70,9 @@ def equilibrium_speed(gap: float, v0: float) -> float:
         return 0.0
 
     def f(v):
-        return (v / v0) ** IDM_DELTA + ((IDM_S0 + v * IDM_T) / gap) ** 2 - 1.0
+        r, q = v / v0, (IDM_S0 + v * IDM_T) / gap
+        r2 = r * r
+        return r2 * r2 + q * q - 1.0
 
     lo, hi = 0.0, v0
     if f(hi) <= 0:

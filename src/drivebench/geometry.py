@@ -71,11 +71,9 @@ class OrientedBox:
 
     def corners(self) -> np.ndarray:
         """Four corners, (4, 2), counterclockwise starting front-left."""
-        c, s = math.cos(self.center.heading), math.sin(self.center.heading)
-        hl, hw = self.length / 2.0, self.width / 2.0
-        local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.center.x, self.center.y])
+        c = self.center
+        return np.stack(_box_corners_batch(c.x, c.y, c.heading, self.length,
+                                           self.width), axis=1)
 
     @property
     def circumradius(self) -> float:
@@ -94,7 +92,9 @@ class Polyline:
 
     The scalar kernels (interpolate, tangent_at, length) run on Python
     floats: tuples of the points, the unit segment directions and the
-    segment headings, each heading computed once with math.atan2."""
+    segment headings, each heading computed once with math.atan2 (libm, so
+    no numpy SIMD loop decides its bits); interpolate_many indexes the same
+    headings."""
 
     def __init__(self, points: Sequence[Sequence[float]]):
         pts = np.asarray(points, dtype=float)
@@ -112,6 +112,7 @@ class Polyline:
         self._xy = tuple(map(tuple, pts.tolist()))
         self._uv = tuple(map(tuple, self._dirs.tolist()))
         self._headings = tuple(math.atan2(dy, dx) for dx, dy in self._uv)
+        self._heading_array = np.array(self._headings)
 
     @property
     def length(self) -> float:
@@ -169,17 +170,15 @@ class Polyline:
         """The clamped projection f of p, carried past an endpoint along
         its end tangent when p lies beyond it."""
         if f.s <= 0.0:
-            rel = p - self.points[0]
-            t = float(rel @ self._dirs[0])
+            (rx, ry), (ux, uy) = p - self.points[0], self._uv[0]
+            t = float(rx * ux + ry * uy)
             if t < 0.0:
-                cross = self._dirs[0, 0] * rel[1] - self._dirs[0, 1] * rel[0]
-                return FrenetPoint(s=t, d=float(cross))
+                return FrenetPoint(s=t, d=float(ux * ry - uy * rx))
         elif f.s >= self.length:
-            rel = p - self.points[-1]
-            t = float(rel @ self._dirs[-1])
+            (rx, ry), (ux, uy) = p - self.points[-1], self._uv[-1]
+            t = float(rx * ux + ry * uy)
             if t > 0.0:
-                cross = self._dirs[-1, 0] * rel[1] - self._dirs[-1, 1] * rel[0]
-                return FrenetPoint(s=self.length + t, d=float(cross))
+                return FrenetPoint(s=self.length + t, d=float(ux * ry - uy * rx))
         return f
 
     def box_extents(self, box: OrientedBox) -> tuple[tuple, tuple]:
@@ -229,8 +228,7 @@ class Polyline:
         base = self.points[idx] + t[..., None] * dirs
         x = base[..., 0] - dirs[..., 1] * d
         y = base[..., 1] + dirs[..., 0] * d
-        heading = np.arctan2(dirs[..., 1], dirs[..., 0])
-        return x, y, heading
+        return x, y, self._heading_array[idx]
 
     def tangent_at(self, s: float) -> float:
         """Tangent heading at arclength s (clamped)."""

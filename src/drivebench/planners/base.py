@@ -166,6 +166,11 @@ def plan_with_fallback(planner: Planner, obs: Observation,
         return fallback_brake_trajectory(obs)
 
 
+# libm's atan2 elementwise: np.arctan2's SIMD loops round differently on
+# different CPUs
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
 def path_headings(x: np.ndarray, y: np.ndarray,
                   tangent: np.ndarray) -> np.ndarray:
     """Finite-difference headings per path row; stalls carry the last
@@ -181,7 +186,7 @@ def path_headings(x: np.ndarray, y: np.ndarray,
     dy = y[:, 1:] - y[:, :-1]
     ds = np.hypot(dx, dy)
     moving = ds > 1e-6
-    h = np.where(moving, np.arctan2(dy, dx), np.nan)
+    h = np.where(moving, _atan2(dy, dx).astype(float), np.nan)
     turn = np.abs((h[:, 1:] - h[:, :-1] + np.pi) % (2.0 * np.pi) - np.pi)
     for r in np.nonzero((turn > MAX_CURVATURE * ds[:, :-1]).any(axis=1))[0]:
         row = h[r]

@@ -54,17 +54,15 @@ def centerline_lead(scene: LaneScene, from_s: float
 def lead_rollout(v_start: float, scene: LaneScene,
                  v0: float) -> tuple[np.ndarray, np.ndarray]:
     """idm_rollout from v_start against the nearest lead in scene ahead of
-    the ego's front bumper: (arc offsets, speeds). A lead at or behind the
-    front bumper counts at a gap of 0.01 m."""
+    the ego's front bumper: (arc offsets, speeds). A lead closer than 0.01 m
+    to the front bumper counts at a gap of 0.01 m."""
     front = scene.ego.s + VEHICLE_LENGTH / 2.0
     lead = centerline_lead(scene, front)
     if lead is None:
         gap0, v_lead = None, 0.0
     else:
-        gap0 = lead[0] - front
+        gap0 = max(lead[0] - front, 0.01)
         v_lead = max(0.0, lead[1])
-        if gap0 <= 0:
-            gap0 = 0.01
     return idm_rollout(v_start, gap0, v_lead, v0)
 
 

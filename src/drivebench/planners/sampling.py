@@ -20,7 +20,6 @@ from ..agents import (
     EMERGENCY_DECEL,
     IDM_A_MAX,
     IDM_B_COMF,
-    IDM_DELTA,
     IDM_S0,
     IDM_T,
     VEHICLE_LENGTH,
@@ -85,9 +84,12 @@ def lateral_profile(d0: float, slope0: float, target, s_rel: np.ndarray,
     slope and curvature. Replanning every tick stays consistent because the
     profile continues the current lateral motion instead of resetting it."""
     u = np.clip(s_rel / span, 0.0, 1.0)
-    h0 = 1.0 - 10.0 * u ** 3 + 15.0 * u ** 4 - 6.0 * u ** 5
-    h1 = u - 6.0 * u ** 3 + 8.0 * u ** 4 - 3.0 * u ** 5
-    h3 = 10.0 * u ** 3 - 15.0 * u ** 4 + 6.0 * u ** 5
+    u2 = u * u
+    u3, u4 = u2 * u, u2 * u2
+    u5 = u4 * u
+    h0 = 1.0 - 10.0 * u3 + 15.0 * u4 - 6.0 * u5
+    h1 = u - 6.0 * u3 + 8.0 * u4 - 3.0 * u5
+    h3 = 10.0 * u3 - 15.0 * u4 + 6.0 * u5
     target = np.asarray(target, dtype=float)
     if target.ndim == 1:
         target = target[:, None]
@@ -249,14 +251,17 @@ class SamplingPlanner:
             vk = v[:, k - 1]
             # free-flow braking toward a lower target speed stays comfortable;
             # only the lead-interaction term may brake at the emergency cap
-            a = IDM_A_MAX * (1.0 - (vk / v0_eff) ** IDM_DELTA)
+            r = vk / v0_eff
+            r *= r
+            a = IDM_A_MAX * (1.0 - r * r)
             np.maximum(a, -2.0 * IDM_B_COMF, out=a)
             if any_lead:
                 gap = np.maximum(ahead[:, k - 1] - s[:, k - 1], 0.01)
                 s_star = IDM_S0 + vk * IDM_T + vk * (vk - v_lead) / root
                 np.maximum(s_star, IDM_S0, out=s_star)
                 s_star /= gap
-                np.subtract(a, IDM_A_MAX * s_star ** 2, out=a, where=has_lead)
+                np.subtract(a, IDM_A_MAX * (s_star * s_star), out=a,
+                            where=has_lead)
             a[stop] = -STOP_DECEL
             np.minimum(np.maximum(a, EMERGENCY_DECEL, out=a), IDM_A_MAX, out=a)
             np.maximum(0.0, vk + a * STEP, out=v[:, k])

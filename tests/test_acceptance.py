@@ -125,9 +125,7 @@ def check_golden(planner, run):
     digests = [line.split() for line in hashes.splitlines()]
     names = [name for name, _digest in digests]
     versions = (f"this run on python {platform.python_version()} numpy "
-                f"{np.__version__} with {simd_level()}; sampler and hybrid "
-                f"traces hash differently under another dispatch (ROADMAP "
-                f"item 1)")
+                f"{np.__version__} with {simd_level()}")
 
     recorded, lines = _golden_lines(f"{planner}.txt")
     golden = dict(line.split() for line in lines)

@@ -10,7 +10,6 @@ from drivebench.agents import (
     EMERGENCY_DECEL,
     IDM_A_MAX,
     IDM_B_COMF,
-    IDM_DELTA,
     IDM_S0,
     IDM_T,
     SWEPT_BAND_HALF_WIDTH,
@@ -110,15 +109,15 @@ class TestIdmAcceleration:
 
 
 def former_idm_acceleration(v, v_lead, gap, v0):
-    """Reference: idm_acceleration with its square root taken per call."""
-    free = 1.0 - (v / v0) ** IDM_DELTA
-    if v_lead is None or gap is None:
-        a = IDM_A_MAX * free
-    else:
+    """Reference: idm_acceleration with its square root taken per call and
+    its clamps as max calls."""
+    r = v / v0
+    a = IDM_A_MAX * (1.0 - (r * r) * (r * r))
+    if v_lead is not None and gap is not None:
         s_star = (IDM_S0 + v * IDM_T
                   + v * (v - v_lead) / (2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)))
-        s_star = max(s_star, IDM_S0)
-        a = IDM_A_MAX * (free - (s_star / gap) ** 2)
+        q = max(s_star, IDM_S0) / gap
+        a = a - IDM_A_MAX * (q * q)
     return max(a, EMERGENCY_DECEL)
 
 
@@ -163,7 +162,7 @@ class TestEquilibrium:
     def test_gap_speed_round_trip(self):
         for v in (2.0, 5.0, 9.0):
             # steady-state bumper gap behind a lead at the same speed v
-            g = (IDM_S0 + v * IDM_T) / math.sqrt(1.0 - (v / V0) ** IDM_DELTA)
+            g = (IDM_S0 + v * IDM_T) / math.sqrt(1.0 - (v / V0) ** 4)
             assert equilibrium_speed(g, V0) == pytest.approx(v, abs=1e-6)
 
 

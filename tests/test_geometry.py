@@ -151,7 +151,8 @@ class TestScalarKernels:
 
     @staticmethod
     def _clip_interpolate_many(line, s, d):
-        """The former interpolate_many, bounding with np.clip."""
+        """The former interpolate_many, bounding with np.clip, with libm's
+        atan2 per element in place of np.arctan2."""
         s_clamped = np.clip(s, 0.0, float(line.cum_len[-1]))
         idx = np.clip(np.searchsorted(line.cum_len, s_clamped, side="right") - 1,
                       0, len(line._seg_len) - 1)
@@ -159,7 +160,8 @@ class TestScalarKernels:
         dirs = line._dirs[idx]
         base = line.points[idx] + t[..., None] * dirs
         return (base[..., 0] - dirs[..., 1] * d, base[..., 1] + dirs[..., 0] * d,
-                np.arctan2(dirs[..., 1], dirs[..., 0]))
+                np.frompyfunc(math.atan2, 2, 1)(
+                    dirs[..., 1], dirs[..., 0]).astype(float))
 
     @staticmethod
     def _s_values(line, rng):

@@ -1060,7 +1060,7 @@ class TestObstacleTable:
 def reference_rollout(v_now, gap0, v_lead, fractions, stop_mask, cap):
     """Reference: SamplingPlanner._rollout's former per-step loop."""
     from drivebench.agents import (EMERGENCY_DECEL, IDM_A_MAX, IDM_B_COMF,
-                                   IDM_DELTA, IDM_S0, IDM_T)
+                                   IDM_S0, IDM_T)
     from drivebench.planners.base import N_SAMPLES, STEP
     from drivebench.planners.sampling import STOP_DECEL
 
@@ -1075,7 +1075,8 @@ def reference_rollout(v_now, gap0, v_lead, fractions, stop_mask, cap):
     has_lead = np.isfinite(gap0)
     for k in range(1, N_SAMPLES):
         vk = v[:, k - 1]
-        free = np.maximum(IDM_A_MAX * (1.0 - (vk / v0_eff) ** IDM_DELTA),
+        r = vk / v0_eff
+        free = np.maximum(IDM_A_MAX * (1.0 - (r * r) * (r * r)),
                           -2.0 * IDM_B_COMF)
         a = free
         if has_lead.any():
@@ -1083,7 +1084,8 @@ def reference_rollout(v_now, gap0, v_lead, fractions, stop_mask, cap):
             gap = np.maximum(gap, 0.01)
             s_star = IDM_S0 + vk * IDM_T + vk * (vk - v_lead) / root
             s_star = np.maximum(s_star, IDM_S0)
-            inter = np.where(has_lead, IDM_A_MAX * (s_star / gap) ** 2, 0.0)
+            q = s_star / gap
+            inter = np.where(has_lead, IDM_A_MAX * (q * q), 0.0)
             a = free - inter
         a = np.where(stop_mask, -STOP_DECEL, a)
         a = np.clip(a, EMERGENCY_DECEL, IDM_A_MAX)
