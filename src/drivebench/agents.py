@@ -39,20 +39,23 @@ _IDM_SQRT_AB = math.sqrt(IDM_A_MAX * IDM_B_COMF)
 
 
 def idm_acceleration(v: float, v_lead: Optional[float], gap: Optional[float],
-                     v0: float) -> float:
+                     v0: float, floor: float = EMERGENCY_DECEL) -> float:
     """Longitudinal acceleration of the intelligent-driver car-following law
     toward the desired speed v0.
 
-    a = a_max * [1 - (v/v0)^4] - a_max * (s*/gap)^2,
+    a = max(a_max * [1 - (v/v0)^4], floor) - a_max * (s*/gap)^2,
     s* = max(s0 + v*T + v*(v - v_lead) / (2*sqrt(a_max*b_comf)), s0).
 
-    Without a lead only the free-flow term applies. Output is clamped below
-    at the emergency cap. Powers are products and clamps comparisons, so
-    numpy's SIMD loops and Python floats give the same bits.
+    Without a lead only the free-flow term applies. floor bounds the
+    free-flow term below and the emergency cap the result. Powers are
+    products and clamps comparisons, so numpy's SIMD loops and Python
+    floats give the same bits.
     """
     r = v / v0
     r2 = r * r
     a = IDM_A_MAX * (1.0 - r2 * r2)
+    if a < floor:
+        a = floor
     if v_lead is not None and gap is not None:
         if gap <= 0:
             raise ValueError(f"gap must be positive, got {gap}")
@@ -61,6 +64,30 @@ def idm_acceleration(v: float, v_lead: Optional[float], gap: Optional[float],
         q = (s_star if s_star > IDM_S0 else IDM_S0) / gap
         a -= IDM_A_MAX * (q * q)
     return a if a > EMERGENCY_DECEL else EMERGENCY_DECEL
+
+
+def idm_profile(v_start: float, gap0: float, v_lead: float, v0: float,
+                dt: float, n: int, floor: float = EMERGENCY_DECEL
+                ) -> tuple[list[float], list[float]]:
+    """idm_acceleration (with its free-flow floor) integrated over n steps
+    of dt from speed max(v_start, 0) toward v0, behind a lead driving at
+    max(v_lead, 0) from gap0 ahead; gaps below 0.01 m count as 0.01 m, and
+    gap0 = inf is free flow to the bit. Returns the arc offsets and the
+    speeds, n + 1 samples each."""
+    sk, vk = 0.0, v_start if v_start > 0.0 else 0.0
+    gap0 = gap0 if gap0 > 0.01 else 0.01
+    v_lead = v_lead if v_lead > 0.0 else 0.0
+    s, v = [sk], [vk]
+    for k in range(n):
+        gap = gap0 + v_lead * k * dt - sk
+        vk += idm_acceleration(vk, v_lead, gap if gap > 0.01 else 0.01, v0,
+                               floor) * dt
+        if not vk > 0.0:
+            vk = 0.0
+        sk += vk * dt
+        s.append(sk)
+        v.append(vk)
+    return s, v
 
 
 def equilibrium_speed(gap: float, v0: float) -> float:
@@ -263,13 +290,9 @@ def step_vehicle_agent(agent: AgentState, lead: Optional[tuple[float, float]],
     successors, never changing lane)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if lead is None:
-        a = idm_acceleration(agent.speed, None, None, agent.v0)
-    else:
-        v_lead, gap = lead
-        a = idm_acceleration(agent.speed, v_lead, max(gap, 0.01), agent.v0)
-    speed = max(0.0, agent.speed + a * dt)
-    s = agent.s + speed * dt
+    v_lead, gap = (0.0, math.inf) if lead is None else lead
+    [_, ds], [_, speed] = idm_profile(agent.speed, gap, v_lead, agent.v0, dt, 1)
+    s = agent.s + ds
     lane_id = agent.lane
     line = graph.lane(lane_id).centerline
     while s > line.length:

@@ -125,12 +125,6 @@ class Trajectory:
         return tuple(a[i] + w * (a[i + 1] - a[i])
                      for a in (self.x, self.y, self.speed))
 
-    def equals(self, other: "Trajectory") -> bool:
-        return (np.array_equal(self.t, other.t) and np.array_equal(self.x, other.x)
-                and np.array_equal(self.y, other.y)
-                and np.array_equal(self.heading, other.heading)
-                and np.array_equal(self.speed, other.speed))
-
 
 class Planner(Protocol):
     name: str
@@ -166,20 +160,22 @@ def plan_with_fallback(planner: Planner, obs: Observation,
         return fallback_brake_trajectory(obs)
 
 
-# libm's atan2 elementwise: np.arctan2's SIMD loops round differently on
+# libm's atan2 elementwise: numpy's arctan2 SIMD loops round differently on
 # different CPUs
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
-def path_headings(x: np.ndarray, y: np.ndarray,
-                  tangent: np.ndarray) -> np.ndarray:
+def path_headings(x: np.ndarray, y: np.ndarray, tangent: np.ndarray,
+                  guard: bool = True) -> np.ndarray:
     """Finite-difference headings per path row; stalls carry the last
     moving heading, fully stalled rows keep the tangent.
 
-    A step whose heading change exceeds MAX_CURVATURE times its length
-    keeps the previous heading. A path creeping to a stop across a
-    centerline vertex (millimeter steps, a turn of about 0.02 rad) would
-    otherwise break Trajectory's curvature bound.
+    With guard, a step whose heading change exceeds MAX_CURVATURE times
+    its length keeps the previous heading. A path creeping to a stop across
+    a centerline vertex (millimeter steps, a turn of about 0.02 rad) would
+    otherwise break Trajectory's curvature bound. Without it, sharp turns
+    stay for Trajectory to reject: a path from outside the planners (an
+    LLM's waypoints) is checked, not repaired.
     """
     n = x.shape[1]
     dx = x[:, 1:] - x[:, :-1]
@@ -188,7 +184,8 @@ def path_headings(x: np.ndarray, y: np.ndarray,
     moving = ds > 1e-6
     h = np.where(moving, _atan2(dy, dx).astype(float), np.nan)
     turn = np.abs((h[:, 1:] - h[:, :-1] + np.pi) % (2.0 * np.pi) - np.pi)
-    for r in np.nonzero((turn > MAX_CURVATURE * ds[:, :-1]).any(axis=1))[0]:
+    sharp = (turn > MAX_CURVATURE * ds[:, :-1]).any(axis=1) & guard
+    for r in np.nonzero(sharp)[0]:
         row = h[r]
         for k in range(1, n - 1):
             if (moving[r, k] and moving[r, k - 1] and abs(wrap_angle(

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..agents import VEHICLE_LENGTH, idm_acceleration
+from ..agents import VEHICLE_LENGTH, idm_profile
 from .base import (
     N_SAMPLES,
     STEP,
@@ -22,24 +22,12 @@ from .base import (
 )
 
 
-def idm_rollout(v_start: float, gap0: Optional[float], v_lead: float,
+def idm_rollout(v_start: float, gap0: float, v_lead: float,
                 v0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-integrate IDM toward desired speed v0 over the plan's
-    N_SAMPLES against a constant-velocity lead (or free flow when gap0 is
-    None); returns (arc offsets, speeds). The loop runs on Python floats
-    and builds the two arrays once at the end."""
-    sk, vk = 0.0, max(0.0, v_start)
-    s, v = [sk], [vk]
-    for k in range(1, N_SAMPLES):
-        if gap0 is None:
-            a = idm_acceleration(vk, None, None, v0)
-        else:
-            gap = gap0 + v_lead * (k - 1) * STEP - sk
-            a = idm_acceleration(vk, v_lead, max(gap, 0.01), v0)
-        vk = max(0.0, vk + a * STEP)
-        sk = sk + vk * STEP
-        s.append(sk)
-        v.append(vk)
+    """idm_profile over the plan's N_SAMPLES toward desired speed v0 against
+    a constant-velocity lead (free flow when gap0 is inf): (arc offsets,
+    speeds)."""
+    s, v = idm_profile(v_start, gap0, v_lead, v0, STEP, N_SAMPLES - 1)
     return np.array(s), np.array(v)
 
 
@@ -54,16 +42,10 @@ def centerline_lead(scene: LaneScene, from_s: float
 def lead_rollout(v_start: float, scene: LaneScene,
                  v0: float) -> tuple[np.ndarray, np.ndarray]:
     """idm_rollout from v_start against the nearest lead in scene ahead of
-    the ego's front bumper: (arc offsets, speeds). A lead closer than 0.01 m
-    to the front bumper counts at a gap of 0.01 m."""
+    the ego's front bumper: (arc offsets, speeds)."""
     front = scene.ego.s + VEHICLE_LENGTH / 2.0
-    lead = centerline_lead(scene, front)
-    if lead is None:
-        gap0, v_lead = None, 0.0
-    else:
-        gap0 = max(lead[0] - front, 0.01)
-        v_lead = max(0.0, lead[1])
-    return idm_rollout(v_start, gap0, v_lead, v0)
+    [lead_s], [lead_v] = nearest_lead(scene, front)
+    return idm_rollout(v_start, float(lead_s) - front, float(lead_v), v0)
 
 
 def centerline_trajectory(obs: Observation, lane_id: str, s_arr: np.ndarray,

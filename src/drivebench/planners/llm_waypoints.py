@@ -9,12 +9,7 @@ import math
 
 import numpy as np
 
-from .base import (
-    N_SAMPLES,
-    Observation,
-    STEP,
-    Trajectory,
-)
+from .base import N_SAMPLES, STEP, Observation, Trajectory, path_headings
 
 WAYPOINT_SPACING = 0.5  # s, the 2 Hz wire format
 N_WAYPOINTS = 16
@@ -64,15 +59,8 @@ class WaypointsLlmPlanner:
         t = np.arange(N_SAMPLES) * STEP
         x = spline_x(t)
         y = spline_y(t)
-        dx = np.diff(x)
-        dy = np.diff(y)
-        ds = np.hypot(dx, dy)
+        ds = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
         speed = np.concatenate([ds / STEP, ds[-1:] / STEP])
-        heading = np.empty(N_SAMPLES)
-        heading[:-1] = np.where(ds > 1e-6, np.arctan2(dy, dx), h0)
-        heading[-1] = heading[-2]
-        # carry headings through stalled samples
-        for k in range(1, N_SAMPLES - 1):
-            if ds[k - 1] <= 1e-6:
-                heading[k] = heading[k - 1]
-        return Trajectory(t, x, y, heading, speed)
+        heading = path_headings(x[None], y[None], np.full((1, N_SAMPLES), h0),
+                                guard=False)
+        return Trajectory(t, x, y, heading[0], speed)

@@ -172,7 +172,7 @@ class IdmMobilPlanner:
         scene = lane_scene(obs, target)
         f = scene.ego
         # mobil_decide vetoed every target whose lead gap is below
-        # MIN_CLEARANCE, so lead_rollout's 0.01 m gap clamp never fires on a
+        # MIN_CLEARANCE, so the rollout's 0.01 m gap clamp never fires on a
         # lane change
         ds, v = lead_rollout(obs.ego_speed, scene, lane.speed_limit)
         line = lane.centerline

@@ -16,15 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..agents import (
-    EMERGENCY_DECEL,
-    IDM_A_MAX,
-    IDM_B_COMF,
-    IDM_S0,
-    IDM_T,
-    VEHICLE_LENGTH,
-    VEHICLE_WIDTH,
-)
+from ..agents import IDM_B_COMF, VEHICLE_LENGTH, VEHICLE_WIDTH, idm_profile
 from ..geometry import (
     _box_corners_batch,
     box_contacts,
@@ -96,6 +88,43 @@ def lateral_profile(d0: float, slope0: float, target, s_rel: np.ndarray,
     return d0 * h0 + slope0 * span * h1 + target * h3
 
 
+def rollouts(v_now: float, gap0: np.ndarray, v_lead: np.ndarray, cap: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Arc offsets and speeds, each (C, N_SAMPLES), of the candidates in
+    SamplingPlanner.evaluate's order: per offset, idm_profile toward each
+    speed fraction of cap (at least 0.2 m/s) behind the offset's lead,
+    gap0 ahead at speed v_lead (gap0 inf: none), then the full stop at
+    STOP_DECEL. Free-flow braking toward a lower target speed stays
+    comfortable; only the lead term may brake at the emergency cap. Each
+    distinct row is integrated once."""
+    table, ids, picks = [], {}, []
+    for lead in zip(gap0.tolist(), v_lead.tolist()):
+        keys = [(*lead, max(f * cap, 0.2)) for f in SPEED_FRACTIONS]
+        for key in keys + [None]:  # None: the full stop
+            if key not in ids:
+                ids[key] = len(table)
+                table.append(_stop_profile(v_now) if key is None else
+                             idm_profile(v_now, *key, STEP, N_SAMPLES - 1,
+                                         -2.0 * IDM_B_COMF))
+            picks.append(ids[key])
+    s, v = np.array(table).swapaxes(0, 1)[:, picks]
+    return s, v
+
+
+def _stop_profile(v_now: float) -> tuple[list[float], list[float]]:
+    """Arc offsets and speeds braking at STOP_DECEL from v_now to rest."""
+    sk, vk = 0.0, v_now if v_now > 0.0 else 0.0
+    s, v = [sk], [vk]
+    for _ in range(N_SAMPLES - 1):
+        vk -= STOP_DECEL * STEP
+        if not vk > 0.0:
+            vk = 0.0
+        sk += vk * STEP
+        s.append(sk)
+        v.append(vk)
+    return s, v
+
+
 class SamplingPlanner:
     """Offset-and-profile sampler around a behavior (follow-lane by
     default); deterministic argmin of the cost with tie-breaks on lower
@@ -155,11 +184,7 @@ class SamplingPlanner:
         lead_s, lead_v = nearest_lead(
             scene, front0, lambda s: lateral_profile(
                 d0, slope0, offsets, np.maximum(s - s0, 0.0), span))
-        gap0 = np.repeat(np.maximum(lead_s - front0, 0.01), n_profiles)
-        v_lead = np.repeat(np.maximum(0.0, lead_v), n_profiles)
-
-        s_rel, v = self._rollout(v_now, gap0, v_lead, fractions, stop_mask,
-                                 cap)
+        s_rel, v = rollouts(v_now, lead_s - front0, lead_v, cap)
         s_abs = s0 + s_rel
 
         def paths(rows, n):
@@ -231,42 +256,6 @@ class SamplingPlanner:
                   math.atan2(p.velocity[1], p.velocity[0]) if p.crossing
                   else 0.0, 0.6, 0.6) for p in obs.pedestrians]
         return list(np.array(rows, dtype=float).reshape(-1, 7).T.copy())
-
-    def _rollout(self, v_now, gap0, v_lead, fractions, stop_mask, cap):
-        """Vectorized IDM integration of all candidates at once."""
-        C = len(gap0)
-        v_target = np.where(stop_mask, 0.0,
-                            np.nan_to_num(fractions) * (cap if cap > 0 else 0.0))
-        v0_eff = np.maximum(v_target, 0.2)
-        root = 2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)
-        s = np.zeros((C, N_SAMPLES))
-        v = np.zeros((C, N_SAMPLES))
-        v[:, 0] = max(0.0, v_now)
-        has_lead = np.isfinite(gap0)
-        any_lead = has_lead.any()
-        stop = np.flatnonzero(stop_mask)
-        # gap0 + v_lead * (k - 1) * STEP for every step k
-        ahead = gap0[:, None] + v_lead[:, None] * np.arange(N_SAMPLES - 1) * STEP
-        for k in range(1, N_SAMPLES):
-            vk = v[:, k - 1]
-            # free-flow braking toward a lower target speed stays comfortable;
-            # only the lead-interaction term may brake at the emergency cap
-            r = vk / v0_eff
-            r *= r
-            a = IDM_A_MAX * (1.0 - r * r)
-            np.maximum(a, -2.0 * IDM_B_COMF, out=a)
-            if any_lead:
-                gap = np.maximum(ahead[:, k - 1] - s[:, k - 1], 0.01)
-                s_star = IDM_S0 + vk * IDM_T + vk * (vk - v_lead) / root
-                np.maximum(s_star, IDM_S0, out=s_star)
-                s_star /= gap
-                np.subtract(a, IDM_A_MAX * (s_star * s_star), out=a,
-                            where=has_lead)
-            a[stop] = -STOP_DECEL
-            np.minimum(np.maximum(a, EMERGENCY_DECEL, out=a), IDM_A_MAX, out=a)
-            np.maximum(0.0, vk + a * STEP, out=v[:, k])
-            np.add(s[:, k - 1], v[:, k] * STEP, out=s[:, k])
-        return s, v
 
     def _feasibility(self, obs, world, x, y, heading, d, K):
         """At-fault predicted collisions and drivable-area exits over the

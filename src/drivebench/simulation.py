@@ -8,7 +8,6 @@ wall-clock time. Collisions are recorded as events and never abort a run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -195,12 +194,6 @@ class SimTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "SimTrace":

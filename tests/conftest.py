@@ -1,11 +1,29 @@
 """Shared test oracles: brute-force geometric checks kept deliberately
 independent of the library's fast paths."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 
 from drivebench.geometry import OrientedBox
+
+
+def trajectories_equal(a, b) -> bool:
+    """Whether two trajectories hold equal t, x, y, heading and speed."""
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("t", "x", "y", "heading", "speed"))
+
+
+def trace_hash(trace) -> str:
+    """SHA-256 of a trace's JSON, as trace_hashes.txt records it."""
+    return hashlib.sha256(trace.to_json().encode()).hexdigest()
+
+
+def save_trace(trace, path) -> None:
+    """Write a trace's JSON to path, as bench run writes traces."""
+    Path(path).write_text(trace.to_json(), encoding="utf-8")
 
 
 def point_in_box(points: np.ndarray, box: OrientedBox) -> np.ndarray:
@@ -221,3 +239,47 @@ def ego_track_oracle(trace, spec):
     return (tuple(ids[k] for k in nearest),
             tuple(row[k].s for row, k in zip(proj, nearest)),
             dist[:, route_cols].argmin(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the sampler's array rollout that the distinct-row rollout replaced
+
+
+def sampler_rollout_oracle(v_now, gap0, v_lead, fractions, stop_mask, cap):
+    """Reference: the former SamplingPlanner._rollout in its product form,
+    all C candidates stepped at once as numpy arrays. gap0 (inf: no lead)
+    and v_lead come clamped to >= 0.01 and >= 0, repeated per candidate."""
+    from drivebench.agents import (EMERGENCY_DECEL, IDM_A_MAX, IDM_B_COMF,
+                                   IDM_S0, IDM_T)
+    from drivebench.planners.base import N_SAMPLES, STEP
+    from drivebench.planners.sampling import STOP_DECEL
+
+    C = len(gap0)
+    v_target = np.where(stop_mask, 0.0,
+                        np.nan_to_num(fractions) * (cap if cap > 0 else 0.0))
+    v0_eff = np.maximum(v_target, 0.2)
+    root = 2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)
+    s = np.zeros((C, N_SAMPLES))
+    v = np.zeros((C, N_SAMPLES))
+    v[:, 0] = max(0.0, v_now)
+    has_lead = np.isfinite(gap0)
+    stop = np.flatnonzero(stop_mask)
+    ahead = gap0[:, None] + v_lead[:, None] * np.arange(N_SAMPLES - 1) * STEP
+    for k in range(1, N_SAMPLES):
+        vk = v[:, k - 1]
+        r = vk / v0_eff
+        r *= r
+        a = IDM_A_MAX * (1.0 - r * r)
+        np.maximum(a, -2.0 * IDM_B_COMF, out=a)
+        if has_lead.any():
+            gap = np.maximum(ahead[:, k - 1] - s[:, k - 1], 0.01)
+            s_star = IDM_S0 + vk * IDM_T + vk * (vk - v_lead) / root
+            np.maximum(s_star, IDM_S0, out=s_star)
+            s_star /= gap
+            np.subtract(a, IDM_A_MAX * (s_star * s_star), out=a,
+                        where=has_lead)
+        a[stop] = -STOP_DECEL
+        np.minimum(np.maximum(a, EMERGENCY_DECEL, out=a), IDM_A_MAX, out=a)
+        np.maximum(0.0, vk + a * STEP, out=v[:, k])
+        np.add(s[:, k - 1], v[:, k] * STEP, out=s[:, k])
+    return s, v

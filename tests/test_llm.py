@@ -47,6 +47,59 @@ OPTIONS = [
 ]
 
 
+class TestWaypointHeadings:
+    """WaypointsLlmPlanner takes its headings from path_headings, with the
+    curvature guard off: the model's path is checked, not repaired."""
+
+    @staticmethod
+    def obs(heading=0.3):
+        from drivebench.geometry import Pose2D
+
+        spec = empty_road_spec(lanes=1)
+        pose = spec.ego.pose
+        return make_obs(spec, ego_pose=Pose2D(pose.x, pose.y, heading),
+                        ego_speed=10.0)
+
+    def test_headings_are_path_headings(self):
+        from drivebench.planners import WaypointsLlmPlanner
+        from drivebench.planners.base import path_headings
+
+        obs = self.obs()
+        h0 = obs.ego_box.center.heading
+        for pairs in ([(5.0 * (i + 1), 0.1 * i * i) for i in range(16)],
+                      [(0.0, 0.0)] * 16):
+            traj = WaypointsLlmPlanner._to_trajectory(obs, pairs)
+            want = path_headings(traj.x[None], traj.y[None],
+                                 np.full((1, len(traj.x)), h0), guard=False)
+            assert traj.heading.tobytes() == want[0].tobytes()
+        # standing still keeps the ego's heading
+        assert (traj.speed == 0.0).all() and (traj.heading == h0).all()
+
+    def test_guard_would_hold_a_corner_the_plan_rejects(self):
+        """A 90 degree corner at 10 m/s: path_headings' guard fires on the
+        spline (it holds a heading), yet the plan raises the curvature
+        error that plan_with_fallback turns into braking."""
+        from scipy.interpolate import CubicSpline
+
+        from drivebench.planners import WaypointsLlmPlanner
+        from drivebench.planners.base import N_SAMPLES, STEP, path_headings
+
+        obs = self.obs(heading=0.0)
+        pairs = [(5.0 * (i + 1), 0.0) if i < 8 else (40.0, 5.0 * (i - 7))
+                 for i in range(16)]
+        x0, y0 = obs.ego_box.center.x, obs.ego_box.center.y
+        t_way = np.arange(17) * 0.5
+        t = np.arange(N_SAMPLES) * STEP
+        x = CubicSpline(t_way, [x0] + [x0 + px for px, _ in pairs])(t)
+        y = CubicSpline(t_way, [y0] + [y0 + py for _, py in pairs])(t)
+        tangent = np.zeros((1, N_SAMPLES))
+        guarded = path_headings(x[None], y[None], tangent)
+        assert (guarded != path_headings(x[None], y[None], tangent,
+                                         guard=False)).any()
+        with pytest.raises(ValueError, match="curvature"):
+            WaypointsLlmPlanner._to_trajectory(obs, pairs)
+
+
 class TestSceneRendering:
     def test_empty_scene_mentions_no_agents(self):
         obs = make_obs(empty_road_spec())

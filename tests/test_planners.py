@@ -45,7 +45,8 @@ from drivebench.simulation import (
     run_closed_loop,
 )
 from drivebench.agents import make_agent
-from conftest import blocking_spans_oracle, box_extent_oracle
+from conftest import (blocking_spans_oracle, box_extent_oracle,
+                      sampler_rollout_oracle, trajectories_equal)
 
 
 def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
@@ -109,7 +110,7 @@ class TestIdmPlanner:
         obs = make_obs(spec)
         a = IdmPlanner().plan(obs)
         b = IdmPlanner().plan(obs)
-        assert a.equals(b)
+        assert trajectories_equal(a, b)
 
     def test_within_time_budget(self):
         spec = empty_road_spec(lanes=3)
@@ -124,14 +125,16 @@ class TestIdmPlanner:
 
 
 def array_idm_rollout(v_start, gap0, v_lead, v0):
-    """Reference: idm_rollout's former loop, which read and wrote numpy
-    arrays at every step."""
+    """Reference: idm_acceleration stepped by hand, as idm_rollout's former
+    loop did on numpy arrays; gap0 None is free flow."""
     from drivebench.agents import idm_acceleration
     from drivebench.planners.base import N_SAMPLES, STEP
 
     s = np.zeros(N_SAMPLES)
     v = np.zeros(N_SAMPLES)
     v[0] = max(0.0, v_start)
+    if gap0 is not None:
+        gap0, v_lead = max(gap0, 0.01), max(v_lead, 0.0)
     for k in range(1, N_SAMPLES):
         if gap0 is None:
             a = idm_acceleration(v[k - 1], None, None, v0)
@@ -145,10 +148,12 @@ def array_idm_rollout(v_start, gap0, v_lead, v0):
 
 class TestIdmRollout:
     def test_equals_array_loop(self):
-        """The float loop gives the former array loop's bits: from
-        standstill, -0.0, negative and random speeds (float and np.float64),
-        in free flow, against gaps below the 0.01 m clamp, ordinary and
-        huge, and against leads at rest and faster than v0."""
+        """idm_rollout gives the bits of idm_acceleration stepped by hand:
+        from standstill, -0.0, negative and random speeds (float and
+        np.float64), in free flow (a gap of inf against the reference's
+        idm_acceleration without a lead), against gaps below the 0.01 m
+        clamp, ordinary and huge, and against leads backing up, at rest
+        and faster than v0."""
         from drivebench.planners.idm_planner import idm_rollout
 
         rng = np.random.default_rng(37)
@@ -160,8 +165,10 @@ class TestIdmRollout:
             gap0 = (None, float(rng.uniform(0.0, 0.01)), 0.01,
                     float(rng.uniform(0.01, 80.0)), 1e6)[(trial // 5) % 5]
             v_lead = (0.0, float(rng.uniform(0.0, v0)),
-                      float(rng.uniform(v0, 2.0 * v0)))[trial % 3]
-            s, v = idm_rollout(v_start, gap0, v_lead, v0)
+                      float(rng.uniform(v0, 2.0 * v0)),
+                      -float(rng.uniform(0.0, 3.0)))[trial % 4]
+            s, v = idm_rollout(v_start, math.inf if gap0 is None else gap0,
+                               v_lead, v0)
             want_s, want_v = array_idm_rollout(v_start, gap0, v_lead, v0)
             assert s.dtype == v.dtype == np.float64
             assert s.tobytes() == want_s.tobytes(), trial
@@ -372,7 +379,7 @@ class TestMobilDecide:
         obs = make_obs(spec)
         a = IdmMobilPlanner().plan(obs)
         b = IdmPlanner().plan(obs)
-        assert a.equals(b)
+        assert trajectories_equal(a, b)
 
     def test_approved_change_targets_neighbor_centerline(self):
         spec = self.make_spec()
@@ -1057,71 +1064,73 @@ class TestObstacleTable:
             assert extended[1] < 0.0 or extended[0] > line.length
 
 
-def reference_rollout(v_now, gap0, v_lead, fractions, stop_mask, cap):
-    """Reference: SamplingPlanner._rollout's former per-step loop."""
-    from drivebench.agents import (EMERGENCY_DECEL, IDM_A_MAX, IDM_B_COMF,
-                                   IDM_S0, IDM_T)
-    from drivebench.planners.base import N_SAMPLES, STEP
-    from drivebench.planners.sampling import STOP_DECEL
-
-    C = len(gap0)
-    v_target = np.where(stop_mask, 0.0,
-                        np.nan_to_num(fractions) * (cap if cap > 0 else 0.0))
-    v0_eff = np.maximum(v_target, 0.2)
-    root = 2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)
-    s = np.zeros((C, N_SAMPLES))
-    v = np.zeros((C, N_SAMPLES))
-    v[:, 0] = max(0.0, v_now)
-    has_lead = np.isfinite(gap0)
-    for k in range(1, N_SAMPLES):
-        vk = v[:, k - 1]
-        r = vk / v0_eff
-        free = np.maximum(IDM_A_MAX * (1.0 - (r * r) * (r * r)),
-                          -2.0 * IDM_B_COMF)
-        a = free
-        if has_lead.any():
-            gap = gap0 + v_lead * (k - 1) * STEP - s[:, k - 1]
-            gap = np.maximum(gap, 0.01)
-            s_star = IDM_S0 + vk * IDM_T + vk * (vk - v_lead) / root
-            s_star = np.maximum(s_star, IDM_S0)
-            q = s_star / gap
-            inter = np.where(has_lead, IDM_A_MAX * (q * q), 0.0)
-            a = free - inter
-        a = np.where(stop_mask, -STOP_DECEL, a)
-        a = np.clip(a, EMERGENCY_DECEL, IDM_A_MAX)
-        v[:, k] = np.maximum(0.0, vk + a * STEP)
-        s[:, k] = s[:, k - 1] + v[:, k] * STEP
-    return s, v
-
-
 class TestRollout:
-    def test_equals_reference_loop(self):
-        """The in-place rollout equals the former loop bit for bit: with
-        leads on some, all or none of the rows, with cap 0 and full-stop
-        rows, from standstill and from speed."""
-        from drivebench.planners.sampling import OFFSET_DELTAS, SPEED_FRACTIONS
+    @staticmethod
+    def oracle(v_now, gap0, lead_v, cap):
+        """sampler_rollout_oracle on the per-offset leads, clamped and
+        repeated per candidate as evaluate once did."""
+        from drivebench.planners.sampling import SPEED_FRACTIONS
 
-        planner = SamplingPlanner()
         n_profiles = len(SPEED_FRACTIONS) + 1
-        fractions = np.tile(list(SPEED_FRACTIONS) + [np.nan], len(OFFSET_DELTAS))
-        stop_mask = np.isnan(fractions)
+        fractions = np.tile(list(SPEED_FRACTIONS) + [np.nan], len(gap0))
+        return sampler_rollout_oracle(
+            v_now, np.repeat(np.maximum(gap0, 0.01), n_profiles),
+            np.repeat(np.maximum(0.0, lead_v), n_profiles), fractions,
+            np.isnan(fractions), cap)
+
+    def test_equals_reference_loop(self):
+        """The distinct-row rollout equals the former array rollout bit for
+        bit: with leads on some, all or none of the offsets, shared or
+        distinct, at gaps below 0.01 m and backing up, with cap 0 and
+        full-stop rows, from standstill, -0.0 and from speed."""
+        from drivebench.planners.sampling import OFFSET_DELTAS, rollouts
+
         rng = np.random.default_rng(29)
-        C = len(fractions)
+        n = len(OFFSET_DELTAS)
         for trial in range(200):
-            v_now = (0.0, float(rng.uniform(0.0, 20.0)))[trial % 4 != 0]
+            v_now = (0.0, -0.0, float(rng.uniform(0.0, 20.0)),
+                     float(rng.uniform(0.0, 20.0)))[trial % 4]
             cap = (0.0, float(rng.uniform(1.0, 20.0)))[trial % 5 != 0]
-            leads = rng.random(len(OFFSET_DELTAS)) < (0.0, 0.5, 1.0)[trial % 3]
-            gap0 = np.where(leads, rng.uniform(0.01, 60.0, len(leads)), np.inf)
-            lead_v = np.where(leads, rng.uniform(0.0, 15.0, len(leads)), 0.0)
+            leads = rng.random(n) < (0.0, 0.5, 1.0)[trial % 3]
+            gap0 = np.where(leads, rng.uniform(0.01, 60.0, n), np.inf)
+            lead_v = np.where(leads, rng.uniform(-2.0, 15.0, n), 0.0)
             if trial % 7 == 0:
-                gap0[leads] = 0.01
-            args = (v_now, np.repeat(gap0, n_profiles),
-                    np.repeat(lead_v, n_profiles), fractions, stop_mask, cap)
-            s, v = planner._rollout(*args)
-            want_s, want_v = reference_rollout(*args)
-            assert s.shape == v.shape == (C, want_s.shape[1])
+                gap0[leads] = rng.uniform(-1.0, 0.01, leads.sum())
+            if trial % 2:  # one lead shared by every offset that has one
+                gap0[leads], lead_v[leads] = gap0[leads][:1], lead_v[leads][:1]
+            s, v = rollouts(v_now, gap0, lead_v, cap)
+            want_s, want_v = self.oracle(v_now, gap0, lead_v, cap)
+            assert s.shape == v.shape == want_s.shape
             assert s.tobytes() == want_s.tobytes(), trial
             assert v.tobytes() == want_v.tobytes(), trial
+
+    def test_equals_reference_loop_on_scenes(self, monkeypatch):
+        """On random scenes the rollout of every evaluate call equals the
+        former array rollout over all 30 candidates: scenes whose offsets
+        all see one lead, see none, and see different leads."""
+        from drivebench.planners import sampling
+        from drivebench.planners.base import N_SAMPLES
+
+        rollouts, calls = sampling.rollouts, []
+
+        def recorded(*args):
+            calls.append((args, rollouts(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sampling, "rollouts", recorded)
+        rng = np.random.default_rng(31)
+        kinds = set()
+        for _ in range(60):
+            SamplingPlanner().evaluate(random_observation(rng))
+        for (v_now, gap0, lead_v, cap), (s, v) in calls:
+            want_s, want_v = self.oracle(v_now, gap0, lead_v, cap)
+            assert s.shape == (30, N_SAMPLES)
+            assert s.tobytes() == want_s.tobytes()
+            assert v.tobytes() == want_v.tobytes()
+            finite = np.isfinite(gap0)
+            kinds.add("none" if not finite.any() else
+                      "one" if len(set(zip(gap0, lead_v))) == 1 else "mixed")
+        assert kinds == {"none", "one", "mixed"}
 
 
 @st.composite
@@ -1203,7 +1212,7 @@ def reference_world_entities(obs):
 def full_array_evaluate(planner, obs, behavior):
     """Reference: SamplingPlanner.evaluate before the window cut. It builds
     all N_SAMPLES samples of every candidate's path, integrates with
-    reference_rollout and packs entities with reference_world_entities.
+    sampler_rollout_oracle and packs entities with reference_world_entities.
     Returns the selected index, its Trajectory and the candidates' full
     (C, N_SAMPLES) arrays by name."""
     from drivebench.geometry import wrap_angle
@@ -1234,8 +1243,8 @@ def full_array_evaluate(planner, obs, behavior):
         d0, slope0, offsets, np.maximum(s - s0, 0.0), span))
     gap0 = np.repeat(np.maximum(lead_s - front0, 0.01), n_profiles)
     v_lead = np.repeat(np.maximum(0.0, lead_v), n_profiles)
-    s_rel, v = reference_rollout(v_now, gap0, v_lead, fractions, stop_mask,
-                                 cap)
+    s_rel, v = sampler_rollout_oracle(v_now, gap0, v_lead, fractions,
+                                      stop_mask, cap)
     d = lateral_profile(d0, slope0, targets, s_rel, span)
     s_abs = s0 + s_rel
     x, y, tangent = line.interpolate_many(s_abs, d)
@@ -1293,9 +1302,9 @@ class TestSamplerWindow:
                              reference_world_entities(obs)):
             assert got.tobytes() == want.tobytes()
         assert best == want_best
-        assert len(traj.t) == N_SAMPLES and traj.equals(want_traj)
+        assert len(traj.t) == N_SAMPLES and trajectories_equal(traj, want_traj)
         Trajectory(traj.t, traj.x, traj.y, traj.heading, traj.speed)
-        assert planner.plan(obs, behavior).equals(traj)
+        assert trajectories_equal(planner.plan(obs, behavior), traj)
         K = len(cands[0].x) - 1
         assert K == 20
         for name, full in rows.items():
@@ -1361,7 +1370,7 @@ class TestSamplingPlanner:
         agents = [make_agent(spec.graph, "lane0", 90.0, 6.0)]
         obs = make_obs(spec, agents=agents)
         planner = SamplingPlanner()
-        assert planner.plan(obs).equals(planner.plan(obs))
+        assert trajectories_equal(planner.plan(obs), planner.plan(obs))
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(11)
@@ -1492,7 +1501,7 @@ class TestHybridPlanner:
         hybrid = HybridBehaviorPlanner(ExplodingSelector())
         follow = SamplingPlanner()
         obs = make_obs(spec)
-        assert hybrid.plan(obs).equals(follow.plan(obs))
+        assert trajectories_equal(hybrid.plan(obs), follow.plan(obs))
 
     def test_selector_failures_are_recorded(self):
         spec = empty_road_spec()

@@ -38,7 +38,7 @@ from drivebench.simulation import (
 )
 from drivebench.agents import PedestrianState, make_agent
 from drivebench.geometry import Polyline
-from conftest import agent_agent_collisions_oracle
+from conftest import agent_agent_collisions_oracle, save_trace, trace_hash
 from test_planners import empty_road_spec
 
 
@@ -328,7 +328,7 @@ class TestClosedLoop:
         spec = next(s for s in suite if s.type is ScenarioType.LANE_CHANGE_HTD)
         t1 = run_closed_loop(spec, SamplingPlanner())
         t2 = run_closed_loop(spec, SamplingPlanner())
-        assert t1.content_hash() == t2.content_hash()
+        assert trace_hash(t1) == trace_hash(t2)
 
     def test_speed_and_steering_bounds(self):
         suite = generate_benchmark_suite(77)
@@ -389,10 +389,10 @@ class TestClosedLoop:
         spec = empty_road_spec()
         trace = run_closed_loop(spec, IdmPlanner())
         p = tmp_path / "trace.json"
-        trace.save(p)
+        save_trace(trace, p)
         loaded = SimTrace.load(p)
         assert loaded.to_json() == trace.to_json()
-        assert loaded.content_hash() == trace.content_hash()
+        assert trace_hash(loaded) == trace_hash(trace)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -436,7 +436,7 @@ class TestTraceFormat:
         writes, any JSON objects as events) loads back equal."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.json"
-            trace.save(path)
+            save_trace(trace, path)
             loaded = SimTrace.load(path)
         assert loaded == trace
         assert loaded.to_json() == trace.to_json()
