@@ -1081,7 +1081,7 @@ class TestRollout:
     def test_equals_reference_loop(self):
         """The distinct-row rollout equals the former array rollout bit for
         bit: with leads on some, all or none of the offsets, shared or
-        distinct, at gaps below 0.01 m and backing up, with cap 0 and
+        distinct, at gaps below 0.01 m, leads backing up, cap 0 and the
         full-stop rows, from standstill, -0.0 and from speed."""
         from drivebench.planners.sampling import OFFSET_DELTAS, rollouts
 
