@@ -10,12 +10,12 @@ of the metric engine shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import LaneGraph, OrientedBox, Polyline, Pose2D, wrap_angle
+from .geometry import EgoFrame, LaneGraph, OrientedBox, Polyline, Pose2D, wrap_angle
 
 # Emergency deceleration cap: last-resort braking, prevents teleport-stops.
 EMERGENCY_DECEL = -8.0
@@ -113,45 +113,47 @@ def equilibrium_speed(gap: float, v0: float) -> float:
     return 0.5 * (lo + hi)
 
 
+POLICIES = frozenset(("conservative", "assertive"))
+
+
 @dataclass(frozen=True)
-class AgentState:
-    lane: str
-    s: float                 # arc position of the box center along the lane
-    speed: float
-    policy: str              # "conservative" | "assertive"
-    v0: float                # IDM desired speed: the spawn lane's limit
-    box: OrientedBox
-    length: float = VEHICLE_LENGTH
-    width: float = VEHICLE_WIDTH
+class Traffic:
+    """Vehicle agents as columns of Python floats and strings, one entry per
+    agent in a fixed order."""
+    lane: list[str]
+    s: list[float]           # arc position of the box center along the lane
+    speed: list[float]
+    v0: list[float]          # IDM desired speed: the spawn lane's limit
+    policy: list[str]        # "conservative" | "assertive"
+    length: list[float]
+    width: list[float]
+    x: list[float]           # the placed box center and heading
+    y: list[float]
+    heading: list[float]
 
     def __post_init__(self):
-        if self.speed < 0:
+        if any(map((0.0).__gt__, self.speed)):
             raise ValueError("agent speed must be >= 0")
-        if self.policy not in ("conservative", "assertive"):
-            raise ValueError(f"unknown policy {self.policy!r}")
+        for policy in set(self.policy) - POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
+
+    def __len__(self) -> int:
+        return len(self.lane)
+
+    @classmethod
+    def spawn(cls, graph: LaneGraph, agents: Iterable) -> "Traffic":
+        """Agents placed on their lanes from specs with a lane, s, speed,
+        policy, length and width; v0 is the lane's speed limit."""
+        rows = [(a.lane, float(a.s), float(a.speed),
+                 graph.lane(a.lane).speed_limit, a.policy, a.length, a.width,
+                 *graph.lane(a.lane).centerline.place(float(a.s))) for a in agents]
+        return cls(*(map(list, zip(*rows)) if rows else ([] for _ in fields(cls))))
 
 
 def lane_pose(graph: LaneGraph, lane_id: str, s: float, d: float = 0.0) -> Pose2D:
     """Pose at (s, d) on a lane, extended along the end tangents past the ends."""
-    line = graph.lane(lane_id).centerline
-    if 0.0 <= s <= line.length:
-        return line.interpolate_frenet(s, d)
-    if s > line.length:
-        base_s, over = line.length, s - line.length
-    else:
-        base_s, over = 0.0, s
-    h = line.tangent_at(base_s)
-    p = line.interpolate_frenet(base_s, d)
-    return Pose2D(p.x + over * math.cos(h), p.y + over * math.sin(h), h)
-
-
-def make_agent(graph: LaneGraph, lane_id: str, s: float, speed: float,
-               policy: str = "conservative", length: float = VEHICLE_LENGTH,
-               width: float = VEHICLE_WIDTH) -> AgentState:
-    pose = lane_pose(graph, lane_id, s)
-    return AgentState(lane=lane_id, s=s, speed=speed, policy=policy,
-                      v0=graph.lane(lane_id).speed_limit,
-                      box=OrientedBox(pose, length, width), length=length, width=width)
+    x, y, heading = graph.lane(lane_id).centerline.place(s, d)
+    return Pose2D(float(x), float(y), heading)
 
 
 @dataclass(frozen=True)
@@ -189,19 +191,17 @@ class PedestrianState:
         return OrientedBox(Pose2D(x, y, self.heading), 0.6, 0.6)
 
 
-def lateral_half_extent(box: OrientedBox, lane_heading: float) -> float:
-    """Half-extent of a box projected across a lane direction."""
-    rel = wrap_angle(box.center.heading - lane_heading)
-    return abs(math.sin(rel)) * box.length / 2.0 + abs(math.cos(rel)) * box.width / 2.0
-
-
 def ego_counts_in_lane(ego_box: OrientedBox, lane_width: float,
                        d: float, lane_heading: float, policy: str) -> bool:
     """Lead-perception rule: conservative agents react to the ego as soon as
-    its footprint overlaps the lane corridor; assertive agents only once it
-    is fully merged (center in lane and |d| < lane_width / 4)."""
+    its footprint (its half-extent across the lane) overlaps the lane
+    corridor; assertive agents only once it is fully merged (center in lane
+    and |d| < lane_width / 4)."""
     if policy == "conservative":
-        return abs(d) <= lane_width / 2.0 + lateral_half_extent(ego_box, lane_heading)
+        rel = wrap_angle(ego_box.center.heading - lane_heading)
+        return abs(d) <= lane_width / 2.0 + (
+            abs(math.sin(rel)) * ego_box.length / 2.0
+            + abs(math.cos(rel)) * ego_box.width / 2.0)
     return abs(d) < lane_width / 4.0
 
 
@@ -209,9 +209,9 @@ def lane_keeper_obstructions(graph: LaneGraph, lane_id: str,
                              agents: Iterable[tuple[str, float, float, float]],
                              lane_blockers: dict[str, list[tuple[float, float]]],
                              pedestrians: Iterable[tuple[float, float, str]],
-                             ped_half: float) -> tuple[np.ndarray, np.ndarray]:
+                             ped_half: float) -> list[tuple[float, float]]:
     """Everything a vehicle keeping lane `lane_id` brakes for, as (near-edge
-    arc positions, speeds) along the lane, in this order:
+    arc position, speed) rows along the lane, in this order:
 
     - the lane's agents, given as (lane, s, length, speed), by lane
       membership and in input order, with near edge s - length / 2;
@@ -229,99 +229,107 @@ def lane_keeper_obstructions(graph: LaneGraph, lane_id: str,
             f = line.project((x, y))
             if abs(f.d) <= SWEPT_BAND_HALF_WIDTH + 0.3:
                 rows.append((f.s - ped_half, 0.0))
-    table = np.array(rows, dtype=float).reshape(-1, 2)
-    return table[:, 0], table[:, 1]
+    return rows
 
 
-def select_lead(agents: Sequence[AgentState], graph: LaneGraph,
+def select_lead(traffic: Traffic, graph: LaneGraph,
                 lane_blockers: dict[str, list[tuple[float, float]]],
                 pedestrians: Sequence[PedestrianState],
-                ego_box: Optional[OrientedBox], ego_speed: float
-                ) -> list[Optional[tuple[float, float]]]:
+                ego_box: Optional[OrientedBox], ego_speed: float,
+                frame: EgoFrame) -> list[Optional[tuple[float, float]]]:
     """Each agent's nearest entity ahead in its lane, as (lead speed, bumper
     gap), or None when nothing ahead has a positive gap.
 
-    One lane_keeper_obstructions query per occupied lane serves all of its
-    agents; a crossing pedestrian (a 0.6 m square) enters 0.3 m before its
-    center. The ego, projected once per lane, counts per each agent's policy
+    One lane_keeper_obstructions query per occupied lane and one gap matrix
+    over all of their rows serve every agent; a crossing pedestrian (a 0.6 m
+    square) enters 0.3 m before its center. The ego, at its center's lane
+    projection in frame, counts per each agent's policy
     (ego_counts_in_lane) and ranks right after the lane's agents: on equal
     gaps the earlier of agents, ego, spans and pedestrians wins.
     """
-    rows = [(a.lane, a.s, a.length, a.speed) for a in agents]
+    if not len(traffic):
+        return []
+    rows = list(zip(traffic.lane, traffic.s, traffic.length, traffic.speed))
     peds = [(*p.position, p.phase) for p in pedestrians]
-    by_lane: dict[str, list[int]] = {}
-    for i, a in enumerate(agents):
-        by_lane.setdefault(a.lane, []).append(i)
-    leads: list[Optional[tuple[float, float]]] = [None] * len(agents)
-    for lane_id, members in by_lane.items():
-        lane = graph.lane(lane_id)
-        near, speed = lane_keeper_obstructions(graph, lane_id, rows,
-                                               lane_blockers, peds, ped_half=0.3)
-        # an agent's own row has gap -length < 0, so it never leads itself
-        front = np.array([agents[i].s + agents[i].length / 2.0 for i in members])
-        n = len(members)
-        sees_ego = None
+    lanes = {lane_id: k for k, lane_id in enumerate(dict.fromkeys(traffic.lane))}
+    table, owner, blind = [], [], {}
+    for lane_id, k in lanes.items():
+        ego = []
         if ego_box is not None:
-            f = lane.centerline.project((ego_box.center.x, ego_box.center.y))
+            lane, f = graph.lane(lane_id), frame[lane_id]
             heading = lane.centerline.tangent_at(f.s)
             rel = wrap_angle(ego_box.center.heading - heading)
             half = (abs(math.cos(rel)) * ego_box.length / 2.0
                     + abs(math.sin(rel)) * ego_box.width / 2.0)
-            # the lane's n agents come first; the ego ranks right after them
-            near = np.concatenate((near[:n], [f.s - half], near[n:]))
-            speed = np.concatenate((speed[:n], [ego_speed], speed[n:]))
-            sees_ego = [ego_counts_in_lane(ego_box, lane.width, f.d, heading,
-                                           agents[i].policy) for i in members]
-        gaps = near[None, :] - front[:, None]
-        ahead = gaps > 0
-        if sees_ego is not None:
-            ahead[:, n] &= sees_ego
-        first = np.where(ahead, gaps, np.inf).argmin(axis=1)
-        for row, (i, j) in enumerate(zip(members, first)):
-            if ahead[row, j]:
-                leads[i] = (float(speed[j]), float(gaps[row, j]))
-    return leads
+            sees = {p for p in POLICIES
+                    if ego_counts_in_lane(ego_box, lane.width, f.d, heading, p)}
+            if sees:  # a zero-length agent row after all: after the lane's
+                ego = [(lane_id, f.s - half, 0.0, ego_speed)]
+            if sees and sees != POLICIES:  # its column, and who is blind to it
+                blind[lane_id] = (len(table) + traffic.lane.count(lane_id),
+                                  POLICIES - sees)
+        lane_rows = lane_keeper_obstructions(graph, lane_id, rows + ego,
+                                             lane_blockers, peds, 0.3)
+        table += lane_rows
+        owner += [k] * len(lane_rows)
+    near, speed = np.array(table).T
+    # an agent's own row has gap -length < 0, so it never leads itself
+    gaps = near - np.array([s + length / 2.0 for s, length
+                            in zip(traffic.s, traffic.length)])[:, None]
+    ahead = gaps > 0
+    if len(lanes) > 1:
+        ahead &= np.array(owner) == np.array([lanes[l] for l in traffic.lane])[:, None]
+    hidden = [(i, blind[lane][0]) for i, (lane, p) in enumerate(zip(
+        traffic.lane, traffic.policy)) if lane in blind and p in blind[lane][1]]
+    if hidden:
+        ahead[tuple(zip(*hidden))] = False
+    agents = np.arange(len(traffic))
+    first = np.where(ahead, gaps, np.inf).argmin(axis=1)
+    return [(v, g) if hit else None for hit, v, g in zip(
+        ahead[agents, first].tolist(), speed[first].tolist(),
+        gaps[agents, first].tolist())]
 
 
-def step_vehicle_agent(agent: AgentState, lead: Optional[tuple[float, float]],
-                       graph: LaneGraph, dt: float) -> AgentState:
-    """Advance one agent by dt: IDM acceleration against its lead (as
-    select_lead gives it), then move along the lane centerline (following
-    successors, never changing lane)."""
+def step_vehicle_agent(traffic: Traffic,
+                       leads: Sequence[Optional[tuple[float, float]]],
+                       graph: LaneGraph, dt: float) -> Traffic:
+    """Advance every agent by dt: one idm_profile step against its lead (as
+    select_lead gives them), then along its lane's centerline, onto the
+    first successor (by id) past the lane's end and along the end tangent
+    where there is none; agents never change lane otherwise."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    v_lead, gap = (0.0, math.inf) if lead is None else lead
-    [_, ds], [_, speed] = idm_profile(agent.speed, gap, v_lead, agent.v0, dt, 1)
-    s = agent.s + ds
-    lane_id = agent.lane
-    line = graph.lane(lane_id).centerline
-    while s > line.length:
-        succ = sorted(graph.lane(lane_id).successors)
-        if not succ:
-            break
-        s -= line.length
-        lane_id = succ[0]
-        line = graph.lane(lane_id).centerline
-    pose = lane_pose(graph, lane_id, s)
-    box = OrientedBox(pose, agent.length, agent.width)
-    return AgentState(lane_id, s, speed, agent.policy, agent.v0, box,
-                      agent.length, agent.width)
+    rows = []
+    for lane_id, s, v, v0, lead in zip(traffic.lane, traffic.s, traffic.speed,
+                                       traffic.v0, leads):
+        v_lead, gap = (0.0, math.inf) if lead is None else lead
+        [_, ds], [_, v] = idm_profile(v, gap, v_lead, v0, dt, 1)
+        s += ds
+        seg = graph.lane(lane_id)
+        while s > seg.centerline.length and seg.successors:
+            s -= seg.centerline.length
+            seg = graph.lane(min(seg.successors))
+        rows.append((seg.id, s, v, *seg.centerline.place(s)))
+    if not rows:
+        return traffic
+    lane, s, speed, x, y, heading = map(list, zip(*rows))
+    return replace(traffic, lane=lane, s=s, speed=speed, x=x, y=y,
+                   heading=heading)
 
 
-def step_pedestrian(ped: PedestrianState, graph: LaneGraph,
-                    ego_pose: Pose2D, ego_speed: float, dt: float) -> PedestrianState:
+def step_pedestrian(ped: PedestrianState, graph: LaneGraph, frame: EgoFrame,
+                    ego_speed: float, dt: float) -> PedestrianState:
     """Advance the pedestrian phase machine: waiting until the approaching
-    ego is within trigger distance, then crossing at walk speed to the end.
-    Pedestrians never yield."""
+    ego (whose center's lane projections frame holds) is within trigger
+    distance, then crossing at walk speed to the end. Pedestrians never
+    yield."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if ped.phase == "done":
         return ped
     if ped.phase == "waiting":
-        line = graph.lane(ped.lane).centerline
-        entry = line.project(ped.path.points[0])
-        ego_f = line.project((ego_pose.x, ego_pose.y))
-        dist = entry.s - ego_f.s
+        entry = graph.lane(ped.lane).centerline.project(ped.path.points[0])
+        dist = entry.s - frame[ped.lane].s
         if 0.0 < dist <= ped.trigger_distance and ego_speed > 0.2:
             return replace(ped, phase="crossing")
         return ped

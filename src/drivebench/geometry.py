@@ -109,14 +109,11 @@ class Polyline:
         self._seg_len = seg_len
         self.cum_len = np.concatenate(([0.0], np.cumsum(seg_len)))
         self._cum = tuple(self.cum_len.tolist())  # for scalar bisection
+        self.length: float = self._cum[-1]
         self._xy = tuple(map(tuple, pts.tolist()))
         self._uv = tuple(map(tuple, self._dirs.tolist()))
         self._headings = tuple(math.atan2(dy, dx) for dx, dy in self._uv)
         self._heading_array = np.array(self._headings)
-
-    @property
-    def length(self) -> float:
-        return self._cum[-1]
 
     def project(self, point: Sequence[float]) -> FrenetPoint:
         """Nearest-point projection; s clamped to [0, length], |d| is the
@@ -156,7 +153,7 @@ class Polyline:
         d = np.where(cross >= 0, dist[rows, i], -dist[rows, i])
         if extended:
             for k in np.flatnonzero((s <= 0.0) | (s >= self.length)):
-                f = self._extend(p[k], FrenetPoint(float(s[k]), float(d[k])))
+                f = self.extend(p[k], FrenetPoint(float(s[k]), float(d[k])))
                 s[k], d[k] = f.s, f.d
         return s, d
 
@@ -164,9 +161,9 @@ class Polyline:
         """Like project, but s runs past the endpoints along the end tangents
         (s < 0 before the start, s > length past the end)."""
         p = np.asarray(point, dtype=float)
-        return self._extend(p, self.project(p))
+        return self.extend(p, self.project(p))
 
-    def _extend(self, p: np.ndarray, f: FrenetPoint) -> FrenetPoint:
+    def extend(self, p, f: FrenetPoint) -> FrenetPoint:
         """The clamped projection f of p, carried past an endpoint along
         its end tangent when p lies beyond it."""
         if f.s <= 0.0:
@@ -187,7 +184,7 @@ class Polyline:
         project_extended gives them; each corner is projected once."""
         corners = box.corners()
         clamped = [self.project(c) for c in corners]
-        extended = [self._extend(c, f) for c, f in zip(corners, clamped)]
+        extended = [self.extend(c, f) for c, f in zip(corners, clamped)]
         return tuple((min(f.s for f in fs), max(f.s for f in fs),
                       min(f.d for f in fs), max(f.d for f in fs))
                      for fs in (clamped, extended))
@@ -201,13 +198,40 @@ class Polyline:
         tangent direction. Rejects s outside [0, length]."""
         if f.s < -1e-9 or f.s > self.length + 1e-9:
             raise ValueError(f"s={f.s} outside [0, {self.length}]")
-        s = min(max(f.s, 0.0), self.length)
-        i = self._segment_index(s)
-        t = s - self._cum[i]
-        (px, py), (dx, dy) = self._xy[i], self._uv[i]
-        # left normal of the tangent
-        return Pose2D(float((px + t * dx) - dy * f.d),
-                      float((py + t * dy) + dx * f.d), self._headings[i])
+        x, y, heading = self.place(min(max(f.s, 0.0), self.length), f.d)
+        return Pose2D(float(x), float(y), heading)
+
+    def place(self, s: float, d: float = 0.0) -> tuple[float, float, float]:
+        """(x, y, heading) of the Frenet point (s, d) on Python floats,
+        carried along the end tangents past the ends; the heading is the
+        local tangent's (an end tangent's past an end), wrapped as Pose2D
+        wraps it."""
+        if 0.0 <= s <= self.length:
+            i = self._segment_index(s)
+            t = s - self._cum[i]
+            (px, py), (ux, uy) = self._xy[i], self._uv[i]
+            # left normal of the tangent
+            return ((px + t * ux) - uy * d, (py + t * uy) + ux * d,
+                    wrap_angle(self._headings[i]))
+        past = s > self.length
+        bx, by, ux, uy, heading, c, sn = self._ends[past]
+        over = s - self.length if past else s
+        return (bx - uy * d) + over * c, (by + ux * d) + over * sn, heading
+
+    @functools.cached_property
+    def _ends(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """place's terms at s = 0 and at s = length, computed once: the
+        centerline point before the offset term, the end segment's unit
+        tangent, its wrapped heading, and the cos and sin of the unwrapped
+        one."""
+        ends = []
+        for s in (0.0, self.length):
+            i = self._segment_index(s)
+            t = s - self._cum[i]
+            (px, py), (ux, uy), h = self._xy[i], self._uv[i], self._headings[i]
+            ends.append((px + t * ux, py + t * uy, ux, uy, wrap_angle(h),
+                         math.cos(h), math.sin(h)))
+        return tuple(ends)
 
     def interpolate_frenet(self, s: float, d: float = 0.0) -> Pose2D:
         return self.interpolate(FrenetPoint(s, d))
@@ -540,6 +564,21 @@ class LaneGraph:
                 best = (key, lane_id)
         assert best is not None, "empty lane graph"
         return best[1]
+
+
+class EgoFrame(dict):
+    """One point's clamped projection (Polyline.project) onto each lane of a
+    graph, made on first lookup and kept: frame[lane_id] -> FrenetPoint.
+    The simulator keeps one per tick for the ego's center."""
+
+    def __init__(self, graph: LaneGraph, point: tuple[float, float]):
+        super().__init__()
+        self.graph, self.point = graph, point
+
+    def __missing__(self, lane_id: str) -> FrenetPoint:
+        f = self[lane_id] = self.graph.lane(lane_id).centerline.project(
+            self.point)
+        return f
 
 
 @dataclass(frozen=True)

@@ -113,16 +113,17 @@ def render_scene_description(obs: Observation) -> tuple[str, str]:
     velocities of the nearest agents, obstacles with kinds, lane layout.
     Numbers at one decimal, fixed field order."""
     lines = []
+    a = obs.agents
     ranked = sorted(
-        obs.agents,
-        key=lambda a: (a.box.center.x - obs.ego_box.center.x) ** 2
-                      + (a.box.center.y - obs.ego_box.center.y) ** 2)
-    for agent in ranked[:10]:
-        lon, lat = _ego_frame(obs, (agent.box.center.x, agent.box.center.y))
-        rel = wrap_angle(agent.box.center.heading - obs.ego_box.center.heading)
+        zip(a.x, a.y, a.heading, a.speed),
+        key=lambda r: (r[0] - obs.ego_box.center.x) ** 2
+                      + (r[1] - obs.ego_box.center.y) ** 2)
+    for x, y, heading, speed in ranked[:10]:
+        lon, lat = _ego_frame(obs, (x, y))
+        rel = wrap_angle(heading - obs.ego_box.center.heading)
         lines.append(
             f"- vehicle at longitudinal {lon:+.1f} m, lateral {lat:+.1f} m, "
-            f"speed {agent.speed:.1f} m/s, relative heading {rel:+.1f} rad")
+            f"speed {speed:.1f} m/s, relative heading {rel:+.1f} rad")
     for ped in obs.pedestrians:
         lon, lat = _ego_frame(obs, ped.position)
         state = "crossing" if ped.crossing else "waiting"
@@ -273,11 +274,12 @@ def _oncoming_within_headway(obs: Observation, horizon_s: float = 8.0) -> bool:
     scene = lane_scene(obs, lane_id)
     ego_s = scene.ego.s
     ego_h = line.tangent_at(min(max(ego_s, 0.0), line.length))
-    for agent, s in zip(obs.agents, scene.agent_s.tolist()):
-        rel = wrap_angle(agent.box.center.heading - ego_h)
+    for heading, speed, s in zip(obs.agents.heading, obs.agents.speed,
+                                 scene.agent_s.tolist()):
+        rel = wrap_angle(heading - ego_h)
         if math.cos(rel) > -0.5 or s <= ego_s:
             continue
-        closing = max(agent.speed + obs.ego_speed, 0.5)
+        closing = max(speed + obs.ego_speed, 0.5)
         if (s - ego_s) / closing <= horizon_s:
             return True
     return False
@@ -287,7 +289,8 @@ def _target_lane_slot(obs: Observation, target_lane: str) -> float:
     """Length of the free slot around the ego's projected position on the
     target lane (inf when empty)."""
     scene = lane_scene(obs, target_lane)
-    on_lane = np.array([a.lane == target_lane for a in obs.agents], dtype=bool)
+    on_lane = np.array([lane == target_lane for lane in obs.agents.lane],
+                       dtype=bool)
     if not on_lane.any():
         return math.inf
     ego_s = scene.ego.s

@@ -273,11 +273,11 @@ def _stop_justified(snap, spec: ScenarioSpec, lane_id: str, s: float, spans,
     arc position s (closed at both ends); crossing pedestrians count from
     their center."""
     front = s + VEHICLE_LENGTH / 2.0
-    near, _speed = lane_keeper_obstructions(
+    near = np.array([near for near, _speed in lane_keeper_obstructions(
         spec.graph, lane_id,
         [(a["lane"], a["s"], a["length"], a["speed"]) for a in snap.agents],
         spans, [(p["x"], p["y"], p["phase"]) for p in snap.pedestrians],
-        ped_half=0.0)
+        ped_half=0.0)])
     horizon = cfg.stationary_justify_distance
     return bool(((front <= near) & (near <= front + horizon)).any())
 

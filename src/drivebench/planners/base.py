@@ -13,8 +13,8 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..agents import SWEPT_BAND_HALF_WIDTH
-from ..geometry import FrenetPoint, LaneGraph, OrientedBox, Route
+from ..agents import SWEPT_BAND_HALF_WIDTH, Traffic
+from ..geometry import EgoFrame, FrenetPoint, LaneGraph, OrientedBox, Route
 from ..geometry import wrap_angle, wrap_angles
 from ..scenarios import ObstacleSpec, ObstacleTable
 
@@ -23,16 +23,10 @@ STEP = 0.1             # s
 N_SAMPLES = int(round(HORIZON / STEP)) + 1
 MAX_CURVATURE = 0.5    # 1/m, kinematic reachability bound between samples
 FALLBACK_DECEL = 6.0   # m/s^2 used by the full-brake fallback
-# lane_scene projects this many points or more with one project_many call;
-# for fewer, scalar project_extended calls are faster
+# lane_scene projects this many points (agents and crossing pedestrians; the
+# ego's comes from the observation's frame) or more with one project_many
+# call; for fewer, scalar project_extended calls are faster
 PROJECT_MANY_MIN = 3
-
-
-@dataclass(frozen=True)
-class AgentObs:
-    box: OrientedBox
-    speed: float
-    lane: str
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,7 @@ class Observation:
     ego_box: OrientedBox
     ego_speed: float
     ego_accel: float
-    agents: tuple[AgentObs, ...]
+    agents: Traffic              # the perceived agents' columns
     pedestrians: tuple[PedestrianObs, ...]
     obstacles: tuple[ObstacleSpec, ...]
     graph: LaneGraph
@@ -58,10 +52,16 @@ class Observation:
     ego_lane: str  # nearest route lane by clamped projection, ties to lower id
     # the scenario's obstacle extents and blocking spans, shared by every tick
     obstacle_table: ObstacleTable = field(repr=False, compare=False)
-    # lane id -> LaneScene, filled by lane_scene; dataclasses.replace starts
-    # a new observation with an empty memo
+    # lane id -> LaneScene, filled by lane_scene, and lane id -> the ego
+    # center's clamped projection, filled on first lookup; dataclasses.replace
+    # starts a new observation with both memos empty
     _scenes: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    frame: EgoFrame = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = self.ego_box.center
+        object.__setattr__(self, "frame", EgoFrame(self.graph, (c.x, c.y)))
 
 
 BEHAVIOR_LABELS = ("follow_lane", "merge_left", "merge_right",
@@ -135,9 +135,8 @@ class Planner(Protocol):
 def fallback_brake_trajectory(obs: Observation) -> Trajectory:
     """Full-brake trajectory along the current lane direction from the ego
     pose; emitted whenever a planner fails to produce a valid output."""
-    line = obs.graph.lane(obs.ego_lane).centerline
-    f = line.project((obs.ego_box.center.x, obs.ego_box.center.y))
-    h = line.tangent_at(f.s)
+    f = obs.frame[obs.ego_lane]
+    h = obs.graph.lane(obs.ego_lane).centerline.tangent_at(f.s)
     v0 = obs.ego_speed
     t = np.arange(N_SAMPLES) * STEP
     speed = np.maximum(0.0, v0 - FALLBACK_DECEL * t)
@@ -231,30 +230,31 @@ def lane_scene(obs: Observation, lane_id: str) -> LaneScene:
     """Project the ego, the agents, the obstacles and the crossing
     pedestrians into the lane's Frenet frame (extended past the lane ends).
     Built once per observation and lane; later calls return the same
-    scene. The obstacles' rows come from the observation's ObstacleTable."""
+    scene. The ego's point extends the observation's frame entry (the
+    clamped projection), the obstacles' rows come from its ObstacleTable."""
     scene = obs._scenes.get(lane_id)
     if scene is not None:
         return scene
     line = obs.graph.lane(lane_id).centerline
-    points = [(obs.ego_box.center.x, obs.ego_box.center.y)]
-    points += [(a.box.center.x, a.box.center.y) for a in obs.agents]
+    a = obs.agents
+    points = list(zip(a.x, a.y))
     points += [ped.position for ped in obs.pedestrians if ped.crossing]
     if len(points) < PROJECT_MANY_MIN:  # a scalar call is cheaper here
         fs = [line.project_extended(p) for p in points]
         s, d = [f.s for f in fs], [f.d for f in fs]
     else:
-        s, d = (a.tolist() for a in line.project_many(points, extended=True))
+        s, d = (c.tolist() for c in line.project_many(points, extended=True))
     agents = []
-    for agent, a_s, a_d in zip(obs.agents, s[1:], d[1:]):
-        rel = wrap_angle(agent.box.center.heading - line.tangent_at(a_s))
-        along = (abs(math.cos(rel)) * agent.box.length
-                 + abs(math.sin(rel)) * agent.box.width) / 2.0
-        agents.append((a_s, a_d, agent.box.length / 2.0, a_s - along,
-                       agent.speed * math.cos(rel),
-                       SWEPT_BAND_HALF_WIDTH + agent.box.width / 2.0 - 0.15))
-    n = 1 + len(obs.agents)
+    for a_s, a_d, heading, length, width, speed in zip(
+            s, d, a.heading, a.length, a.width, a.speed):
+        rel = wrap_angle(heading - line.tangent_at(a_s))
+        cos_rel = math.cos(rel)
+        along = (abs(cos_rel) * length + abs(math.sin(rel)) * width) / 2.0
+        agents.append((a_s, a_d, length / 2.0, a_s - along, speed * cos_rel,
+                       SWEPT_BAND_HALF_WIDTH + width / 2.0 - 0.15))
+    n = len(a)
     scene = obs._scenes[lane_id] = LaneScene(
-        FrenetPoint(s[0], d[0]), *_columns(agents, 6),
+        line.extend(obs.frame.point, obs.frame[lane_id]), *_columns(agents, 6),
         *obs.obstacle_table.extents(lane_id, obs.obstacles),
         *_columns(list(zip(s[n:], d[n:])), 2))
     return scene

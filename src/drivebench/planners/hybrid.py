@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..agents import SWEPT_BAND_HALF_WIDTH, VEHICLE_LENGTH, VEHICLE_WIDTH
-from ..geometry import OrientedBox, points_in_any_polygon
+from ..geometry import OrientedBox, Pose2D, points_in_any_polygon
 from ..scenarios import merge_spans
 from .base import (
     BehaviorOption,
@@ -39,7 +39,8 @@ def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
                 if sp[1] >= ego_front and sp[0] <= ego_front + OVERTAKE_SCAN_AHEAD]
 
     spans = in_range(obs.obstacle_table.blocking_spans.get(lane_id, []))
-    stopped = [a.speed < STOPPED_AGENT_SPEED for a in obs.agents]
+    agents = obs.agents
+    stopped = [v < STOPPED_AGENT_SPEED for v in agents.speed]
     scene = lane_scene(obs, lane_id)
     on_lane = np.array(stopped, dtype=bool) & (
         np.abs(scene.agent_d) <= scene.agent_reach)
@@ -53,7 +54,10 @@ def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
     s_lo, s_hi, d_lo, d_hi = np.vstack(
         [np.column_stack((scene.obstacle_near_s, scene.obstacle_far_s,
                           scene.obstacle_d_lo, scene.obstacle_d_hi))]
-        + [line.box_extents(a.box)[1] for a in compress(obs.agents, stopped)]).T
+        + [line.box_extents(OrientedBox(Pose2D(x, y, h), length, width))[1]
+           for x, y, h, length, width in compress(zip(
+               agents.x, agents.y, agents.heading, agents.length,
+               agents.width), stopped)]).T
     inside = ((s_hi >= near - 0.5) & (s_lo <= far + 0.5)
               & (d_lo <= SWEPT_BAND_HALF_WIDTH)
               & (d_hi >= -SWEPT_BAND_HALF_WIDTH))

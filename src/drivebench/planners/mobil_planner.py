@@ -60,13 +60,13 @@ def _accel_against(scene: LaneScene, v: float, from_s: float,
 def _follower_behind(obs: Observation, scene: LaneScene, lane_width: float,
                      s_rear: float):
     """Nearest agent whose front bumper is behind the given rear position,
-    as (its front bumper s, the agent)."""
+    as (its front bumper s, its speed)."""
     front = scene.agent_s + scene.agent_half_len
     behind = (np.abs(scene.agent_d) <= lane_width / 2.0) & (front < s_rear)
     if not behind.any():
         return None
     i = int(np.argmax(np.where(behind, front, -np.inf)))
-    return float(front[i]), obs.agents[i]
+    return float(front[i]), obs.agents.speed[i]
 
 
 def _goal_distance(obs: Observation, lane_id: str) -> Optional[int]:
@@ -112,14 +112,14 @@ def mobil_decide(obs: Observation, mp: MobilParams) -> Optional[str]:
         follower = _follower_behind(obs, cand_scene, cand_lane.width, rear_c)
         safe = True
         if follower is not None:
-            fr_front, fr_agent = follower
+            fr_front, fr_speed = follower
             gap_f = rear_c - fr_front
             if gap_f < MIN_CLEARANCE:
                 safe = False
             else:
-                a_after = idm_acceleration(fr_agent.speed, v, gap_f,
+                a_after = idm_acceleration(fr_speed, v, gap_f,
                                            cand_lane.speed_limit)
-                a_before = _accel_against(cand_scene, fr_agent.speed, fr_front,
+                a_before = _accel_against(cand_scene, fr_speed, fr_front,
                                           cand_lane.speed_limit)
                 if a_after < -mp.b_safe:
                     safe = False
@@ -129,16 +129,16 @@ def mobil_decide(obs: Observation, mp: MobilParams) -> Optional[str]:
 
         d_old_follower = 0.0
         if old_follower is not None:
-            of_front, of_agent = old_follower
-            a_before = idm_acceleration(of_agent.speed, v,
+            of_front, of_speed = old_follower
+            a_before = idm_acceleration(of_speed, v,
                                         max(rear - of_front, 0.01),
                                         lane.speed_limit)
             if old_lead is not None:
-                a_after = idm_acceleration(of_agent.speed, max(0.0, old_lead[1]),
+                a_after = idm_acceleration(of_speed, max(0.0, old_lead[1]),
                                            max(old_lead[0] - of_front, 0.01),
                                            lane.speed_limit)
             else:
-                a_after = idm_acceleration(of_agent.speed, None, None,
+                a_after = idm_acceleration(of_speed, None, None,
                                            lane.speed_limit)
             d_old_follower = a_after - a_before
 

@@ -244,11 +244,10 @@ class SamplingPlanner:
     def _world_entities(obs: Observation):
         """(positions, velocities, headings, lengths, widths) of everything
         collidable, for forecasting."""
-        rows = [(a.box.center.x, a.box.center.y,
-                 a.speed * math.cos(a.box.center.heading),
-                 a.speed * math.sin(a.box.center.heading),
-                 a.box.center.heading, a.box.length, a.box.width)
-                for a in obs.agents]
+        a = obs.agents
+        rows = [(x, y, v * math.cos(h), v * math.sin(h), h, length, width)
+                for x, y, v, h, length, width in zip(
+                    a.x, a.y, a.speed, a.heading, a.length, a.width)]
         rows += [(o.box.center.x, o.box.center.y, 0.0, 0.0,
                   o.box.center.heading, o.box.length, o.box.width)
                  for o in obs.obstacles]

@@ -18,14 +18,14 @@ import numpy as np
 from .agents import (
     VEHICLE_LENGTH,
     VEHICLE_WIDTH,
-    AgentState,
     PedestrianState,
-    make_agent,
+    Traffic,
     select_lead,
     step_pedestrian,
     step_vehicle_agent,
 )
 from .geometry import (
+    EgoFrame,
     OrientedBox,
     Pose2D,
     box_contacts,
@@ -35,7 +35,6 @@ from .geometry import (
     wrap_angle,
 )
 from .planners.base import (
-    AgentObs,
     Observation,
     PedestrianObs,
     Trajectory,
@@ -123,7 +122,7 @@ def track_trajectory(traj: Trajectory, ego: EgoState) -> tuple[float, float]:
 @dataclass
 class WorldState:
     ego: EgoState
-    agents: list[AgentState]
+    agents: Traffic
     pedestrians: list[PedestrianState]
 
 
@@ -133,10 +132,11 @@ def build_observation(world: WorldState, spec: ScenarioSpec,
     radius; obstacle_table is the scenario's, built once by run_closed_loop."""
     ex, ey = world.ego.pose.x, world.ego.pose.y
     radius2 = PERCEPTION_RADIUS ** 2
-    agents = tuple(
-        AgentObs(box=a.box, speed=a.speed, lane=a.lane)
-        for a in world.agents
-        if (a.box.center.x - ex) ** 2 + (a.box.center.y - ey) ** 2 <= radius2)
+    traffic = world.agents
+    seen = [i for i, (x, y) in enumerate(zip(traffic.x, traffic.y))
+            if (x - ex) ** 2 + (y - ey) ** 2 <= radius2]
+    agents = traffic if len(seen) == len(traffic) else Traffic(
+        *([col[i] for i in seen] for col in vars(traffic).values()))
     peds = tuple(
         PedestrianObs(position=p.position, velocity=p.velocity,
                       crossing=p.phase == "crossing")
@@ -145,15 +145,16 @@ def build_observation(world: WorldState, spec: ScenarioSpec,
     obstacles = tuple(
         o for o in spec.obstacles
         if (o.box.center.x - ex) ** 2 + (o.box.center.y - ey) ** 2 <= radius2)
-    ego_lane = min(
-        spec.route.lane_sequence,
-        key=lambda lid: (abs(spec.graph.lane(lid).centerline.project((ex, ey)).d),
-                         lid))
-    return Observation(
+    frame = EgoFrame(spec.graph, (ex, ey))
+    ego_lane = min(spec.route.lane_sequence,
+                   key=lambda lid: (abs(frame[lid].d), lid))
+    obs = Observation(
         ego_box=world.ego.box, ego_speed=world.ego.speed,
         ego_accel=world.ego.accel, agents=agents, pedestrians=peds,
         obstacles=obstacles, graph=spec.graph, route=spec.route, time=t,
         ego_lane=ego_lane, obstacle_table=obstacle_table)
+    obs.frame.update(frame)
+    return obs
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +231,11 @@ def _ego_snapshot(ego: EgoState) -> dict:
             "speed": ego.speed, "accel": ego.accel, "steering": ego.steering}
 
 
-def _agent_snapshot(a: AgentState) -> dict:
-    return {"lane": a.lane, "s": a.s, "speed": a.speed,
-            "x": a.box.center.x, "y": a.box.center.y,
-            "heading": a.box.center.heading,
-            "length": a.length, "width": a.width, "policy": a.policy}
+def _traffic_snapshot(t: Traffic) -> list[dict]:
+    return [{"lane": lane, "s": s, "speed": v, "x": x, "y": y, "heading": h,
+             "length": length, "width": width, "policy": policy}
+            for lane, s, v, _v0, policy, length, width, x, y, h
+            in zip(*vars(t).values())]
 
 
 def _ped_snapshot(p: PedestrianState) -> dict:
@@ -281,27 +282,28 @@ def _box_columns(boxes: list[OrientedBox]) -> np.ndarray:
                       b.width) for b in boxes], dtype=float).reshape(-1, 5).T
 
 
-def _ego_collisions(ego_box: OrientedBox, world: WorldState,
+def _ego_collisions(ego_box: OrientedBox, agents: np.ndarray,
+                    obstacles: np.ndarray, pedestrians: list[PedestrianState],
                     spec: ScenarioSpec) -> list[tuple[str, OrientedBox]]:
     """Partner ids and boxes currently in contact with the ego: agents,
-    then obstacles, then pedestrians."""
-    boxes = ([a.box for a in world.agents] + [o.box for o in spec.obstacles]
-             + [p.box() for p in world.pedestrians])
-    [hits] = box_contacts(*_box_columns([ego_box]), *_box_columns(boxes))
-    n_a, n_o = len(world.agents), len(spec.obstacles)
+    then obstacles (both given as box columns), then pedestrians."""
+    cols = np.concatenate((agents, obstacles, _box_columns(
+        [p.box() for p in pedestrians])), axis=1)
+    [hits] = box_contacts(*_box_columns([ego_box]), *cols)
+    n_a, n_o = agents.shape[1], len(spec.obstacles)
     return [(f"agent{i}" if i < n_a
              else f"obstacle{i - n_a}:{spec.obstacles[i - n_a].kind}"
-             if i < n_a + n_o else f"pedestrian{i - n_a - n_o}", boxes[i])
+             if i < n_a + n_o else f"pedestrian{i - n_a - n_o}",
+             OrientedBox(Pose2D(*cols[:3, i].tolist()), *cols[3:, i].tolist()))
             for i in hits.tolist()]
 
 
-def _agent_agent_collisions(agents: list[AgentState]) -> list[tuple[int, int]]:
-    """Agent pairs (i, j), i < j, in contact, in row-major order: the
-    circumcircle test on the upper triangle, then the separating-axis test
-    on the pairs it keeps."""
-    if len(agents) < 2:
+def _agent_agent_collisions(cols: np.ndarray) -> list[tuple[int, int]]:
+    """Agent pairs (i, j), i < j, in contact, in row-major order, from the
+    agents' (5, N) box columns: the circumcircle test on the upper triangle,
+    then the separating-axis test on the pairs it keeps."""
+    if cols.shape[1] < 2:
         return []
-    cols = _box_columns([a.box for a in agents])
     x, y, _, length, width = cols
     near = circumcircles_meet(x[:, None], y[:, None], length[:, None],
                               width[:, None], x, y, length, width)
@@ -325,24 +327,17 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         raise ValueError("duration must be a multiple of DT")
 
     ego = EgoState(pose=spec.ego.pose, speed=spec.ego.speed)
-    agents = [
-        make_agent(spec.graph, a.lane, a.s, a.speed, policy=a.policy,
-                   length=a.length, width=a.width)
-        for a in spec.agents
-    ]
-    pedestrians = [
-        PedestrianState(path=p.path, walk_speed=p.walk_speed,
-                        trigger_distance=p.trigger_distance, lane=p.lane)
-        for p in spec.pedestrians
-    ]
-    world = WorldState(ego=ego, agents=agents, pedestrians=pedestrians)
+    world = WorldState(ego, Traffic.spawn(spec.graph, spec.agents), [
+        PedestrianState(p.path, p.walk_speed, p.trigger_distance, p.lane)
+        for p in spec.pedestrians])
     table = ObstacleTable(spec.graph, spec.obstacles)
+    obstacles = _box_columns([o.box for o in spec.obstacles])
 
     trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
                      dt=DT, duration=spec.duration)
     trace.snapshots.append(TickSnapshot(
         t=0.0, ego=_ego_snapshot(ego),
-        agents=[_agent_snapshot(a) for a in world.agents],
+        agents=_traffic_snapshot(world.agents),
         pedestrians=[_ped_snapshot(p) for p in world.pedestrians],
         plan=[]))
 
@@ -357,38 +352,35 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         ego_prev = world.ego
         ego_now = kinematic_bicycle_step(world.ego, steer_cmd, accel_cmd, DT)
 
+        # obs holds ego_prev's box and its lane projections
         leads = select_lead(world.agents, spec.graph, table.blocking_spans,
-                            world.pedestrians, ego_prev.box, ego_prev.speed)
-        new_agents = [
-            step_vehicle_agent(a, lead, spec.graph, DT)
-            for a, lead in zip(world.agents, leads)
-        ]
-        new_peds = [
-            step_pedestrian(p, spec.graph, ego_prev.pose, ego_prev.speed, DT)
-            for p in world.pedestrians
-        ]
-        world = WorldState(ego=ego_now, agents=new_agents, pedestrians=new_peds)
+                            world.pedestrians, obs.ego_box, ego_prev.speed,
+                            obs.frame)
+        new_peds = [step_pedestrian(p, spec.graph, obs.frame, ego_prev.speed,
+                                    DT) for p in world.pedestrians]
+        world = WorldState(ego=ego_now, agents=step_vehicle_agent(
+            world.agents, leads, spec.graph, DT), pedestrians=new_peds)
         t_next = (k + 1) * DT
+        a = world.agents
+        agents = np.array((a.x, a.y, a.heading, a.length, a.width))  # (5, N)
 
-        contacts = _ego_collisions(ego_now.box, world, spec)
-        current_ids = set()
+        contacts = _ego_collisions(ego_now.box, agents, obstacles,
+                                   world.pedestrians, spec)
         for partner, box in contacts:
-            current_ids.add(partner)
             if partner not in ongoing_ego_contacts:
                 at_fault = _classify_ego_fault(ego_prev, ego_now, box, spec, DT)
                 trace.events.append({
                     "kind": "collision", "time": t_next, "partner": partner,
                     "at_fault": bool(at_fault)})
-        ongoing_ego_contacts = current_ids
+        ongoing_ego_contacts = {partner for partner, _box in contacts}
 
-        agent_pairs = _agent_agent_collisions(world.agents)
-        current_pairs = set(agent_pairs)
+        agent_pairs = _agent_agent_collisions(agents)
         for i, j in agent_pairs:
             if (i, j) not in ongoing_agent_contacts:
                 trace.events.append({
                     "kind": "agent_collision", "time": t_next,
                     "agents": [i, j]})
-        ongoing_agent_contacts = current_pairs
+        ongoing_agent_contacts = set(agent_pairs)
 
         drain = getattr(planner, "drain_events", None)
         if drain is not None:
@@ -398,7 +390,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
 
         trace.snapshots.append(TickSnapshot(
             t=t_next, ego=_ego_snapshot(ego_now),
-            agents=[_agent_snapshot(a) for a in world.agents],
+            agents=_traffic_snapshot(world.agents),
             pedestrians=[_ped_snapshot(p) for p in world.pedestrians],
             plan=_downsample_plan(traj)))
 

@@ -3,11 +3,12 @@ independent of the library's fast paths."""
 
 import hashlib
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from drivebench.geometry import OrientedBox
+from drivebench.geometry import OrientedBox, Pose2D
 
 
 def trajectories_equal(a, b) -> bool:
@@ -283,3 +284,161 @@ def sampler_rollout_oracle(v_now, gap0, v_lead, fractions, stop_mask, cap):
         np.maximum(0.0, vk + a * STEP, out=v[:, k])
         np.add(s[:, k - 1], v[:, k] * STEP, out=s[:, k])
     return s, v
+
+
+# ---------------------------------------------------------------------------
+# the per-agent traffic path that the agent columns replaced
+
+
+@dataclass(frozen=True)
+class AgentState:
+    """Reference: the former agents.AgentState, one object per agent."""
+    lane: str
+    s: float
+    speed: float
+    policy: str
+    v0: float
+    box: OrientedBox
+    length: float = 4.6
+    width: float = 1.85
+
+    def __post_init__(self):
+        if self.speed < 0:
+            raise ValueError("agent speed must be >= 0")
+        if self.policy not in ("conservative", "assertive"):
+            raise ValueError(f"unknown policy {self.policy!r}")
+
+
+@dataclass(frozen=True)
+class AgentObs:
+    """Reference: the former planners.base.AgentObs, one perceived agent."""
+    box: OrientedBox
+    speed: float
+    lane: str
+
+
+def lane_pose_oracle(graph, lane_id, s, d=0.0):
+    """Reference: the former agents.lane_pose, with the former
+    Polyline.interpolate written out."""
+    line = graph.lane(lane_id).centerline
+
+    def interpolate(s, d):
+        i = line._segment_index(s)
+        t = s - line._cum[i]
+        (px, py), (dx, dy) = line._xy[i], line._uv[i]
+        return Pose2D(float((px + t * dx) - dy * d),
+                      float((py + t * dy) + dx * d), line._headings[i])
+
+    if 0.0 <= s <= line.length:
+        return interpolate(s, d)
+    if s > line.length:
+        base_s, over = line.length, s - line.length
+    else:
+        base_s, over = 0.0, s
+    h = line.tangent_at(base_s)
+    p = interpolate(base_s, d)
+    return Pose2D(p.x + over * math.cos(h), p.y + over * math.sin(h), h)
+
+
+def make_agent(graph, lane_id, s, speed, policy="conservative", length=4.6,
+               width=1.85):
+    """Reference: the former agents.make_agent."""
+    pose = lane_pose_oracle(graph, lane_id, s)
+    return AgentState(lane=lane_id, s=s, speed=speed, policy=policy,
+                      v0=graph.lane(lane_id).speed_limit,
+                      box=OrientedBox(pose, length, width), length=length,
+                      width=width)
+
+
+def step_agent_oracle(agent, lead, graph, dt):
+    """Reference: the former per-agent agents.step_vehicle_agent."""
+    from drivebench.agents import idm_profile
+
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    v_lead, gap = (0.0, math.inf) if lead is None else lead
+    [_, ds], [_, speed] = idm_profile(agent.speed, gap, v_lead, agent.v0, dt, 1)
+    s = agent.s + ds
+    lane_id = agent.lane
+    line = graph.lane(lane_id).centerline
+    while s > line.length:
+        succ = sorted(graph.lane(lane_id).successors)
+        if not succ:
+            break
+        s -= line.length
+        lane_id = succ[0]
+        line = graph.lane(lane_id).centerline
+    box = OrientedBox(lane_pose_oracle(graph, lane_id, s), agent.length,
+                      agent.width)
+    return AgentState(lane_id, s, speed, agent.policy, agent.v0, box,
+                      agent.length, agent.width)
+
+
+def select_lead_oracle(agents, graph, lane_blockers, pedestrians, ego_box,
+                       ego_speed):
+    """Reference: the former agents.select_lead over AgentState objects, one
+    gap matrix per occupied lane and the ego projected per lane."""
+    from drivebench.agents import ego_counts_in_lane, lane_keeper_obstructions
+    from drivebench.geometry import wrap_angle
+
+    rows = [(a.lane, a.s, a.length, a.speed) for a in agents]
+    peds = [(*p.position, p.phase) for p in pedestrians]
+    by_lane = {}
+    for i, a in enumerate(agents):
+        by_lane.setdefault(a.lane, []).append(i)
+    leads = [None] * len(agents)
+    for lane_id, members in by_lane.items():
+        lane = graph.lane(lane_id)
+        near, speed = np.array(lane_keeper_obstructions(
+            graph, lane_id, rows, lane_blockers, peds, ped_half=0.3),
+            dtype=float).reshape(-1, 2).T
+        front = np.array([agents[i].s + agents[i].length / 2.0 for i in members])
+        n = len(members)
+        sees_ego = None
+        if ego_box is not None:
+            f = lane.centerline.project((ego_box.center.x, ego_box.center.y))
+            heading = lane.centerline.tangent_at(f.s)
+            rel = wrap_angle(ego_box.center.heading - heading)
+            half = (abs(math.cos(rel)) * ego_box.length / 2.0
+                    + abs(math.sin(rel)) * ego_box.width / 2.0)
+            near = np.concatenate((near[:n], [f.s - half], near[n:]))
+            speed = np.concatenate((speed[:n], [ego_speed], speed[n:]))
+            sees_ego = [ego_counts_in_lane(ego_box, lane.width, f.d, heading,
+                                           agents[i].policy) for i in members]
+        gaps = near[None, :] - front[:, None]
+        ahead = gaps > 0
+        if sees_ego is not None:
+            ahead[:, n] &= sees_ego
+        first = np.where(ahead, gaps, np.inf).argmin(axis=1)
+        for row, (i, j) in enumerate(zip(members, first)):
+            if ahead[row, j]:
+                leads[i] = (float(speed[j]), float(gaps[row, j]))
+    return leads
+
+
+def traffic_of(agents):
+    """The agent columns of AgentState objects, or of AgentObs ones (which
+    have no arc position, desired speed or policy: s 0, v0 their speed and
+    conservative)."""
+    from drivebench.agents import Traffic
+
+    rows = [(a.lane, getattr(a, "s", 0.0), a.speed, getattr(a, "v0", a.speed),
+             getattr(a, "policy", "conservative"), a.box.length, a.box.width,
+             a.box.center.x, a.box.center.y, a.box.center.heading)
+            for a in agents]
+    return Traffic(*([list(col) for col in zip(*rows)]
+                     or [[] for _ in range(10)]))
+
+
+def agents_of(traffic):
+    """The AgentState objects of agent columns."""
+    return [AgentState(lane, s, v, policy, v0,
+                       OrientedBox(Pose2D(x, y, h), length, width),
+                       length, width)
+            for lane, s, v, v0, policy, length, width, x, y, h
+            in zip(*vars(traffic).values())]
+
+
+def agent_obs(traffic):
+    """The AgentObs objects of perceived agent columns."""
+    return [AgentObs(a.box, a.speed, a.lane) for a in agents_of(traffic)]

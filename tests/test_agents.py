@@ -13,18 +13,17 @@ from drivebench.agents import (
     IDM_S0,
     IDM_T,
     SWEPT_BAND_HALF_WIDTH,
-    AgentState,
     PedestrianState,
     ego_counts_in_lane,
     equilibrium_speed,
     idm_acceleration,
     lane_pose,
-    make_agent,
     select_lead,
     step_pedestrian,
     step_vehicle_agent,
 )
 from drivebench.geometry import (
+    EgoFrame,
     LaneGraph,
     LaneSegment,
     OrientedBox,
@@ -34,6 +33,14 @@ from drivebench.geometry import (
     wrap_angle,
 )
 from drivebench.scenarios import MIN_SPAWN_GAP, build_base_map
+from conftest import (
+    agents_of,
+    lane_pose_oracle,
+    make_agent,
+    select_lead_oracle,
+    step_agent_oracle,
+    traffic_of,
+)
 from test_geometry import parallel_graph
 
 V0 = 13.9
@@ -180,16 +187,34 @@ def single_lane_world(graph, agents, blockers=None, pedestrians=()):
                         lane_blockers=blockers or {}, pedestrians=pedestrians)
 
 
+def frame_of(graph, ego_box):
+    """The ego frame of ego_box's center (of no point without an ego)."""
+    return EgoFrame(graph, None if ego_box is None
+                    else (ego_box.center.x, ego_box.center.y))
+
+
+def world_leads(world, ego_box, ego_speed):
+    """One select_lead query over the whole world's agents."""
+    return select_lead(traffic_of(world.agents), world.graph,
+                       world.lane_blockers, world.pedestrians, ego_box,
+                       ego_speed, frame_of(world.graph, ego_box))
+
+
+def index_of(agent, world):
+    return next(i for i, a in enumerate(world.agents) if a is agent)
+
+
 def lead_of(agent, world, ego_box, ego_speed):
     """The agent's entry of one select_lead query over the whole world."""
-    leads = select_lead(world.agents, world.graph, world.lane_blockers,
-                        world.pedestrians, ego_box, ego_speed)
-    return leads[next(i for i, a in enumerate(world.agents) if a is agent)]
+    return world_leads(world, ego_box, ego_speed)[index_of(agent, world)]
 
 
 def step_agent(agent, world, ego_box, ego_speed, dt):
-    return step_vehicle_agent(agent, lead_of(agent, world, ego_box, ego_speed),
-                              world.graph, dt)
+    """The agent after one step_vehicle_agent call on the whole world."""
+    traffic = step_vehicle_agent(traffic_of(world.agents),
+                                 world_leads(world, ego_box, ego_speed),
+                                 world.graph, dt)
+    return agents_of(traffic)[index_of(agent, world)]
 
 
 def select_lead_scan(agent, world, ego_box, ego_speed):
@@ -378,8 +403,7 @@ class TestLaneKeeperRule:
         n_leads = n_none = 0
         for _ in range(300):
             world, ego_box, ego_speed = random_traffic(rng)
-            leads = select_lead(world.agents, world.graph, world.lane_blockers,
-                                world.pedestrians, ego_box, ego_speed)
+            leads = world_leads(world, ego_box, ego_speed)
             assert leads == [select_lead_scan(a, world, ego_box, ego_speed)
                              for a in world.agents]
             n_leads += sum(lead is not None for lead in leads)
@@ -406,13 +430,17 @@ class TestLaneKeeperRule:
             agents.append(make_agent(graph, "lane0", ahead - gap - 2.3, speed,
                                      policy=policy))
             ahead = agents[-1].s - agents[-1].length / 2.0
+        traffic = traffic_of(agents)
         for _ in range(300):
-            leads = select_lead(agents, graph, blockers, (), None, 0.0)
-            agents = [step_vehicle_agent(a, lead, graph, 0.1)
-                      for a, lead in zip(agents, leads)]
-            nears = [span_near] + [a.s - a.length / 2.0 for a in agents[:-1]]
-            for near, a in zip(nears, agents):
-                assert near - (a.s + a.length / 2.0) > 0.0
+            leads = select_lead(traffic, graph, blockers, (), None, 0.0,
+                                frame_of(graph, None))
+            traffic = step_vehicle_agent(traffic, leads, graph, 0.1)
+            fronts = [s + length / 2.0
+                      for s, length in zip(traffic.s, traffic.length)]
+            nears = [span_near] + [s - length / 2.0 for s, length
+                                   in zip(traffic.s[:-1], traffic.length[:-1])]
+            for near, front in zip(nears, fronts):
+                assert near - front > 0.0
 
 
 class TestStepVehicleAgent:
@@ -493,7 +521,7 @@ def replace_step_vehicle_agent(agent, lead, graph, dt):
         s -= line.length
         lane_id = succ[0]
         line = graph.lane(lane_id).centerline
-    pose = lane_pose(graph, lane_id, s)
+    pose = lane_pose_oracle(graph, lane_id, s)
     box = OrientedBox(pose, agent.length, agent.width)
     return replace(agent, lane=lane_id, s=s, speed=speed, box=box)
 
@@ -512,43 +540,41 @@ def chained_graph(n, length):
 
 class TestStepConstruction:
     def test_equals_replace_form(self):
-        """Building the AgentState directly gives the former replace form's
-        state, repr included: on random traffic worlds and on a chain of
+        """Stepping the agent columns gives the former replace form's
+        states, repr included: on random traffic worlds and on a chain of
         short lanes that agents cross one or more of per step, running off
         its unconnected end."""
         rng = np.random.default_rng(47)
         cases = []
         for _ in range(60):
             world, ego_box, ego_speed = random_traffic(rng)
-            leads = select_lead(world.agents, world.graph, world.lane_blockers,
-                                world.pedestrians, ego_box, ego_speed)
-            cases.append((world.graph, list(zip(world.agents, leads))))
+            cases.append((world.graph, world.agents,
+                          world_leads(world, ego_box, ego_speed)))
         chain = chained_graph(4, 6.0)
         agents = [make_agent(chain, f"c{int(rng.integers(4))}",
                              float(rng.uniform(0.0, 6.0)),
                              float(rng.uniform(0.0, 30.0)),
                              policy=("assertive", "conservative")[i % 2])
                   for i in range(200)]
-        cases.append((chain, [(a, None) for a in agents]))
+        cases.append((chain, agents, [None] * len(agents)))
         wrapped = 0
-        for graph, pairs in cases:
-            for agent, lead in pairs:
-                for dt in (0.1, float(rng.uniform(0.05, 1.5))):
-                    got = step_vehicle_agent(agent, lead, graph, dt)
-                    want = replace_step_vehicle_agent(agent, lead, graph, dt)
-                    assert got == want and repr(got) == repr(want)
-                    wrapped += got.lane != agent.lane
+        for graph, agents, leads in cases:
+            for dt in (0.1, float(rng.uniform(0.05, 1.5))):
+                got = step_vehicle_agent(traffic_of(agents), leads, graph, dt)
+                want = traffic_of([replace_step_vehicle_agent(a, lead, graph, dt)
+                                   for a, lead in zip(agents, leads)])
+                assert got == want and repr(got) == repr(want)
+                wrapped += sum(a.lane != lane for a, lane in zip(agents, got.lane))
         assert wrapped > 50
 
     def test_validation_still_runs(self):
         graph = parallel_graph(1, length=500.0)
-        agent = make_agent(graph, "lane0", 50.0, 10.0)
+        traffic = traffic_of([make_agent(graph, "lane0", 50.0, 10.0)])
         with pytest.raises(ValueError, match="speed must be >= 0"):
-            AgentState(agent.lane, agent.s, -0.1, agent.policy, agent.v0,
-                       agent.box, agent.length, agent.width)
-        object.__setattr__(agent, "policy", "reckless")
+            replace(traffic, speed=[-0.1])
+        traffic.policy[0] = "reckless"
         with pytest.raises(ValueError, match="unknown policy"):
-            step_vehicle_agent(agent, None, graph, 0.1)
+            step_vehicle_agent(traffic, [None], graph, 0.1)
 
 
 class TestPlatoonSafety:
@@ -606,23 +632,27 @@ class TestPedestrian:
         self.ped = PedestrianState(path=self.path, walk_speed=1.5,
                                    trigger_distance=30.0, lane="lane0")
 
+    def at(self, x):
+        """The ego frame of an ego centered at (x, 0)."""
+        return EgoFrame(self.graph, (x, 0.0))
+
     def test_far_ego_keeps_waiting(self):
-        p = step_pedestrian(self.ped, self.graph, Pose2D(50.0, 0.0, 0.0), 10.0, 0.1)
+        p = step_pedestrian(self.ped, self.graph, self.at(50.0), 10.0, 0.1)
         assert p.phase == "waiting"
 
     def test_trigger_at_29m(self):
-        p = step_pedestrian(self.ped, self.graph, Pose2D(71.0, 0.0, 0.0), 10.0, 0.1)
+        p = step_pedestrian(self.ped, self.graph, self.at(71.0), 10.0, 0.1)
         assert p.phase == "crossing"
 
     def test_stopped_ego_does_not_trigger(self):
-        p = step_pedestrian(self.ped, self.graph, Pose2D(71.0, 0.0, 0.0), 0.0, 0.1)
+        p = step_pedestrian(self.ped, self.graph, self.at(71.0), 0.0, 0.1)
         assert p.phase == "waiting"
 
     def test_crossing_completes_within_path_time(self):
-        p = step_pedestrian(self.ped, self.graph, Pose2D(71.0, 0.0, 0.0), 10.0, 0.1)
+        p = step_pedestrian(self.ped, self.graph, self.at(71.0), 10.0, 0.1)
         t = 0.0
         while p.phase == "crossing":
-            p = step_pedestrian(p, self.graph, Pose2D(71.0, 0.0, 0.0), 10.0, 0.1)
+            p = step_pedestrian(p, self.graph, self.at(71.0), 10.0, 0.1)
             t += 0.1
             assert t < 10.0
         assert p.phase == "done"
@@ -634,7 +664,7 @@ class TestPedestrian:
         p = self.ped
         prev = p.phase
         for _ in range(300):
-            ego = Pose2D(float(rng.uniform(0, 200)), 0.0, 0.0)
+            ego = self.at(float(rng.uniform(0, 200)))
             p = step_pedestrian(p, self.graph, ego, float(rng.uniform(0, 14)), 0.1)
             assert order[p.phase] >= order[prev]
             prev = p.phase
@@ -646,3 +676,127 @@ class TestLanePose:
         pose = lane_pose(graph, "lane0", 110.0)
         assert pose.x == pytest.approx(110.0)
         assert pose.y == pytest.approx(0.0)
+
+
+def random_traffic_past_ends(rng):
+    """random_traffic's world, or one on a chain of four 40 m lanes whose
+    first lane has two successors (listed out of id order) and whose last
+    has none; 1-3 more agents stand up to 20 m before a lane's start or
+    past its end."""
+    if rng.random() < 0.5:
+        world, ego_box, ego_speed = random_traffic(rng)
+    else:
+        graph = chained_graph(4, 40.0)
+        graph.lane("c0").successors.insert(0, "c2")
+        agents = [make_agent(graph, f"c{int(rng.integers(4))}",
+                             float(rng.uniform(0.0, 40.0)),
+                             float(rng.uniform(0.0, 14.0)),
+                             policy=("assertive", "conservative")[i % 2])
+                  for i in range(int(rng.integers(0, 8)))]
+        world = TrafficWorld(graph, agents, {"c3": [(30.0, 35.0)]})
+        pose = Pose2D(float(rng.uniform(-10.0, 170.0)),
+                      float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-0.3, 0.3)))
+        ego_box = OrientedBox(pose, 4.6, 1.85) if rng.random() < 0.8 else None
+        ego_speed = float(rng.uniform(0.0, 14.0))
+    ids = sorted(world.graph.segments)
+    for _ in range(int(rng.integers(1, 4))):
+        lane_id = ids[int(rng.integers(len(ids)))]
+        length = world.graph.lane(lane_id).centerline.length
+        over = float(rng.uniform(0.0, 20.0))
+        world.agents.append(make_agent(
+            world.graph, lane_id, -over if rng.random() < 0.5 else length + over,
+            float(rng.uniform(0.0, 14.0)),
+            policy="assertive" if rng.random() < 0.5 else "conservative"))
+    return world, ego_box, ego_speed
+
+
+def assert_same(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+class TestTrafficColumns:
+    """The agent columns give the former per-agent path's leads and states
+    bit for bit (repr included)."""
+
+    def test_equal_former_path_on_suite(self, monkeypatch):
+        """At every tick of every seed-2024 scenario with traffic, closed
+        loop under the idm planner."""
+        from drivebench import simulation
+        from drivebench.planners import IdmPlanner
+        from drivebench.scenarios import generate_benchmark_suite
+
+        seen = []
+
+        def lead_spy(traffic, graph, spans, peds, ego_box, ego_speed, frame):
+            got = select_lead(traffic, graph, spans, peds, ego_box, ego_speed,
+                              frame)
+            assert_same(got, select_lead_oracle(agents_of(traffic), graph, spans,
+                                                peds, ego_box, ego_speed))
+            return got
+
+        def step_spy(traffic, leads, graph, dt):
+            got = step_vehicle_agent(traffic, leads, graph, dt)
+            assert_same(got, traffic_of([
+                step_agent_oracle(a, lead, graph, dt)
+                for a, lead in zip(agents_of(traffic), leads)]))
+            seen.append(sum(not 0.0 <= s <= graph.lane(lane).centerline.length
+                            for lane, s in zip(got.lane, got.s)))
+            return got
+
+        monkeypatch.setattr(simulation, "select_lead", lead_spy)
+        monkeypatch.setattr(simulation, "step_vehicle_agent", step_spy)
+        specs = [s for s in generate_benchmark_suite(2024) if s.agents]
+        for spec in specs:
+            simulation.run_closed_loop(spec, IdmPlanner())
+        assert len(specs) == 39 and len(seen) == 39 * 150
+        assert sum(seen) > 10000   # agent steps past a lane's end
+
+    def test_equal_former_path_on_random_worlds(self):
+        """For 20 ticks of 300 random worlds, with lanes that have
+        successors and agents past both ends."""
+        rng = np.random.default_rng(2024)
+        hops = before = after = 0
+        for _ in range(300):
+            world, ego_box, ego_speed = random_traffic_past_ends(rng)
+            graph, oracle = world.graph, list(world.agents)
+            traffic = traffic_of(oracle)
+            for _ in range(20):
+                args = (graph, world.lane_blockers, world.pedestrians, ego_box,
+                        ego_speed)
+                leads = select_lead(traffic, *args, frame_of(graph, ego_box))
+                assert_same(leads, select_lead_oracle(oracle, *args))
+                stepped = step_vehicle_agent(traffic, leads, graph, 0.1)
+                oracle = [step_agent_oracle(a, lead, graph, 0.1)
+                          for a, lead in zip(oracle, leads)]
+                assert_same(stepped, traffic_of(oracle))
+                hops += sum(a != b for a, b in zip(traffic.lane, stepped.lane))
+                before += sum(s < 0.0 for s in stepped.s)
+                after += sum(s > graph.lane(lane).centerline.length
+                             for lane, s in zip(stepped.lane, stepped.s))
+                traffic = stepped
+        assert hops > 100 and before > 1000 and after > 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-100.0, 100.0),
+                                     st.floats(-100.0, 100.0)),
+                           min_size=2, max_size=8),
+           d=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-5.0, 5.0)),
+           over=st.floats(1e-12, 50.0))
+    def test_place_equals_lane_pose(self, points, d, over):
+        """Polyline.place, and lane_pose through it, equal the former
+        lane_pose at every cum_len entry and its nextafter neighbours, at 0
+        and length, and beyond both ends."""
+        xy = np.array(points)
+        if (np.hypot(*np.diff(xy, axis=0).T) <= 0).any():
+            return
+        line = Polyline(xy)
+        area = np.array([[-200.0, -200.0], [200.0, -200.0], [200.0, 200.0],
+                         [-200.0, 200.0]])
+        graph = LaneGraph([LaneSegment("l", line, 3.5, 10.0)], [area])
+        ss = [0.0, line.length, -over, line.length + over]
+        for c in line.cum_len.tolist():
+            ss += [c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf)]
+        for s in ss:
+            want = lane_pose_oracle(graph, "l", s, d)
+            assert_same(line.place(s, d), (want.x, want.y, want.heading))
+            assert_same(lane_pose(graph, "l", s, d), want)

@@ -36,7 +36,7 @@ from drivebench.scenarios import (
     place_parked_vehicle,
     augment_goal_for_lane_changes,
 )
-from drivebench.agents import make_agent
+from conftest import agent_obs, make_agent
 from test_planners import empty_road_spec, make_obs
 
 OPTIONS = [
@@ -289,7 +289,7 @@ def reference_oncoming_within_headway(obs, horizon_s=8.0):
     line = obs.graph.lane(lane_id).centerline
     ego_f = line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y))
     ego_h = line.tangent_at(min(max(ego_f.s, 0.0), line.length))
-    for agent in obs.agents:
+    for agent in agent_obs(obs.agents):
         rel = wrap_angle(agent.box.center.heading - ego_h)
         if math.cos(rel) > -0.5:
             continue
@@ -310,7 +310,7 @@ def reference_target_lane_slot(obs, target_lane):
     ego_f = line.project_extended((obs.ego_box.center.x, obs.ego_box.center.y))
     ahead = math.inf
     behind = -math.inf
-    for agent in obs.agents:
+    for agent in agent_obs(obs.agents):
         if agent.lane != target_lane:
             continue
         f = line.project_extended((agent.box.center.x, agent.box.center.y))

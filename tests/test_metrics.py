@@ -68,11 +68,11 @@ from drivebench.scenarios import (
 from drivebench.simulation import (
     SimTrace,
     TickSnapshot,
-    _agent_snapshot,
+    _traffic_snapshot,
     _ped_snapshot,
     run_closed_loop,
 )
-from conftest import ego_track_oracle
+from conftest import ego_track_oracle, traffic_of
 from test_agents import random_traffic
 from test_planners import empty_road_spec
 
@@ -353,7 +353,7 @@ class TestStopJustifiedReference:
                                  "phase": "crossing"})
             snap = TickSnapshot(
                 t=0.0, ego={"x": pos[0], "y": pos[1], "speed": 0.0},
-                agents=[_agent_snapshot(a) for a in world.agents],
+                agents=_traffic_snapshot(traffic_of(world.agents)),
                 pedestrians=peds, plan=[])
             got = _stop_justified(snap, spec, lane_id, ego_s, spans, cfg)
             assert got == stop_justified_scan(snap, spec, spans, cfg)

@@ -44,16 +44,17 @@ from drivebench.simulation import (
     build_observation,
     run_closed_loop,
 )
-from drivebench.agents import make_agent
-from conftest import (blocking_spans_oracle, box_extent_oracle,
-                      sampler_rollout_oracle, trajectories_equal)
+from conftest import (AgentObs, agent_obs, blocking_spans_oracle,
+                      box_extent_oracle, make_agent, sampler_rollout_oracle,
+                      traffic_of, trajectories_equal)
 
 
 def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
              t=0.0):
     ego = EgoState(pose=ego_pose or spec.ego.pose,
                    speed=spec.ego.speed if ego_speed is None else ego_speed)
-    world = WorldState(ego=ego, agents=list(agents), pedestrians=list(pedestrians))
+    world = WorldState(ego=ego, agents=traffic_of(agents),
+                       pedestrians=list(pedestrians))
     return build_observation(world, spec,
                              ObstacleTable(spec.graph, spec.obstacles), t)
 
@@ -216,6 +217,41 @@ class TestPlanContract:
         heading = path_headings(x[None], y[None], tangent[None])[0]
         traj = Trajectory(np.arange(len(s)) * STEP, x, y, heading, speed)
         assert np.all(np.abs(traj.heading) <= turn)
+
+
+class TestPathHeadings:
+    def test_equals_libm_atan2_in_every_quadrant(self):
+        """path_headings equals a math.atan2 loop bit for bit on paths whose
+        steps point in every direction, with stalled steps carrying the last
+        moving heading and rows that start stalled keeping the tangent.
+        numpy's arctan2 loops differ from libm in the last bit on many such
+        steps, though on none near an axis."""
+        from drivebench.planners.base import path_headings
+
+        rng = np.random.default_rng(29)
+        x = np.cumsum(rng.uniform(-5.0, 5.0, (64, 40)), axis=1)
+        y = np.cumsum(rng.uniform(-5.0, 5.0, (64, 40)), axis=1)
+        stall = rng.random((64, 39)) < 0.1
+        stall[:8, :5] = True
+        for r, k in zip(*np.nonzero(stall)):
+            x[r, k + 1:] -= x[r, k + 1] - x[r, k]
+            y[r, k + 1:] -= y[r, k + 1] - y[r, k]
+        tangent = rng.uniform(-math.pi, math.pi, (64, 40))
+        want = np.empty_like(x)
+        for r in range(64):
+            last = None
+            for k in range(39):
+                dx, dy = x[r, k + 1] - x[r, k], y[r, k + 1] - y[r, k]
+                if np.hypot(dx, dy) > 1e-6:
+                    last = math.atan2(dy, dx)
+                want[r, k] = tangent[r, k] if last is None else last
+            want[r, 39] = tangent[r, 39] if last is None else last
+        dx, dy = np.diff(x, axis=1), np.diff(y, axis=1)
+        quadrants = {(bool(a > 0), bool(b > 0)) for a, b in
+                     zip(dx[~stall], dy[~stall])}
+        assert len(quadrants) == 4 and (want[:8, 0] == tangent[:8, 0]).all()
+        got = path_headings(x, y, tangent, guard=False)
+        assert got.tobytes() == want.tobytes()
 
 
 def sample_at(traj, t):
@@ -406,7 +442,7 @@ def sampling_oracle_select(planner: SamplingPlanner, obs, behavior=None):
     K = min(int(round(planner.eval_horizon / 0.1)), 80)
 
     entities = []
-    for a in obs.agents:
+    for a in agent_obs(obs.agents):
         entities.append((a.box.center.x, a.box.center.y,
                          a.speed * math.cos(a.box.center.heading),
                          a.speed * math.sin(a.box.center.heading),
@@ -531,7 +567,7 @@ def scalar_nearest_lead(obs, lane_id, from_s, path_offset=lambda s: 0.0):
         if s_near > from_s and (best is None or s_near < best[0]):
             best = (s_near, speed)
 
-    for agent in obs.agents:
+    for agent in agent_obs(obs.agents):
         f = line.project_extended((agent.box.center.x, agent.box.center.y))
         lat = abs(f.d - path_offset(f.s))
         rel = wrap_angle(agent.box.center.heading
@@ -569,7 +605,7 @@ def sampler_lead_oracle(obs, lane_id, target, d0, slope0, s0, span, front0):
         obstacles.append((min(f.s for f in fs), max(f.s for f in fs),
                           min(f.d for f in fs), max(f.d for f in fs)))
     agents = []
-    for a in obs.agents:
+    for a in agent_obs(obs.agents):
         fa = line.project_extended((a.box.center.x, a.box.center.y))
         h_rel = a.box.center.heading - line.tangent_at(
             min(max(fa.s, 0.0), line.length))
@@ -679,7 +715,7 @@ class TestLaneSceneMemo:
         assert lane_scene(obs, "lane1") is not lane_scene(obs, "lane0")
 
     def test_replaced_observation_projects_anew(self):
-        from drivebench.planners.base import AgentObs, Observation, lane_scene
+        from drivebench.planners.base import Observation, lane_scene
 
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -688,7 +724,8 @@ class TestLaneSceneMemo:
             ego = obs.ego_box.center
             extra = AgentObs(OrientedBox(Pose2D(ego.x + 15.0, ego.y, 0.1),
                                          4.6, 1.85), 3.0, "lane0")
-            moved = replace(obs, agents=obs.agents + (extra,))
+            moved = replace(obs, agents=traffic_of(agent_obs(obs.agents)
+                                                   + [extra]))
             scene = lane_scene(moved, "lane0")
             fresh = lane_scene(Observation(**{
                 f.name: getattr(moved, f.name)
@@ -696,6 +733,33 @@ class TestLaneSceneMemo:
             assert scene is not stale
             assert self._values(scene) == self._values(fresh)
             assert self._values(scene) != self._values(stale)
+
+    def test_replaced_ego_starts_an_empty_frame(self):
+        """The ego frame is a derived memo like the scenes: replacing the
+        ego box starts an empty frame at the new center, an Observation
+        built from the fields starts empty, and lane_scene fills the frame
+        with the clamped projection its ego point extends."""
+        from drivebench.planners.base import Observation, lane_scene
+
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            obs = random_observation(rng)
+            assert obs.ego_lane in obs.frame
+            lane_scene(obs, "lane1")
+            assert set(obs.frame) == {obs.ego_lane, "lane1"}
+            c = obs.ego_box.center
+            point = (c.x + float(rng.uniform(-30.0, 30.0)),
+                     c.y + float(rng.uniform(-4.0, 4.0)))
+            moved = replace(obs, ego_box=OrientedBox(
+                Pose2D(*point, c.heading), 4.6, 1.85))
+            assert not moved.frame and moved.frame.point == point
+            assert not Observation(**{f.name: getattr(obs, f.name)
+                                      for f in fields(Observation) if f.init}
+                                   ).frame
+            line = obs.graph.lane("lane1").centerline
+            assert lane_scene(moved, "lane1").ego == line.project_extended(point)
+            assert moved.frame == {"lane1": line.project(point)}
+            assert obs.frame["lane1"] == line.project((c.x, c.y))
 
 
 def lane_scene_scalar(obs, lane_id):
@@ -707,7 +771,7 @@ def lane_scene_scalar(obs, lane_id):
 
     line = obs.graph.lane(lane_id).centerline
     agents = []
-    for agent in obs.agents:
+    for agent in agent_obs(obs.agents):
         f = line.project_extended((agent.box.center.x, agent.box.center.y))
         rel = wrap_angle(agent.box.center.heading - line.tangent_at(f.s))
         along = (abs(math.cos(rel)) * agent.box.length
@@ -732,7 +796,6 @@ class TestLaneSceneProjection:
         end, with waiting and crossing pedestrians."""
         from drivebench.planners.base import (
             PROJECT_MANY_MIN,
-            AgentObs,
             PedestrianObs,
             lane_scene,
         )
@@ -750,7 +813,7 @@ class TestLaneSceneProjection:
                 (float(rng.uniform(-20.0, 470.0)), float(rng.uniform(-3.0, 6.0))),
                 (0.0, 1.2), bool(rng.random() < 0.6))
                 for _ in range(int(rng.integers(0, 3))))
-            obs = replace(obs, agents=agents, pedestrians=peds)
+            obs = replace(obs, agents=traffic_of(agents), pedestrians=peds)
             sizes.add(1 + len(agents) + sum(p.crossing for p in peds))
             for lane_id in ("lane0", "lane1"):
                 scene = lane_scene(obs, lane_id)
@@ -847,7 +910,7 @@ def crowded_observation(rng, n_agents, n_obstacles, n_waiting, n_crossing):
     """A random_observation scene whose entities are replaced by the given
     numbers of agents, parked vehicles and waiting and crossing pedestrians,
     all placed in the few metres around and ahead of the ego."""
-    from drivebench.planners.base import AgentObs, PedestrianObs
+    from drivebench.planners.base import PedestrianObs
 
     obs = random_observation(rng)
     ego = obs.ego_box.center
@@ -869,7 +932,8 @@ def crowded_observation(rng, n_agents, n_obstacles, n_waiting, n_crossing):
     peds += tuple(PedestrianObs(near(), (float(rng.uniform(-0.5, 0.5)),
                                          float(rng.choice([-1.2, 1.2]))), True)
                   for _ in range(n_crossing))
-    return replace(obs, agents=agents, obstacles=obstacles, pedestrians=peds,
+    return replace(obs, agents=traffic_of(agents), obstacles=obstacles,
+                   pedestrians=peds,
                    obstacle_table=ObstacleTable(obs.graph, obstacles))
 
 
@@ -960,7 +1024,7 @@ class TestObstacleTable:
             for ego_s in rng.uniform(0.0, line.length, 3):
                 world = WorldState(ego=EgoState(
                     pose=line.interpolate_frenet(float(ego_s), 0.0),
-                    speed=10.0), agents=[], pedestrians=[])
+                    speed=10.0), agents=traffic_of([]), pedestrians=[])
                 obs = build_observation(world, spec, table, 0.0)
                 n_partial += 0 < len(obs.obstacles) < len(obstacles)
                 for k in range(lanes):
@@ -1181,7 +1245,7 @@ class TestPathHeadingsWindow:
 def reference_world_entities(obs):
     """Reference: the sampler's former entity packing, seven arrays."""
     px, py, vx, vy, hh, ll, ww = [], [], [], [], [], [], []
-    for a in obs.agents:
+    for a in agent_obs(obs.agents):
         px.append(a.box.center.x)
         py.append(a.box.center.y)
         vx.append(a.speed * math.cos(a.box.center.heading))
@@ -1535,26 +1599,33 @@ class TestSharedLaneScene:
         one projected scene of the ego lane, and the cones are projected
         once per scenario. On 000_construction the obstacle table runs the
         corner kernel once per lane and cone before the first tick, and no
-        tick runs it again. The first tick makes 1 project_extended call
-        (the ego); at t = 1.0 s a tick that queries the selector makes 1,
-        as many as the tick after it."""
+        tick runs it again. No planning call makes a project or
+        project_extended call: the ego's point extends the observation's
+        frame entry, which build_observation made for the route lane. That
+        holds on the first tick, at t = 1.0 s on a tick that queries the
+        selector, and on the tick after it."""
         from drivebench.scenarios import generate_benchmark_suite
 
         spec = replace(generate_benchmark_suite(2024)[0], duration=1.2)
         assert spec.type is ScenarioType.CONSTRUCTION and not spec.agents
         calls, kernel = [], []
-        project_extended = Polyline.project_extended
+        project, project_extended = Polyline.project, Polyline.project_extended
         box_extents = Polyline.box_extents
 
         def counted(self, point):
             calls.append(point)
             return project_extended(self, point)
 
+        def counted_clamped(self, point):
+            calls.append(point)
+            return project(self, point)
+
         def counted_kernel(self, box):
             kernel.append(box)
             return box_extents(self, box)
 
         monkeypatch.setattr(Polyline, "project_extended", counted)
+        monkeypatch.setattr(Polyline, "project", counted_clamped)
         monkeypatch.setattr(Polyline, "box_extents", counted_kernel)
         hybrid = HybridBehaviorPlanner(ScriptedSelector())
         ticks = {}
@@ -1564,6 +1635,7 @@ class TestSharedLaneScene:
             def plan(self, obs):
                 if not ticks:
                     kernel_at_start.append(len(kernel))
+                assert obs.ego_lane in obs.frame
                 start, kernel_start = len(calls), len(kernel)
                 traj = hybrid.plan(obs)
                 ticks[round(obs.time, 1)] = (len(calls) - start,
@@ -1575,9 +1647,9 @@ class TestSharedLaneScene:
         run_closed_loop(spec, Counting())
         assert kernel_at_start == [len(spec.graph.segments) * 12]
         assert len(kernel) == kernel_at_start[0]
-        assert ticks[0.0] == (1, 0, 12, 1)
-        assert ticks[1.0] == (1, 0, 12, 2)
-        assert ticks[1.1] == (1, 0, 12, 2)
+        assert ticks[0.0] == (0, 0, 12, 1)
+        assert ticks[1.0] == (0, 0, 12, 2)
+        assert ticks[1.1] == (0, 0, 12, 2)
 
 
 class TestWaypointsPlanner:

@@ -2,7 +2,6 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from drivebench.scenarios import (
 from drivebench.simulation import (
     ACCEL_MIN,
     MAX_STEER,
+    PERCEPTION_RADIUS,
     WHEELBASE,
     EgoState,
     SimTrace,
@@ -36,9 +36,10 @@ from drivebench.simulation import (
     track_trajectory,
     WorldState,
 )
-from drivebench.agents import PedestrianState, make_agent
+from drivebench.agents import PedestrianState
 from drivebench.geometry import Polyline
-from conftest import agent_agent_collisions_oracle, save_trace, trace_hash
+from conftest import (AgentObs, agent_agent_collisions_oracle, make_agent,
+                      save_trace, trace_hash, traffic_of)
 from test_planners import empty_road_spec
 
 
@@ -149,7 +150,7 @@ class TestBuildObservation:
         near = make_agent(spec.graph, "lane0", 90.0, 5.0)
         far = make_agent(spec.graph, "lane0", 300.0, 5.0)
         world = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
-                           agents=[near, far], pedestrians=[])
+                           agents=traffic_of([near, far]), pedestrians=[])
         obs = build_observation(world, spec,
                                 ObstacleTable(spec.graph, spec.obstacles), 0.0)
         assert len(obs.agents) == 1
@@ -157,7 +158,7 @@ class TestBuildObservation:
     def test_time_is_exact(self):
         spec = empty_road_spec()
         world = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
-                           agents=[], pedestrians=[])
+                           agents=traffic_of([]), pedestrians=[])
         obs = build_observation(world, spec,
                                 ObstacleTable(spec.graph, spec.obstacles),
                                 1.2345)
@@ -167,9 +168,9 @@ class TestBuildObservation:
         spec = empty_road_spec()
         agent = make_agent(spec.graph, "lane0", 90.0, 5.0)
         w1 = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
-                        agents=[agent], pedestrians=[])
+                        agents=traffic_of([agent]), pedestrians=[])
         w2 = WorldState(ego=EgoState(pose=spec.ego.pose, speed=10.0),
-                        agents=[agent], pedestrians=[])
+                        agents=traffic_of([agent]), pedestrians=[])
         table = ObstacleTable(spec.graph, spec.obstacles)
         o1 = build_observation(w1, spec, table, 0.5)
         o2 = build_observation(w2, spec, table, 0.5)
@@ -179,7 +180,7 @@ class TestBuildObservation:
     def ego_lane_at(x, y, n_changes):
         spec = augment_goal_for_lane_changes(empty_road_spec(lanes=3), n_changes)
         world = WorldState(ego=EgoState(pose=Pose2D(x, y, 0.0), speed=10.0),
-                           agents=[], pedestrians=[])
+                           agents=traffic_of([]), pedestrians=[])
         return build_observation(world, spec, ObstacleTable(
             spec.graph, spec.obstacles), 0.0).ego_lane
 
@@ -200,6 +201,61 @@ class TestBuildObservation:
     def test_ego_lane_only_from_the_route(self):
         """The ego on lane2 of a route lane0 -> lane1 gets lane1."""
         assert self.ego_lane_at(100.0, 7.0, 1) == "lane1"
+
+
+class TestPerception:
+    def test_radius_boundary(self):
+        """An agent centred exactly PERCEPTION_RADIUS from the ego, along
+        either axis and either way, is kept, and one an ulp beyond it is
+        dropped; columns keep their order."""
+        spec = empty_road_spec(lanes=1)
+        ex, ey, r = 0.0, 0.0, PERCEPTION_RADIUS
+        beyond = math.nextafter(r, math.inf)
+        centers = [(r, 0.0), (beyond, 0.0), (-r, 0.0), (-beyond, 0.0),
+                   (0.0, r), (0.0, beyond), (0.0, -r), (0.0, -beyond)]
+        agents = [AgentObs(OrientedBox(Pose2D(x, y, 0.0), 4.6, 1.85),
+                           float(i), "lane0") for i, (x, y) in enumerate(centers)]
+        world = WorldState(ego=EgoState(pose=Pose2D(ex, ey, 0.0), speed=10.0),
+                           agents=traffic_of(agents), pedestrians=[])
+        obs = build_observation(world, spec, ObstacleTable(spec.graph, ()), 0.0)
+        assert obs.agents.speed == [0.0, 2.0, 4.0, 6.0]
+        assert list(zip(obs.agents.x, obs.agents.y)) == centers[::2]
+
+
+class TestEgoFrame:
+    @pytest.mark.parametrize("index", [41, 72])
+    def test_one_projection_per_lane_per_tick(self, monkeypatch, index):
+        """A tick projects the ego's center (clamped) once per route lane
+        and once per lane off the route that an agent occupies: on overtake
+        41 (route lane0, traffic on oncoming0) and lane change 72 (four
+        route lanes, all occupied), under the idm planner, for 2 s."""
+        from drivebench import simulation
+        from drivebench.geometry import Polyline
+
+        spec = generate_benchmark_suite(2024)[index]
+        spec = replace(spec, duration=2.0)
+        ticks, project = [], Polyline.project
+        observe = simulation.build_observation
+
+        def counted(self, point):
+            if ticks:  # not the obstacle table's projections before them
+                ticks[-1].append(tuple(point))
+            return project(self, point)
+
+        def tick(world, *args):
+            ticks.append([])
+            obs = observe(world, *args)
+            ticks[-1].append(obs.frame.point)
+            return obs
+
+        monkeypatch.setattr(Polyline, "project", counted)
+        monkeypatch.setattr(simulation, "build_observation", tick)
+        run_closed_loop(spec, IdmPlanner())
+        route = set(spec.route.lane_sequence)
+        off_route = {a.lane for a in spec.agents} - route
+        assert len(ticks) == 20
+        for ego, *calls in ticks:
+            assert calls.count(ego) == len(route) + len(off_route)
 
 
 class TestContacts:
@@ -232,21 +288,22 @@ class TestContacts:
                 trigger_distance=30.0, lane="lane0", phase="crossing",
                 dist_along=float(rng.uniform(0.0, 7.0)))
                 for x in rng.uniform(ex - 4.0, ex + 4.0, int(rng.integers(0, 3)))]
-            world = WorldState(ego=ego, agents=agents, pedestrians=peds)
             partners = ([(f"agent{i}", a.box) for i, a in enumerate(agents)]
                         + [(f"obstacle{j}:{o.kind}", o.box)
                            for j, o in enumerate(spec.obstacles)]
                         + [(f"pedestrian{k}", p.box()) for k, p in enumerate(peds)])
             expected = [name for name, box in partners
                         if boxes_collide(ego.box, box)]
-            got = _ego_collisions(ego.box, world, spec)
+            cols = _box_columns([a.box for a in agents])
+            got = _ego_collisions(ego.box, cols, _box_columns(
+                [o.box for o in spec.obstacles]), peds, spec)
             assert got == [(name, box) for name, box in partners
                            if name in expected]
             assert [name for name, _box in got] == expected
             pairs = [(i, j) for i in range(len(agents))
                      for j in range(i + 1, len(agents))
                      if boxes_collide(agents[i].box, agents[j].box)]
-            assert _agent_agent_collisions(agents) == pairs
+            assert _agent_agent_collisions(cols) == pairs
             assert agent_agent_collisions_oracle(
                 [a.box for a in agents]) == pairs
             n_ego += len(expected)
@@ -284,8 +341,7 @@ class TestContacts:
                 boxes[2] = OrientedBox(Pose2D(c.x, c.y, 0.0), 4.0, 2.0)
                 boxes.append(OrientedBox(Pose2D(c.x + 4.0, c.y, 0.0), 4.0, 2.0))
             sizes.clear()
-            got = _agent_agent_collisions([SimpleNamespace(box=b)
-                                           for b in boxes])
+            got = _agent_agent_collisions(_box_columns(boxes))
             assert got == agent_agent_collisions_oracle(boxes)
             if len(boxes) > 1:
                 x, y, _h, length, width = _box_columns(boxes)
