@@ -118,8 +118,7 @@ POLICIES = frozenset(("conservative", "assertive"))
 
 @dataclass(frozen=True)
 class Traffic:
-    """Vehicle agents as columns of Python floats and strings, one entry per
-    agent in a fixed order."""
+    """Vehicle agents as columns, one entry per agent in a fixed order."""
     lane: list[str]
     s: list[float]           # arc position of the box center along the lane
     speed: list[float]
@@ -299,16 +298,16 @@ def step_vehicle_agent(traffic: Traffic,
     where there is none; agents never change lane otherwise."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rows = []
+    rows, lanes = [], graph.segments
     for lane_id, s, v, v0, lead in zip(traffic.lane, traffic.s, traffic.speed,
                                        traffic.v0, leads):
         v_lead, gap = (0.0, math.inf) if lead is None else lead
         [_, ds], [_, v] = idm_profile(v, gap, v_lead, v0, dt, 1)
         s += ds
-        seg = graph.lane(lane_id)
+        seg = lanes[lane_id]
         while s > seg.centerline.length and seg.successors:
             s -= seg.centerline.length
-            seg = graph.lane(min(seg.successors))
+            seg = lanes[min(seg.successors)]
         rows.append((seg.id, s, v, *seg.centerline.place(s)))
     if not rows:
         return traffic

@@ -113,6 +113,7 @@ class Polyline:
         self._xy = tuple(map(tuple, pts.tolist()))
         self._uv = tuple(map(tuple, self._dirs.tolist()))
         self._headings = tuple(math.atan2(dy, dx) for dx, dy in self._uv)
+        self._pose_headings = tuple(map(wrap_angle, self._headings))
         self._heading_array = np.array(self._headings)
 
     def project(self, point: Sequence[float]) -> FrenetPoint:
@@ -207,12 +208,12 @@ class Polyline:
         local tangent's (an end tangent's past an end), wrapped as Pose2D
         wraps it."""
         if 0.0 <= s <= self.length:
-            i = self._segment_index(s)
+            i = min(bisect.bisect_right(self._cum, s), len(self._xy) - 1) - 1
             t = s - self._cum[i]
             (px, py), (ux, uy) = self._xy[i], self._uv[i]
             # left normal of the tangent
             return ((px + t * ux) - uy * d, (py + t * uy) + ux * d,
-                    wrap_angle(self._headings[i]))
+                    self._pose_headings[i])
         past = s > self.length
         bx, by, ux, uy, heading, c, sn = self._ends[past]
         over = s - self.length if past else s
@@ -229,8 +230,8 @@ class Polyline:
             i = self._segment_index(s)
             t = s - self._cum[i]
             (px, py), (ux, uy), h = self._xy[i], self._uv[i], self._headings[i]
-            ends.append((px + t * ux, py + t * uy, ux, uy, wrap_angle(h),
-                         math.cos(h), math.sin(h)))
+            ends.append((px + t * ux, py + t * uy, ux, uy,
+                         self._pose_headings[i], math.cos(h), math.sin(h)))
         return tuple(ends)
 
     def interpolate_frenet(self, s: float, d: float = 0.0) -> Pose2D:

@@ -300,14 +300,15 @@ def _ego_collisions(ego_box: OrientedBox, agents: np.ndarray,
 
 def _agent_agent_collisions(cols: np.ndarray) -> list[tuple[int, int]]:
     """Agent pairs (i, j), i < j, in contact, in row-major order, from the
-    agents' (5, N) box columns: the circumcircle test on the upper triangle,
-    then the separating-axis test on the pairs it keeps."""
+    agents' (5, N) box columns: the circumcircle test, kept on the upper
+    triangle, then the separating-axis test on the pairs it keeps."""
     if cols.shape[1] < 2:
         return []
     x, y, _, length, width = cols
-    near = circumcircles_meet(x[:, None], y[:, None], length[:, None],
-                              width[:, None], x, y, length, width)
-    i, j = np.nonzero(np.triu(near, 1))
+    i, j = np.nonzero(circumcircles_meet(x[:, None], y[:, None], length[:, None],
+                                         width[:, None], x, y, length, width))
+    upper = i < j
+    i, j = i[upper], j[upper]
     if not len(i):
         return []
     hits = boxes_collide_batch(*cols[:, i], *cols[:, j])
