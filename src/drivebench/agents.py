@@ -140,13 +140,18 @@ class Traffic:
         return len(self.lane)
 
     @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "Traffic":
+        """Agents given as rows of the fields in order."""
+        return cls(*(map(list, zip(*rows)) if rows else ([] for _ in fields(cls))))
+
+    @classmethod
     def spawn(cls, graph: LaneGraph, agents: Iterable) -> "Traffic":
         """Agents placed on their lanes from specs with a lane, s, speed,
         policy, length and width; v0 is the lane's speed limit."""
-        rows = [(a.lane, float(a.s), float(a.speed),
-                 graph.lane(a.lane).speed_limit, a.policy, a.length, a.width,
-                 *graph.lane(a.lane).centerline.place(float(a.s))) for a in agents]
-        return cls(*(map(list, zip(*rows)) if rows else ([] for _ in fields(cls))))
+        return cls.from_rows([
+            (a.lane, float(a.s), float(a.speed), graph.lane(a.lane).speed_limit,
+             a.policy, a.length, a.width,
+             *graph.lane(a.lane).centerline.place(float(a.s))) for a in agents])
 
 
 def lane_pose(graph: LaneGraph, lane_id: str, s: float, d: float = 0.0) -> Pose2D:
@@ -299,8 +304,8 @@ def step_vehicle_agent(traffic: Traffic,
     if dt <= 0:
         raise ValueError("dt must be positive")
     rows, lanes = [], graph.segments
-    for lane_id, s, v, v0, lead in zip(traffic.lane, traffic.s, traffic.speed,
-                                       traffic.v0, leads):
+    for (lane_id, s, v, v0, policy, length, width, *_), lead in zip(
+            zip(*vars(traffic).values()), leads):
         v_lead, gap = (0.0, math.inf) if lead is None else lead
         [_, ds], [_, v] = idm_profile(v, gap, v_lead, v0, dt, 1)
         s += ds
@@ -308,12 +313,9 @@ def step_vehicle_agent(traffic: Traffic,
         while s > seg.centerline.length and seg.successors:
             s -= seg.centerline.length
             seg = lanes[min(seg.successors)]
-        rows.append((seg.id, s, v, *seg.centerline.place(s)))
-    if not rows:
-        return traffic
-    lane, s, speed, x, y, heading = map(list, zip(*rows))
-    return replace(traffic, lane=lane, s=s, speed=speed, x=x, y=y,
-                   heading=heading)
+        rows.append((seg.id, s, v, v0, policy, length, width,
+                     *seg.centerline.place(s)))
+    return Traffic.from_rows(rows)
 
 
 def step_pedestrian(ped: PedestrianState, graph: LaneGraph, frame: EgoFrame,

@@ -8,6 +8,7 @@ wall-clock time. Collisions are recorded as events and never abort a run.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -75,7 +76,7 @@ class EgoState:
         if abs(self.steering) > MAX_STEER + 1e-9:
             raise ValueError("steering outside bounds")
 
-    @property
+    @functools.cached_property  # a tick's contact check, then the next observation
     def box(self) -> OrientedBox:
         return OrientedBox(self.pose, VEHICLE_LENGTH, VEHICLE_WIDTH)
 
@@ -133,10 +134,10 @@ def build_observation(world: WorldState, spec: ScenarioSpec,
     ex, ey = world.ego.pose.x, world.ego.pose.y
     radius2 = PERCEPTION_RADIUS ** 2
     traffic = world.agents
-    seen = [i for i, (x, y) in enumerate(zip(traffic.x, traffic.y))
+    seen = [row for row, x, y in zip(zip(*vars(traffic).values()), traffic.x,
+                                     traffic.y)
             if (x - ex) ** 2 + (y - ey) ** 2 <= radius2]
-    agents = traffic if len(seen) == len(traffic) else Traffic(
-        *([col[i] for i in seen] for col in vars(traffic).values()))
+    agents = traffic if len(seen) == len(traffic) else Traffic.from_rows(seen)
     peds = tuple(
         PedestrianObs(position=p.position, velocity=p.velocity,
                       crossing=p.phase == "crossing")
@@ -226,11 +227,6 @@ class SimTrace:
         }
 
 
-def _ego_snapshot(ego: EgoState) -> dict:
-    return {"x": ego.pose.x, "y": ego.pose.y, "heading": ego.pose.heading,
-            "speed": ego.speed, "accel": ego.accel, "steering": ego.steering}
-
-
 def _traffic_snapshot(t: Traffic) -> list[dict]:
     return [{"lane": lane, "s": s, "speed": v, "x": x, "y": y, "heading": h,
              "length": length, "width": width, "policy": policy}
@@ -242,6 +238,16 @@ def _ped_snapshot(p: PedestrianState) -> dict:
     x, y = p.position
     vx, vy = p.velocity
     return {"x": x, "y": y, "vx": vx, "vy": vy, "phase": p.phase}
+
+
+def _snapshot(t: float, world: WorldState, plan: list) -> TickSnapshot:
+    """The trace's record of the world at time t and of the active plan."""
+    e = world.ego
+    return TickSnapshot(
+        t=t, ego={"x": e.pose.x, "y": e.pose.y, "heading": e.pose.heading,
+                  "speed": e.speed, "accel": e.accel, "steering": e.steering},
+        agents=_traffic_snapshot(world.agents),
+        pedestrians=[_ped_snapshot(p) for p in world.pedestrians], plan=plan)
 
 
 def _downsample_plan(traj: Trajectory) -> list[list[float]]:
@@ -336,11 +342,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
 
     trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
                      dt=DT, duration=spec.duration)
-    trace.snapshots.append(TickSnapshot(
-        t=0.0, ego=_ego_snapshot(ego),
-        agents=_traffic_snapshot(world.agents),
-        pedestrians=[_ped_snapshot(p) for p in world.pedestrians],
-        plan=[]))
+    trace.snapshots.append(_snapshot(0.0, world, []))
 
     ongoing_ego_contacts: set[str] = set()
     ongoing_agent_contacts: set[tuple[int, int]] = set()
@@ -389,10 +391,6 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
                 event.setdefault("time", t)
                 trace.events.append(event)
 
-        trace.snapshots.append(TickSnapshot(
-            t=t_next, ego=_ego_snapshot(ego_now),
-            agents=_traffic_snapshot(world.agents),
-            pedestrians=[_ped_snapshot(p) for p in world.pedestrians],
-            plan=_downsample_plan(traj)))
+        trace.snapshots.append(_snapshot(t_next, world, _downsample_plan(traj)))
 
     return trace
