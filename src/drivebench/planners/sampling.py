@@ -6,6 +6,12 @@ all actors.
 The evaluation window (2.0 s by default) bounds every look-ahead check:
 collisions, drivable-area exits and the TTC term. Conflicts that first
 materialize beyond it are invisible to the planner by design.
+
+The safety checks run lazily. Every candidate gets its cheap cost terms;
+the cost at a TTC fraction of 0 bounds its cost from below. The candidate
+with the least bound is checked first, and the others only when it is
+infeasible or its exact cost does not beat the next bound, so the choice
+is the one that checking all 30 would make.
 """
 
 from __future__ import annotations
@@ -49,24 +55,37 @@ COMFORT_WEIGHT = 0.5      # penalty on normalized mean |accel|
 
 @dataclass
 class Candidate:
-    """One scored candidate. s and v span the full 8 s horizon (N_SAMPLES);
-    d, x, y and heading span only the evaluation window, samples 0..K."""
+    """One scored candidate. s and v span the full 8 s horizon (N_SAMPLES).
+    Only a checked candidate went through the safety checks: it alone
+    carries d, x, y and heading over the evaluation window (samples 0..K),
+    the collided, off_area and feasible flags, its TTC fraction and its
+    exact cost. An unchecked one carries its cost's lower bound (the cost
+    at a TTC fraction of 0) as cost, None flags and arrays, and a NaN TTC
+    fraction."""
     delta: float
     fraction: Optional[float]      # None = full-stop profile
     target_offset: float
     s: np.ndarray
-    d: np.ndarray
     v: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    heading: np.ndarray
-    feasible: bool = True
-    collided: bool = False
-    off_area: bool = False
-    ttc_fraction: float = 0.0
-    progress: float = 0.0
-    comfort: float = 0.0
-    cost: float = 0.0
+    progress: float
+    comfort: float
+    cost: float
+    checked: bool = False
+    d: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
+    y: Optional[np.ndarray] = None
+    heading: Optional[np.ndarray] = None
+    feasible: Optional[bool] = None
+    collided: Optional[bool] = None
+    off_area: Optional[bool] = None
+    ttc_fraction: float = math.nan
+
+
+def selection_key(candidates: list[Candidate], i: int) -> tuple:
+    """The selection order: lower cost, then lower absolute target offset,
+    then more progress, then lower index."""
+    c = candidates[i]
+    return c.cost, abs(c.target_offset), -c.progress, i
 
 
 def lateral_profile(d0: float, slope0: float, target, s_rel: np.ndarray,
@@ -154,10 +173,11 @@ class SamplingPlanner:
     def evaluate(self, obs: Observation,
                  behavior: Optional[BehaviorOption] = None
                  ) -> tuple[list[Candidate], int, Trajectory]:
-        """All 30 candidates with their costs, the selected index and the
-        selected candidate's full 8 s trajectory. The candidates' paths
-        (d, x, y, heading) cover only the evaluation window, samples 0..K;
-        their s and v cover the full horizon."""
+        """All 30 candidates, the selected index and the selected
+        candidate's full 8 s trajectory. Every candidate carries its s and
+        v over the full horizon and its progress and comfort; the checked
+        ones also carry their paths over the evaluation window, samples
+        0..K, and their safety terms (see Candidate)."""
         behavior = behavior or self.default_behavior(obs)
         lane = obs.graph.lane(behavior.centerline)
         line = lane.centerline
@@ -194,34 +214,57 @@ class SamplingPlanner:
             return d, x, y, path_headings(x, y, tangent)
 
         K = min(int(round(self.eval_horizon / STEP)), N_SAMPLES - 1)
-        # path_headings copies its last column and otherwise looks only
-        # backwards, so K + 2 samples give the first K + 1 exactly
-        d, x, y, heading = (a[:, :K + 1] for a in paths(
-            slice(None), min(K + 2, N_SAMPLES)))
-        world = self._world_entities(obs)
-        collided, off_area = self._feasibility(obs, world, x, y, heading, d, K)
-        ttc_frac = self._ttc_fractions(world, x, y, heading, v, K)
         # progress is credited over the full horizon; only the safety checks
         # (collision, area, TTC) are confined to the evaluation window
         progress = s_rel[:, -1].copy()
         prog_norm = progress / max(limit * (N_SAMPLES - 1) * STEP, 1e-6)
         accel = np.abs(np.diff(v[:, : K + 1], axis=1)) / STEP
         comfort = accel.mean(axis=1) / 4.0
-        cost = (TTC_WEIGHT * ttc_frac + OFFSET_WEIGHT * np.abs(deltas)
-                + COMFORT_WEIGHT * comfort - PROGRESS_WEIGHT * prog_norm)
 
-        candidates = []
-        for ci in range(C):
-            candidates.append(Candidate(
-                delta=float(deltas[ci]),
-                fraction=None if stop_mask[ci] else float(fractions[ci]),
-                target_offset=float(targets[ci]),
-                s=s_abs[ci], d=d[ci], v=v[ci], x=x[ci], y=y[ci],
-                heading=heading[ci],
-                feasible=not (collided[ci] or off_area[ci]),
-                collided=bool(collided[ci]), off_area=bool(off_area[ci]),
-                ttc_fraction=float(ttc_frac[ci]), progress=float(progress[ci]),
-                comfort=float(comfort[ci]), cost=float(cost[ci])))
+        def cost(rows, ttc_frac):
+            return (TTC_WEIGHT * ttc_frac
+                    + OFFSET_WEIGHT * np.abs(deltas[rows])
+                    + COMFORT_WEIGHT * comfort[rows]
+                    - PROGRESS_WEIGHT * prog_norm[rows])
+
+        # TTC_WEIGHT * ttc_frac >= 0 and rounding is monotone, so the cost at
+        # a TTC fraction of 0 is a lower bound of the cost, bit for bit
+        bound = cost(slice(None), 0.0)
+        candidates = [Candidate(
+            delta=float(deltas[ci]),
+            fraction=None if stop_mask[ci] else float(fractions[ci]),
+            target_offset=float(targets[ci]), s=s_abs[ci], v=v[ci],
+            progress=float(progress[ci]), comfort=float(comfort[ci]),
+            cost=float(bound[ci])) for ci in range(C)]
+        world = self._world_entities(obs)
+
+        def check(rows):
+            """Run the safety checks on the given candidates; every kernel
+            works row by row, so a subset gets the bits of the full batch."""
+            # path_headings copies its last column and otherwise looks only
+            # backwards, so K + 2 samples give the first K + 1 exactly
+            d, x, y, heading = (a[:, :K + 1] for a in paths(
+                rows, min(K + 2, N_SAMPLES)))
+            collided, off_area = self._feasibility(obs, world, x, y, heading,
+                                                   d, K)
+            ttc_frac = self._ttc_fractions(world, x, y, heading, v[rows], K)
+            for i, (ci, c_cost) in enumerate(zip(rows, cost(rows, ttc_frac))):
+                c = candidates[ci]
+                c.checked, c.cost = True, float(c_cost)
+                c.d, c.x, c.y, c.heading = d[i], x[i], y[i], heading[i]
+                c.collided, c.off_area = bool(collided[i]), bool(off_area[i])
+                c.feasible = not (collided[i] or off_area[i])
+                c.ttc_fraction = float(ttc_frac[i])
+
+        # an unchecked candidate's key is no less than its bound key, so the
+        # least-bound candidate is certified once it is feasible and its
+        # exact key beats every other bound key
+        order = sorted(range(C), key=lambda i: selection_key(candidates, i))
+        first, runner_up = order[:2]
+        check([first])
+        if not (candidates[first].feasible and selection_key(candidates, first)
+                < selection_key(candidates, runner_up)):
+            check(order[1:])
         best = self.select_index(candidates)
         _, bx, by, bh = paths(slice(best, best + 1), N_SAMPLES)
         return candidates, best, Trajectory(np.arange(N_SAMPLES) * STEP,
@@ -234,9 +277,7 @@ class SamplingPlanner:
             # full-stop profile at the behavior's own offset
             return next(i for i, c in enumerate(candidates)
                         if c.fraction is None and c.delta == 0.0)
-        return min(feasible, key=lambda i: (
-            candidates[i].cost, abs(candidates[i].target_offset),
-            -candidates[i].progress, i))
+        return min(feasible, key=lambda i: selection_key(candidates, i))
 
     # -- internals ----------------------------------------------------------
 

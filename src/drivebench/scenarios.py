@@ -246,7 +246,10 @@ class ObstacleTable:
     lane-keeping vehicle cannot clear."""
 
     def __init__(self, graph: LaneGraph, obstacles: Sequence[ObstacleSpec]):
-        self._row = {o: i for i, o in enumerate(obstacles)}
+        # rows keyed by identity: hashing an ObstacleSpec walks its nested
+        # dataclasses; the table holds the obstacles, so their ids stay unique
+        self._obstacles = tuple(obstacles)
+        self._row = {id(o): i for i, o in enumerate(self._obstacles)}
         self._extents: dict[str, np.ndarray] = {}
         self.blocking_spans: dict[str, list[tuple[float, float]]] = {}
         for lane_id in sorted(graph.segments):
@@ -263,8 +266,8 @@ class ObstacleTable:
     def extents(self, lane_id: str, obstacles: Sequence[ObstacleSpec]
                 ) -> np.ndarray:
         """(4, n): the extended columns of the given obstacles on the lane,
-        in their order; each must be one of the table's."""
-        return self._extents[lane_id][:, [self._row[o] for o in obstacles]]
+        in their order; each must be one of the table's own objects."""
+        return self._extents[lane_id][:, [self._row[id(o)] for o in obstacles]]
 
 
 # ---------------------------------------------------------------------------

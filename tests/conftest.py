@@ -287,6 +287,91 @@ def sampler_rollout_oracle(v_now, gap0, v_lead, fractions, stop_mask, cap):
 
 
 # ---------------------------------------------------------------------------
+# the sampler's exhaustive evaluation that the certified one replaced
+
+
+def sampler_evaluate_oracle(planner, obs, behavior=None):
+    """Reference: the former SamplingPlanner.evaluate, which ran the safety
+    checks on all 30 candidates. Returns every candidate checked, the
+    selected index, its Trajectory and each candidate's cost at a TTC
+    fraction of 0 (the bound). The cost weights are read from the sampling
+    module at call time, so a patched weight applies here too."""
+    from drivebench.geometry import wrap_angle
+    from drivebench.planners import sampling as sp
+    from drivebench.planners.base import (N_SAMPLES, STEP, Trajectory,
+                                          lane_scene, nearest_lead,
+                                          path_headings)
+
+    behavior = behavior or planner.default_behavior(obs)
+    lane = obs.graph.lane(behavior.centerline)
+    line = lane.centerline
+    limit = lane.speed_limit
+    cap = (min(limit, behavior.target_speed_cap)
+           if behavior.target_speed_cap > 0 else 0.0)
+    scene = lane_scene(obs, behavior.centerline)
+    s0, d0 = scene.ego.s, scene.ego.d
+    v_now = obs.ego_speed
+    tangent0 = line.tangent_at(min(max(s0, 0.0), line.length))
+    slope0 = float(np.clip(math.tan(
+        wrap_angle(obs.ego_box.center.heading - tangent0)), -0.6, 0.6))
+
+    n_profiles = len(sp.SPEED_FRACTIONS) + 1
+    C = len(sp.OFFSET_DELTAS) * n_profiles
+    deltas = np.repeat(sp.OFFSET_DELTAS, n_profiles)
+    fractions = np.tile(list(sp.SPEED_FRACTIONS) + [np.nan],
+                        len(sp.OFFSET_DELTAS))
+    stop_mask = np.isnan(fractions)
+    offsets = behavior.lateral_offset + np.asarray(sp.OFFSET_DELTAS)
+    targets = np.repeat(offsets, n_profiles)
+    span = max(2.0 * max(v_now, 0.1), 10.0)
+    front0 = s0 + sp.VEHICLE_LENGTH / 2.0
+    lead_s, lead_v = nearest_lead(
+        scene, front0, lambda s: sp.lateral_profile(
+            d0, slope0, offsets, np.maximum(s - s0, 0.0), span))
+    s_rel, v = sp.rollouts(v_now, lead_s - front0, lead_v, cap)
+    s_abs = s0 + s_rel
+
+    def paths(rows, n):
+        d = sp.lateral_profile(d0, slope0, targets[rows], s_rel[rows, :n],
+                               span)
+        x, y, tangent = line.interpolate_many(s_abs[rows, :n], d)
+        return d, x, y, path_headings(x, y, tangent)
+
+    K = min(int(round(planner.eval_horizon / STEP)), N_SAMPLES - 1)
+    d, x, y, heading = (a[:, :K + 1] for a in paths(
+        slice(None), min(K + 2, N_SAMPLES)))
+    world = planner._world_entities(obs)
+    collided, off_area = planner._feasibility(obs, world, x, y, heading, d, K)
+    ttc_frac = planner._ttc_fractions(world, x, y, heading, v, K)
+    progress = s_rel[:, -1].copy()
+    prog_norm = progress / max(limit * (N_SAMPLES - 1) * STEP, 1e-6)
+    accel = np.abs(np.diff(v[:, : K + 1], axis=1)) / STEP
+    comfort = accel.mean(axis=1) / 4.0
+
+    def cost(ttc):
+        return (sp.TTC_WEIGHT * ttc + sp.OFFSET_WEIGHT * np.abs(deltas)
+                + sp.COMFORT_WEIGHT * comfort
+                - sp.PROGRESS_WEIGHT * prog_norm)
+
+    total = cost(ttc_frac)
+    candidates = [sp.Candidate(
+        delta=float(deltas[ci]),
+        fraction=None if stop_mask[ci] else float(fractions[ci]),
+        target_offset=float(targets[ci]), s=s_abs[ci], v=v[ci],
+        progress=float(progress[ci]), comfort=float(comfort[ci]),
+        cost=float(total[ci]), checked=True, d=d[ci], x=x[ci], y=y[ci],
+        heading=heading[ci], feasible=not (collided[ci] or off_area[ci]),
+        collided=bool(collided[ci]), off_area=bool(off_area[ci]),
+        ttc_fraction=float(ttc_frac[ci])) for ci in range(C)]
+    best = sp.SamplingPlanner.select_index(candidates)
+    _, bx, by, bh = paths(slice(best, best + 1), N_SAMPLES)
+    return (candidates, best,
+            Trajectory(np.arange(N_SAMPLES) * STEP, bx[0], by[0], bh[0],
+                       v[best]),
+            cost(0.0))
+
+
+# ---------------------------------------------------------------------------
 # the per-agent traffic path that the agent columns replaced
 
 

@@ -1,4 +1,5 @@
 import math
+import struct
 import time
 from dataclasses import fields, replace
 
@@ -45,8 +46,8 @@ from drivebench.simulation import (
     run_closed_loop,
 )
 from conftest import (AgentObs, agent_obs, blocking_spans_oracle,
-                      box_extent_oracle, make_agent, sampler_rollout_oracle,
-                      traffic_of, trajectories_equal)
+                      box_extent_oracle, make_agent, sampler_evaluate_oracle,
+                      sampler_rollout_oracle, traffic_of, trajectories_equal)
 
 
 def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
@@ -432,10 +433,12 @@ class TestMobilDecide:
 
 def sampling_oracle_select(planner: SamplingPlanner, obs, behavior=None):
     """Transparent reimplementation of feasibility, cost, and tie-breaks
-    over the planner's candidate set, using only scalar library primitives."""
+    over the planner's candidate set, using only scalar library primitives.
+    The candidates' window arrays are those of the exhaustive oracle, which
+    builds them for all 30."""
     from drivebench.geometry import points_in_polygon
 
-    cands, _, _ = planner.evaluate(obs, behavior)
+    cands = sampler_evaluate_oracle(planner, obs, behavior)[0]
     behavior = behavior or planner.default_behavior(obs)
     lane = obs.graph.lane(behavior.centerline)
     limit = lane.speed_limit
@@ -954,7 +957,7 @@ class TestEgoContacts:
             scenes.append(crowded_observation(rng, *counts))
         n_collided = n_ttc = 0
         for i, obs in enumerate(scenes):
-            cands, _, _ = planner.evaluate(obs)
+            cands = sampler_evaluate_oracle(planner, obs)[0]
             x, y, heading, v, d = (np.stack([getattr(c, name) for c in cands])
                                    for name in ("x", "y", "heading", "v", "d"))
             world = planner._world_entities(obs)
@@ -1037,6 +1040,36 @@ class TestObstacleTable:
                     n_before += bool((want[1] < 0.0).any())
                     n_past += bool((want[0] > line.length).any())
         assert n_partial >= 20 and n_before >= 10 and n_past >= 10
+
+    def test_lane_scene_hashes_no_obstacle(self, monkeypatch):
+        """A construction scene's lane scenes look their 12 cones up
+        without one ObstacleSpec.__hash__ call, and read the columns of
+        the former lookup, a dict keyed by the ObstacleSpec itself."""
+        from drivebench.planners.base import lane_scene
+        from drivebench.scenarios import generate_benchmark_suite
+
+        spec = generate_benchmark_suite(2024)[0]
+        table = ObstacleTable(spec.graph, spec.obstacles)
+        obs = build_observation(WorldState(
+            ego=EgoState(pose=spec.ego.pose, speed=spec.ego.speed),
+            agents=traffic_of([]), pedestrians=[]), spec, table, 0.0)
+        assert len(obs.obstacles) == 12
+        row = {o: i for i, o in enumerate(spec.obstacles)}
+        want = {lane_id: table.extents(lane_id, spec.obstacles)[
+            :, [row[o] for o in obs.obstacles]]
+            for lane_id in spec.graph.segments}
+        hashed = []
+        obstacle_hash = ObstacleSpec.__hash__
+        monkeypatch.setattr(ObstacleSpec, "__hash__",
+                            lambda o: hashed.append(o) or obstacle_hash(o))
+        for lane_id in spec.graph.segments:
+            scene = lane_scene(obs, lane_id)
+            got = np.array([scene.obstacle_near_s, scene.obstacle_far_s,
+                            scene.obstacle_d_lo, scene.obstacle_d_hi])
+            assert got.tobytes() == want[lane_id].tobytes(), lane_id
+        assert not hashed
+        {obs.obstacles[0]: 0}  # the patch does count a hash
+        assert len(hashed) == 1
 
     def test_unknown_obstacle_is_an_error(self):
         from drivebench.planners.base import lane_scene
@@ -1328,12 +1361,27 @@ def full_array_evaluate(planner, obs, behavior):
         target_offset=float(targets[ci]), s=s_abs[ci], d=d[ci], v=v[ci],
         x=x[ci], y=y[ci], heading=heading[ci],
         feasible=not (collided[ci] or off_area[ci]),
-        progress=float(progress[ci]), cost=float(cost[ci]))
+        progress=float(progress[ci]), comfort=float(comfort[ci]),
+        cost=float(cost[ci]))
         for ci in range(len(deltas))]
     best = SamplingPlanner.select_index(cands)
     traj = Trajectory(np.arange(N_SAMPLES) * STEP, x[best], y[best],
                       heading[best], v[best])
     return best, traj, dict(s=s_abs, v=v, d=d, x=x, y=y, heading=heading)
+
+
+def sampler_behavior(obs, label, offset=0.0):
+    """One of the behaviours the hybrid planner hands the sampler on
+    random_observation's lanes: follow lane0, merge into lane1, overtake
+    at the given offset, or stop (a speed cap of 0)."""
+    limit = obs.graph.lane("lane0").speed_limit
+    return {
+        "follow_lane": BehaviorOption("follow_lane", "lane0", 0.0, limit),
+        "merge_left": BehaviorOption("merge_left", "lane1", 0.0, limit),
+        "overtake_obstacle": BehaviorOption("overtake_obstacle", "lane0",
+                                            offset, limit),
+        "stop_and_wait": BehaviorOption("stop_and_wait", "lane0", 0.0,
+                                        0.0)}[label]
 
 
 class TestSamplerWindow:
@@ -1345,19 +1393,13 @@ class TestSamplerWindow:
     def test_plan_equals_full_array_row(self, seed, lanes, label, offset):
         """On random observations and behaviours, the selected plan is a
         valid 8 s Trajectory equal to the selected row of the full-array
-        evaluate; every candidate's window arrays are the first K + 1
-        samples of its full row, and s and v are the full rows."""
+        evaluate. The window arrays of every candidate the planner checked,
+        and of all 30 in the exhaustive oracle, are the first K + 1 samples
+        of its full row; every candidate's s and v are the full rows."""
         from drivebench.planners.base import N_SAMPLES
 
         obs = random_observation(np.random.default_rng(seed), lanes=lanes)
-        limit = obs.graph.lane("lane0").speed_limit
-        behavior = {
-            "follow_lane": BehaviorOption("follow_lane", "lane0", 0.0, limit),
-            "merge_left": BehaviorOption("merge_left", "lane1", 0.0, limit),
-            "overtake_obstacle": BehaviorOption("overtake_obstacle", "lane0",
-                                                offset, limit),
-            "stop_and_wait": BehaviorOption("stop_and_wait", "lane0", 0.0,
-                                            0.0)}[label]
+        behavior = sampler_behavior(obs, label, offset)
         planner = SamplingPlanner()
         cands, best, traj = planner.evaluate(obs, behavior)
         want_best, want_traj, rows = full_array_evaluate(planner, obs,
@@ -1369,12 +1411,28 @@ class TestSamplerWindow:
         assert len(traj.t) == N_SAMPLES and trajectories_equal(traj, want_traj)
         Trajectory(traj.t, traj.x, traj.y, traj.heading, traj.speed)
         assert trajectories_equal(planner.plan(obs, behavior), traj)
-        K = len(cands[0].x) - 1
+        checked = [i for i, c in enumerate(cands) if c.checked]
+        oracle = sampler_evaluate_oracle(planner, obs, behavior)[0]
+        K = len(oracle[0].x) - 1
         assert K == 20
         for name, full in rows.items():
-            got = np.stack([getattr(c, name) for c in cands])
             want = full if name in ("s", "v") else full[:, :K + 1]
+            got = np.stack([getattr(c, name) for c in oracle])
             assert got.tobytes() == want.tobytes(), name
+            live = range(len(cands)) if name in ("s", "v") else checked
+            got = np.stack([getattr(cands[i], name) for i in live])
+            assert got.tobytes() == want[list(live)].tobytes(), name
+
+
+def all_infeasible_observation():
+    """One lane blocked by a 3.4 m wide parked vehicle centred 8 m ahead of
+    the ego: every candidate collides or leaves the area."""
+    spec = empty_road_spec(lanes=1)
+    lane = spec.graph.lane("lane0")
+    pose = lane.centerline.interpolate_frenet(48.0, 0.0)
+    spec = replace(spec, obstacles=(
+        ObstacleSpec("parked_vehicle", OrientedBox(pose, 4.6, 3.4), "lane0"),))
+    return make_obs(spec, ego_speed=10.0)
 
 
 class TestSamplingPlanner:
@@ -1410,14 +1468,10 @@ class TestSamplingPlanner:
         assert chosen.fraction is None or chosen.fraction <= 0.4
 
     def test_all_infeasible_full_stop_at_zero_delta(self):
-        spec = empty_road_spec(lanes=1)
-        lane = spec.graph.lane("lane0")
-        pose = lane.centerline.interpolate_frenet(48.0, 0.0)
-        spec = replace(spec, obstacles=(
-            ObstacleSpec("parked_vehicle", OrientedBox(pose, 4.6, 3.4), "lane0"),))
-        obs = make_obs(spec, ego_speed=10.0)
+        obs = all_infeasible_observation()
         cands, best, _ = SamplingPlanner().evaluate(obs)
         chosen = cands[best]
+        assert all(c.checked for c in cands)
         assert not any(c.feasible for c in cands)
         assert chosen.delta == 0.0 and chosen.fraction is None
 
@@ -1453,7 +1507,8 @@ class TestSamplingPlanner:
         planner = SamplingPlanner()
         for _ in range(40):
             obs = random_observation(rng)
-            cands, best, _ = planner.evaluate(obs)
+            _, best, _ = planner.evaluate(obs)
+            cands = sampler_evaluate_oracle(planner, obs)[0]
             if any(c.feasible for c in cands):
                 assert cands[best].feasible
 
@@ -1467,6 +1522,190 @@ class TestSamplingPlanner:
         t0 = time.perf_counter()
         planner.plan(obs)
         assert time.perf_counter() - t0 < 0.1
+
+
+# ---------------------------------------------------------------------------
+# the certified evaluation against the exhaustive one
+
+
+def same_bits(a, b) -> bool:
+    """Whether two Candidate or Trajectory field values are equal bit for
+    bit: arrays in dtype, shape and bytes, floats in their bytes, the rest
+    in type and value."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+def assert_matches_oracle(planner, obs, behavior, result) -> int:
+    """Check one evaluate result against the exhaustive oracle: the same
+    index and trajectory bit for bit; every checked candidate equal to the
+    oracle's in every field; every unchecked one with the oracle's cheap
+    terms, the oracle's cost at a TTC fraction of 0 as its cost (its bound,
+    at most its exact cost), no safety terms, and a bound key above the
+    chosen key. Returns how many candidates were checked (1 or all) and
+    the index of the least-bound candidate, the one checked first."""
+    from drivebench.planners.sampling import Candidate
+
+    cands, best, traj = result
+    want, want_best, want_traj, bound = sampler_evaluate_oracle(
+        planner, obs, behavior)
+    assert best == want_best
+    for name in ("t", "x", "y", "heading", "speed"):
+        assert same_bits(getattr(traj, name), getattr(want_traj, name)), name
+    assert len(cands) == len(want) == len(bound)
+
+    def key(c, i):
+        return c.cost, abs(c.target_offset), -c.progress, i
+
+    cheap = ("delta", "fraction", "target_offset", "s", "v", "progress",
+             "comfort")
+    every = [f.name for f in fields(Candidate)]
+    for i, (c, w) in enumerate(zip(cands, want)):
+        for name in every if c.checked else cheap:
+            assert same_bits(getattr(c, name), getattr(w, name)), (i, name)
+        if not c.checked:
+            assert same_bits(c.cost, float(bound[i])), i
+            assert c.cost <= w.cost and key(c, i) > key(cands[best], best), i
+            assert all(getattr(c, name) is None for name in (
+                "d", "x", "y", "heading", "feasible", "collided", "off_area"))
+            assert math.isnan(c.ttc_fraction)
+    n_checked = sum(c.checked for c in cands)
+    assert n_checked in (1, len(cands)) and cands[best].checked
+    first = min(range(len(want)), key=lambda i: (
+        bound[i], abs(want[i].target_offset), -want[i].progress, i))
+    assert cands[first].checked
+    return n_checked, first
+
+
+def random_behavior_scenes(seed, n):
+    """n scenes with a behaviour each: random_observation scenes on 2 or 3
+    lanes with a behaviour drawn from those sampler_behavior offers, and
+    crowded_observation scenes, whose entities close to the ego make TTC
+    violations common, with the default behaviour."""
+    rng = np.random.default_rng(seed)
+    labels = ["follow_lane", "merge_left", "overtake_obstacle",
+              "stop_and_wait"]
+    for trial in range(n):
+        if trial % 3 == 2:
+            yield crowded_observation(rng, *rng.integers(0, 4, 4)), None
+            continue
+        obs = random_observation(rng, lanes=2 + trial % 2)
+        yield obs, sampler_behavior(obs, labels[trial % 4],
+                                    float(rng.choice([-2.3, -0.6, 1.6])))
+
+
+class TestCertifiedEvaluate:
+    """SamplingPlanner.evaluate checks candidates only until its choice is
+    certified; conftest's sampler_evaluate_oracle checks all 30."""
+
+    @pytest.mark.parametrize("name", ["sampler", "hybrid-scripted"])
+    def test_every_tick_of_suite_scenarios(self, monkeypatch, name):
+        """At every tick of construction 0 and 3 and of the first scenario
+        of every other family; both the certified first check and the
+        second batch occur."""
+        from drivebench.planners import sampling
+        from drivebench.scenarios import generate_benchmark_suite
+
+        evaluate = sampling.SamplingPlanner.evaluate
+        n_checked, failures = [], []
+
+        def compared(planner, obs, behavior=None):
+            result = evaluate(planner, obs, behavior)
+            try:
+                n_checked.append(assert_matches_oracle(planner, obs, behavior,
+                                                       result)[0])
+            except AssertionError as e:  # plan_with_fallback would brake
+                failures.append(f"t={obs.time}: {e!r}")
+            return result
+
+        monkeypatch.setattr(sampling.SamplingPlanner, "evaluate", compared)
+        suite = generate_benchmark_suite(2024)
+        specs = [suite[0], suite[3]] + suite[10::10]
+        assert len({spec.type for spec in specs}) == len(ScenarioType)
+        for spec in specs:
+            trace = run_closed_loop(spec, make_planner(name))
+            assert not [e for e in trace.events
+                        if e["kind"] == "planner_fallback"], spec.seed
+        assert not failures, failures[:3]
+        assert len(n_checked) == 150 * len(specs)
+        assert n_checked.count(1) > 0.9 * len(n_checked)
+        assert n_checked.count(30) > 0
+
+    def test_random_scenes(self):
+        planner = SamplingPlanner()
+        n_checked = [assert_matches_oracle(planner, obs, behavior,
+                                           planner.evaluate(obs, behavior))[0]
+                     for obs, behavior in random_behavior_scenes(47, 90)]
+        assert n_checked.count(1) >= 40 and n_checked.count(30) >= 10
+
+    def test_infeasible_least_bound_forces_second_batch(self):
+        """On one lane, an overtaking offset of 2.4 m puts the least-bound
+        candidate (the behaviour's own offset at full speed) off the
+        drivable area: all 30 are checked, and a feasible one is chosen."""
+        obs = make_obs(empty_road_spec(lanes=1), ego_speed=10.0)
+        behavior = BehaviorOption("overtake_obstacle", "lane0", 2.4, 13.9)
+        planner = SamplingPlanner()
+        cands, best, traj = planner.evaluate(obs, behavior)
+        n_checked, first = assert_matches_oracle(planner, obs, behavior,
+                                                 (cands, best, traj))
+        assert n_checked == 30
+        assert cands[first].off_area and not cands[first].feasible
+        assert cands[best].feasible and best != first
+
+    def test_all_infeasible_checks_all(self):
+        obs = all_infeasible_observation()
+        planner = SamplingPlanner()
+        result = planner.evaluate(obs)
+        assert assert_matches_oracle(planner, obs, None, result)[0] == 30
+        cands, best, _ = result
+        assert not any(c.feasible for c in cands)
+        assert cands[best].fraction is None and cands[best].delta == 0.0
+
+    def test_ttc_weight_zero(self, monkeypatch):
+        """With TTC_WEIGHT 0, every cost equals its bound, so the least
+        bound candidate is certified by the tie-breaks whenever it is
+        feasible."""
+        from drivebench.planners import sampling
+
+        monkeypatch.setattr(sampling, "TTC_WEIGHT", 0.0)
+        planner = SamplingPlanner()
+        n_ttc = 0
+        for obs, behavior in random_behavior_scenes(53, 45):
+            cands, best, traj = planner.evaluate(obs, behavior)
+            n_checked, first = assert_matches_oracle(planner, obs, behavior,
+                                                     (cands, best, traj))
+            want, _, _, bound = sampler_evaluate_oracle(planner, obs, behavior)
+            assert all(same_bits(w.cost, float(b))
+                       for w, b in zip(want, bound))
+            assert (n_checked == 1) == cands[first].feasible
+            n_ttc += any(w.ttc_fraction > 0 for w in want)
+        assert n_ttc >= 5
+
+    def test_tie_breaks_alone(self, monkeypatch):
+        """With every cost weight 0, every cost and bound is 0, so the
+        absolute target offset, the progress and the index alone order the
+        candidates; a stop behaviour (speed cap 0) gives the five speed
+        profiles of each offset one rollout, so they tie up to the index."""
+        from drivebench.planners import sampling
+
+        for weight in ("TTC_WEIGHT", "OFFSET_WEIGHT", "COMFORT_WEIGHT",
+                       "PROGRESS_WEIGHT"):
+            monkeypatch.setattr(sampling, weight, 0.0)
+        planner = SamplingPlanner()
+        rng = np.random.default_rng(59)
+        n_checked = []
+        for trial in range(20):
+            obs = random_observation(rng)
+            behavior = sampler_behavior(
+                obs, ("stop_and_wait", "overtake_obstacle")[trial % 2], -0.6)
+            n_checked.append(assert_matches_oracle(
+                planner, obs, behavior, planner.evaluate(obs, behavior))[0])
+        assert n_checked.count(1) >= 10
 
 
 # ---------------------------------------------------------------------------
