@@ -48,10 +48,6 @@ class Pose2D:
     def __post_init__(self):
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class FrenetPoint:
@@ -74,10 +70,6 @@ class OrientedBox:
         c = self.center
         return np.stack(_box_corners_batch(c.x, c.y, c.heading, self.length,
                                            self.width), axis=1)
-
-    @property
-    def circumradius(self) -> float:
-        return math.hypot(self.length, self.width) / 2.0
 
     def front_half(self) -> "OrientedBox":
         """The leading half of the box as its own box (for contact attribution)."""
@@ -267,34 +259,6 @@ class Polyline:
         return isinstance(other, Polyline) and np.array_equal(self.points, other.points)
 
 
-def _interval_overlap(lo1: float, hi1: float, lo2: float, hi2: float) -> bool:
-    # touching intervals count as overlapping (conservative collision semantics)
-    return lo1 <= hi2 and lo2 <= hi1
-
-
-def boxes_collide(a: OrientedBox, b: OrientedBox) -> bool:
-    """Separating-axis test over the 4 edge normals of two oriented boxes.
-
-    Touching boundaries count as collision.
-    """
-    # cheap reject: circumscribed circles
-    dx = a.center.x - b.center.x
-    dy = a.center.y - b.center.y
-    r = a.circumradius + b.circumradius
-    if dx * dx + dy * dy > r * r:
-        return False
-    ca = a.corners()
-    cb = b.corners()
-    for box in (a, b):
-        h = box.center.heading
-        for axis in ((math.cos(h), math.sin(h)), (-math.sin(h), math.cos(h))):
-            pa = ca @ axis
-            pb = cb @ axis
-            if not _interval_overlap(pa.min(), pa.max(), pb.min(), pb.max()):
-                return False
-    return True
-
-
 CONTACT_MARGIN = 1.0  # m box_contacts' entity broadphase adds to the reaches
 # corner signs along and across the heading, in OrientedBox.corners' order
 _SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
@@ -312,7 +276,7 @@ def _box_corners_batch(cx, cy, heading, length, width) -> tuple:
 def boxes_collide_batch(cx_a, cy_a, h_a, len_a, wid_a,
                         cx_b, cy_b, h_b, len_b, wid_b) -> np.ndarray:
     """Vectorized separating-axis test over N box pairs -> bool array.
-    Touching counts as collision, matching boxes_collide."""
+    Touching counts as collision."""
     ca, sa, cb, sb = np.cos(h_a), np.sin(h_a), np.cos(h_b), np.sin(h_b)
     ux = np.array([ca, -sa, cb, -sb])  # the 4 axes, (4, N)
     uy = np.array([sa, ca, sb, cb])
@@ -359,12 +323,44 @@ def box_contacts(x, y, h, length, width, qx, qy, qh, ql, qw
             args = tuple(a[..., kept] if np.shape(a)[-1:] == reaches.shape
                          else a for a in args)
     x, y, h, length, width, qx, qy, qh, ql, qw = args
-    near = np.nonzero(circumcircles_meet(x, y, length, width, qx, qy, ql, qw))
+    meet = circumcircles_meet(x, y, length, width, qx, qy, ql, qw)
+    near = np.unravel_index(np.flatnonzero(meet), meet.shape)
     if len(near[0]):
         hits = boxes_collide_batch(*(a[near] for a in np.broadcast_arrays(
             *args)))
         near = tuple(i[hits] for i in near)
     return near if kept is None else near[:-1] + (kept[near[-1]],)
+
+
+def boxes_collide(a: OrientedBox, b: OrientedBox) -> bool:
+    """Whether two oriented boxes overlap: box_contacts on the one pair.
+    Touching boundaries count as collision."""
+    [hits] = box_contacts(*box_columns([a]), *box_columns([b]))
+    return bool(len(hits))
+
+
+def box_columns(boxes: list[OrientedBox]) -> np.ndarray:
+    """(x, y, heading, length, width) rows, one column per box: (5, N)."""
+    return np.array([(b.center.x, b.center.y, b.center.heading, b.length,
+                      b.width) for b in boxes], dtype=float).reshape(-1, 5).T
+
+
+def pairwise_contacts(cols: np.ndarray) -> list[tuple[int, int]]:
+    """Box pairs (i, j), i < j, in contact, in row-major order, from (5, N)
+    box columns: the circumcircle test, kept on the upper triangle, then
+    the separating-axis test on the pairs it keeps."""
+    if cols.shape[1] < 2:
+        return []
+    x, y, _, length, width = cols
+    meet = circumcircles_meet(x[:, None], y[:, None], length[:, None],
+                              width[:, None], x, y, length, width)
+    i, j = np.unravel_index(np.flatnonzero(meet), meet.shape)
+    upper = i < j
+    i, j = i[upper], j[upper]
+    if not len(i):
+        return []
+    hits = boxes_collide_batch(*cols[:, i], *cols[:, j])
+    return list(zip(i[hits].tolist(), j[hits].tolist()))
 
 
 def ttc_violations(x, y, h, v, length, width, qx, qy, qvx, qvy, qh, ql, qw,

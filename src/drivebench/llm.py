@@ -273,7 +273,7 @@ def _oncoming_within_headway(obs: Observation, horizon_s: float = 8.0) -> bool:
     line = obs.graph.lane(lane_id).centerline
     scene = lane_scene(obs, lane_id)
     ego_s = scene.ego.s
-    ego_h = line.tangent_at(min(max(ego_s, 0.0), line.length))
+    ego_h = line.tangent_at(ego_s)
     for heading, speed, s in zip(obs.agents.heading, obs.agents.speed,
                                  scene.agent_s.tolist()):
         rel = wrap_angle(heading - ego_h)

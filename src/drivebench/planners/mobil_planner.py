@@ -176,7 +176,7 @@ class IdmMobilPlanner:
         # lane change
         ds, v = lead_rollout(obs.ego_speed, scene, lane.speed_limit)
         line = lane.centerline
-        tangent = line.tangent_at(min(max(f.s, 0.0), line.length))
+        tangent = line.tangent_at(f.s)
         slope0 = float(np.clip(
             math.tan(wrap_angle(obs.ego_box.center.heading - tangent)),
             -0.6, 0.6))

@@ -186,7 +186,7 @@ class SamplingPlanner:
         scene = lane_scene(obs, behavior.centerline)
         s0, d0 = scene.ego.s, scene.ego.d
         v_now = obs.ego_speed
-        tangent0 = line.tangent_at(min(max(s0, 0.0), line.length))
+        tangent0 = line.tangent_at(s0)
         slope0 = float(np.clip(math.tan(
             _wrap(obs.ego_box.center.heading - tangent0)), -0.6, 0.6))
 

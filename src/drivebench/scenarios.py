@@ -31,8 +31,10 @@ from .geometry import (
     Polyline,
     Pose2D,
     Route,
+    box_columns,
     boxes_collide,
     lane_changes_required,
+    pairwise_contacts,
     shortest_route,
 )
 
@@ -210,19 +212,17 @@ class ScenarioSpec:
                 raise ScenarioError(f"obstacle {o.kind} does not overlap lane {o.lane}")
         # no initial overlap between any pair, except intentionally
         # intersecting crashed vehicles
-        boxes: list[tuple[str, OrientedBox]] = [("ego", self.ego_box())]
-        boxes += [("agent", self.agent_box(a)) for a in self.agents]
-        boxes += [(o.kind, o.box) for o in self.obstacles]
-        for ped in self.pedestrians:
-            p = ped.path.interpolate_frenet(0.0, 0.0)
-            boxes.append(("pedestrian", OrientedBox(p, 0.6, 0.6)))
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if boxes[i][0] == "crashed_vehicle" and boxes[j][0] == "crashed_vehicle":
-                    continue
-                if boxes_collide(boxes[i][1], boxes[j][1]):
-                    raise ScenarioError(
-                        f"initial overlap between {boxes[i][0]} and {boxes[j][0]}")
+        kinds = (["ego"] + ["agent"] * len(self.agents)
+                 + [o.kind for o in self.obstacles]
+                 + ["pedestrian"] * len(self.pedestrians))
+        boxes = ([self.ego_box()] + [self.agent_box(a) for a in self.agents]
+                 + [o.box for o in self.obstacles]
+                 + [OrientedBox(ped.path.interpolate_frenet(0.0, 0.0), 0.6, 0.6)
+                    for ped in self.pedestrians])
+        for i, j in pairwise_contacts(box_columns(boxes)):
+            if kinds[i] != "crashed_vehicle" or kinds[j] != "crashed_vehicle":
+                raise ScenarioError(
+                    f"initial overlap between {kinds[i]} and {kinds[j]}")
 
 
 def merge_spans(spans: Sequence[tuple[float, float]], gap: float

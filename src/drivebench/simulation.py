@@ -29,10 +29,10 @@ from .geometry import (
     EgoFrame,
     OrientedBox,
     Pose2D,
+    box_columns,
     box_contacts,
     boxes_collide,
-    boxes_collide_batch,
-    circumcircles_meet,
+    pairwise_contacts,
     wrap_angle,
 )
 from .planners.base import (
@@ -282,43 +282,20 @@ def _classify_ego_fault(ego_prev: EgoState, ego_now: EgoState,
     return False
 
 
-def _box_columns(boxes: list[OrientedBox]) -> np.ndarray:
-    """(x, y, heading, length, width) rows, one column per box: (5, N)."""
-    return np.array([(b.center.x, b.center.y, b.center.heading, b.length,
-                      b.width) for b in boxes], dtype=float).reshape(-1, 5).T
-
-
 def _ego_collisions(ego_box: OrientedBox, agents: np.ndarray,
                     obstacles: np.ndarray, pedestrians: list[PedestrianState],
                     spec: ScenarioSpec) -> list[tuple[str, OrientedBox]]:
     """Partner ids and boxes currently in contact with the ego: agents,
     then obstacles (both given as box columns), then pedestrians."""
-    cols = np.concatenate((agents, obstacles, _box_columns(
+    cols = np.concatenate((agents, obstacles, box_columns(
         [p.box() for p in pedestrians])), axis=1)
-    [hits] = box_contacts(*_box_columns([ego_box]), *cols)
+    [hits] = box_contacts(*box_columns([ego_box]), *cols)
     n_a, n_o = agents.shape[1], len(spec.obstacles)
     return [(f"agent{i}" if i < n_a
              else f"obstacle{i - n_a}:{spec.obstacles[i - n_a].kind}"
              if i < n_a + n_o else f"pedestrian{i - n_a - n_o}",
              OrientedBox(Pose2D(*cols[:3, i].tolist()), *cols[3:, i].tolist()))
             for i in hits.tolist()]
-
-
-def _agent_agent_collisions(cols: np.ndarray) -> list[tuple[int, int]]:
-    """Agent pairs (i, j), i < j, in contact, in row-major order, from the
-    agents' (5, N) box columns: the circumcircle test, kept on the upper
-    triangle, then the separating-axis test on the pairs it keeps."""
-    if cols.shape[1] < 2:
-        return []
-    x, y, _, length, width = cols
-    i, j = np.nonzero(circumcircles_meet(x[:, None], y[:, None], length[:, None],
-                                         width[:, None], x, y, length, width))
-    upper = i < j
-    i, j = i[upper], j[upper]
-    if not len(i):
-        return []
-    hits = boxes_collide_batch(*cols[:, i], *cols[:, j])
-    return list(zip(i[hits].tolist(), j[hits].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +315,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         PedestrianState(p.path, p.walk_speed, p.trigger_distance, p.lane)
         for p in spec.pedestrians])
     table = ObstacleTable(spec.graph, spec.obstacles)
-    obstacles = _box_columns([o.box for o in spec.obstacles])
+    obstacles = box_columns([o.box for o in spec.obstacles])
 
     trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
                      dt=DT, duration=spec.duration)
@@ -377,7 +354,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
                     "at_fault": bool(at_fault)})
         ongoing_ego_contacts = {partner for partner, _box in contacts}
 
-        agent_pairs = _agent_agent_collisions(agents)
+        agent_pairs = pairwise_contacts(agents)
         for i, j in agent_pairs:
             if (i, j) not in ongoing_agent_contacts:
                 trace.events.append({

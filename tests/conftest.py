@@ -63,6 +63,28 @@ def boxes_overlap_sampled(a: OrientedBox, b: OrientedBox) -> bool:
     return bool(point_in_box(box_sample_points(b), a).any())
 
 
+def boxes_collide_oracle(a: OrientedBox, b: OrientedBox) -> bool:
+    """Reference: the former scalar geometry.boxes_collide, a circumcircle
+    reject, then the separating-axis test over the 4 edge normals, one axis
+    at a time. Touching boundaries count as collision."""
+    dx = a.center.x - b.center.x
+    dy = a.center.y - b.center.y
+    r = (math.hypot(a.length, a.width) / 2.0
+         + math.hypot(b.length, b.width) / 2.0)
+    if dx * dx + dy * dy > r * r:
+        return False
+    ca = a.corners()
+    cb = b.corners()
+    for box in (a, b):
+        h = box.center.heading
+        for axis in ((math.cos(h), math.sin(h)), (-math.sin(h), math.cos(h))):
+            pa = ca @ axis
+            pb = cb @ axis
+            if not (pa.min() <= pb.max() and pb.min() <= pa.max()):
+                return False
+    return True
+
+
 def sat_margin(a: OrientedBox, b: OrientedBox) -> float:
     """Signed separation margin: positive = penetration depth, negative =
     clearance along the most separating axis."""
@@ -82,8 +104,6 @@ def straight_offset_path_clear(graph, lane_id, boxes, d, s_lo, s_hi,
                                ego_length=4.6, ego_width=1.85, step=0.25):
     """Sweep an ego box along the lane at constant lateral offset d and
     report whether it stays collision-free."""
-    from drivebench.geometry import boxes_collide
-
     line = graph.lane(lane_id).centerline
     s_lo = max(0.0, s_lo)
     s_hi = min(line.length, s_hi)
@@ -91,7 +111,7 @@ def straight_offset_path_clear(graph, lane_id, boxes, d, s_lo, s_hi,
     while s <= s_hi:
         pose = line.interpolate_frenet(s, d)
         ego = OrientedBox(pose, ego_length, ego_width)
-        if any(boxes_collide(ego, b) for b in boxes):
+        if any(boxes_collide_oracle(ego, b) for b in boxes):
             return False
         s += step
     return True

@@ -9,6 +9,7 @@ from conftest import (
     box_contacts_oracle,
     box_corners_batch_oracle,
     boxes_collide_batch_oracle,
+    boxes_collide_oracle,
     boxes_overlap_sampled,
     min_distance_to_polyline,
     sat_margin,
@@ -456,6 +457,58 @@ class TestOrientedBoxCollision:
                 mismatches.append(abs(sat_margin(a, b)))
         assert all(m <= 1e-3 for m in mismatches)
 
+    def test_equals_scalar_oracle_random(self):
+        """The one-pair box_contacts call gives the former scalar test's
+        answer on random pairs, both ways round."""
+        rng = np.random.default_rng(29)
+        hits = 0
+        for _ in range(1000):
+            a, b = (OrientedBox(Pose2D(*rng.uniform(-4, 4, 2),
+                                       rng.uniform(-math.pi, math.pi)),
+                                rng.uniform(0.3, 12.0), rng.uniform(0.3, 3.0))
+                    for _ in range(2))
+            want = boxes_collide_oracle(a, b)
+            assert boxes_collide(a, b) is want
+            assert boxes_collide(b, a) is boxes_collide_oracle(b, a)
+            hits += want
+        assert 100 < hits < 900
+
+    def test_equals_scalar_oracle_touching_and_grazing(self):
+        """Edge-to-edge, corner-to-corner and corner-to-edge pairs, turned
+        by multiples of pi/2 and by random headings, moved apart by 0 and by
+        1e-9 to 1e-3 m along the contact normal: the same answer as the
+        former scalar test, and contact at a separation of 0 when the boxes
+        are axis-aligned."""
+        rng = np.random.default_rng(31)
+        half_diag = math.hypot(1.0, 1.0)
+        n_touch = n_apart = 0
+        for h in [k * math.pi / 2.0 for k in range(-2, 5)] \
+                + list(rng.uniform(-math.pi, math.pi, 12)):
+            c, s = math.cos(h), math.sin(h)
+            cx, cy = float(rng.uniform(-100, 100)), float(rng.uniform(-100, 100))
+            a = OrientedBox(Pose2D(cx, cy, h), 4.0, 2.0)
+            # (offset along, offset across, turn, extents) at zero separation
+            for ox, oy, turn, ext in [(4.0, 0.0, 0.0, (4.0, 2.0)),
+                                      (0.0, 2.0, 0.0, (4.0, 2.0)),
+                                      (4.0, 2.0, 0.0, (4.0, 2.0)),
+                                      (2.0 + half_diag, 0.0, math.pi / 4,
+                                       (2.0, 2.0))]:
+                norm = math.hypot(ox, oy)
+                for sep in (0.0, 1e-9, 1e-7, 1e-5, 1e-3):
+                    bx = ox + sep * ox / norm
+                    by = oy + sep * oy / norm
+                    b = OrientedBox(Pose2D(cx + c * bx - s * by,
+                                           cy + s * bx + c * by, h + turn),
+                                    *ext)
+                    want = boxes_collide_oracle(a, b)
+                    assert boxes_collide(a, b) is want
+                    assert boxes_collide(b, a) is boxes_collide_oracle(b, a)
+                    if sep == 0.0 and h == 0.0 and turn == 0.0:
+                        assert want
+                    n_touch += want
+                    n_apart += not want
+        assert n_touch > 50 and n_apart > 50
+
 
 BOX_ROWS = st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0),
                      st.floats(-math.pi, math.pi), st.floats(0.3, 12.0),
@@ -671,9 +724,11 @@ class TestContactKernels:
     def test_every_caller(self, monkeypatch):
         """Each caller's own shapes, from a closed loop and its score: the
         sampler's feasibility (C, K, E) and TTC (C, K, U, E) queries, the
-        metric's (T, U, N) TTC query, and the simulator's ego check, which
-        has one first box. The simulator's agent-agent pass shares only the
-        circumcircle test (tests/test_simulation.py, TestContacts)."""
+        metric's (T, U, N) TTC query, the simulator's ego check, which has
+        one first box, and boxes_collide's one pair (the at-fault rule and
+        accident construction). pairwise_contacts, the agent-agent pass and
+        scenario validation, shares only the circumcircle test
+        (tests/test_simulation.py, TestContacts)."""
         from drivebench import simulation
         from drivebench.metrics import score_scenario
         from drivebench.planners import SamplingPlanner
@@ -699,7 +754,29 @@ class TestContactKernels:
         assert seen == {("drivebench.planners.sampling", 3),
                         ("drivebench.geometry", 4),
                         ("drivebench.geometry", 3),
+                        ("drivebench.geometry", 1),
                         ("drivebench.simulation", 1)}
+
+    def test_flat_indices_equal_nonzero(self):
+        """np.unravel_index(np.flatnonzero(m), m.shape), the form that
+        box_contacts and pairwise_contacts take their pair indices with,
+        equals np.nonzero(m) on masks of 1 to 4 axes: the same intp arrays
+        in the same row-major order, on empty, all-false, all-true and
+        random masks of any density."""
+        rng = np.random.default_rng(37)
+        shapes = [(0,), (1,), (57,), (0, 4), (3, 0), (1, 1), (12, 12),
+                  (30, 20), (5, 0, 3), (30, 20, 12), (4, 3, 0, 2), (2, 3, 4, 5),
+                  (30, 20, 10, 12)]
+        for shape in shapes:
+            masks = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
+            masks += [rng.random(shape) < p for p in (0.001, 0.1, 0.5, 0.99)]
+            for m in masks:
+                got = np.unravel_index(np.flatnonzero(m), m.shape)
+                want = np.nonzero(m)
+                assert len(got) == len(want) == len(shape)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype == np.intp
+                    assert np.array_equal(g, w)
 
 
 class TestDrivableFraction:

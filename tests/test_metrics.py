@@ -152,6 +152,7 @@ def clearly_inside_one(box, polys):
     """Reference: the per-snapshot prefilter of drivable_area_metric before
     it ran over all centers of a trace at once."""
     c = np.array([[box.center.x, box.center.y]])
+    radius = math.hypot(box.length, box.width) / 2.0
     for poly in polys:
         if not points_in_polygon(c, poly)[0]:
             continue
@@ -160,7 +161,7 @@ def clearly_inside_one(box, polys):
         rel = c[0] - poly
         t = np.clip((rel * d).sum(axis=1) / seg_len2, 0, 1)
         foot = poly + t[:, None] * d
-        if np.hypot(*(c[0] - foot).T).min() > box.circumradius:
+        if np.hypot(*(c[0] - foot).T).min() > radius:
             return True
     return False
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
-from drivebench.geometry import OrientedBox, Polyline, Pose2D, boxes_collide
+from drivebench.geometry import OrientedBox, Polyline, Pose2D
 from drivebench.llm import ScriptedSelector
 from drivebench.planners import (
     BehaviorOption,
@@ -46,8 +46,9 @@ from drivebench.simulation import (
     run_closed_loop,
 )
 from conftest import (AgentObs, agent_obs, blocking_spans_oracle,
-                      box_extent_oracle, make_agent, sampler_evaluate_oracle,
-                      sampler_rollout_oracle, traffic_of, trajectories_equal)
+                      box_extent_oracle, boxes_collide_oracle, make_agent,
+                      sampler_evaluate_oracle, sampler_rollout_oracle,
+                      traffic_of, trajectories_equal)
 
 
 def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
@@ -470,7 +471,7 @@ def sampling_oracle_select(planner: SamplingPlanner, obs, behavior=None):
             for (ex, ey, evx, evy, eh, el, ew) in entities:
                 other = OrientedBox(Pose2D(ex + evx * t, ey + evy * t, eh),
                                     el, ew)
-                if boxes_collide(ego_box, other):
+                if boxes_collide_oracle(ego_box, other):
                     rel_x = ((other.center.x - ego_box.center.x)
                              * math.cos(c.heading[k])
                              + (other.center.y - ego_box.center.y)
@@ -501,7 +502,7 @@ def sampling_oracle_select(planner: SamplingPlanner, obs, behavior=None):
                     other = OrientedBox(
                         Pose2D(ex + evx * (t + u), ey + evy * (t + u), eh),
                         el, ew)
-                    if boxes_collide(ego_box, other):
+                    if boxes_collide_oracle(ego_box, other):
                         hit = True
             viol += hit
         ttc_frac = viol / K

@@ -7,11 +7,13 @@ import pytest
 
 from conftest import (
     box_lane_span_oracle,
+    boxes_collide_oracle,
     corridor_passable,
     straight_offset_path_clear,
 )
 from drivebench.geometry import (
     OrientedBox,
+    Polyline,
     Pose2D,
     boxes_collide,
     lane_changes_required,
@@ -24,12 +26,14 @@ from drivebench.scenarios import (
     MalformedScenarioError,
     ObstacleSpec,
     ObstacleTable,
+    PedestrianSpec,
     PolicyMode,
     Rng,
     ScenarioError,
     ScenarioType,
     SchemaVersionError,
     TrafficDensity,
+    VehicleAgentSpec,
     assign_policies,
     augment_goal_for_lane_changes,
     base_scenario,
@@ -173,6 +177,145 @@ class TestAccidentSite:
         spec = base_scenario(ScenarioType.ACCIDENT, g, "lane0", 40.0, 10.0, seed=1)
         with pytest.raises(ScenarioError):
             place_accident_site(spec, at_s=90.0, pattern="rear_end")
+
+
+def overlap_oracle(spec):
+    """Reference: the former double loop of ScenarioSpec.validate over the
+    ego, agent, obstacle and pedestrian boxes with the scalar box test, as
+    the message of the first overlapping pair, or None."""
+    boxes = [("ego", spec.ego_box())]
+    boxes += [("agent", spec.agent_box(a)) for a in spec.agents]
+    boxes += [(o.kind, o.box) for o in spec.obstacles]
+    for ped in spec.pedestrians:
+        p = ped.path.interpolate_frenet(0.0, 0.0)
+        boxes.append(("pedestrian", OrientedBox(p, 0.6, 0.6)))
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            if boxes[i][0] == "crashed_vehicle" \
+                    and boxes[j][0] == "crashed_vehicle":
+                continue
+            if boxes_collide_oracle(boxes[i][1], boxes[j][1]):
+                return f"initial overlap between {boxes[i][0]} and {boxes[j][0]}"
+    return None
+
+
+def validate_message(spec):
+    """The ScenarioError message of spec.validate(), or None."""
+    try:
+        spec.validate()
+    except ScenarioError as e:
+        return str(e)
+    return None
+
+
+def obstacle_at(spec, kind, lane, s, d=0.0, turn=0.0, size=(0.4, 0.4)):
+    p = spec.graph.lane(lane).centerline.interpolate_frenet(s, d)
+    return ObstacleSpec(kind, OrientedBox(Pose2D(p.x, p.y, p.heading + turn),
+                                          *size), lane)
+
+
+def pedestrian_at(spec, lane, s, d=0.0):
+    p = spec.graph.lane(lane).centerline.interpolate_frenet(s, d)
+    return PedestrianSpec(Polyline([[p.x, p.y], [p.x, p.y + 8.0]]), 30.0)
+
+
+class TestValidateOverlap:
+    """validate rejects the first overlapping pair in row-major order over
+    ego, agents, obstacles and pedestrians, with the message of the former
+    pair loop, and skips pairs of two crashed vehicles."""
+
+    MESSAGES = {
+        "ego_agent": "initial overlap between ego and agent",
+        "agent_obstacle": "initial overlap between agent and cone",
+        "obstacle_pedestrian":
+            "initial overlap between parked_vehicle and pedestrian",
+    }
+
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_rejects_overlap(self, case):
+        spec = fresh_spec()   # ego on lane0 at s = 20
+        far = [VehicleAgentSpec("lane1", 150.0, 5.0)]
+        agents, obstacles, peds = far, [], []
+        if case == "ego_agent":
+            agents = far + [VehicleAgentSpec("lane0", 23.0, 5.0)]
+        elif case == "agent_obstacle":
+            agents = far + [VehicleAgentSpec("lane1", 60.0, 5.0)]
+            obstacles = [obstacle_at(spec, "cone", "lane1", 61.5, 0.5)]
+        else:
+            obstacles = [obstacle_at(spec, "parked_vehicle", "lane0", 80.0,
+                                     size=(4.6, 1.85)),
+                         obstacle_at(spec, "cone", "lane0", 100.0)]
+            peds = [pedestrian_at(spec, "lane0", 81.0, 0.5)]
+        spec = replace(spec, agents=agents, obstacles=obstacles,
+                       pedestrians=peds)
+        message = self.MESSAGES[case]
+        assert overlap_oracle(spec) == message
+        assert validate_message(spec) == message
+
+    @pytest.mark.parametrize("pattern", ["rear_end", "crossing"])
+    def test_accepts_crashed_pair(self, pattern):
+        """Two intersecting crashed vehicles pass alone and with a third
+        box, a third crashed vehicle on both of them included; a cone on
+        one of them is rejected."""
+        spec = place_accident_site(fresh_spec(), at_s=90.0, pattern=pattern)
+        a, b = [o for o in spec.obstacles if o.kind == "crashed_vehicle"]
+        assert boxes_collide_oracle(a.box, b.box)
+        third = [
+            dict(agents=[VehicleAgentSpec("lane1", 120.0, 5.0)]),
+            dict(obstacles=spec.obstacles
+                 + (obstacle_at(spec, "cone", "lane0", 110.0),)),
+            dict(pedestrians=[pedestrian_at(spec, "lane0", 70.0)]),
+            dict(obstacles=spec.obstacles + (ObstacleSpec(
+                "crashed_vehicle", OrientedBox(
+                    Pose2D((a.box.center.x + b.box.center.x) / 2.0,
+                           (a.box.center.y + b.box.center.y) / 2.0, 0.4),
+                    4.6, 1.85), "lane0"),)),
+        ]
+        for extra in [{}] + third:
+            placed = replace(spec, **extra)
+            assert overlap_oracle(placed) is None
+            placed.validate()
+        cone = ObstacleSpec("cone", OrientedBox(a.box.center, 0.4, 0.4),
+                            "lane0")
+        placed = replace(spec, obstacles=spec.obstacles + (cone,))
+        message = "initial overlap between crashed_vehicle and cone"
+        assert overlap_oracle(placed) == message
+        assert validate_message(placed) == message
+
+    def test_random_scenes_match_oracle(self):
+        """Crowded random scenes around the ego: the same first pair, or
+        none, as the former loop."""
+        rng = np.random.default_rng(41)
+        base = fresh_spec()
+        kinds = ("cone", "parked_vehicle", "crashed_vehicle", "stopped_bus")
+        sizes = {"cone": (0.4, 0.4), "parked_vehicle": (4.6, 1.85),
+                 "crashed_vehicle": (4.6, 1.85), "stopped_bus": (12.0, 2.5)}
+        seen = {}
+
+        def lanes(n):
+            return rng.choice(["lane0", "lane1"], n).tolist()
+
+        for _ in range(300):
+            agents = [VehicleAgentSpec(lane, float(rng.uniform(25.0, 70.0)),
+                                       5.0)
+                      for lane in lanes(int(rng.integers(0, 4)))]
+            obstacles = []
+            for lane in lanes(int(rng.integers(0, 5))):
+                kind = str(rng.choice(kinds))
+                obstacles.append(obstacle_at(
+                    base, kind, lane, float(rng.uniform(25.0, 70.0)),
+                    float(rng.uniform(-1.0, 1.0)),
+                    float(rng.uniform(-0.5, 0.5)), sizes[kind]))
+            peds = [pedestrian_at(base, lane, float(rng.uniform(25.0, 70.0)),
+                                  float(rng.uniform(-2.0, 2.0)))
+                    for lane in lanes(int(rng.integers(0, 3)))]
+            spec = replace(base, agents=agents, obstacles=obstacles,
+                           pedestrians=peds)
+            want = overlap_oracle(spec)
+            assert validate_message(spec) == want
+            seen[want] = seen.get(want, 0) + 1
+        assert seen.get(None, 0) > 30
+        assert len(seen) > 10
 
 
 class TestJaywalker:

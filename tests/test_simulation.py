@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
-from drivebench.geometry import OrientedBox, Pose2D, boxes_collide
+from drivebench.geometry import (
+    OrientedBox,
+    Pose2D,
+    box_columns,
+    boxes_collide,
+    pairwise_contacts,
+)
 from drivebench.planners import IdmPlanner, SamplingPlanner, Trajectory
 from drivebench.scenarios import (
     ObstacleTable,
@@ -27,8 +33,6 @@ from drivebench.simulation import (
     EgoState,
     SimTrace,
     TickSnapshot,
-    _agent_agent_collisions,
-    _box_columns,
     _ego_collisions,
     build_observation,
     kinematic_bicycle_step,
@@ -38,7 +42,8 @@ from drivebench.simulation import (
 )
 from drivebench.agents import PedestrianState
 from drivebench.geometry import Polyline
-from conftest import (AgentObs, agent_agent_collisions_oracle, make_agent,
+from conftest import (AgentObs, agent_agent_collisions_oracle,
+                      boxes_collide_oracle, make_agent,
                       save_trace, trace_hash, traffic_of)
 from test_planners import empty_road_spec
 
@@ -260,10 +265,11 @@ class TestEgoFrame:
 
 class TestContacts:
     def test_match_scalar_box_test(self):
-        """The simulator's contact lists equal a scan with the scalar
-        boxes_collide: ego partners in the order agents, obstacles,
-        pedestrians; agent pairs (i, j), i < j, row-major. Scenes are
-        crowded around the ego, some boxes exactly touching it."""
+        """The simulator's contact lists equal a scan with the former scalar
+        boxes_collide (boxes_collide_oracle): ego partners in the order
+        agents, obstacles, pedestrians; agent pairs (i, j), i < j,
+        row-major. Scenes are crowded around the ego, some boxes exactly
+        touching it."""
         g = build_base_map("straight_multilane", lanes=2, length=450.0)
         spec = base_scenario(ScenarioType.CONSTRUCTION, g, "lane0", 20.0,
                              10.0, 1)
@@ -293,17 +299,17 @@ class TestContacts:
                            for j, o in enumerate(spec.obstacles)]
                         + [(f"pedestrian{k}", p.box()) for k, p in enumerate(peds)])
             expected = [name for name, box in partners
-                        if boxes_collide(ego.box, box)]
-            cols = _box_columns([a.box for a in agents])
-            got = _ego_collisions(ego.box, cols, _box_columns(
+                        if boxes_collide_oracle(ego.box, box)]
+            cols = box_columns([a.box for a in agents])
+            got = _ego_collisions(ego.box, cols, box_columns(
                 [o.box for o in spec.obstacles]), peds, spec)
             assert got == [(name, box) for name, box in partners
                            if name in expected]
             assert [name for name, _box in got] == expected
             pairs = [(i, j) for i in range(len(agents))
                      for j in range(i + 1, len(agents))
-                     if boxes_collide(agents[i].box, agents[j].box)]
-            assert _agent_agent_collisions(cols) == pairs
+                     if boxes_collide_oracle(agents[i].box, agents[j].box)]
+            assert pairwise_contacts(cols) == pairs
             assert agent_agent_collisions_oracle(
                 [a.box for a in agents]) == pairs
             n_ego += len(expected)
@@ -315,16 +321,17 @@ class TestContacts:
         and hands the separating-axis test as many pairs, on clusters of up
         to 65 boxes of mixed sizes and headings, with duplicated and exactly
         touching boxes."""
-        from drivebench import geometry, simulation
+        from drivebench import geometry
 
         rng = np.random.default_rng(17)
         sizes = []
+        batch = geometry.boxes_collide_batch
 
         def counted(*cols):
             sizes.append(np.size(cols[0]))
-            return geometry.boxes_collide_batch(*cols)
+            return batch(*cols)
 
-        monkeypatch.setattr(simulation, "boxes_collide_batch", counted)
+        monkeypatch.setattr(geometry, "boxes_collide_batch", counted)
         n_pairs = 0
         for _ in range(80):
             n = int(rng.integers(0, 66))
@@ -341,10 +348,10 @@ class TestContacts:
                 boxes[2] = OrientedBox(Pose2D(c.x, c.y, 0.0), 4.0, 2.0)
                 boxes.append(OrientedBox(Pose2D(c.x + 4.0, c.y, 0.0), 4.0, 2.0))
             sizes.clear()
-            got = _agent_agent_collisions(_box_columns(boxes))
+            got = pairwise_contacts(box_columns(boxes))
             assert got == agent_agent_collisions_oracle(boxes)
             if len(boxes) > 1:
-                x, y, _h, length, width = _box_columns(boxes)
+                x, y, _h, length, width = box_columns(boxes)
                 reach = np.hypot(length, width) / 2.0
                 i, j = np.triu_indices(len(boxes), 1)
                 near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 \
