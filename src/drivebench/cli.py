@@ -75,55 +75,55 @@ def _select_scenarios(cfg: RunConfig) -> list[tuple[int, ScenarioSpec]]:
             if wanted is None or spec.type in wanted]
 
 
-def _run_one(args) -> tuple[int, ScenarioScore, str, list[dict], Counter]:
-    """Worker: simulate one scenario and score it against its reference
-    progress. Top-level so process pools can pickle it. Returns the
-    scenario's llm_query events and its count of each event kind."""
-    index, spec, planner_name, planner_params, metric_cfg, ref = args
+def _run_one(args) -> tuple[int, ScenarioScore, str, Counter]:
+    """Worker: simulate one scenario, score it against its reference
+    progress and write its trace, scenario and LLM-audit files under the
+    run directory. Top-level so process pools can pickle it. Returns the
+    score, the SHA-256 of the trace file's bytes and the scenario's count of
+    each event kind; no file content goes back to the caller."""
+    index, stem, spec, planner_name, planner_params, metric_cfg, ref, out = args
     planner = make_planner(planner_name, planner_params)
     trace = run_closed_loop(spec, planner)
     score = score_scenario(trace, spec, metric_cfg, ref_progress=ref)
-    llm_events = [e for e in trace.events if e.get("kind") == "llm_query"]
+    data = trace.to_json().encode()
+    (out / "traces" / f"{stem}.json").write_bytes(data)
+    save_scenario(spec, out / "scenarios" / f"{stem}.json")
+    llm = [e for e in trace.events if e.get("kind") == "llm_query"]
+    if llm:
+        (out / "llm").mkdir(exist_ok=True)
+        (out / "llm" / f"{stem}.json").write_text(
+            json.dumps(llm, sort_keys=True, indent=1), encoding="utf-8")
     kinds = Counter(e.get("kind") for e in trace.events)
-    return index, score, trace.to_json(), llm_events, kinds
+    return index, score, hashlib.sha256(data).hexdigest(), kinds
 
 
 def run_benchmark(cfg: RunConfig) -> SuiteReport:
-    """Execute the selected scenarios (concurrently up to cfg.jobs), write
-    traces, the per-scenario CSV, and the suite report; return the report."""
+    """Execute the selected scenarios (concurrently up to cfg.jobs; each
+    worker writes its scenario's files), then write the per-scenario CSV,
+    the trace hashes and the suite report; return the report."""
     metric_cfg = _load_metric_config(cfg.metric_config_path)
     selected = _select_scenarios(cfg)
     out = Path(cfg.out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "scenarios").mkdir(parents=True, exist_ok=True)
+    stems = {i: f"{i:03d}_{spec.type.value}" for i, spec in selected}
 
-    results: dict[int, tuple[ScenarioScore, str, list[dict]]] = {}
+    results: dict[int, tuple[ScenarioScore, str]] = {}
     kinds: Counter = Counter()
     with (ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1
           else nullcontext()) as pool:
         map_fn = map if pool is None else pool.map
         # one reference drive per distinct input, before any scenario task
         refs = reference_progresses([spec for _, spec in selected], map_fn)
-        tasks = [(i, spec, cfg.planner, cfg.planner_params, metric_cfg, ref)
+        tasks = [(i, stems[i], spec, cfg.planner, cfg.planner_params,
+                  metric_cfg, ref, out)
                  for (i, spec), ref in zip(selected, refs)]
-        for index, score, trace_json, llm, counts in map_fn(_run_one, tasks):
-            results[index] = (score, trace_json, llm)
+        for index, score, digest, counts in map_fn(_run_one, tasks):
+            results[index] = (score, digest)
             kinds.update(counts)
 
-    scores: list[ScenarioScore] = []
-    hash_lines: list[str] = []
-    for index, spec in selected:
-        score, trace_json, llm = results[index]
-        scores.append(score)
-        name = f"{index:03d}_{spec.type.value}"
-        (out / "traces" / f"{name}.json").write_text(trace_json, encoding="utf-8")
-        save_scenario(spec, out / "scenarios" / f"{name}.json")
-        digest = hashlib.sha256(trace_json.encode()).hexdigest()
-        hash_lines.append(f"{name} {digest}")
-        if llm:
-            (out / "llm").mkdir(exist_ok=True)
-            (out / "llm" / f"{name}.json").write_text(
-                json.dumps(llm, sort_keys=True, indent=1), encoding="utf-8")
+    scores = [results[i][0] for i, _ in selected]
+    hash_lines = [f"{stems[i]} {results[i][1]}" for i, _ in selected]
 
     report = suite_report(scores)
     (out / "scores.csv").write_text(scores_to_csv(scores), encoding="utf-8")

@@ -7,6 +7,7 @@ selector needs no network at all.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .geometry import wrap_angle
 from .planners.base import Observation, lane_scene
@@ -341,36 +341,48 @@ def scripted_oracle(obs: Observation, options: Sequence) -> SelectorResponse:
 def llm_call(prompt: PromptBundle, cfg: ClientConfig) -> str:
     """POST a chat-completion request (system = task instruction, user =
     remaining sections); retries transport errors up to max_retries."""
+    # imported here: offline runs (the scripted selector) load no HTTP stack
+    import http.client
+    import urllib.error
+    import urllib.request
+
     if not cfg.endpoint:
         raise LlmTransportError("no endpoint configured")
-    body = {
+    body = json.dumps({
         "model": cfg.model,
         "messages": [
             {"role": "system", "content": prompt.task_instruction},
             {"role": "user", "content": prompt.user_content()},
         ],
         "temperature": cfg.temperature,
-    }
+    }).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
+    try:
+        request = urllib.request.Request(cfg.endpoint, data=body,
+                                         headers=headers, method="POST")
+    except ValueError as exc:                     # no URL scheme
+        raise LlmTransportError(str(exc)) from exc
     last_transport: Optional[Exception] = None
     for _ in range(cfg.max_retries + 1):
         try:
-            resp = requests.post(cfg.endpoint, json=body, headers=headers,
-                                 timeout=cfg.timeout)
-        except requests.Timeout as exc:
-            raise LlmTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
+                status, text = resp.status, resp.read().decode("utf-8", "replace")
+        except urllib.error.HTTPError as exc:     # a non-2xx status
+            raise LlmBadStatus(exc.code, exc.read().decode("utf-8", "replace")) \
+                from exc
+        except (OSError, http.client.HTTPException) as exc:
+            # a timeout arrives wrapped in a URLError at connect, bare at read
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise LlmTimeout(str(exc)) from exc
             last_transport = exc
             continue
-        if not 200 <= resp.status_code < 300:
-            raise LlmBadStatus(resp.status_code, resp.text)
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(text)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, ValueError, TypeError) as exc:
-            raise LlmBadStatus(resp.status_code,
-                               f"unexpected payload: {resp.text[:200]}") from exc
+            raise LlmBadStatus(status,
+                               f"unexpected payload: {text[:200]}") from exc
     raise LlmTransportError(str(last_transport))
 
 

@@ -55,7 +55,7 @@ def make_planner(name: str, params: dict | None = None):
         return IdmMobilPlanner(mobil=MobilParams(**floats))
     if name == "sampler":
         return SamplingPlanner(**floats)
-    # imported here: llm loads an HTTP client the other planners never use
+    # imported here: only the hybrid and LLM planners need the llm module
     from ..llm import ClientConfig, LlmBehaviorSelector, ScriptedSelector, llm_call
 
     if name == "hybrid-scripted":

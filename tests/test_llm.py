@@ -1,8 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+import urllib.error
+import urllib.request
+from http.client import RemoteDisconnected
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,3 +475,47 @@ class TestLlmCall:
             selector.select(obs, options)
         audit = selector.take_audit()
         assert len(audit) == 1 and audit[0]["response"].startswith("echo:")
+
+    @pytest.mark.parametrize("error, raised, attempts", [
+        (urllib.error.URLError(TimeoutError("timed out")), LlmTimeout, 1),
+        (TimeoutError("timed out"), LlmTimeout, 1),
+        (urllib.error.URLError(ConnectionRefusedError()), LlmTransportError, 3),
+        (ConnectionResetError(), LlmTransportError, 3),
+        (RemoteDisconnected(), LlmTransportError, 3),
+    ])
+    def test_error_mapping(self, error, raised, attempts, monkeypatch):
+        """A timeout at connect (wrapped in a URLError) or at read raises at
+        once; a transport error is retried max_retries times."""
+        calls = []
+
+        def urlopen(request, timeout):
+            calls.append(timeout)
+            raise error
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        cfg = ClientConfig(endpoint="http://127.0.0.1:1/v1", model="m",
+                           timeout=0.5, max_retries=2)
+        with pytest.raises(raised):
+            llm_call(PROMPT, cfg)
+        assert calls == [0.5] * attempts
+
+    def test_endpoint_without_scheme(self):
+        with pytest.raises(LlmTransportError):
+            llm_call(PROMPT, ClientConfig(endpoint="localhost:8000", model="m"))
+
+
+def test_offline_planners_load_no_http_stack():
+    """The runner and the planners that need no endpoint import no HTTP
+    client; llm_call imports one when it is called."""
+    code = (
+        "import sys; import drivebench.cli; "
+        "from drivebench.planners import make_planner; "
+        "[make_planner(n) for n in ('idm', 'mobil', 'sampler', "
+        "'hybrid-scripted')]; "
+        "print(sorted({'requests', 'urllib.request', 'http.client'} "
+        "& set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

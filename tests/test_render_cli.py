@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pickle
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 
@@ -6,7 +8,9 @@ import pytest
 
 import drivebench.cli as cli
 import drivebench.metrics as metrics
+import drivebench.llm as llm
 from drivebench.cli import RunConfig, _parse_params, main, run_benchmark
+from drivebench.metrics import MetricConfig
 from drivebench.planners import IdmPlanner, make_planner
 from drivebench.render import render_svg
 from drivebench.scenarios import ScenarioType, generate_benchmark_suite
@@ -214,9 +218,78 @@ class TestReferenceDrives:
                                 out_dir=str(tmp_path / "j2")))
         # the pool's drives are memoised in this process
         assert metrics._REFERENCE_PROGRESS == serial and len(serial) == 2
-        for name in ("scores.csv", "trace_hashes.txt"):
-            assert (tmp_path / "j1" / name).read_bytes() == \
-                (tmp_path / "j2" / name).read_bytes()
+        serial_files = run_files(tmp_path / "j1")
+        assert serial_files == run_files(tmp_path / "j2")
+        assert len(serial_files) == 4 + 2 * 3   # run-level + per-scenario
+
+
+def run_files(out):
+    """Every file under a run directory: relative path -> bytes."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestWorkerWrites:
+    """_run_one writes its scenario's files where it runs and sends back
+    only the score, the trace digest and the event counts."""
+
+    def test_result_is_small(self, tmp_path):
+        htd = [s for s in generate_benchmark_suite(2024)
+               if s.type is ScenarioType.LANE_CHANGE_HTD]
+        spec = max(htd, key=lambda s: len(s.agents))
+        for sub in ("traces", "scenarios"):
+            (tmp_path / sub).mkdir()
+        result = cli._run_one((7, "007_lane_change_htd", spec, "idm", {},
+                               MetricConfig(), metrics.reference_progress(spec),
+                               tmp_path))
+        assert len(pickle.dumps(result)) < 2048
+        data = (tmp_path / "traces" / "007_lane_change_htd.json").read_bytes()
+        assert len(data) > 1_000_000
+        assert result[0] == 7
+        assert result[2] == hashlib.sha256(data).hexdigest()
+        assert (tmp_path / "scenarios" / "007_lane_change_htd.json").is_file()
+
+    def test_llm_audit_same_from_pool(self, tmp_path, monkeypatch):
+        spec = next(s for s in generate_benchmark_suite(2024)
+                    if s.type is ScenarioType.CONSTRUCTION)
+        monkeypatch.setattr(cli, "generate_benchmark_suite", lambda seed: [spec])
+        # a fixed responder; fork carries the patch into the pool's workers
+        monkeypatch.setattr(llm, "llm_call",
+                            lambda prompt, cfg: f"{len(prompt.perception_context)}"
+                                                " characters seen\nfollow_lane")
+        for jobs in (1, 2):
+            run_benchmark(RunConfig(planner="hybrid-llm", jobs=jobs,
+                                    out_dir=str(tmp_path / f"j{jobs}")))
+        audit = (tmp_path / "j1" / "llm" / "000_construction.json").read_bytes()
+        assert audit == \
+            (tmp_path / "j2" / "llm" / "000_construction.json").read_bytes()
+        queries = json.loads(audit)
+        assert len(queries) == 15
+        assert all(q["response"].endswith("follow_lane") for q in queries)
+        assert run_files(tmp_path / "j1") == run_files(tmp_path / "j2")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_scenario_writes_no_run_files(self, jobs, three_scenarios,
+                                                 tmp_path, monkeypatch):
+        first, failing, _ = cli.generate_benchmark_suite(2024)
+        drive = cli.run_closed_loop
+
+        def drive_or_fail(spec, planner):
+            if (spec.type, spec.seed) == (failing.type, failing.seed):
+                raise RuntimeError("scenario 1 failed")
+            return drive(spec, planner)
+
+        monkeypatch.setattr(cli, "run_closed_loop", drive_or_fail)
+        with pytest.raises(RuntimeError, match="scenario 1 failed"):
+            run_benchmark(RunConfig(planner="idm", jobs=jobs,
+                                    out_dir=str(tmp_path)))
+        written = set(run_files(tmp_path))
+        assert written.isdisjoint({"scores.csv", "trace_hashes.txt",
+                                   "report.md", "report.json"})
+        # the scenario that finished first keeps its files
+        assert f"traces/000_{first.type.value}.json" in written
+        assert not any(name.startswith(("traces/001_", "scenarios/001_"))
+                       for name in written)
 
 
 def test_report_counts_planner_fallbacks(tmp_path, monkeypatch):
