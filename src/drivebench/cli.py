@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .metrics import (
-    MetricConfig,
     ScenarioScore,
     SuiteReport,
     compare_reports,
@@ -49,7 +48,6 @@ class RunConfig:
     types: Optional[list[str]] = None
     jobs: int = 1
     out_dir: str = "bench_out"
-    metric_config_path: Optional[str] = None
     planner_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -57,13 +55,6 @@ class RunConfig:
             raise ValueError("parallelism must be >= 1")
         # a bad planner name, key or value fails here, before any scenario
         make_planner(self.planner, self.planner_params)
-
-
-def _load_metric_config(path: Optional[str]) -> MetricConfig:
-    if path is None:
-        return MetricConfig()
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return MetricConfig(**data)
 
 
 def _select_scenarios(cfg: RunConfig) -> list[tuple[int, ScenarioSpec]]:
@@ -81,10 +72,10 @@ def _run_one(args) -> tuple[int, ScenarioScore, str, Counter]:
     run directory. Top-level so process pools can pickle it. Returns the
     score, the SHA-256 of the trace file's bytes and the scenario's count of
     each event kind; no file content goes back to the caller."""
-    index, stem, spec, planner_name, planner_params, metric_cfg, ref, out = args
+    index, stem, spec, planner_name, planner_params, ref, out = args
     planner = make_planner(planner_name, planner_params)
     trace = run_closed_loop(spec, planner)
-    score = score_scenario(trace, spec, metric_cfg, ref_progress=ref)
+    score = score_scenario(trace, spec, ref_progress=ref)
     data = trace.to_json().encode()
     (out / "traces" / f"{stem}.json").write_bytes(data)
     save_scenario(spec, out / "scenarios" / f"{stem}.json")
@@ -101,7 +92,6 @@ def run_benchmark(cfg: RunConfig) -> SuiteReport:
     """Execute the selected scenarios (concurrently up to cfg.jobs; each
     worker writes its scenario's files), then write the per-scenario CSV,
     the trace hashes and the suite report; return the report."""
-    metric_cfg = _load_metric_config(cfg.metric_config_path)
     selected = _select_scenarios(cfg)
     out = Path(cfg.out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
@@ -115,8 +105,7 @@ def run_benchmark(cfg: RunConfig) -> SuiteReport:
         map_fn = map if pool is None else pool.map
         # one reference drive per distinct input, before any scenario task
         refs = reference_progresses([spec for _, spec in selected], map_fn)
-        tasks = [(i, stems[i], spec, cfg.planner, cfg.planner_params,
-                  metric_cfg, ref, out)
+        tasks = [(i, stems[i], spec, cfg.planner, cfg.planner_params, ref, out)
                  for (i, spec), ref in zip(selected, refs)]
         for index, score, digest, counts in map_fn(_run_one, tasks):
             results[index] = (score, digest)
@@ -178,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated scenario families")
     run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--out", type=str, default="bench_out")
-    run_p.add_argument("--metric-config", type=str, default=None)
     run_p.add_argument("--planner-param", action="append", default=[],
                        metavar="K=V")
 
@@ -203,7 +191,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             types=args.types.split(",") if args.types else None,
             jobs=args.jobs,
             out_dir=args.out,
-            metric_config_path=args.metric_config,
             planner_params=_parse_params(args.planner_param),
         )
         report = run_benchmark(cfg)

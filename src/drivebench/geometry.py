@@ -451,13 +451,17 @@ def points_in_any_polygon(points: np.ndarray, polygons: Iterable[np.ndarray]) ->
     return inside
 
 
-def fraction_outside_drivable(box: OrientedBox, area: Sequence[np.ndarray],
-                              grid: int = 32) -> float:
+DRIVABLE_GRID = 32   # cell-center samples per box side
+
+
+def fraction_outside_drivable(box: OrientedBox,
+                              area: Sequence[np.ndarray]) -> float:
     """Approximate area fraction of the box outside the union of polygons,
-    via a fixed deterministic grid of cell-center samples (grid x grid)."""
+    via a fixed deterministic grid of cell-center samples
+    (DRIVABLE_GRID x DRIVABLE_GRID)."""
     c, s = math.cos(box.center.heading), math.sin(box.center.heading)
     # cell centers in body frame
-    u = (np.arange(grid) + 0.5) / grid - 0.5
+    u = (np.arange(DRIVABLE_GRID) + 0.5) / DRIVABLE_GRID - 0.5
     gx, gy = np.meshgrid(u * box.length, u * box.width)
     px = box.center.x + c * gx - s * gy
     py = box.center.y + s * gx + c * gy

@@ -20,6 +20,8 @@ from .geometry import wrap_angle
 from .planners.base import Observation, lane_scene
 
 DEFAULT_TIMEOUT = 30.0
+MAX_RETRIES = 2      # further attempts after a transport error
+TEMPERATURE = 0.0
 
 
 class NoLabelFound(Exception):
@@ -49,8 +51,6 @@ class ClientConfig:
     endpoint: str
     model: str
     timeout: float = DEFAULT_TIMEOUT
-    max_retries: int = 2
-    temperature: float = 0.0
     api_key: Optional[str] = None
 
     def __post_init__(self):
@@ -340,7 +340,7 @@ def scripted_oracle(obs: Observation, options: Sequence) -> SelectorResponse:
 
 def llm_call(prompt: PromptBundle, cfg: ClientConfig) -> str:
     """POST a chat-completion request (system = task instruction, user =
-    remaining sections); retries transport errors up to max_retries."""
+    remaining sections); retries transport errors up to MAX_RETRIES."""
     # imported here: offline runs (the scripted selector) load no HTTP stack
     import http.client
     import urllib.error
@@ -354,7 +354,7 @@ def llm_call(prompt: PromptBundle, cfg: ClientConfig) -> str:
             {"role": "system", "content": prompt.task_instruction},
             {"role": "user", "content": prompt.user_content()},
         ],
-        "temperature": cfg.temperature,
+        "temperature": TEMPERATURE,
     }).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
@@ -365,7 +365,7 @@ def llm_call(prompt: PromptBundle, cfg: ClientConfig) -> str:
     except ValueError as exc:                     # no URL scheme
         raise LlmTransportError(str(exc)) from exc
     last_transport: Optional[Exception] = None
-    for _ in range(cfg.max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         try:
             with urllib.request.urlopen(request, timeout=cfg.timeout) as resp:
                 status, text = resp.status, resp.read().decode("utf-8", "replace")

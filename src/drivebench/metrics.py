@@ -14,8 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -43,42 +42,28 @@ from .simulation import SimTrace, run_closed_loop
 DIRECTION_EXEMPT_TYPES = (ScenarioType.OVERTAKE, ScenarioType.ACCIDENT)
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    weight_progress: float = 5.0
-    weight_ttc: float = 5.0
-    weight_speed: float = 4.0
-    weight_comfort: float = 2.0
-    weight_lane_change: float = 5.0
-    # comfort bounds, following common driving-benchmark tooling defaults
-    lon_accel_min: float = -4.05   # m/s^2
-    lon_accel_max: float = 2.40    # m/s^2
-    lat_accel_max: float = 4.89    # m/s^2
-    lon_jerk_max: float = 4.13     # m/s^3
-    jerk_max: float = 8.37         # m/s^3 magnitude
-    yaw_rate_max: float = 0.95     # rad/s
-    yaw_accel_max: float = 1.93    # rad/s^2
-    ttc_threshold: float = 0.95    # s
-    stationary_speed: float = 0.1          # m/s
-    stationary_duration: float = 10.0      # s
-    stationary_justify_distance: float = 10.0  # m
-    direction_minor: float = 2.0   # m of wrong-way travel at multiplier 1
-    direction_major: float = 6.0   # m of wrong-way travel at multiplier 0.5
-    drivable_threshold: float = 0.05
-    min_progress_margin: float = 2.0  # m past the obstacle's far end
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(
-                    f"metric config {f.name} must be a finite number, "
-                    f"got {value!r}")
-        weights = (self.weight_progress, self.weight_ttc, self.weight_speed,
-                   self.weight_comfort, self.weight_lane_change)
-        if min(weights) < 0 or max(weights) <= 0:
-            raise ValueError("weights must be nonnegative with one positive")
+# The score's definition, the same for every run. Component weights:
+WEIGHT_PROGRESS = 5.0
+WEIGHT_TTC = 5.0
+WEIGHT_SPEED = 4.0
+WEIGHT_COMFORT = 2.0
+WEIGHT_LANE_CHANGE = 5.0       # lane-change families only
+# comfort bounds, following common driving-benchmark tooling defaults
+LON_ACCEL_MIN = -4.05          # m/s^2
+LON_ACCEL_MAX = 2.40           # m/s^2
+LAT_ACCEL_MAX = 4.89           # m/s^2
+LON_JERK_MAX = 4.13            # m/s^3
+JERK_MAX = 8.37                # m/s^3 magnitude
+YAW_RATE_MAX = 0.95            # rad/s
+YAW_ACCEL_MAX = 1.93           # rad/s^2
+TTC_THRESHOLD = 0.95           # s
+STATIONARY_SPEED = 0.1         # m/s
+STATIONARY_DURATION = 10.0     # s
+STATIONARY_JUSTIFY_DISTANCE = 10.0  # m
+DIRECTION_MINOR = 2.0          # m of wrong-way travel at multiplier 1
+DIRECTION_MAJOR = 6.0          # m of wrong-way travel at multiplier 0.5
+DRIVABLE_THRESHOLD = 0.05      # box fraction outside the drivable area
+MIN_PROGRESS_MARGIN = 2.0      # m past the obstacle's far end
 
 
 @dataclass
@@ -180,8 +165,7 @@ def collision_metric(trace: SimTrace) -> tuple[float, list[dict]]:
     return (0.0 if at_fault else 1.0), events
 
 
-def drivable_area_metric(trace: SimTrace, spec: ScenarioSpec,
-                         cfg: MetricConfig = MetricConfig()) -> float:
+def drivable_area_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
     polys = spec.graph.drivable_area
     egos = [snap.ego for snap in trace.snapshots]
     centers = np.array([[e["x"], e["y"]] for e in egos]).reshape(-1, 2)
@@ -190,7 +174,7 @@ def drivable_area_metric(trace: SimTrace, spec: ScenarioSpec,
     for e in compress(egos, ~skip):
         box = OrientedBox(Pose2D(e["x"], e["y"], e["heading"]),
                           VEHICLE_LENGTH, VEHICLE_WIDTH)
-        if fraction_outside_drivable(box, polys) > cfg.drivable_threshold:
+        if fraction_outside_drivable(box, polys) > DRIVABLE_THRESHOLD:
             return 0.0
     return 1.0
 
@@ -213,16 +197,16 @@ def _clearly_inside(centers: np.ndarray, radius: float, polys) -> np.ndarray:
 
 
 def driving_direction_metric(trace: SimTrace, spec: ScenarioSpec,
-                             track: EgoTrack, scenario_type: ScenarioType,
-                             cfg: MetricConfig = MetricConfig()) -> float:
+                             track: EgoTrack,
+                             scenario_type: ScenarioType) -> float:
     """Distance traveled against the nearest lane's direction, thresholded;
     forced to 1 for the overtake and accident families."""
     if scenario_type in DIRECTION_EXEMPT_TYPES:
         return 1.0
     wrong_way = _wrong_way_distance(trace, spec, track)
-    if wrong_way < cfg.direction_minor:
+    if wrong_way < DIRECTION_MINOR:
         return 1.0
-    if wrong_way < cfg.direction_major:
+    if wrong_way < DIRECTION_MAJOR:
         return 0.5
     return 0.0
 
@@ -247,27 +231,26 @@ def _wrong_way_distance(trace: SimTrace, spec: ScenarioSpec,
 
 
 def stationary_metric(trace: SimTrace, spec: ScenarioSpec, track: EgoTrack,
-                      spans: dict, cfg: MetricConfig = MetricConfig()) -> float:
+                      spans: dict) -> float:
     """0 iff the ego idles longer than the threshold with nothing within the
     justification distance ahead of it; spans are the blocking_spans."""
     dt = trace.dt
     run = 0.0
     for snap, lane_id, s in zip(trace.snapshots, track.lane, track.s):
         ego = snap.ego
-        stationary = ego["speed"] < cfg.stationary_speed
-        justified = stationary and _stop_justified(snap, spec, lane_id, s,
-                                                   spans, cfg)
+        stationary = ego["speed"] < STATIONARY_SPEED
+        justified = stationary and _stop_justified(snap, spec, lane_id, s, spans)
         if stationary and not justified:
             run += dt
-            if run > cfg.stationary_duration:
+            if run > STATIONARY_DURATION:
                 return 0.0
         else:
             run = 0.0
     return 1.0
 
 
-def _stop_justified(snap, spec: ScenarioSpec, lane_id: str, s: float, spans,
-                    cfg: MetricConfig) -> bool:
+def _stop_justified(snap, spec: ScenarioSpec, lane_id: str, s: float,
+                    spans) -> bool:
     """Whether something the lane keeper of lane_id brakes for has its near
     edge within the justification distance ahead of the front of an ego at
     arc position s (closed at both ends); crossing pedestrians count from
@@ -278,12 +261,12 @@ def _stop_justified(snap, spec: ScenarioSpec, lane_id: str, s: float, spans,
         [(a["lane"], a["s"], a["length"], a["speed"]) for a in snap.agents],
         spans, [(p["x"], p["y"], p["phase"]) for p in snap.pedestrians],
         ped_half=0.0)])
-    horizon = cfg.stationary_justify_distance
+    horizon = STATIONARY_JUSTIFY_DISTANCE
     return bool(((front <= near) & (near <= front + horizon)).any())
 
 
-def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec, spans: dict,
-                            cfg: MetricConfig = MetricConfig()) -> float:
+def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec,
+                            spans: dict) -> float:
     """1 iff the ego front passes the farthest blocking obstacle's far end
     plus the margin, by route arclength; 1 when nothing blocks the route."""
     far_end = None
@@ -295,15 +278,14 @@ def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec, spans: dict,
     spine = spec.graph.lane(spec.route.lane_sequence[0]).centerline
     last = trace.snapshots[-1].ego
     s_front = spine.project_extended((last["x"], last["y"])).s + VEHICLE_LENGTH / 2.0
-    return 1.0 if s_front > far_end + cfg.min_progress_margin else 0.0
+    return 1.0 if s_front > far_end + MIN_PROGRESS_MARGIN else 0.0
 
 
 # ---------------------------------------------------------------------------
 # weighted components
 
 
-def ttc_metric(trace: SimTrace, spec: ScenarioSpec,
-               cfg: MetricConfig = MetricConfig()) -> float:
+def ttc_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
     """Fraction of ticks whose constant-velocity projection of everything
     stays collision-free through the TTC threshold."""
     T = len(trace.snapshots)
@@ -324,11 +306,11 @@ def ttc_metric(trace: SimTrace, spec: ScenarioSpec,
         np.hstack([ent["ah"], np.tile(oh, (T, 1)), np.zeros((T, P))]),
         np.concatenate([ent["al"], ol, np.full(P, 0.6)]),
         np.concatenate([ent["aw"], ow, np.full(P, 0.6)]),
-        cfg.ttc_threshold)
+        TTC_THRESHOLD)
     return float(1.0 - violating.mean())
 
 
-def comfort_metric(trace: SimTrace, cfg: MetricConfig = MetricConfig()) -> float:
+def comfort_metric(trace: SimTrace) -> float:
     """1 iff every kinematic-comfort bound holds over the whole trace (on
     lightly smoothed series, matching how such bounds are usually checked)."""
     ego = trace.ego_series()
@@ -344,13 +326,13 @@ def comfort_metric(trace: SimTrace, cfg: MetricConfig = MetricConfig()) -> float
     jerk_mag = np.hypot(lon_jerk, lat_jerk)
     yaw_acc = np.diff(yaw_rate) / dt
     checks = [
-        lon_acc.min() >= cfg.lon_accel_min - 1e-9,
-        lon_acc.max() <= cfg.lon_accel_max + 1e-9,
-        np.abs(lat_acc).max() <= cfg.lat_accel_max + 1e-9,
-        np.abs(lon_jerk).max() <= cfg.lon_jerk_max + 1e-9,
-        jerk_mag.max() <= cfg.jerk_max + 1e-9,
-        np.abs(yaw_rate).max() <= cfg.yaw_rate_max + 1e-9,
-        np.abs(yaw_acc).max() <= cfg.yaw_accel_max + 1e-9,
+        lon_acc.min() >= LON_ACCEL_MIN - 1e-9,
+        lon_acc.max() <= LON_ACCEL_MAX + 1e-9,
+        np.abs(lat_acc).max() <= LAT_ACCEL_MAX + 1e-9,
+        np.abs(lon_jerk).max() <= LON_JERK_MAX + 1e-9,
+        jerk_mag.max() <= JERK_MAX + 1e-9,
+        np.abs(yaw_rate).max() <= YAW_RATE_MAX + 1e-9,
+        np.abs(yaw_acc).max() <= YAW_ACCEL_MAX + 1e-9,
     ]
     return 1.0 if all(checks) else 0.0
 
@@ -456,19 +438,18 @@ def lane_change_completion(trace: SimTrace, spec: ScenarioSpec,
 
 
 def aggregate_score(components: dict, multipliers: dict,
-                    cfg: MetricConfig, scenario_type: ScenarioType
-                    ) -> ScenarioScore:
+                    scenario_type: ScenarioType) -> ScenarioScore:
     """Weighted average of the components times the product of the gate
     multipliers; lane-change completion is weighted only for the
     lane-change families."""
     items = [
-        (cfg.weight_progress, components["progress"]),
-        (cfg.weight_ttc, components["ttc"]),
-        (cfg.weight_speed, components["speed_compliance"]),
-        (cfg.weight_comfort, components["comfort"]),
+        (WEIGHT_PROGRESS, components["progress"]),
+        (WEIGHT_TTC, components["ttc"]),
+        (WEIGHT_SPEED, components["speed_compliance"]),
+        (WEIGHT_COMFORT, components["comfort"]),
     ]
     if scenario_type in LANE_CHANGE_TYPES:
-        items.append((cfg.weight_lane_change,
+        items.append((WEIGHT_LANE_CHANGE,
                       components["lane_change_completion"]))
     total_w = sum(w for w, _ in items)
     weighted = sum(w * v for w, v in items) / total_w
@@ -493,26 +474,25 @@ def aggregate_score(components: dict, multipliers: dict,
 
 
 def score_scenario(trace: SimTrace, spec: ScenarioSpec,
-                   cfg: MetricConfig = MetricConfig(),
                    ref_progress: Optional[float] = None) -> ScenarioScore:
     collision, _events = collision_metric(trace)
     track = ego_track(trace, spec)
     spans = ObstacleTable(spec.graph, spec.obstacles).blocking_spans
     components = {
         "progress": progress_metric(trace, spec, ref_progress),
-        "ttc": ttc_metric(trace, spec, cfg),
+        "ttc": ttc_metric(trace, spec),
         "speed_compliance": speed_limit_metric(trace, spec, track),
-        "comfort": comfort_metric(trace, cfg),
+        "comfort": comfort_metric(trace),
         "lane_change_completion": lane_change_completion(trace, spec, track),
     }
     multipliers = {
         "collision": collision,
-        "drivable": drivable_area_metric(trace, spec, cfg),
-        "direction": driving_direction_metric(trace, spec, track, spec.type, cfg),
-        "stationary": stationary_metric(trace, spec, track, spans, cfg),
-        "min_progress": min_progress_multiplier(trace, spec, spans, cfg),
+        "drivable": drivable_area_metric(trace, spec),
+        "direction": driving_direction_metric(trace, spec, track, spec.type),
+        "stationary": stationary_metric(trace, spec, track, spans),
+        "min_progress": min_progress_multiplier(trace, spec, spans),
     }
-    return aggregate_score(components, multipliers, cfg, spec.type)
+    return aggregate_score(components, multipliers, spec.type)
 
 
 def suite_report(scores: Sequence[ScenarioScore]) -> SuiteReport:

@@ -18,7 +18,6 @@ from drivebench.cli import RunConfig, run_benchmark
 from drivebench.geometry import OrientedBox, Polyline, Pose2D, boxes_collide
 from drivebench.llm import ScriptedSelector
 from drivebench.metrics import (
-    MetricConfig,
     aggregate_score,
     score_scenario,
 )
@@ -277,7 +276,6 @@ class TestCriterion06HybridBeatsBase:
 
 class TestCriterion07MetricInvariants:
     def test_criterion_07_aggregation(self):
-        cfg = MetricConfig()
         rng = np.random.default_rng(17)
         worst = 0.0
         zero_rule_ok = True
@@ -290,7 +288,7 @@ class TestCriterion07MetricInvariants:
                      "min_progress")}
             stype = (ScenarioType.LANE_CHANGE_MTD if rng.random() < 0.5
                      else ScenarioType.CONSTRUCTION)
-            score = aggregate_score(comp, mult, cfg, stype)
+            score = aggregate_score(comp, mult, stype)
             if stype in LANE_CHANGE_TYPES:
                 avg = (5 * comp["progress"] + 5 * comp["ttc"]
                        + 4 * comp["speed_compliance"] + 2 * comp["comfort"]
@@ -480,7 +478,8 @@ class TestCriterion11LlmFree:
                 pass
 
         server = HTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.01,),
+                         daemon=True).start()
         endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
         try:
             from drivebench.llm import ClientConfig, LlmBehaviorSelector, llm_call

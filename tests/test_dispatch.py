@@ -19,8 +19,8 @@ SCENARIOS = (("sampler", "003_construction"), ("idm", "050_lane_change_ltd"),
 # prints "<planner> <scenario> <trace sha256> <score row>" per argument
 SCRIPT = """
 import hashlib, sys
-from drivebench.metrics import (MetricConfig, reference_progresses,
-                                score_scenario, scores_to_csv)
+from drivebench.metrics import (reference_progresses, score_scenario,
+                                scores_to_csv)
 from drivebench.planners import make_planner
 from drivebench.scenarios import generate_benchmark_suite
 from drivebench.simulation import run_closed_loop
@@ -31,7 +31,7 @@ for arg in sys.argv[1:]:
     spec = suite[int(name.split("_")[0])]
     trace = run_closed_loop(spec, make_planner(planner))
     digest = hashlib.sha256(trace.to_json().encode()).hexdigest()
-    score = score_scenario(trace, spec, MetricConfig(),
+    score = score_scenario(trace, spec,
                            ref_progress=reference_progresses([spec])[0])
     row = scores_to_csv([score]).splitlines()[1].split(",", 1)[1]
     print(planner, name, digest, row)

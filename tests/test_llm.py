@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import urllib.error
 import urllib.request
 from http.client import RemoteDisconnected
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import drivebench.llm as llm
 from drivebench.geometry import wrap_angle
 from drivebench.llm import (
     ClientConfig,
@@ -382,6 +382,7 @@ class TestSelectorQueries:
 class _MockHandler(BaseHTTPRequestHandler):
     behavior = "echo"        # echo | slow | error | garbage
     last_request = None
+    release = threading.Event()   # ends a slow answer's wait
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -389,7 +390,7 @@ class _MockHandler(BaseHTTPRequestHandler):
         type(self).last_request = {"body": body,
                                    "auth": self.headers.get("Authorization")}
         if type(self).behavior == "slow":
-            time.sleep(1.0)
+            type(self).release.wait(1.0)
         if type(self).behavior == "error":
             self.send_response(500)
             self.end_headers()
@@ -415,11 +416,16 @@ class _MockHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def mock_server():
     server = HTTPServer(("127.0.0.1", 0), _MockHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits for serve_forever's next poll
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
     thread.start()
     _MockHandler.behavior = "echo"
+    _MockHandler.release = threading.Event()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    _MockHandler.release.set()
     server.shutdown()
+    server.server_close()
 
 
 PROMPT = PromptBundle("do the task", "nothing around", "standing still",
@@ -438,9 +444,10 @@ class TestLlmCall:
         roles = [m["role"] for m in _MockHandler.last_request["body"]["messages"]]
         assert roles == ["system", "user"]
 
-    def test_unreachable_endpoint(self):
+    def test_unreachable_endpoint(self, monkeypatch):
+        monkeypatch.setattr(llm, "MAX_RETRIES", 1)
         cfg = ClientConfig(endpoint="http://127.0.0.1:1/nope", model="m",
-                           timeout=0.5, max_retries=1)
+                           timeout=0.5)
         with pytest.raises(LlmTransportError):
             llm_call(PROMPT, cfg)
 
@@ -485,7 +492,7 @@ class TestLlmCall:
     ])
     def test_error_mapping(self, error, raised, attempts, monkeypatch):
         """A timeout at connect (wrapped in a URLError) or at read raises at
-        once; a transport error is retried max_retries times."""
+        once; a transport error is retried MAX_RETRIES times."""
         calls = []
 
         def urlopen(request, timeout):
@@ -493,8 +500,9 @@ class TestLlmCall:
             raise error
 
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setattr(llm, "MAX_RETRIES", 2)
         cfg = ClientConfig(endpoint="http://127.0.0.1:1/v1", model="m",
-                           timeout=0.5, max_retries=2)
+                           timeout=0.5)
         with pytest.raises(raised):
             llm_call(PROMPT, cfg)
         assert calls == [0.5] * attempts

@@ -10,7 +10,6 @@ import drivebench.cli as cli
 import drivebench.metrics as metrics
 import drivebench.llm as llm
 from drivebench.cli import RunConfig, _parse_params, main, run_benchmark
-from drivebench.metrics import MetricConfig
 from drivebench.planners import IdmPlanner, make_planner
 from drivebench.render import render_svg
 from drivebench.scenarios import ScenarioType, generate_benchmark_suite
@@ -240,8 +239,7 @@ class TestWorkerWrites:
         for sub in ("traces", "scenarios"):
             (tmp_path / sub).mkdir()
         result = cli._run_one((7, "007_lane_change_htd", spec, "idm", {},
-                               MetricConfig(), metrics.reference_progress(spec),
-                               tmp_path))
+                               metrics.reference_progress(spec), tmp_path))
         assert len(pickle.dumps(result)) < 2048
         data = (tmp_path / "traces" / "007_lane_change_htd.json").read_bytes()
         assert len(data) > 1_000_000
@@ -301,40 +299,3 @@ def test_report_counts_planner_fallbacks(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["planner_fallbacks"] == 150   # every tick
     assert report["selector_failures"] == 0
-
-
-class TestMetricConfigFile:
-    """A --metric-config value that is not a finite real number, a key
-    MetricConfig does not have, or a file that is not a JSON object fails
-    before any scenario runs."""
-
-    @pytest.mark.parametrize("data, error, match", [
-        ({"ttc_threshold": "0.95"}, ValueError,
-         "ttc_threshold must be a finite number"),
-        ({"weight_ttc": True}, ValueError, "weight_ttc must be a finite number"),
-        ({"jerk_max": float("nan")}, ValueError, "jerk_max must be a finite"),
-        ({"lon_accel_min": float("-inf")}, ValueError, "lon_accel_min must be"),
-        ({"drivable_threshold": None}, ValueError, "drivable_threshold must"),
-        ({"ttc_treshold": 0.95}, TypeError, "ttc_treshold"),
-        ([0.95], TypeError, "must be a mapping"),
-    ])
-    def test_rejected_before_any_scenario(self, data, error, match, tmp_path,
-                                          monkeypatch):
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        runs = []
-        monkeypatch.setattr(cli, "run_closed_loop",
-                            lambda *args: runs.append(args))
-        monkeypatch.setattr(metrics, "run_closed_loop",
-                            lambda *args: runs.append(args))
-        with pytest.raises(error, match=match):
-            main(["run", "--planner", "idm", "--types", "nudge",
-                  "--out", str(tmp_path / "run"), "--metric-config", str(path)])
-        assert not runs
-
-    def test_numbers_accepted(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps({"ttc_threshold": 1, "jerk_max": 8.0}),
-                        encoding="utf-8")
-        cfg = cli._load_metric_config(str(path))
-        assert (cfg.ttc_threshold, cfg.jerk_max) == (1, 8.0)
