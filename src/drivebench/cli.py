@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,13 +48,12 @@ class RunConfig:
     types: Optional[list[str]] = None
     jobs: int = 1
     out_dir: str = "bench_out"
-    planner_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("parallelism must be >= 1")
-        # a bad planner name, key or value fails here, before any scenario
-        make_planner(self.planner, self.planner_params)
+        # a bad planner name fails here, before any scenario
+        make_planner(self.planner)
 
 
 def _select_scenarios(cfg: RunConfig) -> list[tuple[int, ScenarioSpec]]:
@@ -72,8 +71,8 @@ def _run_one(args) -> tuple[int, ScenarioScore, str, Counter]:
     run directory. Top-level so process pools can pickle it. Returns the
     score, the SHA-256 of the trace file's bytes and the scenario's count of
     each event kind; no file content goes back to the caller."""
-    index, stem, spec, planner_name, planner_params, ref, out = args
-    planner = make_planner(planner_name, planner_params)
+    index, stem, spec, planner_name, ref, out = args
+    planner = make_planner(planner_name)
     trace = run_closed_loop(spec, planner)
     score = score_scenario(trace, spec, ref_progress=ref)
     data = trace.to_json().encode()
@@ -105,7 +104,7 @@ def run_benchmark(cfg: RunConfig) -> SuiteReport:
         map_fn = map if pool is None else pool.map
         # one reference drive per distinct input, before any scenario task
         refs = reference_progresses([spec for _, spec in selected], map_fn)
-        tasks = [(i, stems[i], spec, cfg.planner, cfg.planner_params, ref, out)
+        tasks = [(i, stems[i], spec, cfg.planner, ref, out)
                  for (i, spec), ref in zip(selected, refs)]
         for index, score, digest, counts in map_fn(_run_one, tasks):
             results[index] = (score, digest)
@@ -144,16 +143,6 @@ def _report_from_json(path: str) -> tuple[str, SuiteReport]:
     return data["planner"], report
 
 
-def _parse_params(items: Sequence[str]) -> dict:
-    params = {}
-    for item in items or ():
-        if "=" not in item:
-            raise ValueError(f"--planner-param expects k=v, got {item!r}")
-        key, value = item.split("=", 1)
-        params[key.strip()] = value.strip()
-    return params
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bench",
@@ -167,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated scenario families")
     run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--out", type=str, default="bench_out")
-    run_p.add_argument("--planner-param", action="append", default=[],
-                       metavar="K=V")
 
     render_p = sub.add_parser("render", help="render a scenario or trace to SVG")
     render_p.add_argument("--scenario", required=True)
@@ -177,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     render_p.add_argument("--out", required=True)
 
     cmp_p = sub.add_parser("compare", help="merge reports into a leaderboard")
-    cmp_p.add_argument("reports", nargs="*")
+    cmp_p.add_argument("reports", nargs="+")
     cmp_p.add_argument("--out", required=True)
     return parser
 
@@ -191,7 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             types=args.types.split(",") if args.types else None,
             jobs=args.jobs,
             out_dir=args.out,
-            planner_params=_parse_params(args.planner_param),
         )
         report = run_benchmark(cfg)
         print(report_to_markdown(report, cfg.planner))

@@ -58,13 +58,10 @@ class ClientConfig:
             raise ValueError("timeout must be positive")
 
     @classmethod
-    def from_env(cls, **overrides) -> "ClientConfig":
-        return cls(
-            endpoint=overrides.get("endpoint", os.environ.get("LLM_ENDPOINT", "")),
-            model=overrides.get("model", os.environ.get("LLM_MODEL", "")),
-            api_key=overrides.get("api_key", os.environ.get("LLM_API_KEY")),
-            timeout=overrides.get("timeout", DEFAULT_TIMEOUT),
-        )
+    def from_env(cls) -> "ClientConfig":
+        return cls(endpoint=os.environ.get("LLM_ENDPOINT", ""),
+                   model=os.environ.get("LLM_MODEL", ""),
+                   api_key=os.environ.get("LLM_API_KEY"))
 
 
 @dataclass(frozen=True)

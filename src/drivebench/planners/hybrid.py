@@ -114,17 +114,12 @@ class HybridBehaviorPlanner:
 
     name = "hybrid"
 
-    def __init__(self, selector, eval_horizon: float = 2.0,
-                 dwell_time: float = 0.0):
-        if not (math.isfinite(dwell_time) and dwell_time >= 0):
-            raise ValueError("dwell_time must be finite and >= 0")
+    def __init__(self, selector):
         self.selector = selector
-        self.sampler = SamplingPlanner(eval_horizon=eval_horizon)
-        self.dwell_time = dwell_time  # 0 disables switch damping
+        self.sampler = SamplingPlanner()
         self.query_count = 0
         self._last_query_second: Optional[int] = None
         self._behavior: Optional[BehaviorOption] = None
-        self._last_switch_time = -math.inf
         self._events: list[dict] = []
 
     def plan(self, obs: Observation) -> Trajectory:
@@ -150,15 +145,11 @@ class HybridBehaviorPlanner:
                 "error": type(exc).__name__, "message": str(exc)})
         if chosen is None:
             chosen = self._behavior if self._behavior is not None else options[0]
-        if (self._behavior is not None and chosen.label != self._behavior.label
-                and obs.time - self._last_switch_time < self.dwell_time):
-            chosen = self._behavior
         if self._behavior is None or chosen.label != self._behavior.label:
             self._events.append({
                 "kind": "behavior_switch", "time": obs.time,
                 "from": self._behavior.label if self._behavior else None,
                 "to": chosen.label})
-            self._last_switch_time = obs.time
         self._behavior = chosen
         take = getattr(self.selector, "take_audit", None)
         if take is not None:

@@ -7,7 +7,6 @@ scene never justifies leaving the lane."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,23 +28,13 @@ from .idm_planner import (
 from .sampling import lateral_profile
 
 MIN_CLEARANCE = 0.5  # m of bumper gap below which a change is vetoed outright
-
-
-@dataclass(frozen=True)
-class MobilParams:
-    politeness: float = 0.3
-    a_threshold: float = 0.1   # m/s^2 incentive needed to move
-    b_safe: float = 4.0        # m/s^2 braking imposable on the new follower
-    # mandatory-change bonus toward the route's goal side; sized to outweigh
-    # a moderate speed disincentive (~a_max) so required merges happen, while
-    # the safety criterion still protects the new follower
-    route_bias: float = 2.0    # m/s^2
-
-    def __post_init__(self):
-        if not 0.0 <= self.politeness <= 1.0:
-            raise ValueError("politeness must be in [0, 1]")
-        if self.b_safe <= 0:
-            raise ValueError("b_safe must be positive")
+POLITENESS = 0.3     # weight of the followers' acceleration changes
+A_THRESHOLD = 0.1    # m/s^2 incentive needed to move
+B_SAFE = 4.0         # m/s^2 braking imposable on the new follower
+# mandatory-change bonus toward the route's goal side; sized to outweigh
+# a moderate speed disincentive (~a_max) so required merges happen, while
+# the safety criterion still protects the new follower
+ROUTE_BIAS = 2.0     # m/s^2
 
 
 def _accel_against(scene: LaneScene, v: float, from_s: float,
@@ -76,7 +65,7 @@ def _goal_distance(obs: Observation, lane_id: str) -> Optional[int]:
     return None
 
 
-def mobil_decide(obs: Observation, mp: MobilParams) -> Optional[str]:
+def mobil_decide(obs: Observation) -> Optional[str]:
     """The neighbor lane with the largest incentive exceeding the threshold
     and passing the safety check, or None. Ties break toward the route's
     goal side. Every IDM acceleration is toward the speed limit of the lane
@@ -121,7 +110,7 @@ def mobil_decide(obs: Observation, mp: MobilParams) -> Optional[str]:
                                            cand_lane.speed_limit)
                 a_before = _accel_against(cand_scene, fr_speed, fr_front,
                                           cand_lane.speed_limit)
-                if a_after < -mp.b_safe:
+                if a_after < -B_SAFE:
                     safe = False
                 d_new_follower = a_after - a_before
         if not safe:
@@ -143,29 +132,27 @@ def mobil_decide(obs: Observation, mp: MobilParams) -> Optional[str]:
             d_old_follower = a_after - a_before
 
         incentive = (a_ego_new - a_ego
-                     + mp.politeness * (d_new_follower + d_old_follower))
+                     + POLITENESS * (d_new_follower + d_old_follower))
         toward_goal = False
         cand_goal_dist = _goal_distance(obs, cand)
         if own_goal_dist is not None:
             if cand_goal_dist is not None and cand_goal_dist < own_goal_dist:
-                incentive += mp.route_bias
+                incentive += ROUTE_BIAS
                 toward_goal = True
             else:
-                incentive -= mp.route_bias
-        if incentive > mp.a_threshold:
+                incentive -= ROUTE_BIAS
+        if incentive > A_THRESHOLD:
             key = (incentive, toward_goal, cand)
             if best_key is None or key > best_key:
                 best_key = key
     return best_key[2] if best_key is not None else None
 
 
-@dataclass
 class IdmMobilPlanner:
-    mobil: MobilParams = MobilParams()
     name = "mobil"
 
     def plan(self, obs: Observation) -> Trajectory:
-        target = mobil_decide(obs, self.mobil)
+        target = mobil_decide(obs)
         if target is None:
             return IdmPlanner().plan(obs)
         lane = obs.graph.lane(target)

@@ -3,7 +3,7 @@ around the active behavior x 5 IDM speed profiles + a full stop), scored by
 a cost over a short evaluation window with constant-velocity forecasts of
 all actors.
 
-The evaluation window (2.0 s by default) bounds every look-ahead check:
+The evaluation window (EVAL_HORIZON, 2.0 s) bounds every look-ahead check:
 collisions, drivable-area exits and the TTC term. Conflicts that first
 materialize beyond it are invisible to the planner by design.
 
@@ -45,6 +45,8 @@ OFFSET_DELTAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 SPEED_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)   # of min(limit, behavior cap)
 STOP_DECEL = 3.5          # m/s^2 of the dedicated full-stop profile
 LANE_KEEP_LAT_SPEED = 0.3  # m/s below which rear contacts are not our fault
+EVAL_HORIZON = 2.0        # s of the safety checks' evaluation window
+TTC_THRESHOLD = 0.95      # s; a projected contact within it is a violation
 
 # cost weights
 TTC_WEIGHT = 5.0          # penalty on the TTC-violation fraction
@@ -151,14 +153,6 @@ class SamplingPlanner:
 
     name = "sampler"
 
-    def __init__(self, eval_horizon: float = 2.0, ttc_threshold: float = 0.95):
-        if not (math.isfinite(eval_horizon) and eval_horizon >= STEP):
-            raise ValueError(f"eval_horizon must be finite and >= {STEP}")
-        if not (math.isfinite(ttc_threshold) and ttc_threshold > 0):
-            raise ValueError("ttc_threshold must be finite and > 0")
-        self.eval_horizon = eval_horizon
-        self.ttc_threshold = ttc_threshold
-
     # -- public API ---------------------------------------------------------
 
     def plan(self, obs: Observation, behavior: Optional[BehaviorOption] = None
@@ -213,7 +207,7 @@ class SamplingPlanner:
             x, y, tangent = line.interpolate_many(s_abs[rows, :n], d)
             return d, x, y, path_headings(x, y, tangent)
 
-        K = min(int(round(self.eval_horizon / STEP)), N_SAMPLES - 1)
+        K = min(int(round(EVAL_HORIZON / STEP)), N_SAMPLES - 1)
         # progress is credited over the full horizon; only the safety checks
         # (collision, area, TTC) are confined to the evaluation window
         progress = s_rel[:, -1].copy()
@@ -337,4 +331,4 @@ class SamplingPlanner:
             x[window], y[window], heading[window], v[window],
             VEHICLE_LENGTH, VEHICLE_WIDTH, ex + evx * t[:, None],
             ey + evy * t[:, None], evx, evy, eh, el, ew,
-            self.ttc_threshold).mean(axis=1)
+            TTC_THRESHOLD).mean(axis=1)

@@ -357,7 +357,7 @@ def sampler_evaluate_oracle(planner, obs, behavior=None):
         x, y, tangent = line.interpolate_many(s_abs[rows, :n], d)
         return d, x, y, path_headings(x, y, tangent)
 
-    K = min(int(round(planner.eval_horizon / STEP)), N_SAMPLES - 1)
+    K = min(int(round(sp.EVAL_HORIZON / STEP)), N_SAMPLES - 1)
     d, x, y, heading = (a[:, :K + 1] for a in paths(
         slice(None), min(K + 2, N_SAMPLES)))
     world = planner._world_entities(obs)

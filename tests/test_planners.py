@@ -24,11 +24,12 @@ from drivebench.planners import (
     mobil_decide,
     plan_with_fallback,
 )
-from drivebench.planners.mobil_planner import MobilParams
 from drivebench.planners.sampling import (
     COMFORT_WEIGHT,
+    EVAL_HORIZON,
     OFFSET_WEIGHT,
     PROGRESS_WEIGHT,
+    TTC_THRESHOLD,
     TTC_WEIGHT,
 )
 from drivebench.scenarios import (
@@ -371,13 +372,13 @@ class TestMobilDecide:
         agents = [make_agent(g, lane, 80.0, 8.0)
                   for lane in ("lane0", "lane1", "lane2")]
         obs = make_obs(spec, agents=agents)
-        assert mobil_decide(obs, MobilParams()) is None
+        assert mobil_decide(obs) is None
 
     def test_escape_from_stopped_lead(self):
         spec = self.make_spec()
         blocker = make_agent(spec.graph, "lane0", 40.0 + 2.3 + 20.0 + 2.3, 0.0)
         obs = make_obs(spec, ego_speed=10.0, agents=[blocker])
-        assert mobil_decide(obs, MobilParams()) == "lane1"
+        assert mobil_decide(obs) == "lane1"
 
     def test_safety_veto(self):
         spec = self.make_spec()
@@ -385,7 +386,7 @@ class TestMobilDecide:
         follower = make_agent(spec.graph, "lane1", 40.0 - 7.0, 13.5)
         obs = make_obs(spec, ego_speed=10.0, agents=[blocker, follower])
         # imposed braking on the fast close follower exceeds b_safe = 4
-        assert mobil_decide(obs, MobilParams()) is None
+        assert mobil_decide(obs) is None
 
     def test_mirror_symmetry(self):
         # scene on a 3-lane road, route to the left vs the mirrored route to
@@ -399,18 +400,18 @@ class TestMobilDecide:
         blocker = make_agent(g, "lane1", **blocker_args)
         obs_l = make_obs(spec_l, agents=[blocker])
         obs_r = make_obs(spec_r, agents=[blocker])
-        assert mobil_decide(obs_l, MobilParams()) == "lane2"
-        assert mobil_decide(obs_r, MobilParams()) == "lane0"
+        assert mobil_decide(obs_l) == "lane2"
+        assert mobil_decide(obs_r) == "lane0"
 
     def test_two_tick_abort(self):
         spec = self.make_spec()
         blocker = make_agent(spec.graph, "lane0", 40.0 + 25.0, 0.0)
         obs1 = make_obs(spec, ego_speed=10.0, agents=[blocker])
-        assert mobil_decide(obs1, MobilParams()) == "lane1"
+        assert mobil_decide(obs1) == "lane1"
         # next tick a fast vehicle appears close behind on the target lane
         follower = make_agent(spec.graph, "lane1", 40.0 - 6.0, 13.9)
         obs2 = make_obs(spec, ego_speed=10.0, agents=[blocker, follower], t=0.1)
-        assert mobil_decide(obs2, MobilParams()) is None
+        assert mobil_decide(obs2) is None
 
     def test_plan_equals_idm_when_no_decision(self):
         spec = self.make_spec(lanes=1)
@@ -443,7 +444,7 @@ def sampling_oracle_select(planner: SamplingPlanner, obs, behavior=None):
     behavior = behavior or planner.default_behavior(obs)
     lane = obs.graph.lane(behavior.centerline)
     limit = lane.speed_limit
-    K = min(int(round(planner.eval_horizon / 0.1)), 80)
+    K = min(int(round(EVAL_HORIZON / 0.1)), 80)
 
     entities = []
     for a in agent_obs(obs.agents):
@@ -486,8 +487,8 @@ def sampling_oracle_select(planner: SamplingPlanner, obs, behavior=None):
             if not inside.all():
                 off_area = True
         # TTC violations
-        n_u = int(math.ceil(planner.ttc_threshold / 0.1))
-        u_grid = [min((j + 1) * 0.1, planner.ttc_threshold) for j in range(n_u)]
+        n_u = int(math.ceil(TTC_THRESHOLD / 0.1))
+        u_grid = [min((j + 1) * 0.1, TTC_THRESHOLD) for j in range(n_u)]
         viol = 0
         for k in range(1, K + 1):
             t = k * 0.1
@@ -970,7 +971,7 @@ class TestEgoContacts:
             assert np.array_equal(off_area, want_off_area), i
             ttc = planner._ttc_fractions(world, x, y, heading, v, K)
             want_ttc = reference_ttc_fractions(world, x, y, heading, v, K,
-                                               planner.ttc_threshold)
+                                               TTC_THRESHOLD)
             assert np.array_equal(ttc, want_ttc), i
             n_collided += int(want_collided.any())
             n_ttc += int(want_ttc.any())
@@ -1347,7 +1348,7 @@ def full_array_evaluate(planner, obs, behavior):
     s_abs = s0 + s_rel
     x, y, tangent = line.interpolate_many(s_abs, d)
     heading = path_headings(x, y, tangent)
-    K = min(int(round(planner.eval_horizon / STEP)), N_SAMPLES - 1)
+    K = min(int(round(EVAL_HORIZON / STEP)), N_SAMPLES - 1)
     world = reference_world_entities(obs)
     collided, off_area = planner._feasibility(obs, world, x, y, heading, d, K)
     ttc_frac = planner._ttc_fractions(world, x, y, heading, v, K)
@@ -1971,35 +1972,3 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_planner("does-not-exist")
-
-    def test_param_override(self):
-        planner = make_planner("sampler", {"eval_horizon": "4.0"})
-        assert planner.eval_horizon == 4.0
-
-    @pytest.mark.parametrize("planner, key, text", [
-        ("sampler", "eval_horizon", "0"),
-        ("sampler", "eval_horizon", "-1"),
-        ("sampler", "eval_horizon", "0.05"),
-        ("sampler", "eval_horizon", "nan"),
-        ("sampler", "eval_horizon", "inf"),
-        ("hybrid-scripted", "eval_horizon", "0"),
-        ("hybrid-scripted", "eval_horizon", "nan"),
-        ("sampler", "ttc_threshold", "0"),
-        ("sampler", "ttc_threshold", "-1"),
-        ("sampler", "ttc_threshold", "nan"),
-        ("sampler", "ttc_threshold", "inf"),
-        ("hybrid-scripted", "dwell_time", "-1"),
-        ("hybrid-scripted", "dwell_time", "nan"),
-        ("hybrid-scripted", "dwell_time", "inf"),
-    ])
-    def test_bad_param_value(self, planner, key, text):
-        """A value that would score an empty window, brake on every tick or
-        turn a term off is rejected, naming the key."""
-        with pytest.raises(ValueError, match=f"^{key} must be finite"):
-            make_planner(planner, {key: text})
-
-    def test_param_bounds_are_inclusive(self):
-        assert make_planner("sampler", {"eval_horizon": "0.1"}).eval_horizon \
-            == 0.1
-        assert make_planner("hybrid-scripted", {"dwell_time": "0"}).dwell_time \
-            == 0.0

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import pickle
@@ -9,8 +10,8 @@ import pytest
 import drivebench.cli as cli
 import drivebench.metrics as metrics
 import drivebench.llm as llm
-from drivebench.cli import RunConfig, _parse_params, main, run_benchmark
-from drivebench.planners import IdmPlanner, make_planner
+from drivebench.cli import RunConfig, build_parser, main, run_benchmark
+from drivebench.planners import IdmPlanner
 from drivebench.render import render_svg
 from drivebench.scenarios import ScenarioType, generate_benchmark_suite
 from drivebench.simulation import run_closed_loop
@@ -132,49 +133,28 @@ class TestCliRun:
                 if l.startswith("| ")]
         assert len(rows) == 3  # header + 2 rows
 
-    def test_planner_param_forwarding(self, tmp_path):
-        out = tmp_path / "run"
-        code = main(["run", "--planner", "sampler", "--suite-seed", "99",
-                     "--types", "jaywalker", "--out", str(out),
-                     "--planner-param", "eval_horizon=4.0"])
-        assert code == 0
-        # every --planner-param key reaches the planner it configures
-        cases = [
-            ("mobil", "politeness", "0.5", 0.5, lambda p: p.mobil.politeness),
-            ("mobil", "a_threshold", "0.4", 0.4, lambda p: p.mobil.a_threshold),
-            ("mobil", "b_safe", "3.0", 3.0, lambda p: p.mobil.b_safe),
-            ("mobil", "route_bias", "1.0", 1.0, lambda p: p.mobil.route_bias),
-            ("sampler", "eval_horizon", "4.0", 4.0, lambda p: p.eval_horizon),
-            ("sampler", "ttc_threshold", "1.5", 1.5, lambda p: p.ttc_threshold),
-            ("hybrid-scripted", "eval_horizon", "4.0", 4.0,
-             lambda p: p.sampler.eval_horizon),
-            ("hybrid-scripted", "dwell_time", "3.0", 3.0, lambda p: p.dwell_time),
-            ("hybrid-llm", "eval_horizon", "4.0", 4.0,
-             lambda p: p.sampler.eval_horizon),
-            ("hybrid-llm", "dwell_time", "3.0", 3.0, lambda p: p.dwell_time),
-            ("hybrid-llm", "endpoint", "http://localhost:1", "http://localhost:1",
-             lambda p: p.selector.cfg.endpoint),
-            ("hybrid-llm", "model", "mock", "mock", lambda p: p.selector.cfg.model),
-        ]
-        for planner, key, text, value, read in cases:
-            assert read(make_planner(planner)) != value, (planner, key)
-            params = _parse_params([f"{key}={text}"])
-            assert read(make_planner(planner, params)) == value, (planner, key)
-        # a key the planner does not take is rejected, never dropped
-        for planner, key in [("idm", "eval_horizon"), ("mobil", "politness"),
-                             ("sampler", "eval_horizn"),
-                             ("hybrid-scripted", "ttc_threshold"),
-                             ("hybrid-llm", "ttc_threshold"),
-                             ("llm-waypoints", "dwell_time")]:
-            with pytest.raises(ValueError, match=f"does not accept {key}"):
-                make_planner(planner, {key: "1.0"})
-        # and fails before any scenario runs, as does a value out of range
-        bad = tmp_path / "bad"
-        for param in ("eval_horizn=4.0", "eval_horizon=0", "ttc_threshold=nan"):
-            with pytest.raises(ValueError, match=param.split("=")[0]):
-                main(["run", "--planner", "sampler", "--out", str(bad),
-                      "--planner-param", param])
-            assert not bad.exists()
+    def test_compare_needs_a_report(self, tmp_path, capsys):
+        cmp_path = tmp_path / "cmp.md"
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--out", str(cmp_path)])
+        assert exc.value.code == 2
+        assert "reports" in capsys.readouterr().err
+        assert not cmp_path.exists()
+
+
+def test_cli_surface():
+    """Every option of every subcommand; a new one needs an edit here."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for action in sub._actions
+                      for s in action.option_strings} - {"-h", "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert options == {
+        "run": {"--planner", "--suite-seed", "--types", "--jobs", "--out"},
+        "render": {"--scenario", "--trace", "--tick", "--out"},
+        "compare": {"--out"},
+    }
 
 
 @pytest.fixture
@@ -238,7 +218,7 @@ class TestWorkerWrites:
         spec = max(htd, key=lambda s: len(s.agents))
         for sub in ("traces", "scenarios"):
             (tmp_path / sub).mkdir()
-        result = cli._run_one((7, "007_lane_change_htd", spec, "idm", {},
+        result = cli._run_one((7, "007_lane_change_htd", spec, "idm",
                                metrics.reference_progress(spec), tmp_path))
         assert len(pickle.dumps(result)) < 2048
         data = (tmp_path / "traces" / "007_lane_change_htd.json").read_bytes()
@@ -293,8 +273,7 @@ class TestWorkerWrites:
 def test_report_counts_planner_fallbacks(tmp_path, monkeypatch):
     spec = generate_benchmark_suite(2024)[0]
     monkeypatch.setattr(cli, "generate_benchmark_suite", lambda seed: [spec])
-    monkeypatch.setattr(cli, "make_planner",
-                        lambda name, params=None: FailingPlanner())
+    monkeypatch.setattr(cli, "make_planner", lambda name: FailingPlanner())
     run_benchmark(RunConfig(planner="idm", out_dir=str(tmp_path)))
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["planner_fallbacks"] == 150   # every tick
