@@ -80,9 +80,10 @@ def idm_lc_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def mobil_lc_run(tmp_path_factory):
-    return _run_subset(tmp_path_factory, "mobil_lc", "mobil",
-                       ["lane_change_ltd", "lane_change_mtd", "lane_change_htd"])
+def mobil_run(tmp_path_factory):
+    """All 80 scenarios, so that every mobil golden line is checked; the
+    goal sub-score counts the lane-change families only."""
+    return _run_subset(tmp_path_factory, "mobil", "mobil", None, jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -189,9 +190,9 @@ class TestCriterion02BlockedLaneGate:
 
 class TestCriterion03LaneChangeGates:
     def test_criterion_03_goal_and_collision_subscores(self, idm_lc_run,
-                                                       mobil_lc_run):
+                                                       mobil_run):
         idm_report = idm_lc_run[0]
-        mobil_report = mobil_lc_run[0]
+        mobil_report = mobil_run[0]
         ok = (idm_report.goal_sub == 0.0
               and idm_report.no_collision_sub == 1.0
               and mobil_report.goal_sub > 0.0)
@@ -199,7 +200,7 @@ class TestCriterion03LaneChangeGates:
                     f"No-Col={idm_report.no_collision_sub * 100:.0f}; "
                     f"IDM+MOBIL Goal={mobil_report.goal_sub * 100:.0f}")
         check_golden("idm", idm_lc_run)
-        check_golden("mobil", mobil_lc_run)
+        check_golden("mobil", mobil_run)
 
 
 class TestCriterion04NudgeCompetence:
@@ -263,8 +264,10 @@ class TestCriterion06HybridBeatsBase:
         score = score_scenario(trace, overtake0)
         overtake_ok = score.min_progress == 1.0
 
-        hybrid = _run_subset(tmp_path_factory, "hyb_ca", "hybrid-scripted",
-                             ["construction", "accident"])
+        # all 80 scenarios, so that every hybrid-scripted golden line is
+        # checked
+        hybrid = _run_subset(tmp_path_factory, "hybrid", "hybrid-scripted",
+                             None, jobs=2)
         base = _run_subset(tmp_path_factory, "sam_ca", "sampler",
                            ["construction", "accident"])
         h_per, b_per = hybrid[0].per_type, base[0].per_type
