@@ -73,17 +73,32 @@ def idm_profile(v_start: float, gap0: float, v_lead: float, v0: float,
     of dt from speed max(v_start, 0) toward v0, behind a lead driving at
     max(v_lead, 0) from gap0 ahead; gaps below 0.01 m count as 0.01 m, and
     gap0 = inf is free flow to the bit. Returns the arc offsets and the
-    speeds, n + 1 samples each."""
+    speeds, n + 1 samples each.
+
+    Two shortcuts keep the bits of stepping every row through the law, for
+    finite speeds. A free-flow row drops the lead term, which would
+    subtract 1.5 * 0.0. Behind a lead at rest, a step that starts and ends
+    at rest leaves the arc offset, and so the gap, where it was; the law is
+    a pure function of the speed and the gap, so every later step repeats
+    it, and the row is filled instead."""
     sk, vk = 0.0, v_start if v_start > 0.0 else 0.0
     gap0 = gap0 if gap0 > 0.01 else 0.01
     v_lead = v_lead if v_lead > 0.0 else 0.0
+    lead = None if gap0 == math.inf else v_lead
     s, v = [sk], [vk]
+    gap = None
     for k in range(n):
-        gap = gap0 + v_lead * k * dt - sk
-        vk += idm_acceleration(vk, v_lead, gap if gap > 0.01 else 0.01, v0,
-                               floor) * dt
+        resting = vk == 0.0
+        if lead is not None:
+            gap = gap0 + v_lead * k * dt - sk
+            gap = gap if gap > 0.01 else 0.01
+        vk += idm_acceleration(vk, lead, gap, v0, floor) * dt
         if not vk > 0.0:
             vk = 0.0
+            if resting and v_lead == 0.0:
+                s += [sk] * (n - k)
+                v += [0.0] * (n - k)
+                return s, v
         sk += vk * dt
         s.append(sk)
         v.append(vk)
@@ -92,7 +107,9 @@ def idm_profile(v_start: float, gap0: float, v_lead: float, v0: float,
 
 def equilibrium_speed(gap: float, v0: float) -> float:
     """Speed at which idm_acceleration is zero for the given steady gap
-    (same-speed lead); 0 when the gap is at or below the jam distance."""
+    (same-speed lead); 0 when the gap is at or below the jam distance.
+    Bisects until the midpoint equals an end: f(lo) <= 0 < f(hi) holds
+    throughout, so no later iteration would move either end."""
     if gap <= IDM_S0:
         return 0.0
 
@@ -106,6 +123,8 @@ def equilibrium_speed(gap: float, v0: float) -> float:
         return v0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) > 0:
             hi = mid
         else:

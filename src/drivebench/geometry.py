@@ -79,6 +79,11 @@ class OrientedBox:
         return OrientedBox(Pose2D(cx, cy, self.center.heading), self.length / 2.0, self.width)
 
 
+# Polyline.project runs on Python floats up to this many segments and on
+# numpy arrays above it (alternating timed repeats: CHANGES.md)
+PROJECT_FLOAT_MAX = 6
+
+
 class Polyline:
     """An ordered point sequence with a cumulative-arclength cache.
 
@@ -101,6 +106,7 @@ class Polyline:
         self._seg_len = seg_len
         self.cum_len = np.concatenate(([0.0], np.cumsum(seg_len)))
         self._cum = tuple(self.cum_len.tolist())  # for scalar bisection
+        self._seg_lens = tuple(seg_len.tolist())
         self.length: float = self._cum[-1]
         self._xy = tuple(map(tuple, pts.tolist()))
         self._uv = tuple(map(tuple, self._dirs.tolist()))
@@ -110,7 +116,30 @@ class Polyline:
 
     def project(self, point: Sequence[float]) -> FrenetPoint:
         """Nearest-point projection; s clamped to [0, length], |d| is the
-        Euclidean distance to the projected point, left positive."""
+        Euclidean distance to the projected point, left positive.
+
+        Up to PROJECT_FLOAT_MAX segments it runs the numpy form's arithmetic
+        on Python floats, with its bits: the foot is p0 + t * u, the
+        distance np.hypot of two floats (math.hypot rounds differently),
+        the first minimum wins and a NaN distance is a minimum, as in
+        argmin."""
+        if len(self._seg_lens) <= PROJECT_FLOAT_MAX:
+            px, py = float(point[0]), float(point[1])
+            best = None
+            for i, ((ax, ay), (ux, uy), seg_len) in enumerate(zip(
+                    self._xy, self._uv, self._seg_lens)):
+                t = (px - ax) * ux + (py - ay) * uy
+                if t <= 0.0:  # -0.0 too: the array form's sum starts at 0.0
+                    t = 0.0
+                elif t > seg_len:
+                    t = seg_len
+                dx, dy = px - (ax + t * ux), py - (ay + t * uy)
+                dist = float(np.hypot(dx, dy))
+                if best is None or best[0] == best[0] and not dist >= best[0]:
+                    best = dist, i, t, ux * dy - uy * dx
+            dist, i, t, cross = best
+            return FrenetPoint(s=self._cum[i] + t,
+                               d=dist if cross >= 0 else -dist)
         p = np.asarray(point, dtype=float)
         starts = self.points[:-1]
         rel = p - starts

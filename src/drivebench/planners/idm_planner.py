@@ -62,6 +62,7 @@ def centerline_trajectory(obs: Observation, lane_id: str, s_arr: np.ndarray,
 
 class IdmPlanner:
     name = "idm"
+    memoryless = True  # plans from the observation alone: run_closed_loop
 
     def plan(self, obs: Observation) -> Trajectory:
         lane_id = obs.ego_lane

@@ -150,6 +150,7 @@ def mobil_decide(obs: Observation) -> Optional[str]:
 
 class IdmMobilPlanner:
     name = "mobil"
+    memoryless = True  # plans from the observation alone: run_closed_loop
 
     def plan(self, obs: Observation) -> Trajectory:
         target = mobil_decide(obs)

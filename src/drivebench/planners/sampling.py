@@ -133,13 +133,15 @@ def rollouts(v_now: float, gap0: np.ndarray, v_lead: np.ndarray, cap: float
 
 
 def _stop_profile(v_now: float) -> tuple[list[float], list[float]]:
-    """Arc offsets and speeds braking at STOP_DECEL from v_now to rest."""
+    """Arc offsets and speeds braking at STOP_DECEL from v_now to rest,
+    where the row stays."""
     sk, vk = 0.0, v_now if v_now > 0.0 else 0.0
     s, v = [sk], [vk]
-    for _ in range(N_SAMPLES - 1):
+    for k in range(N_SAMPLES - 1):
         vk -= STOP_DECEL * STEP
         if not vk > 0.0:
-            vk = 0.0
+            rest = N_SAMPLES - 1 - k
+            return s + [sk] * rest, v + [0.0] * rest
         sk += vk * STEP
         s.append(sk)
         v.append(vk)
@@ -152,6 +154,7 @@ class SamplingPlanner:
     absolute offset, then higher progress."""
 
     name = "sampler"
+    memoryless = True  # plans from the observation alone: run_closed_loop
 
     # -- public API ---------------------------------------------------------
 

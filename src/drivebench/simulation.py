@@ -9,8 +9,10 @@ wall-clock time. Collisions are recorded as events and never abort a run.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,6 +127,23 @@ class WorldState:
     ego: EgoState
     agents: Traffic
     pedestrians: list[PedestrianState]
+
+    def same_bits(self, other: "WorldState") -> bool:
+        """Whether other holds this world's values with every float's bits:
+        == first, then the floats' bytes, because 0.0 == -0.0 while atan2
+        or a sign test can tell them apart."""
+        return self == other and _float_bytes(self) == _float_bytes(other)
+
+
+def _float_bytes(world: WorldState) -> bytes:
+    """The floats of the ego state, the traffic columns and the pedestrians."""
+    e = world.ego
+    values = itertools.chain(
+        (e.pose.x, e.pose.y, e.pose.heading, e.speed, e.accel, e.steering),
+        *vars(world.agents).values(),
+        *(vars(p).values() for p in world.pedestrians))
+    floats = [v for v in values if isinstance(v, float)]
+    return struct.pack(f"{len(floats)}d", *floats)
 
 
 def build_observation(world: WorldState, spec: ScenarioSpec,
@@ -305,7 +324,15 @@ def _ego_collisions(ego_box: OrientedBox, agents: np.ndarray,
 def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     """Run the full closed loop: per tick, observation -> plan -> tracking
     commands -> bicycle step -> agent/pedestrian stepping -> collision
-    detection -> snapshot. Events record, never abort."""
+    detection -> snapshot. Events record, never abort.
+
+    A planner whose class sets memoryless = True plans from the
+    observation alone, not from its time or from earlier ticks. When a
+    tick under such a planner appends no event and leaves the world as it
+    found it, bit for bit, every later tick would repeat it: the same
+    observation, plan and step, the same contacts and so no new event. The
+    loop then records the remaining snapshots of that world and plan and
+    stops."""
     n_steps = int(round(spec.duration / DT))
     if abs(n_steps * DT - spec.duration) > 1e-9:
         raise ValueError("duration must be a multiple of DT")
@@ -324,8 +351,10 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     ongoing_ego_contacts: set[str] = set()
     ongoing_agent_contacts: set[tuple[int, int]] = set()
 
+    memoryless = getattr(planner, "memoryless", False)
     for k in range(n_steps):
         t = k * DT
+        start, n_events = world, len(trace.events)
         obs = build_observation(world, spec, table, t)
         traj = plan_with_fallback(planner, obs, trace.events)
         steer_cmd, accel_cmd = track_trajectory(traj, world.ego)
@@ -368,6 +397,12 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
                 event.setdefault("time", t)
                 trace.events.append(event)
 
-        trace.snapshots.append(_snapshot(t_next, world, _downsample_plan(traj)))
+        plan = _downsample_plan(traj)
+        trace.snapshots.append(_snapshot(t_next, world, plan))
+        if (memoryless and len(trace.events) == n_events
+                and world.same_bits(start)):
+            trace.snapshots += [_snapshot((j + 1) * DT, world, plan)
+                                for j in range(k + 1, n_steps)]
+            break
 
     return trace

@@ -547,3 +547,89 @@ def agents_of(traffic):
 def agent_obs(traffic):
     """The AgentObs objects of perceived agent columns."""
     return [AgentObs(a.box, a.speed, a.lane) for a in agents_of(traffic)]
+
+
+# ---------------------------------------------------------------------------
+# the forms that the shortcuts for a world at rest replaced
+
+
+def idm_profile_oracle(v_start, gap0, v_lead, v0, dt, n, floor=None):
+    """Reference: the former agents.idm_profile, which stepped every row
+    through the law with its lead term, free flow included."""
+    from drivebench.agents import EMERGENCY_DECEL, idm_acceleration
+
+    floor = EMERGENCY_DECEL if floor is None else floor
+    sk, vk = 0.0, v_start if v_start > 0.0 else 0.0
+    gap0 = gap0 if gap0 > 0.01 else 0.01
+    v_lead = v_lead if v_lead > 0.0 else 0.0
+    s, v = [sk], [vk]
+    for k in range(n):
+        gap = gap0 + v_lead * k * dt - sk
+        vk += idm_acceleration(vk, v_lead, gap if gap > 0.01 else 0.01, v0,
+                               floor) * dt
+        if not vk > 0.0:
+            vk = 0.0
+        sk += vk * dt
+        s.append(sk)
+        v.append(vk)
+    return s, v
+
+
+def stop_profile_oracle(v_now):
+    """Reference: the former sampling._stop_profile, which stepped every
+    sample."""
+    from drivebench.planners.base import N_SAMPLES, STEP
+    from drivebench.planners.sampling import STOP_DECEL
+
+    sk, vk = 0.0, v_now if v_now > 0.0 else 0.0
+    s, v = [sk], [vk]
+    for _ in range(N_SAMPLES - 1):
+        vk -= STOP_DECEL * STEP
+        if not vk > 0.0:
+            vk = 0.0
+        sk += vk * STEP
+        s.append(sk)
+        v.append(vk)
+    return s, v
+
+
+def equilibrium_speed_oracle(gap, v0):
+    """Reference: the former agents.equilibrium_speed, 80 bisection steps
+    whatever they changed."""
+    from drivebench.agents import IDM_S0, IDM_T
+
+    if gap <= IDM_S0:
+        return 0.0
+
+    def f(v):
+        r, q = v / v0, (IDM_S0 + v * IDM_T) / gap
+        r2 = r * r
+        return r2 * r2 + q * q - 1.0
+
+    lo, hi = 0.0, v0
+    if f(hi) <= 0:
+        return v0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def project_oracle(line, point):
+    """Reference: the former Polyline.project, the per-segment arithmetic
+    on numpy arrays for every line, as (s, d)."""
+    p = np.asarray(point, dtype=float)
+    starts = line.points[:-1]
+    rel = p - starts
+    t = np.einsum("ij,ij->i", rel, line._dirs)
+    t = np.minimum(np.maximum(t, 0.0), line._seg_len)
+    foot = starts + t[:, None] * line._dirs
+    diff = p - foot
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    i = int(dist.argmin())
+    s = float(line.cum_len[i] + t[i])
+    cross = line._dirs[i, 0] * diff[i, 1] - line._dirs[i, 1] * diff[i, 0]
+    return s, float(dist[i]) if cross >= 0 else -float(dist[i])

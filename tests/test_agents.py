@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -17,6 +19,7 @@ from drivebench.agents import (
     ego_counts_in_lane,
     equilibrium_speed,
     idm_acceleration,
+    idm_profile,
     lane_pose,
     select_lead,
     step_pedestrian,
@@ -35,6 +38,8 @@ from drivebench.geometry import (
 from drivebench.scenarios import MIN_SPAWN_GAP, build_base_map
 from conftest import (
     agents_of,
+    equilibrium_speed_oracle,
+    idm_profile_oracle,
     lane_pose_oracle,
     make_agent,
     select_lead_oracle,
@@ -171,6 +176,119 @@ class TestEquilibrium:
             # steady-state bumper gap behind a lead at the same speed v
             g = (IDM_S0 + v * IDM_T) / math.sqrt(1.0 - (v / V0) ** 4)
             assert equilibrium_speed(g, V0) == pytest.approx(v, abs=1e-6)
+
+
+    def test_equals_former_bisection_on_suite_calls(self, monkeypatch):
+        """Every call that generating the seed-2024 suite makes."""
+        from drivebench import scenarios
+
+        calls = []
+
+        def recording(gap, v0):
+            calls.append((gap, v0))
+            return equilibrium_speed(gap, v0)
+
+        monkeypatch.setattr(scenarios, "equilibrium_speed", recording)
+        scenarios.generate_benchmark_suite(2024)
+        assert len(calls) > 500
+        for gap, v0 in calls:
+            assert same_float(equilibrium_speed(gap, v0),
+                              equilibrium_speed_oracle(gap, v0)), (gap, v0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gap=st.one_of(st.sampled_from([IDM_S0, math.nextafter(IDM_S0, 5.0),
+                                          IDM_S0 + 1e-9, 1e9]),
+                         st.floats(0.0, 500.0)),
+           v0=st.one_of(st.sampled_from([V0, 1e-3, 1e-300]),
+                        st.floats(0.1, 40.0)))
+    def test_equals_former_bisection(self, gap, v0):
+        assert same_float(equilibrium_speed(gap, v0),
+                          equilibrium_speed_oracle(gap, v0))
+
+
+def same_float(a, b):
+    return struct.pack("d", a) == struct.pack("d", b)
+
+
+def same_rows(got, want):
+    """Equal offsets and speeds, bit for bit, as lists of Python floats."""
+    return (all(type(x) is float for row in got for x in row)
+            and [np.array(r).tobytes() for r in got]
+            == [np.array(r).tobytes() for r in want])
+
+
+class TestIdmProfile:
+    """idm_profile's two shortcuts (free flow without the lead term, a row
+    at rest behind a lead at rest filled) against the former loop,
+    conftest's idm_profile_oracle."""
+
+    @pytest.fixture(scope="class")
+    def suite_rows(self):
+        """The distinct argument rows of the idm planner's, the sampler's and
+        the agents' calls in closed loops of the first two scenarios of
+        every family."""
+        from drivebench import agents
+        from drivebench.planners import idm_planner, make_planner, sampling
+        from drivebench.scenarios import generate_benchmark_suite
+        from drivebench.simulation import run_closed_loop
+
+        rows = set()
+
+        def recording(*args):
+            rows.add(args)
+            return idm_profile(*args)
+
+        suite = generate_benchmark_suite(2024)
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (agents, idm_planner, sampling):
+                mp.setattr(module, "idm_profile", recording)
+            for name in ("idm", "sampler"):
+                for spec in suite[0::10] + suite[1::10]:
+                    run_closed_loop(spec, make_planner(name))
+        return sorted(rows)
+
+    def test_equals_former_loop_on_suite_rows(self, suite_rows):
+        filled = free = 0
+        for row in suite_rows:
+            want = idm_profile_oracle(*row)
+            assert same_rows(idm_profile(*row), want), row
+            v_start, gap0, v_lead, v0, dt, n, *_ = row
+            filled += n > 1 and v_lead <= 0.0 and want[1][-2:] == [0.0, 0.0]
+            free += gap0 == math.inf
+        assert filled > 100 and free > 1000, (filled, free)
+
+    def test_equals_former_loop_on_grid(self):
+        """Leads at rest and behind, gaps around 0.01 m and the jam
+        distance, starts at rest, -0.0 and negative, free flow."""
+        filled = 0
+        for row in itertools.product(
+                [0.0, -0.0, -1.0, 0.3, 5.0, 13.9],
+                [-1.0, 0.0, 0.01, math.nextafter(0.01, 1.0), 0.5, IDM_S0,
+                 10.0, math.inf],
+                [0.0, -0.0, -2.0, 1.0], [V0], [0.1, 0.2], [1, 2, 80],
+                [EMERGENCY_DECEL, -2.0 * IDM_B_COMF]):
+            want = idm_profile_oracle(*row)
+            assert same_rows(idm_profile(*row), want), row
+            filled += row[5] > 1 and want[1][-2:] == [0.0, 0.0]
+        assert filled > 100
+
+    @settings(max_examples=500, deadline=None)
+    @given(v_start=st.one_of(st.sampled_from([0.0, -0.0, -3.0]),
+                             st.floats(-5.0, 35.0)),
+           gap0=st.one_of(st.sampled_from([math.inf, 0.01, 0.0, -2.0,
+                                           math.nextafter(0.01, 0.0),
+                                           math.nextafter(0.01, 1.0)]),
+                          st.floats(0.0, 0.05), st.floats(0.0, 200.0)),
+           v_lead=st.one_of(st.sampled_from([0.0, -0.0, -1.5]),
+                            st.floats(-5.0, 35.0)),
+           v0=st.floats(0.5, 35.0),
+           dt=st.sampled_from([0.1, 0.2, 0.05]),
+           n=st.one_of(st.sampled_from([1, 80]), st.integers(1, 80)),
+           floor=st.sampled_from([EMERGENCY_DECEL, -2.0 * IDM_B_COMF]))
+    def test_equals_former_loop(self, v_start, gap0, v_lead, v0, dt, n,
+                                floor):
+        row = (v_start, gap0, v_lead, v0, dt, n, floor)
+        assert same_rows(idm_profile(*row), idm_profile_oracle(*row))
 
 
 @dataclass

@@ -12,6 +12,7 @@ from conftest import (
     boxes_collide_oracle,
     boxes_overlap_sampled,
     min_distance_to_polyline,
+    project_oracle,
     sat_margin,
 )
 from drivebench import geometry
@@ -348,6 +349,83 @@ class TestProjectMany:
             self.assert_equals_scalar(line, points)
             self.assert_equals_scalar(line, points[:1])
             self.assert_equals_scalar(line, points[:0])
+
+
+class TestProjectFloatForm:
+    """Polyline.project's Python-float form (up to PROJECT_FLOAT_MAX
+    segments) returns the bits of the numpy form it replaced there,
+    conftest's project_oracle; the long-line form is that numpy form."""
+
+    @staticmethod
+    def assert_equals_numpy_form(line, points, float_max=None):
+        with pytest.MonkeyPatch.context() as mp:
+            if float_max is not None:
+                mp.setattr(geometry, "PROJECT_FLOAT_MAX", float_max)
+            got = [(f.s, f.d) for f in map(line.project, points)]
+        assert all(type(x) is float for row in got for x in row)
+        with np.errstate(invalid="ignore"):  # infinite points
+            want = [project_oracle(line, p) for p in points]
+        assert (np.array(got, float).tobytes()
+                == np.array(want, float).tobytes())
+
+    @staticmethod
+    def _probe_points(line, rng, n=200):
+        """Vertices, points on the segments (d of 0 and -0.0 on axis-
+        aligned ones), just past both ends, NaN, infinite (a NaN distance
+        on some segments only) and random points around."""
+        pts, u = line.points, line._dirs
+        t = rng.uniform(0.0, 1.0, (len(u), 1)) * line._seg_len[:, None]
+        on = pts[:-1] + t * u
+        lo, hi = pts.min(axis=0) - 20.0, pts.max(axis=0) + 20.0
+        return [*map(tuple, pts), *map(tuple, on),
+                *((x, -0.0) for x, y in pts if y == 0.0),
+                tuple(pts[0] - 1e-9 * u[0]), tuple(pts[-1] + 1e-9 * u[-1]),
+                (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+                (math.inf, 0.0), (0.0, -math.inf), (-math.inf, math.inf),
+                *map(tuple, rng.uniform(lo, hi, (n, 2)))]
+
+    @pytest.mark.parametrize("float_max", [None, 10 ** 9])
+    def test_every_suite_lane(self, float_max):
+        """Every lane of the seed-2024 maps, at the threshold and with every
+        lane (the 139-segment curves too) on the float form."""
+        from drivebench.scenarios import generate_benchmark_suite
+
+        rng = np.random.default_rng(61)
+        lines = {id(lane.centerline): lane.centerline
+                 for spec in generate_benchmark_suite(2024)
+                 for lane in spec.graph.segments.values()}
+        segments = {len(line._seg_len) for line in lines.values()}
+        assert min(segments) == 1 and max(segments) > geometry.PROJECT_FLOAT_MAX
+        for line in lines.values():
+            self.assert_equals_numpy_form(
+                line, self._probe_points(line, rng, 50), float_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=line_and_points())
+    def test_random_lines(self, case):
+        """Drawn lines of 1 to 20 segments, at the threshold and all on the
+        float form."""
+        line, points = case
+        self.assert_equals_numpy_form(line, points)
+        self.assert_equals_numpy_form(line, points, 10 ** 9)
+
+    def test_fixed_lines(self):
+        rng = np.random.default_rng(67)
+        for line in TestScalarKernels._lines():
+            self.assert_equals_numpy_form(line, self._probe_points(line, rng),
+                                          10 ** 9)
+
+    def test_equidistant_points_take_the_first_segment(self):
+        """Points on the bisector of a corner, and a point between two
+        parallel segments, are as far from two segments: the first wins."""
+        corner = Polyline([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+        points = [(10.0 - k, k) for k in (0.5, 1.0, 2.5, 5.0)]
+        u_turn = Polyline([[0.0, 0.0], [10.0, 0.0], [10.0, 4.0],
+                           [0.0, 4.0]])
+        for line, pts in ((corner, points), (u_turn, [(5.0, 2.0), (3.0, 2.0)])):
+            self.assert_equals_numpy_form(line, pts)
+        assert corner.project((7.5, 2.5)) == FrenetPoint(7.5, 2.5)
+        assert u_turn.project((5.0, 2.0)) == FrenetPoint(5.0, 2.0)
 
 
 class TestFrenetEmbedding:

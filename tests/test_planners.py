@@ -49,7 +49,7 @@ from drivebench.simulation import (
 from conftest import (AgentObs, agent_obs, blocking_spans_oracle,
                       box_extent_oracle, boxes_collide_oracle, make_agent,
                       sampler_evaluate_oracle, sampler_rollout_oracle,
-                      traffic_of, trajectories_equal)
+                      stop_profile_oracle, traffic_of, trajectories_equal)
 
 
 def make_obs(spec, ego_pose=None, ego_speed=None, agents=(), pedestrians=(),
@@ -1203,6 +1203,23 @@ class TestRollout:
             assert s.tobytes() == want_s.tobytes(), trial
             assert v.tobytes() == want_v.tobytes(), trial
 
+    def test_stop_profile_equals_former_loop(self):
+        """The full stop fills its rest once there, with the former loop's
+        bits: from rest, -0.0, negative and NaN speeds, from speeds that
+        reach 0 exactly on a sample, and from speeds that never stop."""
+        from drivebench.planners.base import STEP
+        from drivebench.planners.sampling import STOP_DECEL, _stop_profile
+
+        rng = np.random.default_rng(37)
+        speeds = ([0.0, -0.0, -1.0, math.nan, 1e-300, math.inf, 40.0]
+                  + [k * STOP_DECEL * STEP for k in range(40)]
+                  + rng.uniform(0.0, 30.0, 500).tolist())
+        for v_now in speeds:
+            got, want = _stop_profile(v_now), stop_profile_oracle(v_now)
+            assert all(type(x) is float for row in got for x in row)
+            assert ([np.array(r).tobytes() for r in got]
+                    == [np.array(r).tobytes() for r in want]), v_now
+
     def test_equals_reference_loop_on_scenes(self, monkeypatch):
         """On random scenes the rollout of every evaluate call equals the
         former array rollout over all 30 candidates: scenes whose offsets
@@ -1626,6 +1643,8 @@ class TestCertifiedEvaluate:
             return result
 
         monkeypatch.setattr(sampling.SamplingPlanner, "evaluate", compared)
+        # every tick plans: a world at rest is not replayed
+        monkeypatch.setattr(sampling.SamplingPlanner, "memoryless", False)
         suite = generate_benchmark_suite(2024)
         specs = [suite[0], suite[3]] + suite[10::10]
         assert len({spec.type for spec in specs}) == len(ScenarioType)

@@ -458,6 +458,104 @@ class TestClosedLoop:
         assert trace_hash(loaded) == trace_hash(trace)
 
 
+# seed-2024 suite indices where a world at rest is replayed, per planner,
+# and the ticks it does not plan there in all
+REPLAYED = {
+    "idm": ([*range(20), *range(30, 41)], 1347),
+    "mobil": ([11, 13, *range(15, 20), *range(30, 38), 40], 723),
+    "sampler": ([*range(20), 40], 712),
+}
+
+
+class TestWorldAtRest:
+    """run_closed_loop records the remaining ticks of a world at rest under
+    a memoryless planner instead of computing them."""
+
+    @pytest.mark.parametrize("name", sorted(REPLAYED))
+    def test_trace_equals_full_loop(self, monkeypatch, name):
+        """On every suite scenario where the replay fires, the trace bytes
+        equal those of the loop that plans every tick."""
+        from drivebench.planners import make_planner
+
+        cls = type(make_planner(name))
+        plan, n_planned = cls.plan, []
+        monkeypatch.setattr(cls, "plan", lambda self, obs: (
+            n_planned.append(obs.time), plan(self, obs))[1])
+        suite = generate_benchmark_suite(2024)
+        indices, n_skipped = REPLAYED[name]
+        skipped = []
+        for i in indices:
+            n_planned.clear()
+            replayed = run_closed_loop(suite[i], make_planner(name)).to_json()
+            skipped.append(150 - len(n_planned))
+            with monkeypatch.context() as m:
+                m.setattr(cls, "memoryless", False)
+                n_planned.clear()
+                full = run_closed_loop(suite[i], make_planner(name)).to_json()
+                assert len(n_planned) == 150
+            assert replayed == full, i
+        assert min(skipped) > 0 and sum(skipped) == n_skipped
+
+    def test_raising_planner_falls_back_every_tick(self):
+        """A memoryless planner that raises brakes to rest and stays there,
+        and each tick still appends its planner_fallback event."""
+        class Raising:
+            name = "raising"
+            memoryless = True
+
+            def plan(self, obs):
+                raise RuntimeError("no plan")
+
+        trace = run_closed_loop(generate_benchmark_suite(2024)[0], Raising())
+        assert [e["time"] for e in trace.events
+                if e["kind"] == "planner_fallback"] == [k * 0.1
+                                                        for k in range(150)]
+        assert trace.snapshots[-50].ego == trace.snapshots[-1].ego
+        assert trace.snapshots[-1].ego["speed"] == 0.0
+
+    def test_hybrid_plans_every_tick(self, monkeypatch):
+        """The hybrid reads obs.time and keeps its behaviour: not
+        memoryless, so it plans on every tick, also where idm, mobil and
+        the sampler replay."""
+        from drivebench.planners import HybridBehaviorPlanner, make_planner
+
+        plan, n_planned = HybridBehaviorPlanner.plan, []
+        monkeypatch.setattr(HybridBehaviorPlanner, "plan", lambda self, obs: (
+            n_planned.append(obs.time), plan(self, obs))[1])
+        planner = make_planner("hybrid-scripted")
+        assert not getattr(planner, "memoryless", False)
+        run_closed_loop(generate_benchmark_suite(2024)[11], planner)
+        assert len(n_planned) == 150
+
+    def test_same_bits_tells_signed_zeros_apart(self):
+        """-0.0 == 0.0, but a world holding one is not the world holding
+        the other, in the ego, the traffic columns or a pedestrian."""
+        from drivebench.agents import Traffic
+
+        suite = generate_benchmark_suite(2024)
+        cars = next(s for s in suite if s.agents)
+        walkers = next(s for s in suite if s.pedestrians)
+        ego = EgoState(pose=Pose2D(0.0, 0.0, 0.0), speed=0.0)
+        traffic = Traffic.spawn(cars.graph, cars.agents)
+        traffic = replace(traffic, heading=[0.0] * len(traffic))
+        world = WorldState(ego, traffic, [
+            PedestrianState(p.path, p.walk_speed, p.trigger_distance, p.lane)
+            for p in walkers.pedestrians])
+        copy = WorldState(replace(ego), replace(traffic),
+                          list(world.pedestrians))
+        assert world.same_bits(copy)
+        negated = [
+            replace(world, ego=replace(ego, pose=Pose2D(0.0, -0.0, 0.0))),
+            replace(world, ego=replace(ego, steering=-0.0)),
+            replace(world, agents=replace(traffic, heading=[-0.0] + [0.0] * (
+                len(traffic) - 1))),
+            replace(world, pedestrians=[replace(world.pedestrians[0],
+                                                dist_along=-0.0)]),
+        ]
+        for other in negated:
+            assert world == other and not world.same_bits(other)
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | FINITE | st.text(max_size=8),
