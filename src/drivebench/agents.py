@@ -173,12 +173,6 @@ class Traffic:
              *graph.lane(a.lane).centerline.place(float(a.s))) for a in agents])
 
 
-def lane_pose(graph: LaneGraph, lane_id: str, s: float, d: float = 0.0) -> Pose2D:
-    """Pose at (s, d) on a lane, extended along the end tangents past the ends."""
-    x, y, heading = graph.lane(lane_id).centerline.place(s, d)
-    return Pose2D(float(x), float(y), heading)
-
-
 @dataclass(frozen=True)
 class PedestrianState:
     path: Polyline
@@ -194,9 +188,8 @@ class PedestrianState:
 
     @property
     def position(self) -> tuple[float, float]:
-        s = min(self.dist_along, self.path.length)
-        p = self.path.interpolate_frenet(s, 0.0)
-        return (p.x, p.y)
+        x, y, _ = self.path.place(min(self.dist_along, self.path.length))
+        return (x, y)
 
     @property
     def heading(self) -> float:

@@ -87,11 +87,12 @@ PROJECT_FLOAT_MAX = 6
 class Polyline:
     """An ordered point sequence with a cumulative-arclength cache.
 
-    The scalar kernels (interpolate, tangent_at, length) run on Python
-    floats: tuples of the points, the unit segment directions and the
-    segment headings, each heading computed once with math.atan2 (libm, so
-    no numpy SIMD loop decides its bits); interpolate_many indexes the same
-    headings."""
+    The scalar kernels (place, tangent_at, length) run on Python floats:
+    tuples of the points, the unit segment directions and the segment
+    headings, each heading computed once with math.atan2 (libm, so no
+    numpy SIMD loop decides its bits); interpolate_many indexes the same
+    headings. place and interpolate_many are the two Frenet-to-plane
+    kernels."""
 
     def __init__(self, points: Sequence[Sequence[float]]):
         pts = np.asarray(points, dtype=float)
@@ -215,14 +216,6 @@ class Polyline:
         i = bisect.bisect_right(self._cum, s) - 1
         return min(max(i, 0), len(self._seg_len) - 1)
 
-    def interpolate(self, f: FrenetPoint) -> Pose2D:
-        """Embed a Frenet point back into the plane; heading is the local
-        tangent direction. Rejects s outside [0, length]."""
-        if f.s < -1e-9 or f.s > self.length + 1e-9:
-            raise ValueError(f"s={f.s} outside [0, {self.length}]")
-        x, y, heading = self.place(min(max(f.s, 0.0), self.length), f.d)
-        return Pose2D(float(x), float(y), heading)
-
     def place(self, s: float, d: float = 0.0) -> tuple[float, float, float]:
         """(x, y, heading) of the Frenet point (s, d) on Python floats,
         carried along the end tangents past the ends; the heading is the
@@ -254,9 +247,6 @@ class Polyline:
             ends.append((px + t * ux, py + t * uy, ux, uy,
                          self._pose_headings[i], math.cos(h), math.sin(h)))
         return tuple(ends)
-
-    def interpolate_frenet(self, s: float, d: float = 0.0) -> Pose2D:
-        return self.interpolate(FrenetPoint(s, d))
 
     def interpolate_many(self, s: np.ndarray, d: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

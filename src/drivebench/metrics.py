@@ -24,6 +24,7 @@ from .agents import VEHICLE_LENGTH, VEHICLE_WIDTH, lane_keeper_obstructions
 from .geometry import (
     OrientedBox,
     Pose2D,
+    box_columns,
     fraction_outside_drivable,
     lane_changes_required,
     points_in_polygon,
@@ -291,9 +292,7 @@ def ttc_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
     T = len(trace.snapshots)
     ego = trace.ego_series()
     ent = _entity_series(trace)
-    ox, oy, oh, ol, ow = np.array(
-        [(o.box.center.x, o.box.center.y, o.box.center.heading, o.box.length,
-          o.box.width) for o in spec.obstacles], dtype=float).reshape(-1, 5).T
+    ox, oy, oh, ol, ow = box_columns([o.box for o in spec.obstacles])
     P = ent["px"].shape[1]
     at_rest = np.zeros((T, len(ox)))
     violating = ttc_violations(

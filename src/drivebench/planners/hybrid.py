@@ -69,7 +69,7 @@ def _blocking_cluster(obs: Observation, lane_id: str, ego_front: float):
 def _offset_inside_area(obs: Observation, lane_id: str, s: float,
                         offset: float) -> bool:
     line = obs.graph.lane(lane_id).centerline
-    pose = line.interpolate_frenet(min(max(s, 0.0), line.length), offset)
+    pose = Pose2D(*line.place(min(max(s, 0.0), line.length), offset))
     box = OrientedBox(pose, VEHICLE_LENGTH, VEHICLE_WIDTH)
     pts = np.vstack([box.corners(), [[pose.x, pose.y]]])
     return bool(points_in_any_polygon(pts, obs.graph.drivable_area).all())

@@ -54,9 +54,9 @@ def _lane_band(spec: ScenarioSpec, lane_id: str) -> list[tuple[float, float]]:
     line = lane.centerline
     n = max(int(line.length / 5.0) + 2, 2)
     ss = np.linspace(0.0, line.length, n)
-    left = [line.interpolate_frenet(float(s), lane.width / 2.0) for s in ss]
-    right = [line.interpolate_frenet(float(s), -lane.width / 2.0) for s in ss]
-    return [(p.x, p.y) for p in left] + [(p.x, p.y) for p in reversed(right)]
+    left = [line.place(float(s), lane.width / 2.0)[:2] for s in ss]
+    right = [line.place(float(s), -lane.width / 2.0)[:2] for s in ss]
+    return left + right[::-1]
 
 
 def render_svg(spec: ScenarioSpec, trace: Optional[SimTrace] = None,
@@ -114,8 +114,8 @@ def render_svg(spec: ScenarioSpec, trace: Optional[SimTrace] = None,
         for a in spec.agents:
             parts.append(_box(spec.agent_box(a), COLORS["vehicle"], cls="agent"))
         for p in spec.pedestrians:
-            start = p.path.interpolate_frenet(0.0, 0.0)
-            parts.append(_circle(start.x, start.y, 0.4, COLORS["pedestrian"],
+            x, y, _ = p.path.place(0.0)
+            parts.append(_circle(x, y, 0.4, COLORS["pedestrian"],
                                  cls="pedestrian"))
         ego_box = spec.ego_box()
     parts.append(_box(ego_box, COLORS["ego"], cls="ego"))

@@ -194,8 +194,8 @@ class ScenarioSpec:
         return OrientedBox(self.ego.pose, VEHICLE_LENGTH, VEHICLE_WIDTH)
 
     def agent_box(self, a: VehicleAgentSpec) -> OrientedBox:
-        from .agents import lane_pose
-        return OrientedBox(lane_pose(self.graph, a.lane, a.s), a.length, a.width)
+        pose = Pose2D(*self.graph.lane(a.lane).centerline.place(a.s))
+        return OrientedBox(pose, a.length, a.width)
 
     def validate(self):
         if self.duration <= 0:
@@ -217,7 +217,7 @@ class ScenarioSpec:
                  + ["pedestrian"] * len(self.pedestrians))
         boxes = ([self.ego_box()] + [self.agent_box(a) for a in self.agents]
                  + [o.box for o in self.obstacles]
-                 + [OrientedBox(ped.path.interpolate_frenet(0.0, 0.0), 0.6, 0.6)
+                 + [OrientedBox(Pose2D(*ped.path.place(0.0)), 0.6, 0.6)
                     for ped in self.pedestrians])
         for i, j in pairwise_contacts(box_columns(boxes)):
             if kinds[i] != "crashed_vehicle" or kinds[j] != "crashed_vehicle":
@@ -353,12 +353,12 @@ def base_scenario(scenario_type: ScenarioType, graph: LaneGraph, ego_lane: str,
                   duration: float = 15.0,
                   goal_lane: Optional[str] = None) -> ScenarioSpec:
     """A scenario skeleton: ego on its lane, straight-ahead route, nothing else."""
-    from .agents import lane_pose
     goal_lane = goal_lane or ego_lane
     goal_line = graph.lane(goal_lane).centerline
-    goal = goal_line.interpolate_frenet(goal_line.length - 15.0, 0.0)
+    goal = Pose2D(*goal_line.place(goal_line.length - 15.0))
     route = shortest_route(graph, ego_lane, goal_lane, goal)
-    ego = EgoStart(pose=lane_pose(graph, ego_lane, ego_s), speed=ego_speed)
+    ego = EgoStart(pose=Pose2D(*graph.lane(ego_lane).centerline.place(ego_s)),
+                   speed=ego_speed)
     return ScenarioSpec(type=scenario_type, graph=graph, ego=ego, agents=(),
                         pedestrians=(), obstacles=(), route=route,
                         duration=duration, seed=seed)
@@ -380,6 +380,13 @@ def _require_ahead(spec: ScenarioSpec, lane_id: str, at_s: float, margin: float 
                             f"ahead of the ego (front at {ego_front:.1f})")
 
 
+def _require_on_lane(lane: LaneSegment, *s_values: float):
+    for s in s_values:
+        if not 0.0 <= s <= lane.centerline.length:
+            raise ScenarioError(f"placement at s={s:.1f} is outside [0, "
+                                f"{lane.centerline.length:.1f}] on {lane.id}")
+
+
 def place_construction_zone(spec: ScenarioSpec, start_s: float,
                             zone_length: float) -> ScenarioSpec:
     """A cone row fully blocking the ego lane over the zone; the adjacent
@@ -394,7 +401,7 @@ def place_construction_zone(spec: ScenarioSpec, start_s: float,
     n_across = max(5, int(math.ceil(2 * half_span / 0.8)) + 1)
 
     def cone_at(s: float, d: float) -> ObstacleSpec:
-        pose = lane.centerline.interpolate_frenet(s, d)
+        pose = Pose2D(*lane.centerline.place(s, d))
         return ObstacleSpec("cone", OrientedBox(pose, CONE_SIZE, CONE_SIZE), lane_id)
 
     for s in (start_s, start_s + zone_length):
@@ -415,19 +422,20 @@ def place_parked_vehicle(spec: ScenarioSpec, variant: str, at_s: float,
     lane_id = spec.route.lane_sequence[0]
     lane = spec.graph.lane(lane_id)
     _require_ahead(spec, lane_id, at_s)
+    _require_on_lane(lane, at_s)
     if variant == "nudge":
         e = 0.4 * lane.width if encroachment is None else encroachment
         if not 0.0 < e <= 0.4 * lane.width:
             raise ScenarioError("nudge encroachment must be in (0, 0.4*lane_width]")
         d_center = -lane.width / 2.0 + e - VEHICLE_WIDTH / 2.0
-        pose = lane.centerline.interpolate_frenet(at_s, d_center)
+        pose = Pose2D(*lane.centerline.place(at_s, d_center))
         box = OrientedBox(pose, VEHICLE_LENGTH, VEHICLE_WIDTH)
         return replace(spec, obstacles=spec.obstacles
                        + (ObstacleSpec("parked_vehicle", box, lane_id),))
     if variant == "overtake":
         if not _has_oncoming_lane(spec.graph, lane):
             raise ScenarioError("overtake variant needs an oncoming lane")
-        pose = lane.centerline.interpolate_frenet(at_s, 0.0)
+        pose = Pose2D(*lane.centerline.place(at_s))
         box = OrientedBox(pose, VAN_LENGTH, VAN_WIDTH)
         return replace(spec, obstacles=spec.obstacles
                        + (ObstacleSpec("parked_vehicle", box, lane_id),))
@@ -435,12 +443,12 @@ def place_parked_vehicle(spec: ScenarioSpec, variant: str, at_s: float,
 
 
 def _has_oncoming_lane(graph: LaneGraph, lane: LaneSegment) -> bool:
-    mid = lane.centerline.interpolate_frenet(lane.centerline.length / 2.0, 0.0)
+    mid_x, mid_y, _ = lane.centerline.place(lane.centerline.length / 2.0)
     h = lane.centerline.tangent_at(lane.centerline.length / 2.0)
     for other in graph.segments.values():
         if other.id == lane.id:
             continue
-        f = other.centerline.project((mid.x, mid.y))
+        f = other.centerline.project((mid_x, mid_y))
         if abs(f.d) > 3.0 * lane.width:
             continue
         h_other = other.centerline.tangent_at(f.s)
@@ -459,15 +467,15 @@ def place_accident_site(spec: ScenarioSpec, at_s: float,
     _require_ahead(spec, lane_id, at_s)
     line = lane.centerline
     if pattern == "rear_end":
-        pa = line.interpolate_frenet(at_s, -0.1)
-        pb = line.interpolate_frenet(at_s + VEHICLE_LENGTH - 0.5, 0.2)
-        pb = Pose2D(pb.x, pb.y, pb.heading + 0.06)
+        d_a, s_b, d_b, turn = -0.1, at_s + VEHICLE_LENGTH - 0.5, 0.2, 0.06
     elif pattern == "crossing":
-        pa = line.interpolate_frenet(at_s, -0.2)
-        pb0 = line.interpolate_frenet(at_s + 1.8, 0.9)
-        pb = Pose2D(pb0.x, pb0.y, pb0.heading + math.pi / 2.0 * 0.85)
+        d_a, s_b, d_b, turn = -0.2, at_s + 1.8, 0.9, math.pi / 2.0 * 0.85
     else:
         raise ScenarioError(f"unknown accident pattern {pattern!r}")
+    _require_on_lane(lane, at_s, s_b)
+    pa = Pose2D(*line.place(at_s, d_a))
+    x, y, heading = line.place(s_b, d_b)
+    pb = Pose2D(x, y, heading + turn)
     a = OrientedBox(pa, VEHICLE_LENGTH, VEHICLE_WIDTH)
     b = OrientedBox(pb, VEHICLE_LENGTH, VEHICLE_WIDTH)
     if not boxes_collide(a, b):
@@ -489,14 +497,15 @@ def place_jaywalker(spec: ScenarioSpec, bus_stop_s: float,
             f"trigger {trigger_distance:.1f} m does not allow a reaction: "
             f"stopping distance is {stopping:.1f} m at {spec.ego.speed:.1f} m/s")
     _require_ahead(spec, lane_id, bus_stop_s)
+    s_cross = bus_stop_s + BUS_LENGTH / 2.0 + 2.0
+    _require_on_lane(lane, bus_stop_s, s_cross)
     d_bus = -(lane.width / 2.0 + BUS_WIDTH / 2.0 - 0.05)
-    bus_pose = lane.centerline.interpolate_frenet(bus_stop_s, d_bus)
+    bus_pose = Pose2D(*lane.centerline.place(bus_stop_s, d_bus))
     bus = ObstacleSpec("stopped_bus", OrientedBox(bus_pose, BUS_LENGTH, BUS_WIDTH),
                        lane_id)
-    s_cross = bus_stop_s + BUS_LENGTH / 2.0 + 2.0
-    start = lane.centerline.interpolate_frenet(s_cross, -(lane.width / 2.0 + 0.8))
-    end = lane.centerline.interpolate_frenet(s_cross, lane.width / 2.0 + 0.8)
-    path = Polyline([[start.x, start.y], [end.x, end.y]])
+    start = lane.centerline.place(s_cross, -(lane.width / 2.0 + 0.8))
+    end = lane.centerline.place(s_cross, lane.width / 2.0 + 0.8)
+    path = Polyline([start[:2], end[:2]])
     ped = PedestrianSpec(path=path, trigger_distance=trigger_distance,
                          walk_speed=walk_speed, lane=lane_id)
     return replace(spec, obstacles=spec.obstacles + (bus,),
@@ -610,7 +619,7 @@ def augment_goal_for_lane_changes(spec: ScenarioSpec, n_changes: int) -> Scenari
                 f"map does not allow {n_changes} lane changes from {start}")
         target = left
     line = spec.graph.lane(target).centerline
-    goal = line.interpolate_frenet(line.length - 15.0, 0.0)
+    goal = Pose2D(*line.place(line.length - 15.0))
     route = shortest_route(spec.graph, start, target, goal)
     if lane_changes_required(route, spec.graph) != n_changes:
         raise ScenarioError("route augmentation produced the wrong change count")

@@ -109,7 +109,7 @@ def straight_offset_path_clear(graph, lane_id, boxes, d, s_lo, s_hi,
     s_hi = min(line.length, s_hi)
     s = s_lo
     while s <= s_hi:
-        pose = line.interpolate_frenet(s, d)
+        pose = Pose2D(*line.place(s, d))
         ego = OrientedBox(pose, ego_length, ego_width)
         if any(boxes_collide_oracle(ego, b) for b in boxes):
             return False

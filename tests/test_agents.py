@@ -19,7 +19,6 @@ from drivebench.agents import (
     equilibrium_speed,
     idm_acceleration,
     idm_profile,
-    lane_pose,
     select_lead,
     step_pedestrian,
     step_vehicle_agent,
@@ -425,8 +424,8 @@ def random_traffic(rng):
     line0 = graph.lane("lane0").centerline
     for _ in range(int(rng.integers(0, 4))):
         s = float(rng.uniform(20.0, line0.length - 20.0))
-        a = line0.interpolate_frenet(s, -3.0)
-        b = line0.interpolate_frenet(s, n_lanes * 3.5)
+        a = Pose2D(*line0.place(s, -3.0))
+        b = Pose2D(*line0.place(s, n_lanes * 3.5))
         path = Polyline([[a.x, a.y], [b.x, b.y]])
         phase = ("waiting", "crossing", "crossing", "done")[int(rng.integers(4))]
         pedestrians.append(PedestrianState(
@@ -445,7 +444,7 @@ def random_traffic(rng):
         d = {"straddling": lane.width / 2.0 * (1 if rng.random() < 0.5 else -1),
              "merged": float(rng.uniform(-0.8, 0.8)),
              "aside": float(rng.uniform(-6.0, 6.0))}[kind]
-        pose = lane.centerline.interpolate_frenet(s, d)
+        pose = Pose2D(*lane.centerline.place(s, d))
         heading = pose.heading
         if not straight or rng.random() < 0.5:
             heading = wrap_angle(heading + float(rng.uniform(-0.4, 0.4)))
@@ -786,7 +785,7 @@ class TestPedestrian:
 class TestLanePose:
     def test_extends_past_lane_end(self):
         graph = parallel_graph(1, length=100.0)
-        pose = lane_pose(graph, "lane0", 110.0)
+        pose = Pose2D(*graph.lane("lane0").centerline.place(110.0))
         assert pose.x == pytest.approx(110.0)
         assert pose.y == pytest.approx(0.0)
 
@@ -896,9 +895,9 @@ class TestTrafficColumns:
            d=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-5.0, 5.0)),
            over=st.floats(1e-12, 50.0))
     def test_place_equals_lane_pose(self, points, d, over):
-        """Polyline.place, and lane_pose through it, equal the former
-        lane_pose at every cum_len entry and its nextafter neighbours, at 0
-        and length, and beyond both ends."""
+        """Polyline.place, and the Pose2D its callers build from it, equal
+        the former lane_pose at every cum_len entry and its nextafter
+        neighbours, at 0 and length, and beyond both ends."""
         xy = np.array(points)
         if (np.hypot(*np.diff(xy, axis=0).T) <= 0).any():
             return
@@ -912,4 +911,4 @@ class TestTrafficColumns:
         for s in ss:
             want = lane_pose_oracle(graph, "l", s, d)
             assert_same(line.place(s, d), (want.x, want.y, want.heading))
-            assert_same(lane_pose(graph, "l", s, d), want)
+            assert_same(Pose2D(*line.place(s, d)), want)

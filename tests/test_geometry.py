@@ -116,9 +116,10 @@ class TestScalarKernels:
     """Polyline's scalar kernels pick the same values as the numpy forms
     they replaced, bit for bit: _segment_index bisects a tuple of cum_len
     like np.searchsorted(cum_len, s, side="right"); project bounds the foot
-    parameter with np.minimum/np.maximum like np.clip; interpolate,
-    tangent_at and length read Python-float tuples where they indexed numpy
-    arrays; interpolate_many bounds like np.clip."""
+    parameter with np.minimum/np.maximum like np.clip; place (on [0,
+    length], where it replaced interpolate), tangent_at and length read
+    Python-float tuples where they indexed numpy arrays; interpolate_many
+    bounds like np.clip."""
 
     @staticmethod
     def _lines():
@@ -131,12 +132,9 @@ class TestScalarKernels:
                 Polyline(zigzag)]
 
     @staticmethod
-    def _indexed_interpolate(line, s, d):
-        """The former interpolate, indexing numpy arrays, as (x, y, h)."""
-        length = float(line.cum_len[-1])
-        if s < -1e-9 or s > length + 1e-9:
-            raise ValueError(f"s={s} outside [0, {length}]")
-        s = min(max(s, 0.0), length)
+    def _indexed_place(line, s, d):
+        """The former interpolate on s in [0, length], indexing numpy
+        arrays, as (x, y, h)."""
         i = line._segment_index(s)
         t = s - line.cum_len[i]
         dx, dy = line._dirs[i]
@@ -175,7 +173,7 @@ class TestScalarKernels:
              np.nextafter(-1e-9, 0.0), np.nextafter(end + 1e-9, end)],
             rng.uniform(0.0, end, 500)))
 
-    def test_interpolate_and_tangent_equal_indexed_form(self):
+    def test_place_and_tangent_equal_indexed_form(self):
         rng = np.random.default_rng(59)
         for line in self._lines():
             assert type(line.length) is float
@@ -185,9 +183,11 @@ class TestScalarKernels:
                                        rng.uniform(-6.0, 6.0, len(s_values) - 4)))
             for s, d in zip(s_values.tolist(), d_values.tolist()):
                 for dd in (d, 0.0):
-                    p = line.interpolate_frenet(s, dd)
+                    if not 0.0 <= s <= line.length:
+                        continue
+                    p = Pose2D(*line.place(s, dd))
                     got = np.array([p.x, p.y, p.heading])
-                    want = np.array(self._indexed_interpolate(line, s, dd))
+                    want = np.array(self._indexed_place(line, s, dd))
                     assert got.tobytes() == want.tobytes(), (s, dd)
                 got = np.array([line.tangent_at(s)])
                 want = np.array([self._indexed_tangent_at(line, s)])
@@ -196,17 +196,6 @@ class TestScalarKernels:
                 got = np.array([line.tangent_at(s)])
                 want = np.array([self._indexed_tangent_at(line, s)])
                 assert got.tobytes() == want.tobytes(), s
-
-    def test_interpolate_out_of_range_error_unchanged(self):
-        for line in self._lines():
-            end = line.length
-            for s in (np.nextafter(-1e-9, -np.inf), -1e-8, -1.0, -np.inf,
-                      np.nextafter(end + 1e-9, np.inf), end + 1e-8, np.inf):
-                with pytest.raises(ValueError) as got:
-                    line.interpolate_frenet(s, 0.0)
-                with pytest.raises(ValueError) as want:
-                    self._indexed_interpolate(line, s, 0.0)
-                assert str(got.value) == str(want.value)
 
     def test_interpolate_many_equals_clip_form(self):
         rng = np.random.default_rng(61)
@@ -430,29 +419,23 @@ class TestProjectFloatForm:
 
 class TestFrenetEmbedding:
     def test_start_of_line(self):
-        pose = straight_line().interpolate(FrenetPoint(0.0, 0.0))
-        assert (pose.x, pose.y) == (0.0, 0.0)
-        assert pose.heading == pytest.approx(0.0)
+        x, y, heading = straight_line().place(0.0)
+        assert (x, y) == (0.0, 0.0)
+        assert heading == pytest.approx(0.0)
 
     def test_straight_east_offset(self):
-        pose = straight_line().interpolate(FrenetPoint(3.0, 2.0))
-        assert pose.x == pytest.approx(3.0)
-        assert pose.y == pytest.approx(2.0)
-        assert pose.heading == pytest.approx(0.0)
+        x, y, heading = straight_line().place(3.0, 2.0)
+        assert x == pytest.approx(3.0)
+        assert y == pytest.approx(2.0)
+        assert heading == pytest.approx(0.0)
 
     def test_arc_offset_lands_on_concentric_circle(self):
         r = 20.0
         line = arc_polyline(r, 1.5, n=2000)
         # ccw turn: center at (0, r); d=+1 is toward the center -> radius r-1
-        pose = line.interpolate(FrenetPoint(15.0, 1.0))
-        dist_to_center = math.hypot(pose.x - 0.0, pose.y - r)
+        x, y, _ = line.place(15.0, 1.0)
+        dist_to_center = math.hypot(x - 0.0, y - r)
         assert dist_to_center == pytest.approx(r - 1.0, abs=2e-4)
-
-    def test_rejects_out_of_range_s(self):
-        with pytest.raises(ValueError):
-            straight_line(10.0).interpolate(FrenetPoint(11.0, 0.0))
-        with pytest.raises(ValueError):
-            straight_line(10.0).interpolate(FrenetPoint(-0.5, 0.0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -461,7 +444,7 @@ class TestFrenetEmbedding:
         kind=st.sampled_from(["straight", "arc", "s_curve"]),
     )
     def test_round_trip(self, s, d, kind):
-        """interpolate then project, and interpolate_many then
+        """place then project, and interpolate_many then
         project_extended (which also runs past both ends along the end
         tangents), recover the Frenet point."""
         if kind == "straight":
@@ -489,8 +472,8 @@ class TestFrenetEmbedding:
         assert abs(f_ext.s - f_in.s) < tol
         assert abs(f_ext.d - f_in.d) < tol
         if 0.0 <= s <= 1.0:
-            pose = line.interpolate(f_in)
-            f_out = line.project((pose.x, pose.y))
+            x, y, _ = line.place(f_in.s, f_in.d)
+            f_out = line.project((x, y))
             assert abs(f_out.s - f_in.s) < tol
             assert abs(f_out.d - f_in.d) < tol
 
@@ -1077,8 +1060,7 @@ class TestRouting:
             ids = sorted(segs)
             start = ids[int(rng.integers(len(ids)))]
             goal = ids[int(rng.integers(len(ids)))]
-            goal_pose = segs[goal].centerline.interpolate(
-                FrenetPoint(5.0, 0.0))
+            goal_pose = Pose2D(*segs[goal].centerline.place(5.0))
             try:
                 route = shortest_route(g, start, goal, goal_pose)
             except NoRoute:

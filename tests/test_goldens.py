@@ -17,7 +17,7 @@ from test_acceptance import SEED, _golden_lines, _run_subset, check_golden
 WAYPOINTS = ", ".join(f"({2.0 * k:.1f}, 0.0)" for k in range(1, 17))
 
 
-def respond(prompt, cfg=None) -> str:
+def respond(prompt, cfg) -> str:
     """llm_call's stand-in, reading only the prompt text: the fixed
     waypoints to a waypoints prompt; to a behaviour prompt,
     overtake_obstacle when it is offered and follow_lane otherwise."""

@@ -12,7 +12,6 @@ from drivebench.agents import (
     SWEPT_BAND_HALF_WIDTH,
     VEHICLE_LENGTH,
     VEHICLE_WIDTH,
-    lane_pose,
 )
 from drivebench.geometry import (
     LaneGraph,
@@ -194,7 +193,7 @@ class TestDrivableReference:
             off = int(rng.integers(0, 2 * n))
             if off < n:
                 d[off] = rng.choice([-4.0, 8.0])
-            poses = [line.interpolate_frenet(si, di) for si, di in zip(s, d)]
+            poses = [Pose2D(*line.place(si, di)) for si, di in zip(s, d)]
             states = [(p.x, p.y, p.heading, 5.0) for p in poses]
             if trial == 0:
                 states[3] = (math.nan, math.nan, 0.0, 5.0)
@@ -344,7 +343,7 @@ class TestStopJustifiedReference:
                 line = world.graph.lane(lane_id).centerline
                 s = edge + float(rng.uniform(-0.3, 0.3))
                 if 0.0 <= s <= line.length:
-                    p = line.interpolate_frenet(s, float(rng.uniform(-1.0, 1.0)))
+                    p = Pose2D(*line.place(s, float(rng.uniform(-1.0, 1.0))))
                     peds.append({"x": p.x, "y": p.y, "vx": 0.0, "vy": 1.5,
                                  "phase": "crossing"})
             snap = TickSnapshot(
@@ -761,8 +760,8 @@ def ego_perturbations(trace, spec, rng):
         return t
 
     def put(snap, lane_id, s, d):
-        p = lane_pose(graph, lane_id, s, d)
-        snap.ego.update(x=p.x, y=p.y, heading=p.heading)
+        x, y, heading = graph.lane(lane_id).centerline.place(s, d)
+        snap.ego.update(x=x, y=y, heading=heading)
 
     onto = copy.deepcopy(trace)
     for k, snap in enumerate(onto.snapshots):

@@ -86,7 +86,7 @@ class TestIdmPlanner:
     def test_stops_before_blocking_obstacle(self):
         spec = empty_road_spec(lanes=1)
         lane = spec.graph.lane("lane0")
-        pose = lane.centerline.interpolate_frenet(90.0, 0.0)
+        pose = Pose2D(*lane.centerline.place(90.0))
         box = OrientedBox(pose, 4.6, 3.4)  # full-width block
         spec = replace(spec, obstacles=(ObstacleSpec("parked_vehicle", box, "lane0"),))
         obs = make_obs(spec, ego_speed=10.0)
@@ -537,8 +537,8 @@ def random_observation(rng, lanes=2):
         lane = spec.graph.lane("lane0")
         e = float(rng.uniform(0.6, 1.4))
         d_center = -lane.width / 2.0 + e - VEHICLE_WIDTH / 2.0
-        pose = lane.centerline.interpolate_frenet(float(rng.uniform(80, 150)),
-                                                  d_center)
+        pose = Pose2D(*lane.centerline.place(float(rng.uniform(80, 150)),
+                                             d_center))
         obstacles = (ObstacleSpec("parked_vehicle",
                                   OrientedBox(pose, 4.6, 1.85), "lane0"),)
     peds = []
@@ -1011,9 +1011,9 @@ class TestObstacleTable:
             obstacles = []
             for _ in range(int(rng.integers(3, 12))):
                 s = float(rng.uniform(-40.0, line.length + 40.0))
-                pose = line.interpolate_frenet(
+                pose = Pose2D(*line.place(
                     min(max(s, 0.0), line.length),
-                    float(rng.uniform(-2.0, 3.5 * lanes)))
+                    float(rng.uniform(-2.0, 3.5 * lanes))))
                 if not 0.0 <= s <= line.length:  # along the end tangent
                     h = pose.heading
                     over = s - min(max(s, 0.0), line.length)
@@ -1028,7 +1028,7 @@ class TestObstacleTable:
             table = ObstacleTable(spec.graph, spec.obstacles)
             for ego_s in rng.uniform(0.0, line.length, 3):
                 world = WorldState(ego=EgoState(
-                    pose=line.interpolate_frenet(float(ego_s), 0.0),
+                    pose=Pose2D(*line.place(float(ego_s))),
                     speed=10.0), agents=traffic_of([]), pedestrians=[])
                 obs = build_observation(world, spec, table, 0.0)
                 n_partial += 0 < len(obs.obstacles) < len(obstacles)
@@ -1113,8 +1113,8 @@ class TestObstacleTable:
         line = spec.graph.lane("lane0").centerline
         moved = [replace(o, box=OrientedBox(pose, o.box.length, o.box.width))
                  for o, pose in zip(spec.obstacles, (
-                     line.interpolate_frenet(0.0, 0.0),
-                     line.interpolate_frenet(line.length, 0.0)))]
+                     Pose2D(*line.place(0.0)),
+                     Pose2D(*line.place(line.length))))]
         spec = replace(spec, obstacles=tuple(moved) + spec.obstacles[2:])
         self.assert_equals_former_loops(spec)
         extents = ObstacleTable(spec.graph, spec.obstacles).extents(
@@ -1148,7 +1148,7 @@ class TestObstacleTable:
         s = {"before": -reach - along, "past": line.length + reach + along,
              "straddle_start": along % reach, "inside": line.length / 2.0,
              "straddle_end": line.length - along % reach}[where]
-        base = line.interpolate_frenet(min(max(s, 0.0), line.length), d)
+        base = Pose2D(*line.place(min(max(s, 0.0), line.length), d))
         over = s - min(max(s, 0.0), line.length)
         h = base.heading
         pose = Pose2D(base.x + over * math.cos(h), base.y + over * math.sin(h),
@@ -1448,7 +1448,7 @@ def all_infeasible_observation():
     the ego: every candidate collides or leaves the area."""
     spec = empty_road_spec(lanes=1)
     lane = spec.graph.lane("lane0")
-    pose = lane.centerline.interpolate_frenet(48.0, 0.0)
+    pose = Pose2D(*lane.centerline.place(48.0))
     spec = replace(spec, obstacles=(
         ObstacleSpec("parked_vehicle", OrientedBox(pose, 4.6, 3.4), "lane0"),))
     return make_obs(spec, ego_speed=10.0)
@@ -1468,7 +1468,7 @@ class TestSamplingPlanner:
         g = build_base_map("straight_multilane", lanes=1, length=450.0)
         spec = base_scenario(ScenarioType.NUDGE, g, "lane0", 30.0, 10.0, 1)
         spec = place_parked_vehicle(spec, "nudge", at_s=95.0, encroachment=1.4)
-        ego_pose = g.lane("lane0").centerline.interpolate_frenet(65.0, 0.0)
+        ego_pose = Pose2D(*g.lane("lane0").centerline.place(65.0))
         obs = make_obs(spec, ego_pose=ego_pose, ego_speed=10.0)
         cands, best, _ = SamplingPlanner().evaluate(obs)
         chosen = cands[best]

@@ -155,6 +155,17 @@ class TestParkedVehicle:
         with pytest.raises(ScenarioError):
             place_parked_vehicle(fresh_spec(lanes=2), "overtake", at_s=90.0)
 
+    @pytest.mark.parametrize("variant", ["nudge", "overtake"])
+    def test_rejects_s_past_lane_end(self, variant):
+        """A ScenarioError, so a ValueError, for s just past the lane's
+        end; s at the end is placed."""
+        spec = fresh_spec(kind="two_way", lanes=1)
+        end = spec.graph.lane("lane0").centerline.length
+        place_parked_vehicle(spec, variant, at_s=end)
+        with pytest.raises(ValueError, match="outside") as err:
+            place_parked_vehicle(spec, variant, at_s=math.nextafter(end, 500.0))
+        assert err.type is ScenarioError
+
 
 class TestAccidentSite:
     @pytest.mark.parametrize("pattern", ["rear_end", "crossing"])
@@ -172,6 +183,15 @@ class TestAccidentSite:
         diff = abs(wrap_angle(a.center.heading - b.center.heading))
         assert math.radians(55) < diff < math.radians(125)
 
+    @pytest.mark.parametrize("pattern", ["rear_end", "crossing"])
+    def test_rejects_second_vehicle_past_lane_end(self, pattern):
+        """The second vehicle lies ahead of at_s; placing it past the lane's
+        end raises a ScenarioError."""
+        spec = fresh_spec()
+        end = spec.graph.lane("lane0").centerline.length
+        with pytest.raises(ScenarioError, match="outside"):
+            place_accident_site(spec, at_s=end - 1.0, pattern=pattern)
+
     def test_needs_second_lane(self):
         g = build_base_map("straight_multilane", lanes=1, length=450.0)
         spec = base_scenario(ScenarioType.ACCIDENT, g, "lane0", 40.0, 10.0, seed=1)
@@ -187,7 +207,7 @@ def overlap_oracle(spec):
     boxes += [("agent", spec.agent_box(a)) for a in spec.agents]
     boxes += [(o.kind, o.box) for o in spec.obstacles]
     for ped in spec.pedestrians:
-        p = ped.path.interpolate_frenet(0.0, 0.0)
+        p = Pose2D(*ped.path.place(0.0))
         boxes.append(("pedestrian", OrientedBox(p, 0.6, 0.6)))
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
@@ -209,14 +229,14 @@ def validate_message(spec):
 
 
 def obstacle_at(spec, kind, lane, s, d=0.0, turn=0.0, size=(0.4, 0.4)):
-    p = spec.graph.lane(lane).centerline.interpolate_frenet(s, d)
-    return ObstacleSpec(kind, OrientedBox(Pose2D(p.x, p.y, p.heading + turn),
-                                          *size), lane)
+    x, y, heading = spec.graph.lane(lane).centerline.place(s, d)
+    return ObstacleSpec(kind, OrientedBox(Pose2D(x, y, heading + turn), *size),
+                        lane)
 
 
 def pedestrian_at(spec, lane, s, d=0.0):
-    p = spec.graph.lane(lane).centerline.interpolate_frenet(s, d)
-    return PedestrianSpec(Polyline([[p.x, p.y], [p.x, p.y + 8.0]]), 30.0)
+    x, y, _ = spec.graph.lane(lane).centerline.place(s, d)
+    return PedestrianSpec(Polyline([[x, y], [x, y + 8.0]]), 30.0)
 
 
 class TestValidateOverlap:
@@ -331,6 +351,14 @@ class TestJaywalker:
         with pytest.raises(ScenarioError):
             place_jaywalker(fresh_spec(lanes=1, speed=15.0), bus_stop_s=90.0,
                             trigger_distance=5.0)
+
+    def test_rejects_crossing_past_lane_end(self):
+        """The crossing lies ahead of the bus stop; placing it past the
+        lane's end raises a ScenarioError."""
+        spec = fresh_spec(lanes=1, speed=10.0)
+        end = spec.graph.lane("lane0").centerline.length
+        with pytest.raises(ScenarioError, match="outside"):
+            place_jaywalker(spec, bus_stop_s=end - 1.0, trigger_distance=30.0)
 
     def test_path_crosses_lane_centerline(self):
         spec = place_jaywalker(fresh_spec(lanes=1, speed=10.0), bus_stop_s=90.0,
