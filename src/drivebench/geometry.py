@@ -382,30 +382,35 @@ def pairwise_contacts(cols: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(i[hits].tolist(), j[hits].tolist()))
 
 
-def ttc_violations(x, y, h, v, length, width, qx, qy, qvx, qvy, qh, ql, qw,
-                   threshold: float) -> np.ndarray:
-    """Which ego states (x, y, h, v: shape S; length, width: floats) meet
-    an entity (trailing axis N, leading axes broadcasting against S) when
-    both are projected at constant velocity to u = min(k * 0.1 s,
-    threshold), k = 1, 2, ...: a bool array of shape S.
+def ttc_offsets(threshold: float) -> np.ndarray:
+    """The TTC look-ahead times u = min(k * 0.1 s, threshold), k = 0, 1,
+    ..., ceil(threshold / 0.1). At u = 0 a box stays where it is: x + vx *
+    0.0 differs from x at most in the sign of a zero, which no contact test
+    sees."""
+    return np.minimum(np.arange(math.ceil(threshold / 0.1) + 1) * 0.1,
+                      threshold)
+
+
+def projected_contacts(x, y, h, v, length, width, qx, qy, qvx, qvy, qh, ql,
+                       qw, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """box_contacts of ego states (x, y, h, v: shape S; length, width:
+    floats) and entities (trailing axis N, leading axes broadcasting
+    against S), both projected at constant velocity by each look-ahead
+    time of u (see ttc_offsets): one index array per axis of S + (len(u),
+    N), in row-major order.
 
     Entity headings are the callers' own, and they differ on pedestrians on
     purpose: the sampler heads a crossing pedestrian along its velocity (0
     while waiting), the metric heads every pedestrian at 0. Either way the
     pedestrian is a 0.6 m square, so only contacts near its corners differ.
     """
-    n_u = int(math.ceil(threshold / 0.1))
-    u = np.minimum(np.arange(1, n_u + 1) * 0.1, threshold)
     px = x[..., None] + (v * np.cos(h))[..., None] * u  # S + (U,)
     py = y[..., None] + (v * np.sin(h))[..., None] * u
     qx = qx[..., None, :] + qvx[..., None, :] * u[:, None]  # (..., U, N)
     qy = qy[..., None, :] + qvy[..., None, :] * u[:, None]
-    hits = box_contacts(px[..., None], py[..., None], h[..., None, None],
+    return box_contacts(px[..., None], py[..., None], h[..., None, None],
                         length, width, qx, qy, qh[..., None, :],
                         ql[..., None, :], qw[..., None, :])
-    violating = np.zeros(np.shape(x), dtype=bool)
-    violating[hits[:violating.ndim]] = True
-    return violating
 
 
 @functools.lru_cache(maxsize=64)

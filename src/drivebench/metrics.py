@@ -28,7 +28,8 @@ from .geometry import (
     fraction_outside_drivable,
     lane_changes_required,
     points_in_polygon,
-    ttc_violations,
+    projected_contacts,
+    ttc_offsets,
 )
 from .planners.idm_planner import IdmPlanner
 from .scenarios import (
@@ -288,14 +289,14 @@ def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec,
 
 def ttc_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
     """Fraction of ticks whose constant-velocity projection of everything
-    stays collision-free through the TTC threshold."""
+    stays collision-free at every look-ahead u > 0 of the TTC threshold."""
     T = len(trace.snapshots)
     ego = trace.ego_series()
     ent = _entity_series(trace)
     ox, oy, oh, ol, ow = box_columns([o.box for o in spec.obstacles])
     P = ent["px"].shape[1]
     at_rest = np.zeros((T, len(ox)))
-    violating = ttc_violations(
+    hits = projected_contacts(
         ego["x"], ego["y"], ego["heading"], ego["speed"],
         VEHICLE_LENGTH, VEHICLE_WIDTH,
         np.hstack([ent["ax"], np.tile(ox, (T, 1)), ent["px"]]),
@@ -305,7 +306,9 @@ def ttc_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
         np.hstack([ent["ah"], np.tile(oh, (T, 1)), np.zeros((T, P))]),
         np.concatenate([ent["al"], ol, np.full(P, 0.6)]),
         np.concatenate([ent["aw"], ow, np.full(P, 0.6)]),
-        TTC_THRESHOLD)
+        ttc_offsets(TTC_THRESHOLD)[1:])
+    violating = np.zeros(T, dtype=bool)
+    violating[hits[0]] = True
     return float(1.0 - violating.mean())
 
 

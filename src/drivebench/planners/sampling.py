@@ -11,13 +11,15 @@ The safety checks run lazily. Every candidate gets its cheap cost terms;
 the cost at a TTC fraction of 0 bounds its cost from below. The candidate
 with the least bound is checked first, and the others only when it is
 infeasible or its exact cost does not beat the next bound, so the choice
-is the one that checking all 30 would make.
+is the one that checking all 30 would make. A check makes one contact query
+and builds full 8 s paths, so the selected, checked path is the plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -25,9 +27,9 @@ import numpy as np
 from ..agents import IDM_B_COMF, VEHICLE_LENGTH, VEHICLE_WIDTH, idm_profile
 from ..geometry import (
     _box_corners_batch,
-    box_contacts,
     points_in_any_polygon,
-    ttc_violations,
+    projected_contacts,
+    ttc_offsets,
 )
 from ..geometry import wrap_angle as _wrap
 from .base import (
@@ -54,15 +56,21 @@ PROGRESS_WEIGHT = 5.0     # reward on normalized progress
 OFFSET_WEIGHT = 1.0       # penalty per meter of offset delta
 COMFORT_WEIGHT = 0.5      # penalty on normalized mean |accel|
 
+# per candidate, in evaluate's order (fraction None: the full stop)
+_DELTAS = np.repeat(OFFSET_DELTAS, len(SPEED_FRACTIONS) + 1)
+_FRACTIONS = [*SPEED_FRACTIONS, None] * len(OFFSET_DELTAS)
+_LOOKAHEAD = ttc_offsets(TTC_THRESHOLD)  # u = 0: the forecast states
+
 
 @dataclass
 class Candidate:
     """One scored candidate. s and v span the full 8 s horizon (N_SAMPLES).
     Only a checked candidate went through the safety checks: it alone
-    carries d, x, y and heading over the evaluation window (samples 0..K),
-    the collided, off_area and feasible flags, its TTC fraction and its
-    exact cost. An unchecked one carries its cost's lower bound (the cost
-    at a TTC fraction of 0) as cost, None flags and arrays, and a NaN TTC
+    carries d, x, y and heading over the evaluation window (samples 0..K,
+    views of the full-horizon path its check built), the collided,
+    off_area and feasible flags, its TTC fraction and its exact cost. An
+    unchecked one carries its cost's lower bound (the cost at a TTC
+    fraction of 0) as cost, None flags and arrays, and a NaN TTC
     fraction."""
     delta: float
     fraction: Optional[float]      # None = full-stop profile
@@ -128,7 +136,9 @@ def rollouts(v_now: float, gap0: np.ndarray, v_lead: np.ndarray, cap: float
                              idm_profile(v_now, *key, STEP, N_SAMPLES - 1,
                                          -2.0 * IDM_B_COMF))
             picks.append(ids[key])
-    s, v = np.array(table).swapaxes(0, 1)[:, picks]
+    rows = np.fromiter(chain.from_iterable(chain.from_iterable(table)),
+                       float, len(table) * 2 * N_SAMPLES)
+    s, v = rows.reshape(len(table), 2, N_SAMPLES).swapaxes(0, 1)[:, picks]
     return s, v
 
 
@@ -174,7 +184,8 @@ class SamplingPlanner:
         candidate's full 8 s trajectory. Every candidate carries its s and
         v over the full horizon and its progress and comfort; the checked
         ones also carry their paths over the evaluation window, samples
-        0..K, and their safety terms (see Candidate)."""
+        0..K, and their safety terms (see Candidate). The selected one is
+        always checked; its check built the returned path."""
         behavior = behavior or self.default_behavior(obs)
         lane = obs.graph.lane(behavior.centerline)
         line = lane.centerline
@@ -187,13 +198,8 @@ class SamplingPlanner:
         slope0 = float(np.clip(math.tan(
             _wrap(obs.ego_box.center.heading - tangent0)), -0.6, 0.6))
 
-        n_profiles = len(SPEED_FRACTIONS) + 1
-        C = len(OFFSET_DELTAS) * n_profiles
-        deltas = np.repeat(OFFSET_DELTAS, n_profiles)
-        fractions = np.tile(list(SPEED_FRACTIONS) + [np.nan], len(OFFSET_DELTAS))
-        stop_mask = np.isnan(fractions)
         offsets = behavior.lateral_offset + np.asarray(OFFSET_DELTAS)
-        targets = np.repeat(offsets, n_profiles)
+        targets = behavior.lateral_offset + _DELTAS
         span = max(2.0 * max(v_now, 0.1), 10.0)
 
         # lead along each distinct offset path, shared by its speed profiles
@@ -203,12 +209,6 @@ class SamplingPlanner:
                 d0, slope0, offsets, np.maximum(s - s0, 0.0), span))
         s_rel, v = rollouts(v_now, lead_s - front0, lead_v, cap)
         s_abs = s0 + s_rel
-
-        def paths(rows, n):
-            """d, x, y and heading of the given candidates' first n samples."""
-            d = lateral_profile(d0, slope0, targets[rows], s_rel[rows, :n], span)
-            x, y, tangent = line.interpolate_many(s_abs[rows, :n], d)
-            return d, x, y, path_headings(x, y, tangent)
 
         K = min(int(round(EVAL_HORIZON / STEP)), N_SAMPLES - 1)
         # progress is credited over the full horizon; only the safety checks
@@ -220,52 +220,51 @@ class SamplingPlanner:
 
         def cost(rows, ttc_frac):
             return (TTC_WEIGHT * ttc_frac
-                    + OFFSET_WEIGHT * np.abs(deltas[rows])
+                    + OFFSET_WEIGHT * np.abs(_DELTAS[rows])
                     + COMFORT_WEIGHT * comfort[rows]
                     - PROGRESS_WEIGHT * prog_norm[rows])
 
         # TTC_WEIGHT * ttc_frac >= 0 and rounding is monotone, so the cost at
         # a TTC fraction of 0 is a lower bound of the cost, bit for bit
         bound = cost(slice(None), 0.0)
-        candidates = [Candidate(
-            delta=float(deltas[ci]),
-            fraction=None if stop_mask[ci] else float(fractions[ci]),
-            target_offset=float(targets[ci]), s=s_abs[ci], v=v[ci],
-            progress=float(progress[ci]), comfort=float(comfort[ci]),
-            cost=float(bound[ci])) for ci in range(C)]
+        candidates = [Candidate(*row) for row in zip(
+            _DELTAS.tolist(), _FRACTIONS, targets.tolist(), s_abs, v,
+            progress.tolist(), comfort.tolist(), bound.tolist())]
         world = self._world_entities(obs)
+        plans = {}  # checked candidate -> its full-horizon x, y, heading
 
         def check(rows):
-            """Run the safety checks on the given candidates; every kernel
-            works row by row, so a subset gets the bits of the full batch."""
-            # path_headings copies its last column and otherwise looks only
-            # backwards, so K + 2 samples give the first K + 1 exactly
-            d, x, y, heading = (a[:, :K + 1] for a in paths(
-                rows, min(K + 2, N_SAMPLES)))
-            collided, off_area = self._feasibility(obs, world, x, y, heading,
-                                                   d, K)
-            ttc_frac = self._ttc_fractions(world, x, y, heading, v[rows], K)
-            for i, (ci, c_cost) in enumerate(zip(rows, cost(rows, ttc_frac))):
+            """Run the safety checks on the given candidates' full-horizon
+            paths; every kernel works row by row and path_headings looks
+            only backwards, so each window has the bits of any other build."""
+            d = lateral_profile(d0, slope0, targets[rows], s_rel[rows], span)
+            x, y, tangent = line.interpolate_many(s_abs[rows], d)
+            heading = path_headings(x, y, tangent)
+            collided, off_area, ttc_frac = self._safety(
+                obs, world, x, y, heading, d, v[rows], K)
+            window = [a[:, :K + 1] for a in (d, x, y, heading)]
+            for i, (ci, c_cost, hit, off, ttc) in enumerate(zip(
+                    rows, cost(rows, ttc_frac).tolist(), collided.tolist(),
+                    off_area.tolist(), ttc_frac.tolist())):
                 c = candidates[ci]
-                c.checked, c.cost = True, float(c_cost)
-                c.d, c.x, c.y, c.heading = d[i], x[i], y[i], heading[i]
-                c.collided, c.off_area = bool(collided[i]), bool(off_area[i])
-                c.feasible = not (collided[i] or off_area[i])
-                c.ttc_fraction = float(ttc_frac[i])
+                c.checked, c.cost, c.ttc_fraction = True, c_cost, ttc
+                c.d, c.x, c.y, c.heading = (a[i] for a in window)
+                c.collided, c.off_area, c.feasible = hit, off, not (hit or off)
+                plans[ci] = x[i], y[i], heading[i]
 
         # an unchecked candidate's key is no less than its bound key, so the
         # least-bound candidate is certified once it is feasible and its
         # exact key beats every other bound key
-        order = sorted(range(C), key=lambda i: selection_key(candidates, i))
+        order = sorted(range(len(candidates)),
+                       key=lambda i: selection_key(candidates, i))
         first, runner_up = order[:2]
         check([first])
         if not (candidates[first].feasible and selection_key(candidates, first)
                 < selection_key(candidates, runner_up)):
             check(order[1:])
         best = self.select_index(candidates)
-        _, bx, by, bh = paths(slice(best, best + 1), N_SAMPLES)
         return candidates, best, Trajectory(np.arange(N_SAMPLES) * STEP,
-                                            bx[0], by[0], bh[0], v[best])
+                                            *plans[best], v[best])
 
     @staticmethod
     def select_index(candidates: list[Candidate]) -> int:
@@ -294,26 +293,30 @@ class SamplingPlanner:
                   else 0.0, 0.6, 0.6) for p in obs.pedestrians]
         return list(np.array(rows, dtype=float).reshape(-1, 7).T.copy())
 
-    def _feasibility(self, obs, world, x, y, heading, d, K):
-        """At-fault predicted collisions and drivable-area exits over the
-        evaluation window."""
-        C = x.shape[0]
-        collided = np.zeros(C, dtype=bool)
+    def _safety(self, obs, world, x, y, heading, d, v, K):
+        """At-fault predicted collisions, drivable-area exits and TTC
+        fractions over the evaluation window, samples 1..K, of paths of at
+        least K + 1 samples. One contact query projects the forecasts by
+        every look-ahead time of _LOOKAHEAD: u = 0 gives the collisions,
+        u > 0 the TTC violations."""
         ex, ey, evx, evy, eh, el, ew = world
         t = (np.arange(1, K + 1)) * STEP
-        gx = x[:, 1:K + 1]
-        gy = y[:, 1:K + 1]
-        gh = heading[:, 1:K + 1]
+        gx, gy, gh, gv = (a[:, 1:K + 1] for a in (x, y, heading, v))
         fx = ex + evx * t[:, None]  # (K, E)
         fy = ey + evy * t[:, None]
-        hc, hk, he = box_contacts(gx[..., None], gy[..., None], gh[..., None],
-                                  VEHICLE_LENGTH, VEHICLE_WIDTH,
-                                  fx, fy, eh, el, ew)
+        hc, hk, hu, he = projected_contacts(
+            gx, gy, gh, gv, VEHICLE_LENGTH, VEHICLE_WIDTH,
+            fx, fy, evx, evy, eh, el, ew, _LOOKAHEAD)
+        now = hu == 0
+        violating = np.zeros(gx.shape, dtype=bool)
+        violating[hc[~now], hk[~now]] = True
+        hc, hk, he = hc[now], hk[now], he[now]
         lat_speed = np.abs(np.diff(d[:, :K + 1], axis=1)) / STEP
         rel_x = (fx[hk, he] - gx[hc, hk]) * np.cos(gh[hc, hk]) \
             + (fy[hk, he] - gy[hc, hk]) * np.sin(gh[hc, hk])
         struck_from_behind = (rel_x < 0.0) & \
             (lat_speed[hc, hk] < LANE_KEEP_LAT_SPEED)
+        collided = np.zeros(len(gx), dtype=bool)
         collided[hc[~struck_from_behind]] = True
 
         # corners + center containment in the drivable area
@@ -321,17 +324,5 @@ class SamplingPlanner:
         pts = np.stack([np.vstack([px, gx[None]]), np.vstack([py, gy[None]])], -1)
         inside = points_in_any_polygon(pts.reshape(-1, 2),
                                        obs.graph.drivable_area)
-        off_area = ~inside.reshape(5, C, -1).all(axis=(0, 2))
-        return collided, off_area
-
-    def _ttc_fractions(self, world, x, y, heading, v, K):
-        """Fraction of evaluation ticks whose constant-velocity projection
-        collides within the TTC threshold."""
-        ex, ey, evx, evy, eh, el, ew = world
-        t = (np.arange(1, K + 1)) * STEP
-        window = np.s_[:, 1:K + 1]
-        return ttc_violations(
-            x[window], y[window], heading[window], v[window],
-            VEHICLE_LENGTH, VEHICLE_WIDTH, ex + evx * t[:, None],
-            ey + evy * t[:, None], evx, evy, eh, el, ew,
-            TTC_THRESHOLD).mean(axis=1)
+        off_area = ~inside.reshape(5, len(gx), -1).all(axis=(0, 2))
+        return collided, off_area, violating.mean(axis=1)

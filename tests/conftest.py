@@ -361,8 +361,8 @@ def sampler_evaluate_oracle(planner, obs, behavior=None):
     d, x, y, heading = (a[:, :K + 1] for a in paths(
         slice(None), min(K + 2, N_SAMPLES)))
     world = planner._world_entities(obs)
-    collided, off_area = planner._feasibility(obs, world, x, y, heading, d, K)
-    ttc_frac = planner._ttc_fractions(world, x, y, heading, v, K)
+    collided, off_area, ttc_frac = planner._safety(obs, world, x, y, heading,
+                                                   d, v, K)
     progress = s_rel[:, -1].copy()
     prog_norm = progress / max(limit * (N_SAMPLES - 1) * STEP, 1e-6)
     accel = np.abs(np.diff(v[:, : K + 1], axis=1)) / STEP

@@ -784,39 +784,53 @@ class TestContactKernels:
 
     def test_every_caller(self, monkeypatch):
         """Each caller's own shapes, from a closed loop and its score: the
-        sampler's feasibility (C, K, E) and TTC (C, K, U, E) queries, the
-        metric's (T, U, N) TTC query, the simulator's ego check, which has
-        one first box, and boxes_collide's one pair (the at-fault rule and
-        accident construction). pairwise_contacts, the agent-agent pass and
-        scenario validation, shares only the circumcircle test
-        (tests/test_simulation.py, TestContacts)."""
-        from drivebench import simulation
+        sampler's one (C, K, 1 + U, E) query of collisions and TTC and the
+        metric's (T, U, N) TTC query, both through projected_contacts; the
+        simulator's ego check, which has one first box, and boxes_collide's
+        one pair (the at-fault rule and accident construction).
+        pairwise_contacts, the agent-agent pass and scenario validation,
+        shares only the circumcircle test (tests/test_simulation.py,
+        TestContacts)."""
+        from drivebench import metrics, simulation
         from drivebench.metrics import score_scenario
         from drivebench.planners import SamplingPlanner
         from drivebench.planners import sampling
         from drivebench.scenarios import generate_benchmark_suite
         from drivebench.simulation import run_closed_loop
 
-        seen = set()
+        seen, projector = set(), None
 
         def checked(where):
             def call(*args):
-                seen.add((where, np.broadcast(*args).ndim))
+                seen.add((where, projector, np.broadcast(*args).ndim))
                 return self.assert_contacts_equal(*args)
             return call
 
-        for mod in (geometry, sampling, simulation):
+        def projecting(where):
+            def call(*args):
+                nonlocal projector
+                projector = where
+                try:
+                    return geometry.projected_contacts(*args)
+                finally:
+                    projector = None
+            return call
+
+        for mod in (geometry, simulation):
             monkeypatch.setattr(mod, "box_contacts", checked(mod.__name__))
+        for mod in (sampling, metrics):
+            monkeypatch.setattr(mod, "projected_contacts",
+                                projecting(mod.__name__))
         suite = generate_benchmark_suite(2024)
         for i in (0, 20, 41):
             spec = replace(suite[i], duration=3.0)
             trace = run_closed_loop(spec, SamplingPlanner())
             score_scenario(trace, spec)
-        assert seen == {("drivebench.planners.sampling", 3),
-                        ("drivebench.geometry", 4),
-                        ("drivebench.geometry", 3),
-                        ("drivebench.geometry", 1),
-                        ("drivebench.simulation", 1)}
+        assert seen == {
+            ("drivebench.geometry", "drivebench.planners.sampling", 4),
+            ("drivebench.geometry", "drivebench.metrics", 3),
+            ("drivebench.geometry", None, 1),
+            ("drivebench.simulation", None, 1)}
 
     def test_flat_indices_equal_nonzero(self):
         """np.unravel_index(np.flatnonzero(m), m.shape), the form that

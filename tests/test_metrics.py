@@ -452,7 +452,7 @@ def reference_ttc_metric(trace, spec):
 
 
 class TestTtcReference:
-    """ttc_metric over geometry.ttc_violations equals the per-kind loop it
+    """ttc_metric over geometry.projected_contacts equals the per-kind loop it
     replaced exactly: on closed-loop idm traces of an empty road (no
     entities), a construction zone (obstacles only), a jaywalker scene (a
     stopped bus and a pedestrian who waits, then crosses), an overtake with

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
 from drivebench.geometry import OrientedBox, Polyline, Pose2D
@@ -942,12 +942,40 @@ def crowded_observation(rng, n_agents, n_obstacles, n_waiting, n_crossing):
                    obstacle_table=ObstacleTable(obs.graph, obstacles))
 
 
+def moving_observation(rng):
+    """A crowded_observation scene where everything moves: four agents at
+    4-12 m/s, every other one oncoming, and three crossing pedestrians.
+    The first agent drives along y = -0.0 at heading -0.0, so its forecast
+    keeps that coordinate at -0.0 at every time and look-ahead; the first
+    pedestrian walks at vx = -0.0."""
+    obs = crowded_observation(rng, 0, 0, 0, 3)
+    ego = obs.ego_box.center
+
+    def pose(i):
+        if i == 0:
+            return Pose2D(ego.x + float(rng.uniform(4.0, 20.0)), -0.0, -0.0)
+        return Pose2D(ego.x + float(rng.uniform(-6.0, 20.0)),
+                      ego.y + float(rng.uniform(-3.5, 3.5)),
+                      math.pi * (i % 2) + float(rng.uniform(-0.3, 0.3)))
+
+    agents = tuple(AgentObs(OrientedBox(pose(i), 4.6, 1.85),
+                            float(rng.uniform(4.0, 12.0)), "lane0")
+                   for i in range(4))
+    walker = obs.pedestrians[0]
+    peds = (replace(walker, velocity=(-0.0, walker.velocity[1])),
+            *obs.pedestrians[1:])
+    return replace(obs, agents=traffic_of(agents), pedestrians=peds)
+
+
 class TestEgoContacts:
-    """The sampler's contact and TTC terms, now answered by
-    geometry.box_contacts and geometry.ttc_violations, equal the loops they
-    replaced exactly: on random_observation scenes and on crowded scenes
-    with no entities, obstacles only, waiting or crossing pedestrians only,
-    and everything at once."""
+    """The sampler's contact and TTC terms, answered by one
+    geometry.projected_contacts query whose look-ahead u = 0 gives the
+    collisions and u > 0 the TTC term, equal the loops they replaced
+    exactly: on random_observation scenes; on crowded scenes with no
+    entities, obstacles only, waiting or crossing pedestrians only, and
+    everything at once; and on moving_observation scenes, where every
+    entity moves, so the u = 0 row adds a velocity times 0 to each
+    forecast."""
 
     def test_equals_reference_loops(self):
         planner = SamplingPlanner()
@@ -957,25 +985,26 @@ class TestEgoContacts:
         for counts in [(0, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0),
                        (0, 0, 0, 3), (3, 2, 2, 2)] * 6:
             scenes.append(crowded_observation(rng, *counts))
-        n_collided = n_ttc = 0
+        moving = len(scenes)
+        scenes += [moving_observation(rng) for _ in range(20)]
+        n_collided, n_ttc = [0, 0], [0, 0]
         for i, obs in enumerate(scenes):
             cands = sampler_evaluate_oracle(planner, obs)[0]
             x, y, heading, v, d = (np.stack([getattr(c, name) for c in cands])
                                    for name in ("x", "y", "heading", "v", "d"))
             world = planner._world_entities(obs)
-            collided, off_area = planner._feasibility(obs, world, x, y,
-                                                      heading, d, K)
+            collided, off_area, ttc = planner._safety(obs, world, x, y,
+                                                      heading, d, v, K)
             want_collided, want_off_area = reference_feasibility(
                 obs, world, x, y, heading, d, K)
             assert np.array_equal(collided, want_collided), i
             assert np.array_equal(off_area, want_off_area), i
-            ttc = planner._ttc_fractions(world, x, y, heading, v, K)
             want_ttc = reference_ttc_fractions(world, x, y, heading, v, K,
                                                TTC_THRESHOLD)
             assert np.array_equal(ttc, want_ttc), i
-            n_collided += int(want_collided.any())
-            n_ttc += int(want_ttc.any())
-        assert n_collided >= 15 and n_ttc >= 15
+            n_collided[i >= moving] += int(want_collided.any())
+            n_ttc[i >= moving] += int(want_ttc.any())
+        assert min(n_collided) >= 15 and min(n_ttc) >= 15, (n_collided, n_ttc)
 
 
 # ---------------------------------------------------------------------------
@@ -1367,8 +1396,8 @@ def full_array_evaluate(planner, obs, behavior):
     heading = path_headings(x, y, tangent)
     K = min(int(round(EVAL_HORIZON / STEP)), N_SAMPLES - 1)
     world = reference_world_entities(obs)
-    collided, off_area = planner._feasibility(obs, world, x, y, heading, d, K)
-    ttc_frac = planner._ttc_fractions(world, x, y, heading, v, K)
+    collided, off_area, ttc_frac = planner._safety(obs, world, x, y, heading,
+                                                   d, v, K)
     progress = s_rel[:, -1].copy()
     prog_norm = progress / max(limit * (N_SAMPLES - 1) * STEP, 1e-6)
     comfort = (np.abs(np.diff(v[:, : K + 1], axis=1)) / STEP).mean(axis=1) / 4.0
@@ -1441,6 +1470,52 @@ class TestSamplerWindow:
             live = range(len(cands)) if name in ("s", "v") else checked
             got = np.stack([getattr(cands[i], name) for i in live])
             assert got.tobytes() == want[list(live)].tobytes(), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), lanes=st.integers(2, 3),
+           offset=st.floats(3.0, 3.6))
+    def test_second_check_paths_equal_full_array_rows(self, seed, lanes,
+                                                      offset):
+        """On random observations with an overtaking offset past the right
+        shoulder of lane0 (its area ends 2.95 m right of the centre), the
+        least-bound candidate leaves the area, so a second check covers the
+        other 29 (no draw of 2,000 had a feasible one; assume() drops any
+        that does). Each check's paths are the full-horizon rows of
+        full_array_evaluate, its 1 and 29 rows in bound order, and every
+        candidate's window arrays are their first K + 1 samples."""
+        from drivebench.planners.base import N_SAMPLES
+
+        obs = random_observation(np.random.default_rng(seed), lanes=lanes)
+        behavior = sampler_behavior(obs, "overtake_obstacle", -offset)
+        planner = SamplingPlanner()
+        checked_paths = []
+
+        def recording(obs, world, x, y, heading, d, v, K):
+            checked_paths.append(dict(x=x, y=y, heading=heading, d=d))
+            return SamplingPlanner._safety(planner, obs, world, x, y,
+                                           heading, d, v, K)
+
+        planner._safety = recording
+        cands, best, traj = planner.evaluate(obs, behavior)
+        del planner._safety  # the oracles below run the checks too
+        n_checked, first = assert_matches_oracle(planner, obs, behavior,
+                                                 (cands, best, traj))
+        assume(not cands[first].feasible)
+        assert n_checked == 30
+        want, _, _, bound = sampler_evaluate_oracle(planner, obs, behavior)
+        order = sorted(range(30), key=lambda i: (
+            bound[i], abs(want[i].target_offset), -want[i].progress, i))
+        assert order[0] == first
+        _, want_traj, rows = full_array_evaluate(planner, obs, behavior)
+        assert trajectories_equal(traj, want_traj)
+        assert [len(p["x"]) for p in checked_paths] == [1, 29]
+        K = len(cands[0].x) - 1
+        for name in ("x", "y", "heading", "d"):
+            for paths, picked in zip(checked_paths, (order[:1], order[1:])):
+                assert paths[name].shape == (len(picked), N_SAMPLES), name
+                assert paths[name].tobytes() == rows[name][picked].tobytes()
+            got = np.stack([getattr(c, name) for c in cands])
+            assert got.tobytes() == rows[name][:, :K + 1].tobytes(), name
 
 
 def all_infeasible_observation():
@@ -1656,6 +1731,50 @@ class TestCertifiedEvaluate:
         assert len(n_checked) == 150 * len(specs)
         assert n_checked.count(1) > 0.9 * len(n_checked)
         assert n_checked.count(30) > 0
+
+    def test_one_query_and_one_path_build_per_check(self, monkeypatch):
+        """On hybrid-scripted runs of construction 0 and 3, each check of
+        SamplingPlanner.evaluate builds its paths with one
+        Polyline.interpolate_many call and answers collisions and TTC with
+        one geometry.box_contacts call, and evaluate builds no path after
+        its last check: the checked path is the plan. Both the certified
+        first check alone and a second check occur."""
+        from drivebench import geometry
+        from drivebench.planners import sampling
+        from drivebench.scenarios import generate_benchmark_suite
+
+        events, per_evaluate = None, []  # events: the running evaluate's
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if events is not None:
+                    events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        evaluate = sampling.SamplingPlanner.evaluate
+
+        def recorded(planner, obs, behavior=None):
+            nonlocal events
+            events = []
+            result = evaluate(planner, obs, behavior)
+            per_evaluate.append(events)
+            events = None
+            return result
+
+        for owner, name, event in (
+                (geometry, "box_contacts", "contacts"),
+                (geometry.Polyline, "interpolate_many", "paths"),
+                (sampling.SamplingPlanner, "_safety", "check")):
+            monkeypatch.setattr(owner, name,
+                                counted(event, getattr(owner, name)))
+        monkeypatch.setattr(sampling.SamplingPlanner, "evaluate", recorded)
+        suite = generate_benchmark_suite(2024)
+        for spec in (suite[0], suite[3]):
+            run_closed_loop(spec, make_planner("hybrid-scripted"))
+        one = ["paths", "check", "contacts"]
+        assert all(e in (one, one * 2) for e in per_evaluate)
+        assert one in per_evaluate and one * 2 in per_evaluate
 
     def test_random_scenes(self):
         planner = SamplingPlanner()
