@@ -1,5 +1,5 @@
-"""Shared test oracles: brute-force geometric checks kept deliberately
-independent of the library's fast paths."""
+"""Shared test oracles, brute-force geometric checks kept deliberately
+independent of the library's fast paths, and the shared idm suite run."""
 
 import hashlib
 import math
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from drivebench.geometry import OrientedBox, Pose2D
 
@@ -15,6 +16,15 @@ def trajectories_equal(a, b) -> bool:
     """Whether two trajectories hold equal t, x, y, heading and speed."""
     return all(np.array_equal(getattr(a, f), getattr(b, f))
                for f in ("t", "x", "y", "heading", "speed"))
+
+
+@pytest.fixture(scope="session")
+def idm_suite_run(tmp_path_factory):
+    """A serial idm bench run of all 80 seed-2024 scenarios, made once for
+    criterion 10 and the trace-render golden."""
+    from test_acceptance import _run_subset
+
+    return _run_subset(tmp_path_factory, "full_serial", "idm", None, jobs=1)
 
 
 def trace_hash(trace) -> str:

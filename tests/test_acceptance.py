@@ -433,9 +433,8 @@ class TestCriterion09Numerics:
 
 
 class TestCriterion10Determinism:
-    def test_criterion_10_full_suite(self, tmp_path_factory):
-        serial = _run_subset(tmp_path_factory, "full_serial", "idm", None,
-                             jobs=1)
+    def test_criterion_10_full_suite(self, tmp_path_factory, idm_suite_run):
+        serial = idm_suite_run
         parallel = _run_subset(tmp_path_factory, "full_par", "idm", None,
                                jobs=8)
         identical = serial[1] == parallel[1] and serial[2] == parallel[2]

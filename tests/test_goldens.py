@@ -11,6 +11,7 @@ import hashlib
 import drivebench.llm as llm
 from drivebench.render import render_svg
 from drivebench.scenarios import generate_benchmark_suite, save_scenario
+from drivebench.simulation import SimTrace
 from test_acceptance import SEED, _golden_lines, _run_subset, check_golden
 
 # the answer to every waypoints prompt: 16 points straight ahead, 2 m apart
@@ -44,14 +45,34 @@ def test_scenario_files_and_renders_match_goldens(tmp_path):
         save_scenario(spec, path)
         files.append(f"{stem} {_sha256(path.read_bytes())}")
         renders.append(f"{stem} {_sha256(render_svg(spec).encode())}")
-    for name, lines in (("scenarios.txt", files), ("render.txt", renders)):
-        recorded, golden = _golden_lines(name)
-        assert len(golden) == len(lines) == 80, name
-        mismatched = [line.split()[0] for line, want in zip(lines, golden)
-                      if line != want]
-        assert not mismatched, (
-            f"tests/golden/{name} differs on {', '.join(mismatched)}; "
-            f"recorded with {recorded}")
+    check_lines("scenarios.txt", files, 80)
+    check_lines("render.txt", renders, 80)
+
+
+def test_trace_renders_match_golden(idm_suite_run):
+    """tests/golden/render-trace.txt holds the SHA-256 of render_svg of
+    each seed-2024 idm trace, as bench run writes it and SimTrace.load
+    reads it, at tick 50 and at the last tick."""
+    traces = idm_suite_run[4] / "traces"
+    lines = []
+    for i, spec in enumerate(generate_benchmark_suite(SEED)):
+        stem = f"{i:03d}_{spec.type.value}"
+        trace = SimTrace.load(traces / f"{stem}.json")
+        lines += [f"{stem}@{label} {_sha256(render_svg(spec, trace, tick).encode())}"
+                  for tick, label in ((50, "50"), (None, "last"))]
+    check_lines("render-trace.txt", lines, 160)
+
+
+def check_lines(name, lines, count):
+    """Compare count "<name> <digest>" lines with those of
+    tests/golden/<name>, in order."""
+    recorded, golden = _golden_lines(name)
+    assert len(golden) == len(lines) == count, name
+    mismatched = [line.split()[0] for line, want in zip(lines, golden)
+                  if line != want]
+    assert not mismatched, (
+        f"tests/golden/{name} differs on {', '.join(mismatched)}; "
+        f"recorded with {recorded}")
 
 
 def test_hybrid_llm_prompts_match_goldens(tmp_path_factory, monkeypatch):
