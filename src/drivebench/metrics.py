@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -110,7 +109,7 @@ def ego_track(trace: SimTrace, spec: ScenarioSpec) -> EgoTrack:
     """One clamped projection of every snapshot per lane (project_many),
     lanes in sorted-id order; both argmins take the first minimum of |d|."""
     ids = sorted(spec.graph.segments)
-    points = [(snap.ego["x"], snap.ego["y"]) for snap in trace.snapshots]
+    points = np.column_stack((trace.ego["x"], trace.ego["y"]))
     s, d = np.array([spec.graph.lane(lane_id).centerline.project_many(points)
                      for lane_id in ids]).transpose(1, 2, 0)  # each (T, L)
     dist = np.abs(d)
@@ -119,30 +118,6 @@ def ego_track(trace: SimTrace, spec: ScenarioSpec) -> EgoTrack:
     return EgoTrack(lane=tuple(ids[k] for k in nearest),
                     s=tuple(s[np.arange(len(s)), nearest].tolist()),
                     route_index=dist[:, route_cols].argmin(axis=1))
-
-
-def _entity_series(trace: SimTrace):
-    """Time-major arrays of every collidable actor in the trace."""
-    T = len(trace.snapshots)
-    first = trace.snapshots[0]
-    A = len(first.agents)
-    P = len(first.pedestrians)
-    ax = np.zeros((T, A)); ay = np.zeros((T, A))
-    ah = np.zeros((T, A)); av = np.zeros((T, A))
-    al = np.zeros(A); aw = np.zeros(A)
-    px = np.zeros((T, P)); py = np.zeros((T, P))
-    pvx = np.zeros((T, P)); pvy = np.zeros((T, P))
-    for t, snap in enumerate(trace.snapshots):
-        for i, a in enumerate(snap.agents):
-            ax[t, i] = a["x"]; ay[t, i] = a["y"]
-            ah[t, i] = a["heading"]; av[t, i] = a["speed"]
-            if t == 0:
-                al[i] = a["length"]; aw[i] = a["width"]
-        for i, p in enumerate(snap.pedestrians):
-            px[t, i] = p["x"]; py[t, i] = p["y"]
-            pvx[t, i] = p["vx"]; pvy[t, i] = p["vy"]
-    return {"ax": ax, "ay": ay, "ah": ah, "av": av, "al": al, "aw": aw,
-            "px": px, "py": py, "pvx": pvx, "pvy": pvy}
 
 
 def _smooth(series: np.ndarray, window: int = 9) -> np.ndarray:
@@ -169,13 +144,13 @@ def collision_metric(trace: SimTrace) -> tuple[float, list[dict]]:
 
 def drivable_area_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
     polys = spec.graph.drivable_area
-    egos = [snap.ego for snap in trace.snapshots]
-    centers = np.array([[e["x"], e["y"]] for e in egos]).reshape(-1, 2)
+    x, y, heading = trace.ego["x"], trace.ego["y"], trace.ego["heading"]
+    centers = np.column_stack((x, y))
     skip = _clearly_inside(centers, math.hypot(VEHICLE_LENGTH, VEHICLE_WIDTH) / 2.0,
                            polys)
-    for e in compress(egos, ~skip):
-        box = OrientedBox(Pose2D(e["x"], e["y"], e["heading"]),
-                          VEHICLE_LENGTH, VEHICLE_WIDTH)
+    for pose in zip(x[~skip].tolist(), y[~skip].tolist(),
+                    heading[~skip].tolist()):
+        box = OrientedBox(Pose2D(*pose), VEHICLE_LENGTH, VEHICLE_WIDTH)
         if fraction_outside_drivable(box, polys) > DRIVABLE_THRESHOLD:
             return 0.0
     return 1.0
@@ -216,19 +191,14 @@ def driving_direction_metric(trace: SimTrace, spec: ScenarioSpec,
 def _wrong_way_distance(trace: SimTrace, spec: ScenarioSpec,
                         track: EgoTrack) -> float:
     total = 0.0
-    prev = None
-    for snap, lane, s in zip(trace.snapshots, track.lane, track.s):
-        e = snap.ego
-        pos = (e["x"], e["y"])
-        if prev is not None:
-            dx = pos[0] - prev[0]
-            dy = pos[1] - prev[1]
-            if dx * dx + dy * dy > 1e-12:
-                tangent = spec.graph.lane(lane).centerline.tangent_at(s)
-                along = dx * math.cos(tangent) + dy * math.sin(tangent)
-                if along < 0:
-                    total += -along
-        prev = pos
+    for dx, dy, lane, s in zip(np.diff(trace.ego["x"]).tolist(),
+                               np.diff(trace.ego["y"]).tolist(),
+                               track.lane[1:], track.s[1:]):
+        if dx * dx + dy * dy > 1e-12:
+            tangent = spec.graph.lane(lane).centerline.tangent_at(s)
+            along = dx * math.cos(tangent) + dy * math.sin(tangent)
+            if along < 0:
+                total += -along
     return total
 
 
@@ -238,10 +208,11 @@ def stationary_metric(trace: SimTrace, spec: ScenarioSpec, track: EgoTrack,
     justification distance ahead of it; spans are the blocking_spans."""
     dt = trace.dt
     run = 0.0
-    for snap, lane_id, s in zip(trace.snapshots, track.lane, track.s):
-        ego = snap.ego
-        stationary = ego["speed"] < STATIONARY_SPEED
-        justified = stationary and _stop_justified(snap, spec, lane_id, s, spans)
+    for k, (speed, lane_id, s) in enumerate(zip(
+            trace.ego["speed"].tolist(), track.lane, track.s)):
+        stationary = speed < STATIONARY_SPEED
+        justified = stationary and _stop_justified(trace, k, spec, lane_id, s,
+                                                   spans)
         if stationary and not justified:
             run += dt
             if run > STATIONARY_DURATION:
@@ -251,17 +222,18 @@ def stationary_metric(trace: SimTrace, spec: ScenarioSpec, track: EgoTrack,
     return 1.0
 
 
-def _stop_justified(snap, spec: ScenarioSpec, lane_id: str, s: float,
-                    spans) -> bool:
-    """Whether something the lane keeper of lane_id brakes for has its near
-    edge within the justification distance ahead of the front of an ego at
-    arc position s (closed at both ends); crossing pedestrians count from
-    their center."""
+def _stop_justified(trace: SimTrace, k: int, spec: ScenarioSpec, lane_id: str,
+                    s: float, spans) -> bool:
+    """Whether, at snapshot k, something the lane keeper of lane_id brakes
+    for has its near edge within the justification distance ahead of the
+    front of an ego at arc position s (closed at both ends); crossing
+    pedestrians count from their center."""
     front = s + VEHICLE_LENGTH / 2.0
+    a, p = trace.agents, trace.pedestrians
     near = np.array([near for near, _speed in lane_keeper_obstructions(
         spec.graph, lane_id,
-        [(a["lane"], a["s"], a["length"], a["speed"]) for a in snap.agents],
-        spans, [(p["x"], p["y"], p["phase"]) for p in snap.pedestrians],
+        zip(*(a[f][k].tolist() for f in ("lane", "s", "length", "speed"))),
+        spans, zip(*(p[f][k].tolist() for f in ("x", "y", "phase"))),
         ped_half=0.0)])
     horizon = STATIONARY_JUSTIFY_DISTANCE
     return bool(((front <= near) & (near <= front + horizon)).any())
@@ -278,8 +250,8 @@ def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec,
     if far_end is None:
         return 1.0
     spine = spec.graph.lane(spec.route.lane_sequence[0]).centerline
-    last = trace.snapshots[-1].ego
-    s_front = spine.project_extended((last["x"], last["y"])).s + VEHICLE_LENGTH / 2.0
+    last = (float(trace.ego["x"][-1]), float(trace.ego["y"][-1]))
+    s_front = spine.project_extended(last).s + VEHICLE_LENGTH / 2.0
     return 1.0 if s_front > far_end + MIN_PROGRESS_MARGIN else 0.0
 
 
@@ -290,22 +262,21 @@ def min_progress_multiplier(trace: SimTrace, spec: ScenarioSpec,
 def ttc_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
     """Fraction of ticks whose constant-velocity projection of everything
     stays collision-free at every look-ahead u > 0 of the TTC threshold."""
-    T = len(trace.snapshots)
-    ego = trace.ego_series()
-    ent = _entity_series(trace)
+    T = len(trace.t)
+    e, a, p = trace.ego, trace.agents, trace.pedestrians
     ox, oy, oh, ol, ow = box_columns([o.box for o in spec.obstacles])
-    P = ent["px"].shape[1]
+    P = p["x"].shape[1]
     at_rest = np.zeros((T, len(ox)))
     hits = projected_contacts(
-        ego["x"], ego["y"], ego["heading"], ego["speed"],
+        e["x"], e["y"], e["heading"], e["speed"],
         VEHICLE_LENGTH, VEHICLE_WIDTH,
-        np.hstack([ent["ax"], np.tile(ox, (T, 1)), ent["px"]]),
-        np.hstack([ent["ay"], np.tile(oy, (T, 1)), ent["py"]]),
-        np.hstack([ent["av"] * np.cos(ent["ah"]), at_rest, ent["pvx"]]),
-        np.hstack([ent["av"] * np.sin(ent["ah"]), at_rest, ent["pvy"]]),
-        np.hstack([ent["ah"], np.tile(oh, (T, 1)), np.zeros((T, P))]),
-        np.concatenate([ent["al"], ol, np.full(P, 0.6)]),
-        np.concatenate([ent["aw"], ow, np.full(P, 0.6)]),
+        np.hstack([a["x"], np.tile(ox, (T, 1)), p["x"]]),
+        np.hstack([a["y"], np.tile(oy, (T, 1)), p["y"]]),
+        np.hstack([a["speed"] * np.cos(a["heading"]), at_rest, p["vx"]]),
+        np.hstack([a["speed"] * np.sin(a["heading"]), at_rest, p["vy"]]),
+        np.hstack([a["heading"], np.tile(oh, (T, 1)), np.zeros((T, P))]),
+        np.concatenate([a["length"][0], ol, np.full(P, 0.6)]),
+        np.concatenate([a["width"][0], ow, np.full(P, 0.6)]),
         ttc_offsets(TTC_THRESHOLD)[1:])
     violating = np.zeros(T, dtype=bool)
     violating[hits[0]] = True
@@ -315,10 +286,9 @@ def ttc_metric(trace: SimTrace, spec: ScenarioSpec) -> float:
 def comfort_metric(trace: SimTrace) -> float:
     """1 iff every kinematic-comfort bound holds over the whole trace (on
     lightly smoothed series, matching how such bounds are usually checked)."""
-    ego = trace.ego_series()
     dt = trace.dt
-    speed = _smooth(ego["speed"])
-    heading = np.unwrap(ego["heading"])
+    speed = _smooth(trace.ego["speed"])
+    heading = np.unwrap(trace.ego["heading"])
     heading = _smooth(heading)
     lon_acc = np.diff(speed) / dt
     yaw_rate = np.diff(heading) / dt
@@ -344,10 +314,9 @@ def speed_limit_metric(trace: SimTrace, spec: ScenarioSpec,
     """1 - (speed-over-limit integral / (limit * duration)), floored at 0."""
     over = 0.0
     limit_integral = 0.0
-    for snap, lane in zip(trace.snapshots, track.lane):
-        ego = snap.ego
+    for speed, lane in zip(trace.ego["speed"].tolist(), track.lane):
         limit = spec.graph.lane(lane).speed_limit
-        over += max(0.0, ego["speed"] - limit) * trace.dt
+        over += max(0.0, speed - limit) * trace.dt
         limit_integral += limit * trace.dt
     if limit_integral <= 0:
         return 1.0
@@ -357,10 +326,9 @@ def speed_limit_metric(trace: SimTrace, spec: ScenarioSpec,
 def route_progress(trace: SimTrace, spec: ScenarioSpec) -> float:
     """Ego arclength progressed along the route spine."""
     spine = spec.graph.lane(spec.route.lane_sequence[0]).centerline
-    first = trace.snapshots[0].ego
-    last = trace.snapshots[-1].ego
-    s0 = spine.project_extended((first["x"], first["y"])).s
-    s1 = spine.project_extended((last["x"], last["y"])).s
+    x, y = trace.ego["x"], trace.ego["y"]
+    s0 = spine.project_extended((float(x[0]), float(y[0]))).s
+    s1 = spine.project_extended((float(x[-1]), float(y[-1]))).s
     return max(0.0, s1 - s0)
 
 

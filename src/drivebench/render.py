@@ -88,28 +88,28 @@ def render_svg(spec: ScenarioSpec, trace: Optional[SimTrace] = None,
         else:
             parts.append(_box(o.box, COLORS["vehicle"], cls=f"obstacle {o.kind}"))
 
-    snap = None
     if trace is not None:
-        idx = len(trace.snapshots) - 1 if tick is None else tick
-        idx = min(max(idx, 0), len(trace.snapshots) - 1)
-        snap = trace.snapshots[idx]
-        past = [(s.ego["x"], s.ego["y"]) for s in trace.snapshots[: idx + 1]]
-        if len(past) >= 2:
-            parts.append(_polyline(past, COLORS["ego"], width=0.4,
+        last = len(trace.t) - 1
+        k = min(max(last if tick is None else tick, 0), last)
+        x, y, heading = (trace.ego[f][: k + 1].tolist()
+                         for f in ("x", "y", "heading"))
+        if len(x) >= 2:
+            parts.append(_polyline(list(zip(x, y)), COLORS["ego"], width=0.4,
                                    dash="1,1", cls="past-path"))
-        if len(snap.plan) >= 2:
-            parts.append(_polyline(snap.plan, COLORS["ego"], width=0.4,
+        if len(trace.plans[k]) >= 2:
+            parts.append(_polyline(trace.plans[k], COLORS["ego"], width=0.4,
                                    cls="planned-trajectory"))
-        for a in snap.agents:
-            box = OrientedBox(Pose2D(a["x"], a["y"], a["heading"]),
-                              a["length"], a["width"])
+        for ax, ay, ah, length, width in zip(*(
+                trace.agents[f][k].tolist()
+                for f in ("x", "y", "heading", "length", "width"))):
+            box = OrientedBox(Pose2D(ax, ay, ah), length, width)
             parts.append(_box(box, COLORS["vehicle"], cls="agent"))
-        for p in snap.pedestrians:
-            parts.append(_circle(p["x"], p["y"], 0.4, COLORS["pedestrian"],
+        for px, py in zip(trace.pedestrians["x"][k].tolist(),
+                          trace.pedestrians["y"][k].tolist()):
+            parts.append(_circle(px, py, 0.4, COLORS["pedestrian"],
                                  cls="pedestrian"))
-        ego_box = OrientedBox(
-            Pose2D(snap.ego["x"], snap.ego["y"], snap.ego["heading"]),
-            VEHICLE_LENGTH, VEHICLE_WIDTH)
+        ego_box = OrientedBox(Pose2D(x[-1], y[-1], heading[-1]),
+                              VEHICLE_LENGTH, VEHICLE_WIDTH)
     else:
         for a in spec.agents:
             parts.append(_box(spec.agent_box(a), COLORS["vehicle"], cls="agent"))

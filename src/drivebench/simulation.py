@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -181,25 +181,43 @@ def build_observation(world: WorldState, spec: ScenarioSpec,
 # trace model
 
 
-@dataclass
-class TickSnapshot:
-    t: float
-    ego: dict
-    agents: list[dict]
-    pedestrians: list[dict]
-    plan: list[list[float]]  # downsampled (x, y) of the active plan
+EGO_FIELDS = ("x", "y", "heading", "speed", "accel", "steering")
+AGENT_FIELDS = ("lane", "s", "speed", "x", "y", "heading", "length", "width",
+                "policy")
+PEDESTRIAN_FIELDS = ("x", "y", "vx", "vy", "phase")
 
 
-@dataclass
+def _table(rows: list, width: int, name: str) -> np.ndarray:
+    """One field's T rows of width values as a (T, width) array: objects
+    for the text fields, so that every str survives to_dict, else floats."""
+    return np.array(rows, dtype=object if name in ("lane", "policy", "phase")
+                    else float).reshape(len(rows), width)
+
+
+@dataclass(eq=False)
 class SimTrace:
+    """A closed-loop run as columns over its T snapshots: the times t (T,);
+    ego, each of EGO_FIELDS as a (T,) array; agents and pedestrians, each
+    of AGENT_FIELDS and PEDESTRIAN_FIELDS as a (T, N) and a (T, P) array;
+    plans, each snapshot's downsampled (x, y) plan; and the events.
+    to_dict and from_dict are the only code that knows the v1 layout of
+    one dict per snapshot, agent and pedestrian."""
     scenario_type: str
     seed: int
     dt: float
     duration: float
-    snapshots: list[TickSnapshot] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
+    t: np.ndarray
+    ego: dict[str, np.ndarray]
+    agents: dict[str, np.ndarray]
+    pedestrians: dict[str, np.ndarray]
+    plans: list[list[list[float]]]
+    events: list[dict]
 
     def to_dict(self) -> dict:
+        """The v1 layout, one .tolist() per column."""
+        ego = zip(*(self.ego[k].tolist() for k in EGO_FIELDS))
+        agents = zip(*(self.agents[k].tolist() for k in AGENT_FIELDS))
+        peds = zip(*(self.pedestrians[k].tolist() for k in PEDESTRIAN_FIELDS))
         return {
             "version": TRACE_SCHEMA_VERSION,
             "scenario_type": self.scenario_type,
@@ -207,11 +225,49 @@ class SimTrace:
             "dt": self.dt,
             "duration": self.duration,
             "snapshots": [{
-                "t": s.t, "ego": s.ego, "agents": s.agents,
-                "pedestrians": s.pedestrians, "plan": s.plan,
-            } for s in self.snapshots],
+                "t": t, "ego": dict(zip(EGO_FIELDS, e)),
+                "agents": [dict(zip(AGENT_FIELDS, row)) for row in zip(*a)],
+                "pedestrians": [dict(zip(PEDESTRIAN_FIELDS, row))
+                                for row in zip(*p)],
+                "plan": plan,
+            } for t, e, a, p, plan in zip(self.t.tolist(), ego, agents, peds,
+                                          self.plans)],
             "events": self.events,
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SimTrace":
+        """The trace of a dict in the v1 layout. MalformedTraceError names
+        a missing field, and rejects a snapshot whose count of agents or
+        pedestrians differs from the first snapshot's."""
+        if data.get("version") != TRACE_SCHEMA_VERSION:
+            raise MalformedTraceError(
+                f"unsupported trace version {data.get('version')!r}")
+        try:
+            snaps = data["snapshots"]
+            counts = [(len(s["agents"]), len(s["pedestrians"])) for s in snaps]
+            n, p = counts[0] if counts else (0, 0)
+            for k, (n_k, p_k) in enumerate(counts):
+                if (n_k, p_k) != (n, p):
+                    raise MalformedTraceError(
+                        f"snapshot {k} holds {n_k} agents and {p_k} "
+                        f"pedestrians, snapshot 0 {n} and {p}")
+            return cls(
+                scenario_type=data["scenario_type"], seed=data["seed"],
+                dt=data["dt"], duration=data["duration"],
+                t=np.array([s["t"] for s in snaps], dtype=float),
+                ego={k: np.array([s["ego"][k] for s in snaps], dtype=float)
+                     for k in EGO_FIELDS},
+                agents={k: _table([[a[k] for a in s["agents"]] for s in snaps],
+                                  n, k) for k in AGENT_FIELDS},
+                pedestrians={k: _table([[q[k] for q in s["pedestrians"]]
+                                        for s in snaps], p, k)
+                             for k in PEDESTRIAN_FIELDS},
+                plans=[s["plan"] for s in snaps], events=data["events"])
+        except KeyError as exc:
+            raise MalformedTraceError(f"v1 trace without field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedTraceError(f"bad v1 trace field: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -222,51 +278,28 @@ class SimTrace:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise MalformedTraceError(str(exc)) from exc
-        if data.get("version") != TRACE_SCHEMA_VERSION:
-            raise MalformedTraceError(
-                f"unsupported trace version {data.get('version')!r}")
-        trace = cls(scenario_type=data["scenario_type"], seed=data["seed"],
-                    dt=data["dt"], duration=data["duration"],
-                    events=data["events"])
-        trace.snapshots = [TickSnapshot(
-            t=s["t"], ego=s["ego"], agents=s["agents"],
-            pedestrians=s["pedestrians"], plan=s["plan"]) for s in data["snapshots"]]
-        return trace
-
-    # convenience accessors used by the metric engine
-    def ego_series(self):
-        e = self.snapshots
-        return {
-            "t": np.array([s.t for s in e]),
-            "x": np.array([s.ego["x"] for s in e]),
-            "y": np.array([s.ego["y"] for s in e]),
-            "heading": np.array([s.ego["heading"] for s in e]),
-            "speed": np.array([s.ego["speed"] for s in e]),
-            "accel": np.array([s.ego["accel"] for s in e]),
-        }
+        return cls.from_dict(data)
 
 
-def _traffic_snapshot(t: Traffic) -> list[dict]:
-    return [{"lane": lane, "s": s, "speed": v, "x": x, "y": y, "heading": h,
-             "length": length, "width": width, "policy": policy}
-            for lane, s, v, _v0, policy, length, width, x, y, h
-            in zip(*vars(t).values())]
-
-
-def _ped_snapshot(p: PedestrianState) -> dict:
-    x, y = p.position
-    vx, vy = p.velocity
-    return {"x": x, "y": y, "vx": vx, "vy": vy, "phase": p.phase}
-
-
-def _snapshot(t: float, world: WorldState, plan: list) -> TickSnapshot:
-    """The trace's record of the world at time t and of the active plan."""
-    e = world.ego
-    return TickSnapshot(
-        t=t, ego={"x": e.pose.x, "y": e.pose.y, "heading": e.pose.heading,
-                  "speed": e.speed, "accel": e.accel, "steering": e.steering},
-        agents=_traffic_snapshot(world.agents),
-        pedestrians=[_ped_snapshot(p) for p in world.pedestrians], plan=plan)
+def _record(spec: ScenarioSpec, worlds: list[WorldState],
+            plans: list[list[list[float]]], events: list[dict]) -> SimTrace:
+    """The trace of the world and the active plan at each snapshot, k * DT
+    into the run: one np.array per field, each agent column straight from
+    the Traffic lists."""
+    ego = np.array([(e.pose.x, e.pose.y, e.pose.heading, e.speed, e.accel,
+                     e.steering) for e in (w.ego for w in worlds)])
+    n, p = len(worlds[0].agents), len(worlds[0].pedestrians)
+    peds = [[(*q.position, *q.velocity, q.phase) for q in w.pedestrians]
+            for w in worlds]
+    return SimTrace(
+        scenario_type=spec.type.value, seed=spec.seed, dt=DT,
+        duration=spec.duration, t=np.arange(len(worlds)) * DT,
+        ego=dict(zip(EGO_FIELDS, ego.T)),
+        agents={k: _table([getattr(w.agents, k) for w in worlds], n, k)
+                for k in AGENT_FIELDS},
+        pedestrians={k: _table([[row[i] for row in tick] for tick in peds],
+                               p, k) for i, k in enumerate(PEDESTRIAN_FIELDS)},
+        plans=plans, events=events)
 
 
 def _downsample_plan(traj: Trajectory) -> list[list[float]]:
@@ -344,9 +377,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     table = ObstacleTable(spec.graph, spec.obstacles)
     obstacles = box_columns([o.box for o in spec.obstacles])
 
-    trace = SimTrace(scenario_type=spec.type.value, seed=spec.seed,
-                     dt=DT, duration=spec.duration)
-    trace.snapshots.append(_snapshot(0.0, world, []))
+    worlds, plans, events = [world], [[]], []
 
     ongoing_ego_contacts: set[str] = set()
     ongoing_agent_contacts: set[tuple[int, int]] = set()
@@ -354,9 +385,9 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
     memoryless = getattr(planner, "memoryless", False)
     for k in range(n_steps):
         t = k * DT
-        start, n_events = world, len(trace.events)
+        start, n_events = world, len(events)
         obs = build_observation(world, spec, table, t)
-        traj = plan_with_fallback(planner, obs, trace.events)
+        traj = plan_with_fallback(planner, obs, events)
         steer_cmd, accel_cmd = track_trajectory(traj, world.ego)
         ego_prev = world.ego
         ego_now = kinematic_bicycle_step(world.ego, steer_cmd, accel_cmd, DT)
@@ -378,7 +409,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         for partner, box in contacts:
             if partner not in ongoing_ego_contacts:
                 at_fault = _classify_ego_fault(ego_prev, ego_now, box, spec, DT)
-                trace.events.append({
+                events.append({
                     "kind": "collision", "time": t_next, "partner": partner,
                     "at_fault": bool(at_fault)})
         ongoing_ego_contacts = {partner for partner, _box in contacts}
@@ -386,7 +417,7 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         agent_pairs = pairwise_contacts(agents)
         for i, j in agent_pairs:
             if (i, j) not in ongoing_agent_contacts:
-                trace.events.append({
+                events.append({
                     "kind": "agent_collision", "time": t_next,
                     "agents": [i, j]})
         ongoing_agent_contacts = set(agent_pairs)
@@ -395,14 +426,14 @@ def run_closed_loop(spec: ScenarioSpec, planner) -> SimTrace:
         if drain is not None:
             for event in drain():
                 event.setdefault("time", t)
-                trace.events.append(event)
+                events.append(event)
 
-        plan = _downsample_plan(traj)
-        trace.snapshots.append(_snapshot(t_next, world, plan))
-        if (memoryless and len(trace.events) == n_events
+        worlds.append(world)
+        plans.append(_downsample_plan(traj))
+        if (memoryless and len(events) == n_events
                 and world.same_bits(start)):
-            trace.snapshots += [_snapshot((j + 1) * DT, world, plan)
-                                for j in range(k + 1, n_steps)]
+            worlds += [world] * (n_steps - k - 1)
+            plans += [plans[-1]] * (n_steps - k - 1)
             break
 
-    return trace
+    return _record(spec, worlds, plans, events)

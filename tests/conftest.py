@@ -259,17 +259,67 @@ def agent_agent_collisions_oracle(boxes):
 
 def ego_track_oracle(trace, spec):
     """Reference: the former metrics.ego_track, one scalar project per lane
-    per snapshot, as (lane, s, route_index)."""
+    per snapshot of the v1 dict, as (lane, s, route_index)."""
     ids = sorted(spec.graph.segments)
     lines = [spec.graph.lane(lane_id).centerline for lane_id in ids]
-    proj = [[line.project((snap.ego["x"], snap.ego["y"])) for line in lines]
-            for snap in trace.snapshots]
+    proj = [[line.project((snap["ego"]["x"], snap["ego"]["y"]))
+             for line in lines] for snap in trace.to_dict()["snapshots"]]
     dist = np.array([[abs(f.d) for f in row] for row in proj]).reshape(-1, len(ids))
     nearest = dist.argmin(axis=1)
     route_cols = [ids.index(lane_id) for lane_id in spec.route.lane_sequence]
     return (tuple(ids[k] for k in nearest),
             tuple(row[k].s for row, k in zip(proj, nearest)),
             dist[:, route_cols].argmin(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the trace as snapshot dicts, which the trace columns replaced
+
+
+def trace_series_oracle(trace):
+    """Reference: the former SimTrace.ego_series and metrics._entity_series,
+    time-major arrays read from the v1 dict's snapshots: the ego's t, x, y,
+    heading, speed and accel, and every collidable actor's columns."""
+    snaps = trace.to_dict()["snapshots"]
+    ego = {k: np.array([s["ego"][k] for s in snaps])
+           for k in ("x", "y", "heading", "speed", "accel")}
+    ego["t"] = np.array([s["t"] for s in snaps])
+    T = len(snaps)
+    A = len(snaps[0]["agents"])
+    P = len(snaps[0]["pedestrians"])
+    ax = np.zeros((T, A)); ay = np.zeros((T, A))
+    ah = np.zeros((T, A)); av = np.zeros((T, A))
+    al = np.zeros(A); aw = np.zeros(A)
+    px = np.zeros((T, P)); py = np.zeros((T, P))
+    pvx = np.zeros((T, P)); pvy = np.zeros((T, P))
+    for t, snap in enumerate(snaps):
+        for i, a in enumerate(snap["agents"]):
+            ax[t, i] = a["x"]; ay[t, i] = a["y"]
+            ah[t, i] = a["heading"]; av[t, i] = a["speed"]
+            if t == 0:
+                al[i] = a["length"]; aw[i] = a["width"]
+        for i, p in enumerate(snap["pedestrians"]):
+            px[t, i] = p["x"]; py[t, i] = p["y"]
+            pvx[t, i] = p["vx"]; pvy[t, i] = p["vy"]
+    return ego, {"ax": ax, "ay": ay, "ah": ah, "av": av, "al": al, "aw": aw,
+                 "px": px, "py": py, "pvx": pvx, "pvy": pvy}
+
+
+def agent_dicts(traffic) -> list[dict]:
+    """Reference: the former simulation._traffic_snapshot, the v1 dicts of
+    agent columns."""
+    return [{"lane": lane, "s": s, "speed": v, "x": x, "y": y, "heading": h,
+             "length": length, "width": width, "policy": policy}
+            for lane, s, v, _v0, policy, length, width, x, y, h
+            in zip(*vars(traffic).values())]
+
+
+def pedestrian_dict(p) -> dict:
+    """Reference: the former simulation._ped_snapshot, the v1 dict of a
+    pedestrian state."""
+    x, y = p.position
+    vx, vy = p.velocity
+    return {"x": x, "y": y, "vx": vx, "vy": vy, "phase": p.phase}
 
 
 # ---------------------------------------------------------------------------

@@ -235,10 +235,10 @@ class TestCriterion05EvaluationWindow:
         for window in (2.0, 4.0):
             monkeypatch.setattr(sampling, "EVAL_HORIZON", window)
             trace = run_closed_loop(spec, SamplingPlanner())
-            ego = trace.ego_series()
+            ego = trace.ego
             collisions = [e for e in trace.events if e["kind"] == "collision"]
             braking = np.nonzero(ego["accel"] < -2.0)[0]
-            t_brake = float(ego["t"][braking[0]]) if len(braking) else math.inf
+            t_brake = float(trace.t[braking[0]]) if len(braking) else math.inf
             stats[window] = {
                 "collisions": len(collisions),
                 "t_brake": t_brake,
@@ -464,7 +464,7 @@ class TestCriterion11LlmFree:
         # hybrid planning with the scripted oracle, fully offline
         spec = next(s for s in suite if s.type is ScenarioType.CONSTRUCTION)
         trace = run_closed_loop(spec, HybridBehaviorPlanner(ScriptedSelector()))
-        scripted_ok = len(trace.snapshots) == 151
+        scripted_ok = len(trace.t) == 151
 
         # the LLM-backed planners run against a loopback mock endpoint
         class Handler(BaseHTTPRequestHandler):

@@ -1,4 +1,3 @@
-import copy
 import functools
 import math
 import operator
@@ -63,35 +62,32 @@ from drivebench.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from drivebench.simulation import (
-    SimTrace,
-    TickSnapshot,
-    _traffic_snapshot,
-    _ped_snapshot,
-    run_closed_loop,
-)
-from conftest import ego_track_oracle, traffic_of
+from drivebench.simulation import SimTrace, run_closed_loop
+from conftest import (agent_dicts, ego_track_oracle, pedestrian_dict,
+                      trace_series_oracle, traffic_of)
 from test_agents import random_traffic
 from test_planners import empty_road_spec
 
+def v1_trace(snapshots, dt=0.1, scenario_type="construction", events=()):
+    """The trace of v1 snapshot dicts, through SimTrace.from_dict."""
+    return SimTrace.from_dict({
+        "version": "v1", "scenario_type": scenario_type, "seed": 0, "dt": dt,
+        "duration": dt * (len(snapshots) - 1), "snapshots": snapshots,
+        "events": list(events)})
+
+
 def synthetic_trace(ego_states, agents_fn=None, peds_fn=None, dt=0.1,
-                    scenario_type="construction", events=None):
-    """Hand-built trace: ego_states is a list of (x, y, heading, speed) or
-    dicts; agents_fn/peds_fn map tick index to actor dict lists."""
-    trace = SimTrace(scenario_type=scenario_type, seed=0, dt=dt,
-                     duration=dt * (len(ego_states) - 1))
-    for k, e in enumerate(ego_states):
-        if not isinstance(e, dict):
-            x, y, h, v = e
-            e = {"x": x, "y": y, "heading": h, "speed": v, "accel": 0.0,
-                 "steering": 0.0}
-        trace.snapshots.append(TickSnapshot(
-            t=k * dt, ego=e,
-            agents=agents_fn(k) if agents_fn else [],
-            pedestrians=peds_fn(k) if peds_fn else [],
-            plan=[]))
-    trace.events = events or []
-    return trace
+                    scenario_type="construction", events=()):
+    """Hand-built trace: ego_states is a list of (x, y, heading, speed);
+    agents_fn/peds_fn map tick index to actor dict lists."""
+    return v1_trace([{
+        "t": k * dt,
+        "ego": {"x": x, "y": y, "heading": h, "speed": v, "accel": 0.0,
+                "steering": 0.0},
+        "agents": agents_fn(k) if agents_fn else [],
+        "pedestrians": peds_fn(k) if peds_fn else [],
+        "plan": []} for k, (x, y, h, v) in enumerate(ego_states)],
+        dt, scenario_type, events)
 
 
 def cruise_states(n=151, speed=10.0, y=0.0, dt=0.1, x0=20.0):
@@ -163,8 +159,8 @@ def clearly_inside_one(box, polys):
 
 def drivable_area_scan(trace, spec):
     polys = spec.graph.drivable_area
-    for snap in trace.snapshots:
-        e = snap.ego
+    for snap in trace.to_dict()["snapshots"]:
+        e = snap["ego"]
         box = OrientedBox(Pose2D(e["x"], e["y"], e["heading"]),
                           VEHICLE_LENGTH, VEHICLE_WIDTH)
         if clearly_inside_one(box, polys):
@@ -287,7 +283,7 @@ class TestStationaryMetric:
 def stop_justified_scan(snap, spec, spans):
     """Reference: the stationary gate's own scan before it shared the
     lane-keeper rule with traffic."""
-    ego = snap.ego
+    ego = snap["ego"]
     pos = (ego["x"], ego["y"])
     lane_id = spec.graph.nearest_lane(pos)
     lane = spec.graph.lane(lane_id)
@@ -297,13 +293,13 @@ def stop_justified_scan(snap, spec, spans):
     for near, _far in spans.get(lane_id, ()):
         if front <= near <= front + horizon:
             return True
-    for a in snap.agents:
+    for a in snap["agents"]:
         if a["lane"] != lane_id:
             continue
         rear = a["s"] - a["length"] / 2.0
         if front <= rear <= front + horizon:
             return True
-    for p in snap.pedestrians:
+    for p in snap["pedestrians"]:
         if p["phase"] != "crossing":
             continue
         fp = lane.centerline.project((p["x"], p["y"]))
@@ -338,7 +334,7 @@ class TestStopJustifiedReference:
                                      np.nextafter(edge, np.inf)]))
             if rng.random() < 0.5:
                 spans.setdefault(lane_id, []).append((near, near + 3.0))
-            peds = [_ped_snapshot(p) for p in world.pedestrians]
+            peds = [pedestrian_dict(p) for p in world.pedestrians]
             if rng.random() < 0.5:     # crossing within 0.3 m of an end
                 line = world.graph.lane(lane_id).centerline
                 s = edge + float(rng.uniform(-0.3, 0.3))
@@ -346,11 +342,13 @@ class TestStopJustifiedReference:
                     p = Pose2D(*line.place(s, float(rng.uniform(-1.0, 1.0))))
                     peds.append({"x": p.x, "y": p.y, "vx": 0.0, "vy": 1.5,
                                  "phase": "crossing"})
-            snap = TickSnapshot(
-                t=0.0, ego={"x": pos[0], "y": pos[1], "speed": 0.0},
-                agents=_traffic_snapshot(traffic_of(world.agents)),
-                pedestrians=peds, plan=[])
-            got = _stop_justified(snap, spec, lane_id, ego_s, spans)
+            snap = {"t": 0.0, "ego": {"x": pos[0], "y": pos[1], "heading": 0.0,
+                                      "speed": 0.0, "accel": 0.0,
+                                      "steering": 0.0},
+                    "agents": agent_dicts(traffic_of(world.agents)),
+                    "pedestrians": peds, "plan": []}
+            got = _stop_justified(v1_trace([snap]), 0, spec, lane_id, ego_s,
+                                  spans)
             assert got == stop_justified_scan(snap, spec, spans)
             outcomes.append(got)
         assert 50 < sum(outcomes) < len(outcomes) - 50
@@ -397,11 +395,8 @@ class TestTtcMetric:
 def reference_ttc_metric(trace, spec):
     """Reference: ttc_metric before the shared projector, with one
     prefilter and collision check per entity kind."""
-    from drivebench.metrics import _entity_series
-
-    T = len(trace.snapshots)
-    ego = trace.ego_series()
-    ent = _entity_series(trace)
+    ego, ent = trace_series_oracle(trace)
+    T = len(ego["t"])
     O = len(spec.obstacles)
     ox = np.array([o.box.center.x for o in spec.obstacles])
     oy = np.array([o.box.center.y for o in spec.obstacles])
@@ -469,22 +464,22 @@ class TestTtcReference:
             trace = run_closed_loop(spec, IdmPlanner())
             assert ttc_metric(trace, spec) == \
                 reference_ttc_metric(trace, spec), spec.type
-            phases |= {p["phase"] for snap in trace.snapshots
-                       for p in snap.pedestrians}
+            phases |= set(trace.pedestrians["phase"].ravel().tolist())
             for _ in range(3):
-                moved = copy.deepcopy(trace)
-                for snap in moved.snapshots:
-                    others = ([(a["x"], a["y"]) for a in snap.agents]
+                moved = trace.to_dict()
+                for snap in moved["snapshots"]:
+                    others = ([(a["x"], a["y"]) for a in snap["agents"]]
                               + [(o.box.center.x, o.box.center.y)
                                  for o in spec.obstacles]
-                              + [(p["x"], p["y"]) for p in snap.pedestrians])
+                              + [(p["x"], p["y"]) for p in snap["pedestrians"]])
                     if not others:
                         continue
                     x, y = others[int(rng.integers(len(others)))]
-                    snap.ego.update(x=x + float(rng.uniform(-8.0, 8.0)),
-                                    y=y + float(rng.uniform(-3.0, 3.0)),
-                                    heading=float(rng.uniform(-0.5, 0.5)),
-                                    speed=float(rng.uniform(0.0, 12.0)))
+                    snap["ego"].update(x=x + float(rng.uniform(-8.0, 8.0)),
+                                       y=y + float(rng.uniform(-3.0, 3.0)),
+                                       heading=float(rng.uniform(-0.5, 0.5)),
+                                       speed=float(rng.uniform(0.0, 12.0)))
+                moved = SimTrace.from_dict(moved)
                 score = ttc_metric(moved, spec)
                 assert score == reference_ttc_metric(moved, spec), spec.type
                 moved_scores.append(score)
@@ -675,8 +670,8 @@ def speed_limit_scan(trace, spec):
     nearest_lane query per snapshot."""
     over = 0.0
     limit_integral = 0.0
-    for snap in trace.snapshots:
-        ego = snap.ego
+    for snap in trace.to_dict()["snapshots"]:
+        ego = snap["ego"]
         lane = spec.graph.nearest_lane((ego["x"], ego["y"]))
         limit = spec.graph.lane(lane).speed_limit
         over += max(0.0, ego["speed"] - limit) * trace.dt
@@ -691,8 +686,8 @@ def wrong_way_scan(trace, spec):
     nearest_lane query and a projection onto that lane per moving step."""
     total = 0.0
     prev = None
-    for snap in trace.snapshots:
-        e = snap.ego
+    for snap in trace.to_dict()["snapshots"]:
+        e = snap["ego"]
         pos = (e["x"], e["y"])
         if prev is not None:
             dx = pos[0] - prev[0]
@@ -718,8 +713,8 @@ def lane_change_scan(trace, spec):
     seq = spec.route.lane_sequence
     lines = [spec.graph.lane(lid).centerline for lid in seq]
     idx_series = []
-    for snap in trace.snapshots:
-        pos = (snap.ego["x"], snap.ego["y"])
+    for snap in trace.to_dict()["snapshots"]:
+        pos = (snap["ego"]["x"], snap["ego"]["y"])
         ds = [abs(line.project(pos).d) for line in lines]
         idx_series.append(int(np.argmin(ds)))
     idx_series = np.asarray(idx_series)
@@ -754,31 +749,32 @@ def ego_perturbations(trace, spec, rng):
     graph = spec.graph
     ids = sorted(graph.segments)
 
-    def respeed(t):
-        for snap in t.snapshots:
-            snap.ego["speed"] = float(rng.uniform(0.0, 20.0))
-        return t
+    def respeed(data):
+        for snap in data["snapshots"]:
+            snap["ego"]["speed"] = float(rng.uniform(0.0, 20.0))
+        return SimTrace.from_dict(data)
 
     def put(snap, lane_id, s, d):
         x, y, heading = graph.lane(lane_id).centerline.place(s, d)
-        snap.ego.update(x=x, y=y, heading=heading)
+        snap["ego"].update(x=x, y=y, heading=heading)
 
-    onto = copy.deepcopy(trace)
-    for k, snap in enumerate(onto.snapshots):
+    onto = trace.to_dict()
+    for k, snap in enumerate(onto["snapshots"]):
         if k % 15 == 0:
             lane_id = ids[int(rng.integers(len(ids)))]
             d = float(rng.choice([rng.uniform(-1.5, 1.5), LANE_WIDTH / 2.0,
                                   -LANE_WIDTH / 2.0]))
         line = graph.lane(lane_id).centerline
-        put(snap, lane_id, line.project((snap.ego["x"], snap.ego["y"])).s, d)
+        pos = (snap["ego"]["x"], snap["ego"]["y"])
+        put(snap, lane_id, line.project(pos).s, d)
 
-    reverse = copy.deepcopy(trace)
-    for snap, ego in zip(reverse.snapshots,
-                         [s.ego for s in reverse.snapshots][::-1]):
-        snap.ego = ego
+    reverse = trace.to_dict()
+    snaps = reverse["snapshots"]
+    for snap, ego in zip(snaps, [s["ego"] for s in snaps][::-1]):
+        snap["ego"] = ego
 
-    past_end = copy.deepcopy(trace)
-    for snap in past_end.snapshots:
+    past_end = trace.to_dict()
+    for snap in past_end["snapshots"]:
         lane_id = ids[int(rng.integers(len(ids)))]
         length = graph.lane(lane_id).centerline.length
         beyond = float(rng.uniform(0.0, 40.0))
@@ -803,11 +799,12 @@ class TestEgoTrackReference:
             spec = with_lane_limits(suite[i])
             for t in [trace] + ego_perturbations(trace, spec, rng):
                 track = ego_track(t, spec)
-                for snap, lane, s in zip(t.snapshots, track.lane, track.s):
-                    pos = (snap.ego["x"], snap.ego["y"])
+                for pos, lane, s in zip(zip(t.ego["x"].tolist(),
+                                            t.ego["y"].tolist()),
+                                        track.lane, track.s):
                     assert lane == spec.graph.nearest_lane(pos)
                     assert s == spec.graph.lane(lane).centerline.project(pos).s
-                assert len(track.lane) == len(t.snapshots)
+                assert len(track.lane) == len(t.t)
                 speed.append(speed_limit_metric(t, spec, track))
                 assert speed[-1] == speed_limit_scan(t, spec), spec.type
                 wrong_way.append(_wrong_way_distance(t, spec, track))
@@ -844,7 +841,7 @@ class TestScoringProjections:
         monkeypatch.setattr(Polyline, "project", counted)
         monkeypatch.setattr(Polyline, "project_many", counted_many)
         score_scenario(trace, spec, ref_progress=100.0)
-        T, L = len(trace.snapshots), len(spec.graph.segments)
+        T, L = len(trace.t), len(spec.graph.segments)
         assert (T, L) == (151, 4)
         assert batches == [T] * L
         assert len(calls) == 2
@@ -859,11 +856,13 @@ class TestScoringProjections:
         for i in range(0, 80, 7):
             spec = replace(suite[i], duration=3.0)
             trace = run_closed_loop(spec, IdmPlanner())
-            odd = copy.deepcopy(trace)
-            for snap in odd.snapshots[::5]:
-                snap.ego["x"] += float(rng.uniform(-300.0, 300.0))
-            odd.snapshots[3].ego["y"] = math.nan
-            odd.snapshots[4].ego["x"] = math.nan
+            odd = trace.to_dict()
+            snaps = odd["snapshots"]
+            for snap in snaps[::5]:
+                snap["ego"]["x"] += float(rng.uniform(-300.0, 300.0))
+            snaps[3]["ego"]["y"] = math.nan
+            snaps[4]["ego"]["x"] = math.nan
+            odd = SimTrace.from_dict(odd)
             for t in (trace, odd):
                 track = ego_track(t, spec)
                 lane, s, route_index = ego_track_oracle(t, spec)

@@ -1,11 +1,12 @@
+import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drivebench.agents import VEHICLE_LENGTH, VEHICLE_WIDTH
 from drivebench.geometry import (
@@ -15,6 +16,7 @@ from drivebench.geometry import (
     boxes_collide,
     pairwise_contacts,
 )
+from drivebench.metrics import reference_progress, score_scenario
 from drivebench.planners import IdmPlanner, SamplingPlanner, Trajectory
 from drivebench.scenarios import (
     ObstacleTable,
@@ -27,12 +29,13 @@ from drivebench.scenarios import (
 )
 from drivebench.simulation import (
     ACCEL_MIN,
+    EGO_FIELDS,
     MAX_STEER,
     PERCEPTION_RADIUS,
     WHEELBASE,
     EgoState,
     SimTrace,
-    TickSnapshot,
+    MalformedTraceError,
     _ego_collisions,
     build_observation,
     kinematic_bicycle_step,
@@ -365,7 +368,7 @@ class TestClosedLoop:
     def test_snapshot_count(self):
         spec = empty_road_spec()
         trace = run_closed_loop(spec, IdmPlanner())
-        assert len(trace.snapshots) == int(round(spec.duration / 0.1)) + 1
+        assert len(trace.t) == int(round(spec.duration / 0.1)) + 1
 
     def test_duration_must_be_multiple_of_dt(self):
         spec = replace(empty_road_spec(), duration=15.04)
@@ -378,11 +381,10 @@ class TestClosedLoop:
                              10.0, 1)
         spec = place_construction_zone(spec, start_s=80.0, zone_length=14.0)
         trace = run_closed_loop(spec, IdmPlanner())
-        last = trace.snapshots[-1].ego
         first_cone = min(s for s, _ in ObstacleTable(
             spec.graph, spec.obstacles).blocking_spans["lane0"])
-        assert last["speed"] < 0.05
-        gap = first_cone - (last["x"] + VEHICLE_LENGTH / 2.0)
+        assert trace.ego["speed"][-1] < 0.05
+        gap = first_cone - (trace.ego["x"][-1] + VEHICLE_LENGTH / 2.0)
         assert gap >= 4.0 - 0.5
         assert not any(e["kind"] == "collision" for e in trace.events)
 
@@ -397,9 +399,8 @@ class TestClosedLoop:
         suite = generate_benchmark_suite(77)
         spec = next(s for s in suite if s.type is ScenarioType.NUDGE)
         trace = run_closed_loop(spec, SamplingPlanner())
-        for snap in trace.snapshots:
-            assert snap.ego["speed"] >= 0.0
-            assert abs(snap.ego["steering"]) <= 0.6 + 1e-9
+        assert (trace.ego["speed"] >= 0.0).all()
+        assert (np.abs(trace.ego["steering"]) <= 0.6 + 1e-9).all()
 
     def test_collision_events_match_offline_recomputation(self):
         # scripted rear-end: stationary ego straddling the lane boundary,
@@ -433,18 +434,18 @@ class TestClosedLoop:
         # offline recomputation of contact onsets from the snapshots
         onsets = []
         prev = False
-        for snap in trace.snapshots:
-            ego_box = OrientedBox(
-                Pose2D(snap.ego["x"], snap.ego["y"], snap.ego["heading"]),
-                VEHICLE_LENGTH, VEHICLE_WIDTH)
+        for snap in trace.to_dict()["snapshots"]:
+            e = snap["ego"]
+            ego_box = OrientedBox(Pose2D(e["x"], e["y"], e["heading"]),
+                                  VEHICLE_LENGTH, VEHICLE_WIDTH)
             hit = False
-            for a in snap.agents:
+            for a in snap["agents"]:
                 other = OrientedBox(Pose2D(a["x"], a["y"], a["heading"]),
                                     a["length"], a["width"])
                 if boxes_collide(ego_box, other):
                     hit = True
             if hit and not prev:
-                onsets.append(snap.t)
+                onsets.append(snap["t"])
             prev = hit
         assert onsets == [e["time"] for e in events]
 
@@ -510,8 +511,8 @@ class TestWorldAtRest:
         assert [e["time"] for e in trace.events
                 if e["kind"] == "planner_fallback"] == [k * 0.1
                                                         for k in range(150)]
-        assert trace.snapshots[-50].ego == trace.snapshots[-1].ego
-        assert trace.snapshots[-1].ego["speed"] == 0.0
+        assert all(col[-50] == col[-1] for col in trace.ego.values())
+        assert trace.ego["speed"][-1] == 0.0
 
     def test_hybrid_plans_every_tick(self, monkeypatch):
         """The hybrid reads obs.time and keeps its behaviour: not
@@ -564,40 +565,134 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
-def snapshot_dicts(keys, **fixed):
+def field_dicts(keys, **fixed):
     return st.fixed_dictionaries({**{k: FINITE for k in keys}, **fixed})
 
 
-V1_TRACES = st.builds(
-    SimTrace,
-    scenario_type=st.sampled_from([t.value for t in ScenarioType]),
-    seed=st.integers(0, 2 ** 32),
-    dt=FINITE,
-    duration=FINITE,
-    snapshots=st.lists(st.builds(
-        TickSnapshot,
-        t=FINITE,
-        ego=snapshot_dicts(("x", "y", "heading", "speed", "accel", "steering")),
-        agents=st.lists(snapshot_dicts(
+@st.composite
+def v1_trace_dicts(draw):
+    """Trace dicts in schema v1: the snapshot fields run_closed_loop
+    writes, one count of agents and one of pedestrians per trace, and any
+    JSON objects as events."""
+    n_agents, n_peds = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    snapshot = st.fixed_dictionaries({
+        "t": FINITE,
+        "ego": field_dicts(EGO_FIELDS),
+        "agents": st.lists(field_dicts(
             ("s", "speed", "x", "y", "heading", "length", "width"),
-            lane=st.text(max_size=8), policy=st.text(max_size=8)), max_size=3),
-        pedestrians=st.lists(snapshot_dicts(
-            ("x", "y", "vx", "vy"), phase=st.text(max_size=8)), max_size=2),
-        plan=st.lists(st.lists(FINITE, min_size=2, max_size=2), max_size=4)),
-        max_size=4),
-    events=st.lists(st.dictionaries(st.text(max_size=8), JSON_VALUES,
-                                    max_size=4), max_size=4))
+            lane=st.text(max_size=8), policy=st.text(max_size=8)),
+            min_size=n_agents, max_size=n_agents),
+        "pedestrians": st.lists(field_dicts(
+            ("x", "y", "vx", "vy"), phase=st.text(max_size=8)),
+            min_size=n_peds, max_size=n_peds),
+        "plan": st.lists(st.lists(FINITE, min_size=2, max_size=2),
+                         max_size=4)})
+    return draw(st.fixed_dictionaries({
+        "version": st.just("v1"),
+        "scenario_type": st.sampled_from([t.value for t in ScenarioType]),
+        "seed": st.integers(0, 2 ** 32),
+        "dt": FINITE,
+        "duration": FINITE,
+        "snapshots": st.lists(snapshot, max_size=4),
+        "events": st.lists(st.dictionaries(st.text(max_size=8), JSON_VALUES,
+                                           max_size=4), max_size=4)}))
+
+
+def columns(trace) -> dict:
+    """Each column of a trace with its shape and dtype, floats as bytes, so
+    that == compares their bits."""
+    return {f"{group}.{name}": (col.shape, col.dtype, col.tolist()
+                                if col.dtype == object else col.tobytes())
+            for group in ("ego", "agents", "pedestrians")
+            for name, col in getattr(trace, group).items()
+            } | {"t": (trace.t.shape, trace.t.dtype, trace.t.tobytes())}
+
+
+def small_v1_dict() -> dict:
+    """Two snapshots of one agent and one pedestrian, in schema v1."""
+    return {
+        "version": "v1", "scenario_type": "jaywalker", "seed": 1, "dt": 0.1,
+        "duration": 0.1, "events": [],
+        "snapshots": [{
+            "t": 0.1 * k, "plan": [[0.0, 0.0], [5.0, 0.0]],
+            "ego": dict.fromkeys(EGO_FIELDS, 1.0),
+            "agents": [{"lane": "lane0", "s": 30.0, "speed": 8.0, "x": 30.0,
+                        "y": 0.0, "heading": 0.0, "length": 4.6,
+                        "width": 1.85, "policy": "assertive"}],
+            "pedestrians": [{"x": 60.0, "y": 3.0, "vx": 0.0, "vy": -1.2,
+                             "phase": "crossing"}]} for k in range(2)]}
+
+
+def nul_ended_text() -> dict:
+    """small_v1_dict with text fields that a numpy str array would cut
+    short: numpy drops trailing NUL characters."""
+    data = small_v1_dict()
+    for snap in data["snapshots"]:
+        snap["agents"][0].update(lane="lane0\x00", policy="")
+        snap["pedestrians"][0]["phase"] = "\x00"
+    return data
+
+
+def bits(score) -> list:
+    """A score's fields, floats as their hex form."""
+    return [v.hex() if isinstance(v, float) else v for v in astuple(score)]
 
 
 class TestTraceFormat:
     @settings(max_examples=60, deadline=None)
-    @given(trace=V1_TRACES)
-    def test_v1_survives_save_and_load(self, trace):
-        """A trace in schema v1 (the snapshot fields run_closed_loop
-        writes, any JSON objects as events) loads back equal."""
+    @given(data=v1_trace_dicts())
+    @example(data=nul_ended_text())
+    def test_v1_survives_save_and_load(self, data):
+        """A trace in schema v1 loads back with the bytes of the dict it
+        was built from and with the same columns, bit for bit."""
+        trace = SimTrace.from_dict(data)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.json"
             save_trace(trace, path)
             loaded = SimTrace.load(path)
-        assert loaded == trace
-        assert loaded.to_json() == trace.to_json()
+        assert loaded.to_json() == trace.to_json() == json.dumps(
+            data, sort_keys=True, separators=(",", ":"))
+        assert columns(loaded) == columns(trace)
+
+    @pytest.mark.parametrize("breach, message", [
+        (lambda d: d.pop("seed"), "field 'seed'"),
+        (lambda d: d["snapshots"][1].pop("ego"), "field 'ego'"),
+        (lambda d: d["snapshots"][1]["ego"].pop("accel"), "field 'accel'"),
+        (lambda d: d["snapshots"][0]["agents"][0].pop("lane"),
+         "field 'lane'"),
+        (lambda d: d["snapshots"][1]["pedestrians"][0].pop("phase"),
+         "field 'phase'"),
+        (lambda d: d["snapshots"][1]["agents"].append(
+            d["snapshots"][0]["agents"][0]),
+         "snapshot 1 holds 2 agents and 1 pedestrians, snapshot 0 1 and 1"),
+        (lambda d: d["snapshots"][1]["pedestrians"].clear(),
+         "snapshot 1 holds 1 agents and 0 pedestrians, snapshot 0 1 and 1"),
+    ], ids=["seed", "ego", "accel", "lane", "phase", "agents", "pedestrians"])
+    def test_malformed_v1_is_rejected(self, tmp_path, breach, message):
+        """A v1 file without a field raises MalformedTraceError naming the
+        field; so does one whose snapshots hold different counts of agents
+        or of pedestrians, which the simulator never writes."""
+        data = small_v1_dict()
+        SimTrace.from_dict(data)
+        breach(data)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(MalformedTraceError, match=message):
+            SimTrace.load(path)
+
+    def test_loaded_traces_score_like_live_ones(self, tmp_path):
+        """idm on the first construction scenario, where the world at rest
+        is replayed, and on the first jaywalker one: each trace file loads
+        back to its own bytes, and the loaded trace scores as the live one,
+        bit for bit."""
+        suite = generate_benchmark_suite(2024)
+        for index in (0, 20):
+            spec = suite[index]
+            trace = run_closed_loop(spec, IdmPlanner())
+            path = tmp_path / f"{index}.json"
+            save_trace(trace, path)
+            loaded = SimTrace.load(path)
+            assert loaded.to_json().encode() == path.read_bytes()
+            ref = reference_progress(spec)
+            assert bits(score_scenario(loaded, spec, ref)) == \
+                bits(score_scenario(trace, spec, ref))
