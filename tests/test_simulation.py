@@ -565,7 +565,7 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
-def field_dicts(keys, **fixed):
+def snapshot_dicts(keys, **fixed):
     return st.fixed_dictionaries({**{k: FINITE for k in keys}, **fixed})
 
 
@@ -577,12 +577,12 @@ def v1_trace_dicts(draw):
     n_agents, n_peds = draw(st.integers(0, 3)), draw(st.integers(0, 2))
     snapshot = st.fixed_dictionaries({
         "t": FINITE,
-        "ego": field_dicts(EGO_FIELDS),
-        "agents": st.lists(field_dicts(
+        "ego": snapshot_dicts(EGO_FIELDS),
+        "agents": st.lists(snapshot_dicts(
             ("s", "speed", "x", "y", "heading", "length", "width"),
             lane=st.text(max_size=8), policy=st.text(max_size=8)),
             min_size=n_agents, max_size=n_agents),
-        "pedestrians": st.lists(field_dicts(
+        "pedestrians": st.lists(snapshot_dicts(
             ("x", "y", "vx", "vy"), phase=st.text(max_size=8)),
             min_size=n_peds, max_size=n_peds),
         "plan": st.lists(st.lists(FINITE, min_size=2, max_size=2),
